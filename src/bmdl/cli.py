@@ -63,7 +63,8 @@ def _default_budget() -> int:
             raise ValueError
         return value
     except ValueError:
-        raise SystemExit(f"bmdl: MDL_BUDGET must be a positive integer, got {raw!r}")
+        _note(f"bmdl: MDL_BUDGET must be a positive integer, got {raw!r}")
+        raise SystemExit(EXIT_USAGE)
 
 
 def _emit(args, data: dict) -> None:
@@ -83,13 +84,22 @@ def _load_goal(args) -> tuple[tuple[Formula, ...], Optional[Sequent]]:
     extra = tuple(parse_formula(t) for t in args.assume or [])
     text = args.target
     path = Path(text)
-    if path.is_file():
+    if _is_file(path):
         content = path.read_text()
         if path.suffix == ".mdl" or _looks_like_problem(content):
             prob = parse_problem(content)
             return prob.assumptions + extra, prob.goal
         return extra, read_sequent_file(path)
     return extra, parse_sequent(text)
+
+
+def _is_file(path: Path) -> bool:
+    """Path.is_file, except that a name the OS refuses to look up (too long
+    for a file name, as literal sequent text can be) is no file."""
+    try:
+        return path.is_file()
+    except OSError:
+        return False
 
 
 def _looks_like_problem(content: str) -> bool:
@@ -113,9 +123,7 @@ def _cmd_prove(args) -> int:
         goal,
         b,
         atomic_init=args.atomic_init,
-    ) if assumptions else prove(
-        goal, b, atomic_init=args.atomic_init, static_loopcheck=args.static_loopcheck
-    )
+    ) if assumptions else prove(goal, b, atomic_init=args.atomic_init)
     out = {
         "sequent": print_sequent(goal, unicode=args.unicode),
         "assumptions": [print_formula(a, unicode=args.unicode) for a in assumptions],
@@ -166,7 +174,7 @@ def _cmd_consistent(args) -> int:
     assumptions = tuple(parse_formula(t) for t in args.assume or [])
     if args.target:
         path = Path(args.target)
-        if not path.is_file():
+        if not _is_file(path):
             _note(f"bmdl: no such file: {args.target}")
             return EXIT_USAGE
         prob = parse_problem(path.read_text())
@@ -330,11 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("target", help="sequent text, .seq file, or problem file")
     p.add_argument("--assume", action="append", metavar="FORMULA", help="extra assumption")
-    p.add_argument(
-        "--static-loopcheck",
-        action="store_true",
-        help="also loop check branching static premisses",
-    )
     p.set_defaults(fn=_cmd_prove)
 
     p = sub.add_parser(

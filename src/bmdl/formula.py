@@ -120,9 +120,6 @@ def atoms(f: Formula) -> frozenset[str]:
     return frozenset(g.name for g in subformulas(f) if isinstance(g, Atom))
 
 
-_TAGS = {Bottom: 0, Atom: 1, Neg: 2, And: 3, Or: 4, Imp: 5, Box: 6, Obl: 7}
-
-
 def sort_key(f: Formula):
     """Total structural order on formulas, for deterministic iteration only."""
     match f:

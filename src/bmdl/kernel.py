@@ -306,13 +306,30 @@ def derivation_to_json(d: Derivation) -> dict:
 
 
 def derivation_from_json(data: dict) -> Derivation:
+    """Rebuild a derivation from derivation_to_json output.  A node of the
+    wrong shape raises DerivationError, located by its path."""
+    return _node_from_json(data, ())
+
+
+def _node_from_json(data, path: tuple[int, ...]) -> Derivation:
+    if not isinstance(data, dict):
+        raise DerivationError(path, "a derivation node must be a JSON object")
+    conclusion = data.get("conclusion")
+    principal = data.get("principal", [])
+    children = data.get("children", [])
+    if not isinstance(conclusion, str):
+        raise DerivationError(path, 'a derivation node needs a "conclusion" string')
+    if not (isinstance(principal, list) and all(isinstance(t, str) for t in principal)):
+        raise DerivationError(path, '"principal" must be a list of formula strings')
+    if not isinstance(children, list):
+        raise DerivationError(path, '"children" must be a list of derivation nodes')
     try:
-        rule = RuleId(data["rule"])
+        rule = RuleId(data.get("rule"))
     except ValueError:
-        raise ValueError(f"unknown rule name {data.get('rule')!r}") from None
+        raise DerivationError(path, f"unknown rule name {data.get('rule')!r}") from None
     return Derivation(
-        conclusion=parse_sequent(data["conclusion"]),
+        conclusion=parse_sequent(conclusion),
         rule=rule,
-        principal=tuple(parse_formula(t) for t in data.get("principal", [])),
-        children=tuple(derivation_from_json(c) for c in data.get("children", [])),
+        principal=tuple(parse_formula(t) for t in principal),
+        children=tuple(_node_from_json(c, path + (i,)) for i, c in enumerate(children)),
     )

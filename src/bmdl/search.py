@@ -2,12 +2,58 @@
 
 The search works on a history, a nonempty list of set sequents whose last
 entry is the current goal.  A goal is first saturated under the one-premiss
-static rules (replacing it in the history), then closed if it is initial,
-and otherwise attacked with two-premiss static rules and finally with
-transitional rules.  Transitional premisses are loop checked: a premiss is
-refused when it is componentwise contained in the last sequent of some
-prefix of the history, the current one included.  Static premisses need no
-check because the application filter keeps only strictly growing premisses.
+static rules (replacing it in the history), then closed if it is initial.
+Otherwise, if a two-premiss static rule (AndR, OrL, ImpL) applies, the
+search commits to the first such application: the goal is accepted exactly
+when both of its premisses are, and no other rule is tried.  Only a goal
+that no static rule changes is attacked with the transitional rules, each
+application in turn.  Transitional premisses are loop checked: a premiss is
+refused when it is componentwise contained in some sequent of the history,
+the current one included.  Static premisses need no check because the
+application filter keeps only strictly growing premisses.
+
+Why committing is complete.  Static premisses are supersets of their
+conclusion, and weakening is height-preserving admissible, so a static rule
+is invertible: if its conclusion has a derivation of height n, each premiss
+has one of height at most n.  Write ht(S) for the least height of a
+derivation of S, infinite when S is underivable.  Call a search call
+well placed when every sequent in its history has ht at least that of its
+goal; the root call, with a history of one, is well placed.  By induction
+over the finite tree of calls, a well-placed call on a derivable goal
+succeeds:
+
+  * saturation only adds formulas, so ht(sat) <= ht(goal) and the history
+    with sat in place of the goal stays well placed;
+  * at a branching node both premisses of the first application have ht
+    at most ht(sat), so both child calls are well placed and, by
+    induction, succeed; so if either fails, the conclusion itself is
+    underivable and no other rule need be tried;
+  * at a node no static rule changes, a least-height derivation of sat
+    cannot end in a static rule, since each such application has a
+    premiss equal to sat, nor in a zero-premiss rule, since sat is not
+    initial; so it ends in a transitional application whose premisses P
+    have ht(P) < ht(sat).  The loop check never refuses such a P: P <= A
+    for A in the history would give ht(A) <= ht(P) < ht(sat) <= ht(A).
+    The child calls are well placed, succeed by induction, and the search
+    tries every transitional application, this one included.
+
+Conversely, when a well-placed call fails, its goal is underivable.  This
+is what committing uses: at a well-placed branching node, a committed
+premiss that fails under the history check has a well-placed call too, so
+it is underivable, and then so is the node's sequent, which it contains.  A
+call that is not well placed sits below a transitional premiss harder than
+one of its ancestors; its failure only abandons that one transitional
+application, never the one a least-height derivation uses.  So the verdict
+of the root call is exactly the derivability of the goal.  The history
+check, and its use beside invertible rules applied without backtracking,
+follow Heuerding, Seyfried & Zimmermann (1996), on loop checks for backward
+proof search in modal logics.
+
+countermodel._Builder.resolve relies on the same invariant.  Its oracle
+verdicts come from root calls, so they are exact; it refines an underivable
+world sequent along apps[0] alone, the application the search commits to,
+and raises when no premiss of it is underivable, which the rule's own
+soundness rules out.
 
 Accepted goals come back as a tree of ProofNode records, which
 assemble_derivation turns into an exact multiset derivation for the kernel.
@@ -23,6 +69,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .calculus import (
+    TRANSITIONAL,
     RuleApplication,
     RuleId,
     one_premiss_static_applications,
@@ -123,10 +170,9 @@ class ProofNode:
 
 
 class _Search:
-    def __init__(self, budget: Budget, atomic_init: bool, static_loopcheck: bool):
+    def __init__(self, budget: Budget, atomic_init: bool):
         self.budget = budget
         self.atomic_init = atomic_init
-        self.static_loopcheck = static_loopcheck
 
     def run(self, goal: SetSequent) -> Optional[ProofNode]:
         return self._node((goal,))
@@ -139,21 +185,20 @@ class _Search:
         if cl is not None:
             return ProofNode(start, steps, sat, cl, None, ())
         h = history[:-1] + (sat,)
-        for app in two_premiss_static_applications(sat):
-            kids = self._try(h, app, self.static_loopcheck)
-            if kids is not None:
-                return ProofNode(start, steps, sat, None, app, kids)
-        for app in transitional_applications(sat):
-            kids = self._try(h, app, True)
+        # branching static rules are invertible: the first one settles the node
+        for app in two_premiss_static_applications(sat)[:1] or transitional_applications(sat):
+            kids = self._try(h, app)
             if kids is not None:
                 return ProofNode(start, steps, sat, None, app, kids)
         return None
 
     def _try(
-        self, h: tuple[SetSequent, ...], app: RuleApplication, loopcheck: bool
+        self, h: tuple[SetSequent, ...], app: RuleApplication
     ) -> Optional[tuple[ProofNode, ...]]:
         """Evaluate an application's premisses left to right; None as soon as
-        one premiss loops or is rejected, the remaining ones unexplored."""
+        one premiss loops or is rejected, the remaining ones unexplored.
+        Only transitional premisses are loop checked."""
+        loopcheck = app.rule in TRANSITIONAL
         kids = []
         for prem in app.premisses:
             self.budget.spend()
@@ -171,10 +216,9 @@ def proof_tree(
     budget: Union[int, Budget] = DEFAULT_BUDGET,
     *,
     atomic_init: bool = False,
-    static_loopcheck: bool = False,
 ) -> Optional[ProofNode]:
     goal = s if isinstance(s, SetSequent) else to_set_sequent(s)
-    searcher = _Search(Budget.ensure(budget), atomic_init, static_loopcheck)
+    searcher = _Search(Budget.ensure(budget), atomic_init)
     return searcher.run(goal)
 
 
@@ -183,10 +227,9 @@ def decide(
     budget: Union[int, Budget] = DEFAULT_BUDGET,
     *,
     atomic_init: bool = False,
-    static_loopcheck: bool = False,
 ) -> bool:
     """Derivability verdict alone."""
-    return proof_tree(s, budget, atomic_init=atomic_init, static_loopcheck=static_loopcheck) is not None
+    return proof_tree(s, budget, atomic_init=atomic_init) is not None
 
 
 def assemble_derivation(node: ProofNode, target: Sequent) -> Derivation:
@@ -232,11 +275,10 @@ def prove(
     budget: Union[int, Budget] = DEFAULT_BUDGET,
     *,
     atomic_init: bool = False,
-    static_loopcheck: bool = False,
 ) -> SearchResult:
     """Search for s and, on acceptance, assemble the checkable derivation."""
     b = Budget.ensure(budget)
-    node = proof_tree(s, b, atomic_init=atomic_init, static_loopcheck=static_loopcheck)
+    node = proof_tree(s, b, atomic_init=atomic_init)
     if node is None:
         return SearchResult(s, False, None, b.used)
     return SearchResult(s, True, assemble_derivation(node, s), b.used)

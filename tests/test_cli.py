@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from bmdl.cli import main
 
-from conftest import CORPUS
+from conftest import CORPUS, REPO
 
 
 def run(capsys, *argv):
@@ -149,6 +152,33 @@ def test_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("MDL_BUDGET", "zero")
     with pytest.raises(SystemExit):
         main(["prove", "|- p"])
+
+
+def test_bad_budget_env_var_is_a_usage_error():
+    env = dict(os.environ, MDL_BUDGET="zero", PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bmdl", "prove", "|- p"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "MDL_BUDGET must be a positive integer, got 'zero'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_long_literal_sequents_are_not_file_names(capsys):
+    text = ", ".join(f"p{i}" for i in range(800)) + " |- p0"
+    assert len(text) > 4096
+    code, data = run(capsys, "prove", text)
+    assert code == 0
+    assert data["derivation"]["rule"] == "Init"
+    assert main(["consistent", text]) == 2
+
+
+def test_malformed_derivation_json_exits_2(tmp_path, capsys):
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps({"rule": "Init", "principal": ["p"], "children": []}))
+    assert main(["check-proof", str(f)]) == 2
+    assert '"conclusion"' in capsys.readouterr().err
 
 
 def test_pretty_and_unicode_flags(capsys):

@@ -179,6 +179,22 @@ def test_deserialization_rejects_unknown_rules():
         derivation_from_json({"rule": "Guess", "conclusion": "|- p", "children": []})
 
 
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        ([], "root"),
+        ({"rule": "Init", "principal": ["p"]}, "root"),
+        ({"rule": "Init", "conclusion": "p |- p", "principal": "p"}, "root"),
+        ({"rule": "WeakL", "conclusion": "p |- p", "children": {}}, "root"),
+        ({"rule": "WeakL", "conclusion": "p, q |- p", "children": [{"rule": "Init"}]}, "node 0"),
+        ({"rule": "WeakL", "conclusion": "p, q |- p", "children": ["p |- p"]}, "node 0"),
+    ],
+)
+def test_deserialization_rejects_malformed_shapes(data, where):
+    with pytest.raises(DerivationError, match=f"^{where}: "):
+        derivation_from_json(data)
+
+
 @given(formulas)
 def test_negation_premisses_match_on_both_sides(f):
     c_l = Sequent((Neg(f),), ())

@@ -145,13 +145,6 @@ def test_atomic_init_variant_still_proves_the_axioms():
         assert check_derivation(res.derivation)
 
 
-def test_static_loopcheck_variant_agrees_on_the_samples():
-    for text in DERIVABLE:
-        assert decide(parse_sequent(text), static_loopcheck=True), text
-    for text in UNDERIVABLE:
-        assert not decide(parse_sequent(text), static_loopcheck=True), text
-
-
 def test_search_is_deterministic():
     s = parse_sequent("|- [](q -> ~p) -> ~(O(p / r) & O(q / r))")
     assert prove(s).derivation == prove(s).derivation
