@@ -9,7 +9,7 @@ enumerating it would make the search loop.
 
 Rule groups:
 
-    zero premiss        Init, BottomL
+    zero premiss        Init, BottomL       (search.closure_of)
     one-premiss static  NegL, NegR, AndL, OrR, ImpR, T
     two-premiss static  AndR, OrL, ImpL
     transitional        D1, D2, Mon, Four   (antecedent restricted to its
@@ -24,11 +24,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 from .formula import (
     And,
-    Atom,
-    BOT,
     Box,
     Formula,
     Imp,
@@ -83,66 +82,76 @@ class RuleApplication:
     premisses: tuple[SetSequent, ...]
 
 
-def is_initial(s: SetSequent, atomic_init: bool = False) -> bool:
-    """Closed without premisses: a shared formula, or falsum on the left.
-
-    With atomic_init only shared atoms count, as in plain G3.
-    """
-    if BOT in s.ante:
-        return True
-    shared = s.ante & s.succ
-    if atomic_init:
-        return any(isinstance(f, Atom) for f in shared)
-    return bool(shared)
-
-
 def _grown(s: SetSequent, ante=(), succ=()) -> SetSequent:
-    return SetSequent(s.ante.union(ante), s.succ.union(succ))
+    return SetSequent(
+        s.ante.union(ante) if ante else s.ante,
+        s.succ.union(succ) if succ else s.succ,
+    )
+
+
+def iter_one_premiss_static_applications(s: SetSequent) -> Iterator[RuleApplication]:
+    """The productive one-premiss static applications at s, in enumeration
+    order: antecedent before succedent, each side in sort_key order.
+
+    Productivity is tested by membership before the premiss is built, so
+    taking only the first application costs one premiss."""
+    ante, succ = s.ante, s.succ
+    for f in sorted_formulas(ante):
+        match f:
+            case Neg(g):
+                if g not in succ:
+                    yield RuleApplication(RuleId.NEG_L, (f,), (_grown(s, succ=(g,)),))
+            case And(l, r):
+                if l not in ante or r not in ante:
+                    yield RuleApplication(RuleId.AND_L, (f,), (_grown(s, ante=(l, r)),))
+            case Box(g):
+                if g not in ante:
+                    yield RuleApplication(RuleId.T, (f,), (_grown(s, ante=(g,)),))
+    for f in sorted_formulas(succ):
+        match f:
+            case Neg(g):
+                if g not in ante:
+                    yield RuleApplication(RuleId.NEG_R, (f,), (_grown(s, ante=(g,)),))
+            case Or(l, r):
+                if l not in succ or r not in succ:
+                    yield RuleApplication(RuleId.OR_R, (f,), (_grown(s, succ=(l, r)),))
+            case Imp(l, r):
+                if l not in ante or r not in succ:
+                    yield RuleApplication(
+                        RuleId.IMP_R, (f,), (_grown(s, ante=(l,), succ=(r,)),)
+                    )
 
 
 def one_premiss_static_applications(s: SetSequent) -> list[RuleApplication]:
-    apps = []
+    return list(iter_one_premiss_static_applications(s))
 
-    def add(rule, f, premiss):
-        if premiss != s:
-            apps.append(RuleApplication(rule, (f,), (premiss,)))
 
-    for f in sorted_formulas(s.ante):
-        match f:
-            case Neg(g):
-                add(RuleId.NEG_L, f, _grown(s, succ=(g,)))
-            case And(l, r):
-                add(RuleId.AND_L, f, _grown(s, ante=(l, r)))
-            case Box(g):
-                add(RuleId.T, f, _grown(s, ante=(g,)))
-    for f in sorted_formulas(s.succ):
-        match f:
-            case Neg(g):
-                add(RuleId.NEG_R, f, _grown(s, ante=(g,)))
-            case Or(l, r):
-                add(RuleId.OR_R, f, _grown(s, succ=(l, r)))
-            case Imp(l, r):
-                add(RuleId.IMP_R, f, _grown(s, ante=(l,), succ=(r,)))
-    return apps
+def iter_two_premiss_static_applications(s: SetSequent) -> Iterator[RuleApplication]:
+    """The two-premiss static applications at s whose premisses are both
+    productive, in enumeration order: AndR by succedent formula, then OrL,
+    then ImpL by antecedent formula, each in sort_key order.  Productivity
+    is tested by membership before the premisses are built."""
+    ante, succ = s.ante, s.succ
+    for f in sorted_formulas(succ):
+        if isinstance(f, And) and f.l not in succ and f.r not in succ:
+            yield RuleApplication(
+                RuleId.AND_R, (f,), (_grown(s, succ=(f.l,)), _grown(s, succ=(f.r,)))
+            )
+    sorted_ante = sorted_formulas(ante)
+    for f in sorted_ante:
+        if isinstance(f, Or) and f.l not in ante and f.r not in ante:
+            yield RuleApplication(
+                RuleId.OR_L, (f,), (_grown(s, ante=(f.l,)), _grown(s, ante=(f.r,)))
+            )
+    for f in sorted_ante:
+        if isinstance(f, Imp) and f.l not in succ and f.r not in ante:
+            yield RuleApplication(
+                RuleId.IMP_L, (f,), (_grown(s, succ=(f.l,)), _grown(s, ante=(f.r,)))
+            )
 
 
 def two_premiss_static_applications(s: SetSequent) -> list[RuleApplication]:
-    apps = []
-
-    def add(rule, f, p1, p2):
-        if p1 != s and p2 != s:
-            apps.append(RuleApplication(rule, (f,), (p1, p2)))
-
-    for f in sorted_formulas(s.succ):
-        if isinstance(f, And):
-            add(RuleId.AND_R, f, _grown(s, succ=(f.l,)), _grown(s, succ=(f.r,)))
-    for f in sorted_formulas(s.ante):
-        if isinstance(f, Or):
-            add(RuleId.OR_L, f, _grown(s, ante=(f.l,)), _grown(s, ante=(f.r,)))
-    for f in sorted_formulas(s.ante):
-        if isinstance(f, Imp):
-            add(RuleId.IMP_L, f, _grown(s, succ=(f.l,)), _grown(s, ante=(f.r,)))
-    return apps
+    return list(iter_two_premiss_static_applications(s))
 
 
 def transitional_applications(s: SetSequent) -> list[RuleApplication]:
@@ -193,23 +202,3 @@ def transitional_applications(s: SetSequent) -> list[RuleApplication]:
                 RuleApplication(RuleId.FOUR, (f,), (SetSequent(boxed, frozenset({f.f})),))
             )
     return apps
-
-
-def zero_premiss_applications(s: SetSequent, atomic_init: bool = False) -> list[RuleApplication]:
-    apps = []
-    for f in sorted_formulas(s.ante & s.succ):
-        if not atomic_init or isinstance(f, Atom):
-            apps.append(RuleApplication(RuleId.INIT, (f,), ()))
-    if BOT in s.ante:
-        apps.append(RuleApplication(RuleId.BOTTOM_L, (BOT,), ()))
-    return apps
-
-
-def applications(s: SetSequent, atomic_init: bool = False) -> list[RuleApplication]:
-    """Every rule application with conclusion s, in deterministic order."""
-    return (
-        zero_premiss_applications(s, atomic_init)
-        + one_premiss_static_applications(s)
-        + two_premiss_static_applications(s)
-        + transitional_applications(s)
-    )

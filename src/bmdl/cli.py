@@ -421,6 +421,11 @@ def main(argv=None) -> int:
     except (CountermodelError, DerivationError, ValueError) as e:
         _note(f"bmdl: {e}")
         return EXIT_USAGE
+    except RecursionError:
+        # last resort: input the parser accepts can still nest too deeply
+        # for a recursive pass, e.g. a very long chain of "&"
+        _note("bmdl: input nested too deeply to process")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

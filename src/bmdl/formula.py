@@ -4,58 +4,88 @@ The language is classical propositional logic plus the S4 box and a dyadic
 obligation operator O(body/cond).  "true" is not a constructor; the parser
 desugars it to ~false.  Everything here is immutable and compared
 structurally.
+
+Every formula node caches two values: its sort key, a nested tuple
+(tag, children's keys or the atom's name) that fixes a total structural
+order, and its hash, the dataclass hash of its fields.  Both are filled
+together on the node's first hash or sort key, not at construction, from
+the cached values of its children, and are reused from then on.  The fill
+walks down with an explicit stack to the deepest uncached nodes and fills
+bottom-up, so it needs no recursion and works at any nesting depth.  The
+cache changes no result: equality is still structural, the order is the
+one the nested key tuples define, and the hash values are the ones the
+dataclass hash gives, so sets iterate as they would without the cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
 
 @dataclass(frozen=True)
 class Formula:
-    """Base class for formula nodes."""
+    """Base class for formula nodes; _k and _h hold the cached sort key and
+    hash once filled."""
+
+    __slots__ = ("_k", "_h")
+
+    def __hash__(self) -> int:
+        try:
+            return self._h
+        except AttributeError:
+            _fill(self)
+            return self._h
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """Make a formula node class: a frozen slotted dataclass with the cached
+    hash."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_node
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Formula):
     f: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     l: Formula
     r: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     l: Formula
     r: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Imp(Formula):
     l: Formula
     r: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Box(Formula):
     f: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Obl(Formula):
     """Dyadic obligation: Obl(body, cond) reads "body is obligatory given cond"."""
 
@@ -63,38 +93,50 @@ class Obl(Formula):
     cond: Formula
 
 
+# Per node class: the tag that starts its sort key, and its field values in
+# field order, the tuple the dataclass hash is taken of.
+_SHAPE = {
+    Bottom: (0, lambda g: ()),
+    Atom: (1, lambda g: (g.name,)),
+    Neg: (2, lambda g: (g.f,)),
+    And: (3, attrgetter("l", "r")),
+    Or: (4, attrgetter("l", "r")),
+    Imp: (5, attrgetter("l", "r")),
+    Box: (6, lambda g: (g.f,)),
+    Obl: (7, attrgetter("body", "cond")),
+}
+
+
+def _fill(f: Formula) -> None:
+    """Cache the sort key and hash of f and of every uncached node below it,
+    children first, with an explicit stack instead of recursion."""
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        shape = _SHAPE.get(type(g))
+        if shape is None:
+            raise TypeError(f"not a formula: {g!r}")
+        tag, fields = shape
+        vals = fields(g)
+        if tag < 2:  # falsum and atoms have no formula arguments
+            key = (tag, *vals)
+        else:
+            ready = True
+            for v in vals:
+                if not hasattr(v, "_k"):
+                    stack.append(v)
+                    ready = False
+            if not ready:
+                continue
+            key = (tag, vals[0]._k) if len(vals) == 1 else (tag, vals[0]._k, vals[1]._k)
+        stack.pop()
+        # hash((field, ...)) as the dataclass hash has it, over cached child hashes
+        object.__setattr__(g, "_h", hash(vals))
+        object.__setattr__(g, "_k", key)
+
+
 BOT = Bottom()
 TOP = Neg(BOT)
-
-
-def size(f: Formula) -> int:
-    """Number of constructor nodes in f."""
-    match f:
-        case Atom(_) | Bottom():
-            return 1
-        case Neg(g) | Box(g):
-            return 1 + size(g)
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            return 1 + size(l) + size(r)
-        case Obl(b, c):
-            return 1 + size(b) + size(c)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def modal_depth(f: Formula) -> int:
-    """Maximum nesting of [] and O( / )."""
-    match f:
-        case Atom(_) | Bottom():
-            return 0
-        case Neg(g):
-            return modal_depth(g)
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            return max(modal_depth(l), modal_depth(r))
-        case Box(g):
-            return 1 + modal_depth(g)
-        case Obl(b, c):
-            return 1 + max(modal_depth(b), modal_depth(c))
-    raise TypeError(f"not a formula: {f!r}")
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:
@@ -116,34 +158,29 @@ def subformulas(f: Formula) -> frozenset[Formula]:
     return frozenset(out)
 
 
-def atoms(f: Formula) -> frozenset[str]:
-    return frozenset(g.name for g in subformulas(f) if isinstance(g, Atom))
-
-
 def sort_key(f: Formula):
-    """Total structural order on formulas, for deterministic iteration only."""
-    match f:
-        case Bottom():
-            return (0,)
-        case Atom(name):
-            return (1, name)
-        case Neg(g):
-            return (2, sort_key(g))
-        case And(l, r):
-            return (3, sort_key(l), sort_key(r))
-        case Or(l, r):
-            return (4, sort_key(l), sort_key(r))
-        case Imp(l, r):
-            return (5, sort_key(l), sort_key(r))
-        case Box(g):
-            return (6, sort_key(g))
-        case Obl(b, c):
-            return (7, sort_key(b), sort_key(c))
-    raise TypeError(f"not a formula: {f!r}")
+    """Total structural order on formulas, for deterministic iteration only:
+    (0,) for falsum, (1, name) for an atom, and otherwise the constructor's
+    tag (_SHAPE) followed by the keys of its arguments."""
+    try:
+        return f._k
+    except AttributeError:
+        _fill(f)
+        return f._k
+
+
+_KEY = attrgetter("_k")
 
 
 def sorted_formulas(fs: Iterable[Formula]) -> list[Formula]:
-    return sorted(fs, key=sort_key)
+    out = list(fs)
+    try:
+        out.sort(key=_KEY)
+    except AttributeError:  # some key not yet filled; sort leaves out as it was
+        for f in out:
+            sort_key(f)
+        out.sort(key=_KEY)
+    return out
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,11 @@ Grammar (ASCII, whitespace-insensitive):
     sequent  :=  formulas? "|-" formulas?        comma-separated sides
     problem  :=  lines of "assume f" / "goal s" / "mode m" / "# comment"
 
-"true" is sugar for ~false and is restored by the printer.
+"true" is sugar for ~false and is restored by the printer.  Formulas may
+nest at most MAX_NESTING levels deep, counting each "~" and "[]" and each
+formula started inside another (in parentheses, in "O( / )" or right of
+"->"); deeper input is a ParseError rather than a stack overflow in the
+parser or in a later recursive pass over the formula.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ from .formula import (
     Sequent,
     TOP,
 )
+
+
+MAX_NESTING = 200
 
 
 class ParseError(ValueError):
@@ -131,6 +138,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -151,12 +159,23 @@ class _Parser:
             )
         return self.next()
 
+    def deeper(self) -> None:
+        """Enter one more nesting level; the caller leaves it again."""
+        if self.depth == MAX_NESTING:
+            tok = self.peek()
+            raise ParseError(
+                f"formula nested more than {MAX_NESTING} levels deep", tok.line, tok.col
+            )
+        self.depth += 1
+
     def formula(self) -> Formula:
-        left = self.or_f()
+        self.deeper()
+        out = self.or_f()
         if self.peek().kind == "ARROW":
             self.next()
-            return Imp(left, self.formula())
-        return left
+            out = Imp(out, self.formula())
+        self.depth -= 1
+        return out
 
     def or_f(self) -> Formula:
         out = self.and_f()
@@ -174,12 +193,12 @@ class _Parser:
 
     def unary(self) -> Formula:
         tok = self.peek()
-        if tok.kind == "NOT":
+        if tok.kind in ("NOT", "BOX"):
             self.next()
-            return Neg(self.unary())
-        if tok.kind == "BOX":
-            self.next()
-            return Box(self.unary())
+            self.deeper()
+            f = self.unary()
+            self.depth -= 1
+            return Neg(f) if tok.kind == "NOT" else Box(f)
         if tok.kind == "OBL":
             self.next()
             self.expect("LPAREN", "(")

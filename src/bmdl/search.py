@@ -72,9 +72,9 @@ from .calculus import (
     TRANSITIONAL,
     RuleApplication,
     RuleId,
-    one_premiss_static_applications,
+    iter_one_premiss_static_applications,
+    iter_two_premiss_static_applications,
     transitional_applications,
-    two_premiss_static_applications,
 )
 from .formula import (
     Atom,
@@ -130,15 +130,17 @@ def saturate(s: SetSequent) -> tuple[tuple[SatStep, ...], SetSequent]:
     """Close s under the one-premiss static rules, recording the moves.
 
     Each move strictly grows one side inside the subformula universe, so the
-    scan reaches a fixpoint.  Moves are taken first-found in the fixed
-    enumeration order, which keeps saturation deterministic.
+    scan reaches a fixpoint.  Each move is the first productive application
+    in the fixed enumeration order, one_premiss_static_applications(s)[0],
+    found lazily: the scan stops at it and builds no other premiss.  The
+    scan restarts after every move, because a move can add a formula that
+    sorts before the one it used.
     """
     steps: list[SatStep] = []
     while True:
-        apps = one_premiss_static_applications(s)
-        if not apps:
+        app = next(iter_one_premiss_static_applications(s), None)
+        if app is None:
             return tuple(steps), s
-        app = apps[0]
         s = app.premisses[0]
         steps.append(SatStep(app.rule, app.principal, s))
 
@@ -186,7 +188,8 @@ class _Search:
             return ProofNode(start, steps, sat, cl, None, ())
         h = history[:-1] + (sat,)
         # branching static rules are invertible: the first one settles the node
-        for app in two_premiss_static_applications(sat)[:1] or transitional_applications(sat):
+        branch = next(iter_two_premiss_static_applications(sat), None)
+        for app in (branch,) if branch is not None else transitional_applications(sat):
             kids = self._try(h, app)
             if kids is not None:
                 return ProofNode(start, steps, sat, None, app, kids)

@@ -7,17 +7,13 @@ from bmdl.calculus import (
     TRANSITIONAL,
     TWO_PREMISS_STATIC,
     ZERO_PREMISS,
-    applications,
-    is_initial,
     one_premiss_static_applications,
     transitional_applications,
     two_premiss_static_applications,
-    zero_premiss_applications,
 )
 from bmdl.formula import (
     And,
     Atom,
-    BOT,
     Box,
     Imp,
     Neg,
@@ -36,16 +32,6 @@ def test_rule_groups_partition_the_rule_set():
     groups = [ZERO_PREMISS, ONE_PREMISS_STATIC, TWO_PREMISS_STATIC, TRANSITIONAL, CHECKER_ONLY]
     seen = [rule for g in groups for rule in g]
     assert len(seen) == len(set(seen)) == len(RuleId)
-
-
-def test_is_initial():
-    assert is_initial(set_sequent([BOT], []))
-    assert is_initial(set_sequent([p], [p, q]))
-    assert not is_initial(set_sequent([p], [q]))
-    assert is_initial(set_sequent([And(p, q)], [And(p, q)]))
-    assert not is_initial(set_sequent([And(p, q)], [And(p, q)]), atomic_init=True)
-    assert is_initial(set_sequent([p, And(p, q)], [p]), atomic_init=True)
-    assert is_initial(set_sequent([BOT], []), atomic_init=True)
 
 
 def test_one_premiss_rules_copy_their_principal():
@@ -148,13 +134,6 @@ def test_transitional_enumeration_order():
     ]
 
 
-def test_zero_premiss_applications():
-    s = set_sequent([BOT, p], [p, q])
-    apps = zero_premiss_applications(s)
-    assert [a.rule for a in apps] == [RuleId.INIT, RuleId.BOTTOM_L]
-    assert apps[0].principal == (p,)
-
-
 @given(sequents)
 def test_static_premisses_strictly_grow(seq):
     s = to_set_sequent(seq)
@@ -164,15 +143,13 @@ def test_static_premisses_strictly_grow(seq):
 
 
 @given(sequents)
-def test_applications_cover_all_groups(seq):
-    s = to_set_sequent(seq)
-    apps = applications(s)
-    assert [a for a in apps if a.rule in ZERO_PREMISS] == zero_premiss_applications(s)
-    for app in apps:
-        assert app.rule not in CHECKER_ONLY
-
-
-@given(sequents)
 def test_enumeration_is_deterministic(seq):
     s = to_set_sequent(seq)
-    assert applications(s) == applications(s)
+    for enumerate_apps in (
+        one_premiss_static_applications,
+        two_premiss_static_applications,
+        transitional_applications,
+    ):
+        apps = enumerate_apps(s)
+        assert apps == enumerate_apps(to_set_sequent(seq))
+        assert all(app.rule not in CHECKER_ONLY for app in apps)

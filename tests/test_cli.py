@@ -174,6 +174,29 @@ def test_long_literal_sequents_are_not_file_names(capsys):
     assert main(["consistent", text]) == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("|- " + "~" * 1200 + "p", "nested more than 200 levels"),
+        ("|- " + "(" * 1500 + "p" + ")" * 1500, "nested more than 200 levels"),
+        # parsed without recursion, but too deep for the recursive passes after it
+        ("p |- " + " & ".join(["p"] * 3000), "nested too deeply"),
+    ],
+    ids=["1200-negations", "1500-parentheses", "3000-conjuncts"],
+)
+def test_deeply_nested_input_exits_2(tmp_path, text, message):
+    f = tmp_path / "deep.seq"
+    f.write_text(text + "\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bmdl", "prove", str(f)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_malformed_derivation_json_exits_2(tmp_path, capsys):
     f = tmp_path / "d.json"
     f.write_text(json.dumps({"rule": "Init", "principal": ["p"], "children": []}))

@@ -118,6 +118,21 @@ def test_saturation_reaches_a_fixpoint():
     assert cur == sat
 
 
+@given(sequents)
+def test_saturation_takes_the_first_enumerated_move(seq):
+    cur = to_set_sequent(seq)
+    steps, sat = saturate(cur)
+    for step in steps:
+        first = one_premiss_static_applications(cur)[0]
+        assert (step.rule, step.principal, step.result) == (
+            first.rule,
+            first.principal,
+            first.premisses[0],
+        )
+        cur = step.result
+    assert cur == sat
+
+
 def test_closure_detection():
     assert closure_of(set_sequent([BOT], [])) == (RuleId.BOTTOM_L, ())
     rule, principal = closure_of(set_sequent([p, q], [q]))
