@@ -22,12 +22,11 @@ from typing import Optional
 from .consistency import (
     assumption_sequents,
     check_consistency,
-    derives,
     discharge,
     reduction_sequent,
 )
 from .corpus import DEFAULT_CORPUS, read_sequent_file, run_corpus
-from .countermodel import CountermodelError, build, model_of_json, result_to_json
+from .countermodel import CountermodelError, certify, model_of_json, result_to_json
 from .formula import Formula, Sequent
 from .gen import random_sequent
 from .kernel import (
@@ -44,7 +43,7 @@ from .parser import (
     print_formula,
     print_sequent,
 )
-from .search import Budget, BudgetExceeded, DEFAULT_BUDGET, prove
+from .search import Budget, BudgetExceeded, DEFAULT_BUDGET
 from .semantics import holds, validate_frame
 
 EXIT_YES = 0
@@ -113,61 +112,40 @@ def _looks_like_problem(content: str) -> bool:
 
 
 def _cmd_prove(args) -> int:
-    assumptions, goal = _load_goal(args)
-    if goal is None:
-        _note("bmdl: the target has no goal sequent to prove")
-        return EXIT_USAGE
-    b = Budget(args.budget)
-    res = derives(
-        assumptions,
-        goal,
-        b,
-        atomic_init=args.atomic_init,
-    ) if assumptions else prove(goal, b, atomic_init=args.atomic_init)
-    out = {
-        "sequent": print_sequent(goal, unicode=args.unicode),
-        "assumptions": [print_formula(a, unicode=args.unicode) for a in assumptions],
-        "derivable": res.accepted,
-        "steps": b.used,
-    }
-    if res.accepted:
-        d = res.derivation
-        if assumptions:
-            d = discharge(d, assumptions, goal)
-            check_derivation(d, assumption_sequents(assumptions))
-        else:
-            check_derivation(d)
-        out["derivation"] = derivation_to_json(d)
-        _emit(args, out)
-        return EXIT_YES
-    cm = build(reduction_sequent(assumptions, goal), b, atomic_init=args.atomic_init)
-    out["countermodel"] = result_to_json(cm)
-    _emit(args, out)
-    return EXIT_NO
+    return _decide_goal(args, affirm_derivable=True)
 
 
 def _cmd_countermodel(args) -> int:
+    return _decide_goal(args, affirm_derivable=False)
+
+
+def _decide_goal(args, affirm_derivable: bool) -> int:
+    """prove and countermodel: certify the goal with the assumptions boxed
+    on its left.  prove discharges and checks a derivation; both answer
+    yes (exit 0) when the verdict is the one the verb asks for."""
     assumptions, goal = _load_goal(args)
     if goal is None:
-        _note("bmdl: the target has no goal sequent")
+        _note("bmdl: the target has no goal sequent" + (" to prove" if affirm_derivable else ""))
         return EXIT_USAGE
-    b = Budget(args.budget)
-    target = reduction_sequent(assumptions, goal)
-    res = prove(target, b, atomic_init=args.atomic_init)
+    res, cm = certify(
+        reduction_sequent(assumptions, goal), Budget(args.budget), atomic_init=args.atomic_init
+    )
     out = {
         "sequent": print_sequent(goal, unicode=args.unicode),
         "assumptions": [print_formula(a, unicode=args.unicode) for a in assumptions],
         "derivable": res.accepted,
-        "steps": b.used,
+        "steps": res.steps_used,
     }
     if res.accepted:
-        out["derivation"] = derivation_to_json(res.derivation)
-        _emit(args, out)
-        return EXIT_NO
-    cm = build(target, b, atomic_init=args.atomic_init)
-    out["countermodel"] = result_to_json(cm)
+        d = res.derivation
+        if affirm_derivable:
+            d = discharge(d, assumptions, goal)
+            check_derivation(d, assumption_sequents(assumptions))
+        out["derivation"] = derivation_to_json(d)
+    else:
+        out["countermodel"] = result_to_json(cm)
     _emit(args, out)
-    return EXIT_YES
+    return EXIT_YES if res.accepted == affirm_derivable else EXIT_NO
 
 
 def _cmd_consistent(args) -> int:
@@ -280,11 +258,9 @@ def _cmd_bench(args) -> int:
             s = random_sequent(rng, size=size)
             b = Budget(args.budget)
             try:
-                res = prove(s, b, atomic_init=args.atomic_init)
-                if res.accepted:
+                if certify(s, b, atomic_init=args.atomic_init).search.accepted:
                     derivable += 1
                 else:
-                    build(s, b, atomic_init=args.atomic_init)
                     underivable += 1
             except BudgetExceeded:
                 inconclusive += 1

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .calculus import RuleId
-from .countermodel import CounterModelResult, build
+# build is not called here, but stays bound: perfbench/tracing.py wraps
+# consistency.build
+from .countermodel import CounterModelResult, build, certify  # noqa: F401
 from .formula import BOT, Box, Formula, Sequent
 from .kernel import Derivation
 from .search import Budget, DEFAULT_BUDGET, SearchResult, prove
@@ -73,16 +75,6 @@ def discharge(
     return d
 
 
-def outer_consistent(
-    assumptions: Iterable[Formula],
-    budget: Union[int, Budget] = DEFAULT_BUDGET,
-    *,
-    atomic_init: bool = False,
-) -> bool:
-    res = derives(tuple(assumptions), FALSUM_SEQUENT, budget, atomic_init=atomic_init)
-    return not res.accepted
-
-
 @dataclass(frozen=True)
 class ConsistencyResult:
     assumptions: tuple[Formula, ...]
@@ -107,14 +99,12 @@ def check_consistency(
     boxed assumption."""
     fixed = tuple(assumptions)
     b = Budget.ensure(budget)
-    res = derives(fixed, FALSUM_SEQUENT, b, atomic_init=atomic_init)
+    target = reduction_sequent(fixed, FALSUM_SEQUENT)
+    if with_model:
+        res, cm = certify(target, b, atomic_init=atomic_init)
+    else:
+        res, cm = prove(target, b, atomic_init=atomic_init), None
     if res.accepted:
-        assert res.derivation is not None
         witness = discharge(res.derivation, fixed, FALSUM_SEQUENT)
         return ConsistencyResult(fixed, False, witness, None, b.used)
-    cm = None
-    if with_model:
-        cm = build(
-            reduction_sequent(fixed, FALSUM_SEQUENT), b, atomic_init=atomic_init
-        )
     return ConsistencyResult(fixed, True, None, cm, b.used)

@@ -8,7 +8,8 @@ file plus an expected outcome.  Four kinds are understood:
                   checked, underivable ones get a certified countermodel.
   assumption-set  a .mdl problem file; expected key "consistent" (for
                   consistency mode) or "derivable" (for prove mode, the
-                  discharged derivation is checked against the assumptions).
+                  discharged derivation is checked against the assumptions,
+                  an underivable goal gets a certified countermodel).
   model           a model .json; expected key "valid", optional "facts"
                   listing world/formula/holds triples to evaluate.
   derivation      a derivation .json; expected key "checks", optional
@@ -23,14 +24,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
-from .consistency import assumption_sequents, check_consistency, derives, discharge
-from .countermodel import build
-from .formula import Sequent
+from .consistency import assumption_sequents, check_consistency, discharge, reduction_sequent
+from .countermodel import certify
+from .formula import Formula, Sequent
 from .kernel import DerivationError, check_derivation, derivation_from_json
 from .parser import ParseError, parse_formula, parse_problem, parse_sequent
-from .search import Budget, BudgetExceeded, DEFAULT_BUDGET, prove
+from .search import Budget, BudgetExceeded, DEFAULT_BUDGET
 from .semantics import holds, model_from_json, validate_frame
 
 DEFAULT_CORPUS = Path("corpus")
@@ -124,19 +125,6 @@ def read_sequent_file(path: Path) -> Sequent:
     raise ParseError("file holds no sequent", 1, 1)
 
 
-def _run_sequent(path: Path, entry: CorpusEntry, budget: Budget, atomic_init: bool) -> EntryResult:
-    s = read_sequent_file(path)
-    want = entry.expect.get("derivable")
-    res = prove(s, budget, atomic_init=atomic_init)
-    if res.accepted != want:
-        return EntryResult(entry, False, f"expected derivable={want}, got {res.accepted}")
-    if res.accepted:
-        check_derivation(res.derivation)
-        return EntryResult(entry, True, "derivation checked")
-    build(s, budget, atomic_init=atomic_init)
-    return EntryResult(entry, True, "countermodel certified")
-
-
 def _run_assumption_set(path: Path, entry: CorpusEntry, budget: Budget, atomic_init: bool) -> EntryResult:
     prob = parse_problem(path.read_text())
     if "consistent" in entry.expect:
@@ -148,17 +136,24 @@ def _run_assumption_set(path: Path, entry: CorpusEntry, budget: Budget, atomic_i
             check_derivation(res.witness, assumption_sequents(prob.assumptions))
             return EntryResult(entry, True, "inconsistency witness checked")
         return EntryResult(entry, True, "countermodel certified")
-    want = entry.expect.get("derivable")
     if prob.goal is None:
         return EntryResult(entry, False, "prove-style expectation but the file has no goal")
-    res = derives(prob.assumptions, prob.goal, budget, atomic_init=atomic_init)
+    return _run_goal(entry, prob.assumptions, prob.goal, budget, atomic_init)
+
+
+def _run_goal(
+    entry: CorpusEntry, assumptions: tuple[Formula, ...], goal: Sequent, budget: Budget, atomic_init: bool
+) -> EntryResult:
+    """Certify the goal from the assumptions; a derivation is discharged and
+    checked against them."""
+    want = entry.expect.get("derivable")
+    res = certify(reduction_sequent(assumptions, goal), budget, atomic_init=atomic_init).search
     if res.accepted != want:
         return EntryResult(entry, False, f"expected derivable={want}, got {res.accepted}")
-    if res.accepted:
-        d = discharge(res.derivation, prob.assumptions, prob.goal)
-        check_derivation(d, assumption_sequents(prob.assumptions))
-        return EntryResult(entry, True, "discharged derivation checked")
-    return EntryResult(entry, True, "reduction rejected")
+    if not res.accepted:
+        return EntryResult(entry, True, "countermodel certified")
+    check_derivation(discharge(res.derivation, assumptions, goal), assumption_sequents(assumptions))
+    return EntryResult(entry, True, "discharged derivation checked" if assumptions else "derivation checked")
 
 
 def _run_model(path: Path, entry: CorpusEntry) -> EntryResult:
@@ -202,7 +197,7 @@ def run_entry(
         if not path.is_file():
             return EntryResult(entry, False, "file missing")
         if entry.kind == "sequent":
-            return _run_sequent(path, entry, b, atomic_init)
+            return _run_goal(entry, (), read_sequent_file(path), b, atomic_init)
         if entry.kind == "assumption-set":
             return _run_assumption_set(path, entry, b, atomic_init)
         if entry.kind == "model":

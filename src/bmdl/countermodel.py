@@ -2,7 +2,9 @@
 
 Worlds are built from underivable set sequents, each first brought into a
 resolved form by three interleaved moves, every one of them checked against
-a memoized search oracle:
+a search oracle that reads and fills a memo of exact verdicts (certify
+shares it with the search that refuted the goal; see the search module for
+why its entries are exact):
 
   * saturation under the one-premiss static rules (these are invertible,
     so underivability is preserved without an oracle call);
@@ -36,7 +38,7 @@ CountermodelError rather than returning a bad model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .calculus import transitional_applications, two_premiss_static_applications
 from .formula import (
@@ -50,8 +52,8 @@ from .formula import (
     sorted_formulas,
     to_set_sequent,
 )
-from .parser import print_sequent
-from .search import Budget, DEFAULT_BUDGET, decide, saturate
+from .parser import Printer, print_sequent
+from .search import Budget, DEFAULT_BUDGET, SearchResult, decide, prove, saturate
 from .semantics import (
     Generator,
     MModel,
@@ -69,17 +71,19 @@ class CountermodelError(RuntimeError):
 
 
 class _Oracle:
-    def __init__(self, budget: Budget, atomic_init: bool):
+    """Underivability from the memo of exact verdicts, searching with decide
+    only for sequents it does not hold; decide records its root verdict."""
+
+    def __init__(self, budget: Budget, atomic_init: bool, memo: dict[SetSequent, bool]):
         self.budget = budget
         self.atomic_init = atomic_init
-        self.cache: dict[SetSequent, bool] = {}
+        self.memo = memo
 
     def underivable(self, ss: SetSequent) -> bool:
-        got = self.cache.get(ss)
-        if got is None:
-            got = not decide(ss, self.budget, atomic_init=self.atomic_init)
-            self.cache[ss] = got
-        return got
+        known = self.memo.get(ss)
+        if known is None:
+            known = decide(ss, self.budget, atomic_init=self.atomic_init, memo=self.memo)
+        return not known
 
 
 @dataclass(frozen=True)
@@ -168,9 +172,10 @@ class _Builder:
     def finish(self) -> MModel:
         worlds = tuple(self.order)
         acc = rt_closure(worlds, frozenset(self.edges))
-        succ: dict[str, frozenset[str]] = {
-            w: frozenset(v for u, v in acc if u == w) for w in worlds
-        }
+        onward: dict[str, set[str]] = {w: set() for w in worlds}
+        for u, v in acc:
+            onward[u].add(v)
+        succ = {w: frozenset(vs) for w, vs in onward.items()}
         occurs_left: dict[Formula, frozenset[str]] = {}
 
         def left_of(f: Formula) -> frozenset[str]:
@@ -222,15 +227,18 @@ def build(
     budget: Union[int, Budget] = DEFAULT_BUDGET,
     *,
     atomic_init: bool = False,
+    memo: Optional[dict[SetSequent, bool]] = None,
 ) -> CounterModelResult:
     """Build and certify a countermodel for an underivable sequent.
 
-    Raises ValueError when the goal is derivable, BudgetExceeded when the
-    oracle runs out of steps, and CountermodelError when certification
-    fails."""
+    memo holds exact derivability verdicts already known, such as those of
+    the search that refuted the goal (see certify); the oracle reads and
+    fills it.  Raises ValueError when the goal is derivable, BudgetExceeded
+    when the oracle runs out of steps, and CountermodelError when
+    certification fails."""
     ms = goal if isinstance(goal, Sequent) else from_set_sequent(goal)
     ss = to_set_sequent(ms) if isinstance(goal, Sequent) else goal
-    oracle = _Oracle(Budget.ensure(budget), atomic_init)
+    oracle = _Oracle(Budget.ensure(budget), atomic_init, {} if memo is None else memo)
     if not oracle.underivable(ss):
         raise ValueError("the sequent is derivable; no countermodel exists")
     conds = tuple(
@@ -262,14 +270,45 @@ def build(
     )
 
 
+class Certificate(NamedTuple):
+    """A verdict with its certificate: the search result, carrying the
+    derivation when the goal is derivable, and otherwise a certified
+    countermodel."""
+
+    search: SearchResult
+    countermodel: Optional[CounterModelResult]
+
+
+def certify(
+    goal: Sequent,
+    budget: Union[int, Budget] = DEFAULT_BUDGET,
+    *,
+    atomic_init: bool = False,
+) -> Certificate:
+    """Prove goal, or else build and certify a countermodel to it.
+
+    One search decides the goal.  When it fails, the countermodel is built
+    on the memo of exact verdicts that search filled, so the goal is not
+    decided again and the oracle starts from what the search settled.
+    search.steps_used is the budget spent when the search ended; the
+    construction spends from the same budget."""
+    b = Budget.ensure(budget)
+    memo: dict[SetSequent, bool] = {}
+    res = prove(goal, b, atomic_init=atomic_init, memo=memo)
+    if res.accepted:
+        return Certificate(res, None)
+    return Certificate(res, build(goal, b, atomic_init=atomic_init, memo=memo))
+
+
 def result_to_json(r: CounterModelResult) -> dict:
+    show = Printer()
     return {
-        "goal": print_sequent(r.sequent),
+        "goal": show.sequent(r.sequent),
         "root": r.root,
         "certified": r.certified,
         "model": model_to_json(r.model),
         "histories": {
-            w: [print_sequent(from_set_sequent(s)) for s in r.traces[w]]
+            w: [show.sequent(from_set_sequent(s)) for s in r.traces[w]]
             for w in r.model.worlds
         },
     }

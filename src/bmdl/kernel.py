@@ -26,10 +26,8 @@ from .formula import (
     Obl,
     Or,
     Sequent,
-    conj_all,
-    disj_all,
 )
-from .parser import parse_formula, parse_sequent, print_formula, print_sequent
+from .parser import Printer, parse_formula, parse_sequent, print_formula, print_sequent
 
 
 @dataclass(frozen=True)
@@ -54,12 +52,6 @@ class DerivationError(ValueError):
         self.reason = reason
         where = "root" if not path else "node " + ".".join(str(i) for i in path)
         super().__init__(f"{where}: {reason}")
-
-
-def interpretation(s: Sequent) -> Formula:
-    """Formula reading of a sequent: conjoined antecedent implies disjoined
-    succedent, with empty sides read as ~false and false."""
-    return Imp(conj_all(s.ante), disj_all(s.succ))
 
 
 def _boxed_tuple(fs: tuple[Formula, ...]) -> tuple[Formula, ...]:
@@ -180,11 +172,6 @@ def _same(a: Sequent, b: Sequent) -> bool:
     return _mseq(a) == _mseq(b)
 
 
-def sequents_equal(a: Sequent, b: Sequent) -> bool:
-    """Multiset equality of sequents; order of writing is irrelevant."""
-    return _same(a, b)
-
-
 def check_derivation(d: Derivation, assumptions: Iterable[Sequent] = ()) -> bool:
     """Check every node; returns True or raises DerivationError at the first
     offending node."""
@@ -297,12 +284,20 @@ def _check(d: Derivation, assumed: list[Sequent], path: tuple[int, ...]) -> None
 
 
 def derivation_to_json(d: Derivation) -> dict:
-    return {
-        "rule": d.rule.value,
-        "principal": [print_formula(f) for f in d.principal],
-        "conclusion": print_sequent(d.conclusion),
-        "children": [derivation_to_json(c) for c in d.children],
-    }
+    """The derivation as nested objects, built without recursion; each
+    distinct formula is printed once."""
+    show = Printer()
+    root: dict = {}
+    todo = [(d, root)]
+    while todo:
+        node, out = todo.pop()
+        kids: list[dict] = [{} for _ in node.children]
+        out["rule"] = node.rule.value
+        out["principal"] = [show.formula(f) for f in node.principal]
+        out["conclusion"] = show.sequent(node.conclusion)
+        out["children"] = kids
+        todo.extend(zip(node.children, kids))
+    return root
 
 
 def derivation_from_json(data: dict) -> Derivation:

@@ -302,8 +302,37 @@ def print_formula(f: Formula, unicode: bool = False) -> str:
 
 
 def print_sequent(s: Sequent, unicode: bool = False) -> str:
-    ante = ", ".join(print_formula(f, unicode) for f in s.ante)
-    succ = ", ".join(print_formula(f, unicode) for f in s.succ)
+    return _sequent_text(
+        [print_formula(f, unicode) for f in s.ante],
+        [print_formula(f, unicode) for f in s.succ],
+        unicode,
+    )
+
+
+class Printer:
+    """print_formula and print_sequent for one report that prints the same
+    formulas many times: each distinct formula is rendered once, then looked
+    up."""
+
+    def __init__(self, unicode: bool = False):
+        self.unicode = unicode
+        self.texts: dict[Formula, str] = {}
+
+    def formula(self, f: Formula) -> str:
+        text = self.texts.get(f)
+        if text is None:
+            text = self.texts[f] = print_formula(f, self.unicode)
+        return text
+
+    def sequent(self, s: Sequent) -> str:
+        return _sequent_text(
+            [self.formula(f) for f in s.ante], [self.formula(f) for f in s.succ], self.unicode
+        )
+
+
+def _sequent_text(ante_texts: list[str], succ_texts: list[str], unicode: bool) -> str:
+    ante = ", ".join(ante_texts)
+    succ = ", ".join(succ_texts)
     sep = "⊢" if unicode else "|-"
     if ante and succ:
         return f"{ante} {sep} {succ}"

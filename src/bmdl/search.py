@@ -50,10 +50,45 @@ follow Heuerding, Seyfried & Zimmermann (1996), on loop checks for backward
 proof search in modal logics.
 
 countermodel._Builder.resolve relies on the same invariant.  Its oracle
-verdicts come from root calls, so they are exact; it refines an underivable
-world sequent along apps[0] alone, the application the search commits to,
-and raises when no premiss of it is underivable, which the rule's own
-soundness rules out.
+verdicts come from root calls or from the memo below, so they are exact; it
+refines an underivable world sequent along apps[0] alone, the application
+the search commits to, and raises when no premiss of it is underivable,
+which the rule's own soundness rules out.
+
+The memo of exact verdicts.  The searches made for one certificate (the
+top-level search and every oracle search of the countermodel built after
+it) share a dict from set sequents to verdicts, in the manner of global
+caching (Gore & Nguyen, "EXPTIME tableaux with global caching for
+description logics").  The history makes a call's failure depend on more
+than its goal, so only failures known to be exact are recorded:
+
+  * an accepted node records its start and its saturation as derivable:
+    its tree is a derivation, whatever the history;
+  * a failed node records its start as underivable when its call is well
+    placed, here when it is reached from the root of its search through
+    static premisses only: every history entry is then a subset of its
+    goal, whose ht is therefore at least that of the goal, and the argument
+    above applies;
+  * a failed node also records its start as underivable when no loop-check
+    refusal happened inside its subtree.  By induction over the subtree: a
+    failed branching node failed on a committed premiss that is
+    underivable, and so is the node, by invertibility.  At a failed node
+    that no static rule changes, sat is not initial and every transitional
+    application failed on an underivable premiss, so a least-height
+    derivation of sat could end neither in a zero-premiss rule, nor in a
+    static one (each has a premiss equal to sat), nor in a transitional
+    one; and start, contained in sat, is no more derivable.
+
+A failure that a refusal may have caused is never recorded: such a goal can
+be derivable (tests/test_certify.py holds one).  Reading the memo keeps
+these rules true, as an underivable entry fails a node without a refusal.
+proof_tree reads only the underivable entries: a node they cut short would
+have failed anyway, the search being sound, so every tree and derivation is
+the one a search without the memo builds, and only steps are saved.  decide
+also takes derivable entries as settled; that only turns into acceptance
+the failure of a derivable sequent, so its root verdict stays exact.  A memo
+lives for one certify or build call (or one search when none is given) and
+one atomic_init setting; nothing is cached across calls.
 
 Accepted goals come back as a tree of ProofNode records, which
 assemble_derivation turns into an exact multiset derivation for the kernel.
@@ -172,14 +207,51 @@ class ProofNode:
 
 
 class _Search:
-    def __init__(self, budget: Budget, atomic_init: bool):
+    """One search over a memo of exact verdicts shared with related searches.
+
+    With trust_derivable off, as for proof_tree, only "underivable" entries
+    cut the search short, so the tree it returns is the one a search without
+    the memo would build.  With it on, as for decide, a "derivable" entry
+    accepts its node outright, standing in for a tree that is never built.
+    """
+
+    def __init__(
+        self,
+        budget: Budget,
+        atomic_init: bool,
+        memo: Optional[dict[SetSequent, bool]],
+        trust_derivable: bool,
+    ):
         self.budget = budget
         self.atomic_init = atomic_init
+        self.memo = {} if memo is None else memo
+        self.trust_derivable = trust_derivable
+        self.refusals = 0
 
     def run(self, goal: SetSequent) -> Optional[ProofNode]:
-        return self._node((goal,))
+        return self._node((goal,), True)
 
-    def _node(self, history: tuple[SetSequent, ...]) -> Optional[ProofNode]:
+    def _node(
+        self, history: tuple[SetSequent, ...], well_placed: bool
+    ) -> Optional[ProofNode]:
+        start = history[-1]
+        known = self.memo.get(start)
+        if known is False:
+            return None
+        if known and self.trust_derivable:
+            return _KNOWN_DERIVABLE
+        refusals = self.refusals
+        node = self._expand(history, well_placed)
+        if node is not None:
+            self.memo[start] = self.memo[node.saturated] = True
+        elif well_placed or self.refusals == refusals:
+            # exact only then; see "The memo of exact verdicts" above
+            self.memo[start] = False
+        return node
+
+    def _expand(
+        self, history: tuple[SetSequent, ...], well_placed: bool
+    ) -> Optional[ProofNode]:
         start = history[-1]
         steps, sat = saturate(start)
         self.budget.spend(1 + len(steps))
@@ -190,13 +262,13 @@ class _Search:
         # branching static rules are invertible: the first one settles the node
         branch = next(iter_two_premiss_static_applications(sat), None)
         for app in (branch,) if branch is not None else transitional_applications(sat):
-            kids = self._try(h, app)
+            kids = self._try(h, app, well_placed)
             if kids is not None:
                 return ProofNode(start, steps, sat, None, app, kids)
         return None
 
     def _try(
-        self, h: tuple[SetSequent, ...], app: RuleApplication
+        self, h: tuple[SetSequent, ...], app: RuleApplication, well_placed: bool
     ) -> Optional[tuple[ProofNode, ...]]:
         """Evaluate an application's premisses left to right; None as soon as
         one premiss loops or is rejected, the remaining ones unexplored.
@@ -206,12 +278,18 @@ class _Search:
         for prem in app.premisses:
             self.budget.spend()
             if loopcheck and any(prem <= old for old in h):
+                self.refusals += 1
                 return None
-            kid = self._node(h + (prem,))
+            kid = self._node(h + (prem,), well_placed and not loopcheck)
             if kid is None:
                 return None
             kids.append(kid)
         return tuple(kids)
+
+
+_EMPTY = SetSequent(frozenset(), frozenset())
+# Stands in, inside decide, for the tree of a goal the memo knows derivable.
+_KNOWN_DERIVABLE = ProofNode(_EMPTY, (), _EMPTY, None, None, ())
 
 
 def proof_tree(
@@ -219,10 +297,15 @@ def proof_tree(
     budget: Union[int, Budget] = DEFAULT_BUDGET,
     *,
     atomic_init: bool = False,
+    memo: Optional[dict[SetSequent, bool]] = None,
 ) -> Optional[ProofNode]:
+    """The accepted search tree of s, or None when s is underivable.
+
+    memo holds exact verdicts shared with the other searches of one
+    certificate; the search reads its "underivable" entries and records
+    what it settles.  Without one, the search keeps a memo of its own."""
     goal = s if isinstance(s, SetSequent) else to_set_sequent(s)
-    searcher = _Search(Budget.ensure(budget), atomic_init)
-    return searcher.run(goal)
+    return _Search(Budget.ensure(budget), atomic_init, memo, trust_derivable=False).run(goal)
 
 
 def decide(
@@ -230,9 +313,13 @@ def decide(
     budget: Union[int, Budget] = DEFAULT_BUDGET,
     *,
     atomic_init: bool = False,
+    memo: Optional[dict[SetSequent, bool]] = None,
 ) -> bool:
-    """Derivability verdict alone."""
-    return proof_tree(s, budget, atomic_init=atomic_init) is not None
+    """Derivability verdict alone.  Reads and fills memo as proof_tree does,
+    and also takes its "derivable" entries as settled."""
+    goal = s if isinstance(s, SetSequent) else to_set_sequent(s)
+    searcher = _Search(Budget.ensure(budget), atomic_init, memo, trust_derivable=True)
+    return searcher.run(goal) is not None
 
 
 def assemble_derivation(node: ProofNode, target: Sequent) -> Derivation:
@@ -278,10 +365,12 @@ def prove(
     budget: Union[int, Budget] = DEFAULT_BUDGET,
     *,
     atomic_init: bool = False,
+    memo: Optional[dict[SetSequent, bool]] = None,
 ) -> SearchResult:
-    """Search for s and, on acceptance, assemble the checkable derivation."""
+    """Search for s and, on acceptance, assemble the checkable derivation.
+    memo is as for proof_tree."""
     b = Budget.ensure(budget)
-    node = proof_tree(s, b, atomic_init=atomic_init)
+    node = proof_tree(s, b, atomic_init=atomic_init, memo=memo)
     if node is None:
         return SearchResult(s, False, None, b.used)
     return SearchResult(s, True, assemble_derivation(node, s), b.used)

@@ -67,7 +67,8 @@ def validate_frame(m: MModel) -> list[FrameViolation]:
         return bad
     if len(ws) != len(m.worlds):
         bad.append(FrameViolation("worlds", "duplicate world names"))
-    for u, v in sorted(m.acc):
+    pairs = sorted(m.acc)
+    for u, v in pairs:
         if u not in ws or v not in ws:
             bad.append(FrameViolation("reference", f"accessibility pair ({u}, {v}) mentions an unknown world"))
     for w in sorted(set(m.eta) | set(m.val)):
@@ -79,9 +80,11 @@ def validate_frame(m: MModel) -> list[FrameViolation]:
     for w in m.worlds:
         if (w, w) not in m.acc:
             bad.append(FrameViolation("reflexivity", f"missing ({w}, {w})"))
-    for u, v in sorted(m.acc):
-        for v2, x in sorted(m.acc):
-            if v2 == v and (u, x) not in m.acc:
+    # every pair (v, x) once per pair (u, v), in the order of sorted(m.acc)
+    onward = {w: sorted(m.successors(w)) for w in ws}
+    for u, v in pairs:
+        for x in onward[v]:
+            if (u, x) not in m.acc:
                 bad.append(FrameViolation("transitivity", f"({u}, {v}) and ({v}, {x}) but not ({u}, {x})"))
 
     for w in m.worlds:
@@ -171,16 +174,22 @@ def falsifies(m: MModel, w: str, s: Sequent, cache: Optional[dict] = None) -> bo
 def rt_closure(
     worlds: tuple[str, ...], pairs: frozenset[tuple[str, str]]
 ) -> frozenset[tuple[str, str]]:
-    """Reflexive transitive closure over the given world set."""
-    acc = {(w, w) for w in worlds} | set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for u, v in list(acc):
-            for v2, x in list(acc):
-                if v2 == v and (u, x) not in acc:
-                    acc.add((u, x))
-                    changed = True
+    """Reflexive transitive closure over the given world set: the identity
+    on worlds, plus every pair joined by a nonempty path of pairs, found by
+    one walk from each source."""
+    onward: dict[str, set[str]] = {}
+    for u, v in pairs:
+        onward.setdefault(u, set()).add(v)
+    acc = {(w, w) for w in worlds}
+    for u, first in onward.items():
+        reached: set[str] = set()
+        todo = list(first)
+        while todo:
+            v = todo.pop()
+            if v not in reached:
+                reached.add(v)
+                todo.extend(onward.get(v, ()))
+        acc.update((u, v) for v in reached)
     return frozenset(acc)
 
 

@@ -5,7 +5,6 @@ from bmdl.consistency import (
     check_consistency,
     derives,
     discharge,
-    outer_consistent,
     reduction_sequent,
 )
 from bmdl.calculus import RuleId
@@ -30,9 +29,8 @@ def test_assumption_sequents_shape():
 
 
 def test_empty_and_harmless_sets_are_consistent():
-    assert outer_consistent([])
-    assert outer_consistent([p])
-    assert outer_consistent([p, Obl(q, p)])
+    for assumptions in ([], [p], [p, Obl(q, p)]):
+        assert check_consistency(assumptions, with_model=False).consistent
 
 
 def test_contradictory_atoms_are_inconsistent():
@@ -99,4 +97,4 @@ def test_consistency_matches_plain_search_on_the_reduction():
     for _ in range(30):
         assumptions = random_assumptions(rng, rng.randint(0, 3))
         expected = not derives(assumptions, Sequent((), (BOT,))).accepted
-        assert outer_consistent(assumptions) == expected
+        assert check_consistency(assumptions).consistent == expected

@@ -2,16 +2,14 @@ import pytest
 from hypothesis import given
 
 from bmdl.calculus import RuleId
-from bmdl.formula import And, Atom, BOT, Box, Imp, Neg, Obl, Or, Sequent, TOP
+from bmdl.formula import And, Atom, BOT, Box, Neg, Obl, Sequent
 from bmdl.kernel import (
     Derivation,
     DerivationError,
     check_derivation,
     derivation_from_json,
     derivation_to_json,
-    interpretation,
     premisses_for,
-    sequents_equal,
 )
 from bmdl.parser import parse_sequent
 from bmdl.search import prove
@@ -19,17 +17,6 @@ from bmdl.search import prove
 from conftest import formulas
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
-
-
-def test_interpretation_reading():
-    assert interpretation(Sequent((p, q), (r,))) == Imp(And(p, q), r)
-    assert interpretation(Sequent((), ())) == Imp(TOP, BOT)
-    assert interpretation(Sequent((p,), (q, r))) == Imp(p, Or(q, r))
-
-
-def test_sequents_equal_ignores_order_but_not_multiplicity():
-    assert sequents_equal(parse_sequent("p, q |- r"), parse_sequent("q, p |- r"))
-    assert not sequents_equal(parse_sequent("p, p |- r"), parse_sequent("p |- r"))
 
 
 def test_premisses_for_splits_conjunction_left():

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -87,6 +88,35 @@ def test_validate_reports_each_violation_kind(model, kind):
     assert kind in kinds
 
 
+def _transitivity_by_double_loop(m: MModel) -> list[str]:
+    """The transitivity check as first written: every pair against every pair."""
+    bad = []
+    for u, v in sorted(m.acc):
+        for v2, x in sorted(m.acc):
+            if v2 == v and (u, x) not in m.acc:
+                bad.append(f"transitivity: ({u}, {v}) and ({v}, {x}) but not ({u}, {x})")
+    return bad
+
+
+def test_transitivity_violations_match_the_double_loop():
+    rng = random.Random(17)
+    broken = 0
+    for _ in range(300):
+        worlds = tuple(f"w{i}" for i in range(rng.randint(1, 7)))
+        pairs = frozenset(
+            (u, v) for u in worlds for v in worlds if rng.random() < 0.3
+        )
+        acc = rt_closure(worlds, pairs)
+        if rng.random() < 0.6:  # knock pairs out of the closed relation
+            acc = frozenset(pair for pair in acc if rng.random() < 0.8)
+        m = MModel(worlds, acc, {}, {})
+        got = [str(v) for v in validate_frame(m) if v.kind == "transitivity"]
+        want = _transitivity_by_double_loop(m)
+        assert got == want
+        broken += bool(want)
+    assert broken > 50
+
+
 def test_boolean_truth_clauses():
     m = _single(val=frozenset({"p"}))
     assert holds(m, "w", p)
@@ -150,6 +180,31 @@ def test_rt_closure():
     assert ("a", "a") in closed
     assert ("a", "c") in closed
     assert ("c", "a") not in closed
+
+
+def _closure_by_fixpoint(worlds, pairs):
+    """rt_closure as first written: add composed pairs until none is new."""
+    acc = {(w, w) for w in worlds} | set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for u, v in list(acc):
+            for v2, x in list(acc):
+                if v2 == v and (u, x) not in acc:
+                    acc.add((u, x))
+                    changed = True
+    return frozenset(acc)
+
+
+def test_rt_closure_matches_the_fixpoint():
+    rng = random.Random(23)
+    for _ in range(200):
+        worlds = tuple(f"w{i}" for i in range(rng.randint(0, 7)))
+        names = worlds + ("x",)  # pairs may mention a world outside the set
+        pairs = frozenset(
+            (u, v) for u in names for v in names if rng.random() < 0.2
+        )
+        assert rt_closure(worlds, pairs) == _closure_by_fixpoint(worlds, pairs)
 
 
 def test_serialization_round_trip():
