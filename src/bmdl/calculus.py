@@ -2,7 +2,7 @@
 
 Principal formulas are copied into the premisses, so static premisses are
 always componentwise supersets of their conclusion.  A static application is
-enumerated only when every premiss strictly extends the conclusion; an
+used only when every premiss strictly extends the conclusion; an
 application with a premiss equal to the conclusion is an immediately
 subsumed repeat and can never occur in a minimal derivation, while
 enumerating it would make the search loop.
@@ -11,6 +11,8 @@ Rule groups:
 
     zero premiss        Init, BottomL       (search.closure_of)
     one-premiss static  NegL, NegR, AndL, OrR, ImpR, T
+                                            (ONE_PREMISS_MOVES, a table per
+                                             side; search.saturate)
     two-premiss static  AndR, OrL, ImpL
     transitional        D1, D2, Mon, Four   (antecedent restricted to its
                                              boxed part, boxes kept)
@@ -89,69 +91,77 @@ def _grown(s: SetSequent, ante=(), succ=()) -> SetSequent:
     )
 
 
-def iter_one_premiss_static_applications(s: SetSequent) -> Iterator[RuleApplication]:
-    """The productive one-premiss static applications at s, in enumeration
-    order: antecedent before succedent, each side in sort_key order.
-
-    Productivity is tested by membership before the premiss is built, so
-    taking only the first application costs one premiss."""
-    ante, succ = s.ante, s.succ
-    for f in sorted_formulas(ante):
-        match f:
-            case Neg(g):
-                if g not in succ:
-                    yield RuleApplication(RuleId.NEG_L, (f,), (_grown(s, succ=(g,)),))
-            case And(l, r):
-                if l not in ante or r not in ante:
-                    yield RuleApplication(RuleId.AND_L, (f,), (_grown(s, ante=(l, r)),))
-            case Box(g):
-                if g not in ante:
-                    yield RuleApplication(RuleId.T, (f,), (_grown(s, ante=(g,)),))
-    for f in sorted_formulas(succ):
-        match f:
-            case Neg(g):
-                if g not in ante:
-                    yield RuleApplication(RuleId.NEG_R, (f,), (_grown(s, ante=(g,)),))
-            case Or(l, r):
-                if l not in succ or r not in succ:
-                    yield RuleApplication(RuleId.OR_R, (f,), (_grown(s, succ=(l, r)),))
-            case Imp(l, r):
-                if l not in ante or r not in succ:
-                    yield RuleApplication(
-                        RuleId.IMP_R, (f,), (_grown(s, ante=(l,), succ=(r,)),)
-                    )
+# The one-premiss static moves, the only definition of their productivity:
+# one table per side, antecedent first, from the constructor of a principal
+# f to a function of f and the two sides of the sequent.  It returns the
+# rule with the formulas the move adds to the antecedent and to the
+# succedent, each without repeats, or None when the move is unproductive,
+# that is when everything it would add is already there.  Each test only
+# asks whether some formula is absent, so a move unproductive at a sequent
+# stays unproductive at every superset (see search.saturate).
 
 
-def one_premiss_static_applications(s: SetSequent) -> list[RuleApplication]:
-    return list(iter_one_premiss_static_applications(s))
+def _neg_l(f, ante, succ):
+    return None if f.f in succ else (RuleId.NEG_L, (), (f.f,))
+
+
+def _and_l(f, ante, succ):
+    l, r = f.l, f.r
+    if l in ante and r in ante:
+        return None
+    return RuleId.AND_L, (l,) if l == r else (l, r), ()
+
+
+def _t(f, ante, succ):
+    return None if f.f in ante else (RuleId.T, (f.f,), ())
+
+
+def _neg_r(f, ante, succ):
+    return None if f.f in ante else (RuleId.NEG_R, (f.f,), ())
+
+
+def _or_r(f, ante, succ):
+    l, r = f.l, f.r
+    if l in succ and r in succ:
+        return None
+    return RuleId.OR_R, (), (l,) if l == r else (l, r)
+
+
+def _imp_r(f, ante, succ):
+    if f.l in ante and f.r in succ:
+        return None
+    return RuleId.IMP_R, (f.l,), (f.r,)
+
+
+ONE_PREMISS_MOVES = (
+    {Neg: _neg_l, And: _and_l, Box: _t},
+    {Neg: _neg_r, Or: _or_r, Imp: _imp_r},
+)
 
 
 def iter_two_premiss_static_applications(s: SetSequent) -> Iterator[RuleApplication]:
     """The two-premiss static applications at s whose premisses are both
     productive, in enumeration order: AndR by succedent formula, then OrL,
-    then ImpL by antecedent formula, each in sort_key order.  Productivity
-    is tested by membership before the premisses are built."""
+    then ImpL by antecedent formula, each in sort_key order.  Each side is
+    filtered by constructor before it is sorted, and productivity is tested
+    by membership before the premisses are built."""
     ante, succ = s.ante, s.succ
-    for f in sorted_formulas(succ):
-        if isinstance(f, And) and f.l not in succ and f.r not in succ:
+    for f in sorted_formulas([f for f in succ if isinstance(f, And)]):
+        if f.l not in succ and f.r not in succ:
             yield RuleApplication(
                 RuleId.AND_R, (f,), (_grown(s, succ=(f.l,)), _grown(s, succ=(f.r,)))
             )
-    sorted_ante = sorted_formulas(ante)
-    for f in sorted_ante:
+    ors_imps = sorted_formulas([f for f in ante if isinstance(f, (Or, Imp))])
+    for f in ors_imps:
         if isinstance(f, Or) and f.l not in ante and f.r not in ante:
             yield RuleApplication(
                 RuleId.OR_L, (f,), (_grown(s, ante=(f.l,)), _grown(s, ante=(f.r,)))
             )
-    for f in sorted_ante:
+    for f in ors_imps:
         if isinstance(f, Imp) and f.l not in succ and f.r not in ante:
             yield RuleApplication(
                 RuleId.IMP_L, (f,), (_grown(s, succ=(f.l,)), _grown(s, ante=(f.r,)))
             )
-
-
-def two_premiss_static_applications(s: SetSequent) -> list[RuleApplication]:
-    return list(iter_two_premiss_static_applications(s))
 
 
 def transitional_applications(s: SetSequent) -> list[RuleApplication]:
@@ -162,8 +172,8 @@ def transitional_applications(s: SetSequent) -> list[RuleApplication]:
     need no productivity filter.
     """
     boxed = boxed_part(s.ante)
-    obls_ante = [f for f in sorted_formulas(s.ante) if isinstance(f, Obl)]
-    obls_succ = [f for f in sorted_formulas(s.succ) if isinstance(f, Obl)]
+    obls_ante = sorted_formulas([f for f in s.ante if isinstance(f, Obl)])
+    obls_succ = sorted_formulas([f for f in s.succ if isinstance(f, Obl)])
     apps = []
     for o in obls_ante:
         apps.append(
@@ -196,9 +206,8 @@ def transitional_applications(s: SetSequent) -> list[RuleApplication]:
                     ),
                 )
             )
-    for f in sorted_formulas(s.succ):
-        if isinstance(f, Box):
-            apps.append(
-                RuleApplication(RuleId.FOUR, (f,), (SetSequent(boxed, frozenset({f.f})),))
-            )
+    for f in sorted_formulas([f for f in s.succ if isinstance(f, Box)]):
+        apps.append(
+            RuleApplication(RuleId.FOUR, (f,), (SetSequent(boxed, frozenset({f.f})),))
+        )
     return apps

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Union
 
-from .calculus import transitional_applications, two_premiss_static_applications
+from .calculus import iter_two_premiss_static_applications, transitional_applications
 from .formula import (
     Atom,
     Formula,
@@ -109,14 +109,15 @@ class _Builder:
     def resolve(self, ss: SetSequent) -> tuple[SetSequent, tuple[SetSequent, ...]]:
         trace = [ss]
         cur = ss
+        base = None  # the last saturated sequent, contained in cur
         while True:
-            _, sat = saturate(cur)
-            if sat != cur:
+            steps, sat = saturate(cur, base)
+            if steps:
                 cur = sat
                 trace.append(cur)
-            apps = two_premiss_static_applications(cur)
-            if apps:
-                app = apps[0]
+            base = cur
+            app = next(iter_two_premiss_static_applications(cur), None)
+            if app is not None:
                 prem = next(
                     (p for p in app.premisses if self.oracle.underivable(p)), None
                 )

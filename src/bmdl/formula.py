@@ -235,24 +235,3 @@ def boxed_part(fs: Iterable[Formula]) -> frozenset[Formula]:
     """The boxed formulas of fs, boxes kept."""
     return frozenset(f for f in fs if isinstance(f, Box))
 
-
-def conj_all(fs: Iterable[Formula]) -> Formula:
-    """Right-nested conjunction; empty conjunction is ~false."""
-    items = list(fs)
-    if not items:
-        return TOP
-    out = items[-1]
-    for f in reversed(items[:-1]):
-        out = And(f, out)
-    return out
-
-
-def disj_all(fs: Iterable[Formula]) -> Formula:
-    """Right-nested disjunction; empty disjunction is false."""
-    items = list(fs)
-    if not items:
-        return BOT
-    out = items[-1]
-    for f in reversed(items[:-1]):
-        out = Or(f, out)
-    return out

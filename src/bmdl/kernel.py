@@ -67,7 +67,7 @@ def premisses_for(rule: RuleId, principal: tuple[Formula, ...], c: Sequent) -> t
     A, S = c.ante, c.succ
 
     def need(f: Formula, side: tuple[Formula, ...], where: str, count: int = 1):
-        if Counter(side)[f] < count:
+        if side.count(f) < count:
             raise ValueError(f"principal {print_formula(f)} not in {where}")
 
     match rule:
@@ -169,7 +169,9 @@ def _mseq(s: Sequent) -> tuple[Counter, Counter]:
 
 
 def _same(a: Sequent, b: Sequent) -> bool:
-    return _mseq(a) == _mseq(b)
+    """Multiset equality of two sequents, side by side; equal tuples are
+    equal multisets, so the count comparison runs only when they differ."""
+    return a == b or _mseq(a) == _mseq(b)
 
 
 def check_derivation(d: Derivation, assumptions: Iterable[Sequent] = ()) -> bool:

@@ -51,9 +51,35 @@ proof search in modal logics.
 
 countermodel._Builder.resolve relies on the same invariant.  Its oracle
 verdicts come from root calls or from the memo below, so they are exact; it
-refines an underivable world sequent along apps[0] alone, the application
-the search commits to, and raises when no premiss of it is underivable,
-which the rule's own soundness rules out.
+refines an underivable world sequent along the first two-premiss
+application alone, the one the search commits to, and raises when no
+premiss of it is underivable, which the rule's own soundness rules out.
+
+Saturation by an ordered agenda.  saturate makes, at each step, the first
+productive one-premiss move in the fixed order: antecedent before
+succedent, each side by sort_key.  The productivity test of every move
+(calculus.ONE_PREMISS_MOVES) only asks whether some formula it would add is
+absent from its side: NegL g not in succ; AndL l or r not in ante; T g not
+in ante; NegR g not in ante; OrR l or r not in succ; ImpR l not in ante or
+r not in succ.  Saturation only adds formulas, so the tests are
+antimonotone: a move unproductive at a sequent is unproductive at every
+superset, and a principal whose move was made is unproductive from then
+on, everything it adds being present.  saturate therefore keeps an agenda,
+one heap per side ordered by sort_key with the antecedent heap drained
+first, holding each formula that has a one-premiss rule on its side from
+the moment it appears there.  Popping the least entry either finds it
+unproductive, and it can be dropped for good, or finds the least productive
+move: every formula that sorts before it and is still productive would
+still be in the agenda.  So the moves are exactly those of a scan that
+restarts from the top after every move, in the same order, while each
+formula is examined once (semi-naive evaluation, in the sense of Bancilhon,
+"Naive evaluation of recursively defined relations", 1986).  By the same
+antimonotonicity, when s contains a saturated sequent base, no formula of
+base has a productive move at s, and the agenda may be seeded with the
+formulas of s outside base.  The static premisses of a branching
+application contain the saturated sequent they come from, and the builder's
+refinements contain the world sequent they refine, so both saturate from
+there.
 
 The memo of exact verdicts.  The searches made for one certificate (the
 top-level search and every oracle search of the countermodel built after
@@ -101,13 +127,14 @@ and no weakening or contraction is ever inserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Optional, Union
 
 from .calculus import (
+    ONE_PREMISS_MOVES,
     TRANSITIONAL,
     RuleApplication,
     RuleId,
-    iter_one_premiss_static_applications,
     iter_two_premiss_static_applications,
     transitional_applications,
 )
@@ -117,6 +144,7 @@ from .formula import (
     Formula,
     Sequent,
     SetSequent,
+    sort_key,
     sorted_formulas,
     to_set_sequent,
 )
@@ -161,23 +189,58 @@ class SatStep:
     result: SetSequent
 
 
-def saturate(s: SetSequent) -> tuple[tuple[SatStep, ...], SetSequent]:
+def saturate(
+    s: SetSequent, base: Optional[SetSequent] = None
+) -> tuple[tuple[SatStep, ...], SetSequent]:
     """Close s under the one-premiss static rules, recording the moves.
 
-    Each move strictly grows one side inside the subformula universe, so the
-    scan reaches a fixpoint.  Each move is the first productive application
-    in the fixed enumeration order, one_premiss_static_applications(s)[0],
-    found lazily: the scan stops at it and builds no other premiss.  The
-    scan restarts after every move, because a move can add a formula that
-    sorts before the one it used.
+    Each move is the first productive one-premiss move in the fixed order,
+    antecedent before succedent and each side in sort_key order, taken from
+    an ordered agenda (see "Saturation by an ordered agenda" above): every
+    formula with a one-premiss rule on its side enters the agenda once, when
+    it first appears there, and leaves it for good when it is popped, either
+    unproductive or spent by its own move.  The agenda is ordered by side,
+    then sort_key: one heap of (sort_key, formula) entries per side, the
+    antecedent's drained first.  base, when given, must be a saturated
+    sequent contained in s; then only the formulas of s outside base enter
+    the agenda.  Each formula of the finite subformula universe enters each
+    side's heap at most once, so saturation ends.
     """
+    ante, succ = s.ante, s.succ
+    moves_ante, moves_succ = ONE_PREMISS_MOVES
+    fresh_ante, fresh_succ = (
+        (ante, succ) if base is None else (ante - base.ante, succ - base.succ)
+    )
+    at_ante = [(sort_key(f), f) for f in fresh_ante if type(f) in moves_ante]
+    at_succ = [(sort_key(f), f) for f in fresh_succ if type(f) in moves_succ]
+    heapify(at_ante)
+    heapify(at_succ)
     steps: list[SatStep] = []
-    while True:
-        app = next(iter_one_premiss_static_applications(s), None)
-        if app is None:
-            return tuple(steps), s
-        s = app.premisses[0]
-        steps.append(SatStep(app.rule, app.principal, s))
+    while at_ante or at_succ:
+        if at_ante:
+            f = heappop(at_ante)[1]
+            move = moves_ante[type(f)](f, ante, succ)
+        else:
+            f = heappop(at_succ)[1]
+            move = moves_succ[type(f)](f, ante, succ)
+        if move is None:
+            continue  # unproductive here, so at every later, larger sequent
+        rule, add_ante, add_succ = move
+        new = [g for g in add_ante if g not in ante]
+        if new:
+            ante = ante.union(new)
+            for g in new:
+                if type(g) in moves_ante:
+                    heappush(at_ante, (sort_key(g), g))
+        new = [g for g in add_succ if g not in succ]
+        if new:
+            succ = succ.union(new)
+            for g in new:
+                if type(g) in moves_succ:
+                    heappush(at_succ, (sort_key(g), g))
+        s = SetSequent(ante, succ)
+        steps.append(SatStep(rule, (f,), s))
+    return tuple(steps), s
 
 
 def closure_of(
@@ -229,11 +292,16 @@ class _Search:
         self.refusals = 0
 
     def run(self, goal: SetSequent) -> Optional[ProofNode]:
-        return self._node((goal,), True)
+        return self._node((goal,), True, None)
 
     def _node(
-        self, history: tuple[SetSequent, ...], well_placed: bool
+        self,
+        history: tuple[SetSequent, ...],
+        well_placed: bool,
+        base: Optional[SetSequent],
     ) -> Optional[ProofNode]:
+        """Search the last sequent of history; base is a saturated sequent
+        it contains, if one is known (see saturate)."""
         start = history[-1]
         known = self.memo.get(start)
         if known is False:
@@ -241,7 +309,7 @@ class _Search:
         if known and self.trust_derivable:
             return _KNOWN_DERIVABLE
         refusals = self.refusals
-        node = self._expand(history, well_placed)
+        node = self._expand(history, well_placed, base)
         if node is not None:
             self.memo[start] = self.memo[node.saturated] = True
         elif well_placed or self.refusals == refusals:
@@ -250,10 +318,13 @@ class _Search:
         return node
 
     def _expand(
-        self, history: tuple[SetSequent, ...], well_placed: bool
+        self,
+        history: tuple[SetSequent, ...],
+        well_placed: bool,
+        base: Optional[SetSequent],
     ) -> Optional[ProofNode]:
         start = history[-1]
-        steps, sat = saturate(start)
+        steps, sat = saturate(start, base)
         self.budget.spend(1 + len(steps))
         cl = closure_of(sat, self.atomic_init)
         if cl is not None:
@@ -272,15 +343,17 @@ class _Search:
     ) -> Optional[tuple[ProofNode, ...]]:
         """Evaluate an application's premisses left to right; None as soon as
         one premiss loops or is rejected, the remaining ones unexplored.
-        Only transitional premisses are loop checked."""
+        Only transitional premisses are loop checked; static ones contain
+        the saturated h[-1] and start their saturation from it."""
         loopcheck = app.rule in TRANSITIONAL
+        base = None if loopcheck else h[-1]
         kids = []
         for prem in app.premisses:
             self.budget.spend()
             if loopcheck and any(prem <= old for old in h):
                 self.refusals += 1
                 return None
-            kid = self._node(h + (prem,), well_placed and not loopcheck)
+            kid = self._node(h + (prem,), well_placed and not loopcheck, base)
             if kid is None:
                 return None
             kids.append(kid)

@@ -7,9 +7,8 @@ from bmdl.calculus import (
     TRANSITIONAL,
     TWO_PREMISS_STATIC,
     ZERO_PREMISS,
-    one_premiss_static_applications,
+    iter_two_premiss_static_applications,
     transitional_applications,
-    two_premiss_static_applications,
 )
 from bmdl.formula import (
     And,
@@ -22,8 +21,9 @@ from bmdl.formula import (
     set_sequent,
     to_set_sequent,
 )
+from bmdl.search import saturate
 
-from conftest import sequents
+from conftest import ANTE, SUCC, one_premiss_move, sequents
 
 p, q, r, t = Atom("p"), Atom("q"), Atom("r"), Atom("t")
 
@@ -34,30 +34,54 @@ def test_rule_groups_partition_the_rule_set():
     assert len(seen) == len(set(seen)) == len(RuleId)
 
 
+def two_premiss_apps(s):
+    return list(iter_two_premiss_static_applications(s))
+
+
 def test_one_premiss_rules_copy_their_principal():
     s = set_sequent([And(p, q)], [r])
-    (app,) = one_premiss_static_applications(s)
-    assert app.rule == RuleId.AND_L
-    (prem,) = app.premisses
-    assert And(p, q) in prem.ante
-    assert prem == set_sequent([And(p, q), p, q], [r])
+    assert one_premiss_move(And(p, q), ANTE, s) == (RuleId.AND_L, (p, q), ())
+    (step,), sat = saturate(s)
+    assert step.rule == RuleId.AND_L and step.principal == (And(p, q),)
+    assert And(p, q) in sat.ante
+    assert sat == step.result == set_sequent([And(p, q), p, q], [r])
 
 
 def test_one_premiss_rules_skip_settled_principals():
     # everything the rules would add is already present
     s = set_sequent([And(p, q), p, q, Neg(r)], [r, p, Or(p, r)])
-    assert one_premiss_static_applications(s) == []
+    for side, fs in ((ANTE, s.ante), (SUCC, s.succ)):
+        assert all(one_premiss_move(f, side, s) is None for f in fs)
+    assert saturate(s) == ((), s)
+
+
+def test_one_premiss_moves_need_a_rule_on_their_side():
+    s = set_sequent([Or(p, q), Imp(p, q)], [And(p, q), Box(p)])
+    for f in s.ante:
+        assert one_premiss_move(f, ANTE, s) is None
+    for f in s.succ:
+        assert one_premiss_move(f, SUCC, s) is None
+
+
+def test_one_premiss_moves_add_repeated_formulas_once():
+    s = set_sequent([And(p, p)], [Or(q, q)])
+    assert one_premiss_move(And(p, p), ANTE, s) == (RuleId.AND_L, (p,), ())
+    assert one_premiss_move(Or(q, q), SUCC, s) == (RuleId.OR_R, (), (q,))
 
 
 def test_one_premiss_enumeration_order_is_by_side_then_formula():
     s = set_sequent([Neg(p), Box(q)], [Imp(p, r)])
-    rules = [a.rule for a in one_premiss_static_applications(s)]
+    rules = [step.rule for step in saturate(s)[0]]
     assert rules == [RuleId.NEG_L, RuleId.T, RuleId.IMP_R]
+    # a formula added by a move is taken before larger ones still waiting
+    s = set_sequent([Box(Neg(q))], [Imp(p, r)])
+    rules = [step.rule for step in saturate(s)[0]]
+    assert rules == [RuleId.T, RuleId.NEG_L, RuleId.IMP_R]
 
 
 def test_two_premiss_rules_need_both_premisses_productive():
     s = set_sequent([Or(p, q)], [q])
-    (app,) = two_premiss_static_applications(s)
+    (app,) = two_premiss_apps(s)
     assert app.rule == RuleId.OR_L
     assert app.premisses == (
         set_sequent([Or(p, q), p], [q]),
@@ -65,12 +89,12 @@ def test_two_premiss_rules_need_both_premisses_productive():
     )
     # one branch would add nothing, so the application is withheld
     settled = set_sequent([Or(p, q), q], [q])
-    assert two_premiss_static_applications(settled) == []
+    assert two_premiss_apps(settled) == []
 
 
 def test_implication_left_premisses():
     s = set_sequent([Imp(p, q)], [r])
-    (app,) = two_premiss_static_applications(s)
+    (app,) = two_premiss_apps(s)
     assert app.premisses == (
         set_sequent([Imp(p, q)], [r, p]),
         set_sequent([Imp(p, q), q], [r]),
@@ -137,7 +161,13 @@ def test_transitional_enumeration_order():
 @given(sequents)
 def test_static_premisses_strictly_grow(seq):
     s = to_set_sequent(seq)
-    for app in one_premiss_static_applications(s) + two_premiss_static_applications(s):
+    for side, fs in ((ANTE, s.ante), (SUCC, s.succ)):
+        for f in fs:
+            move = one_premiss_move(f, side, s)
+            if move is not None:
+                _, add_ante, add_succ = move
+                assert not (s.ante.issuperset(add_ante) and s.succ.issuperset(add_succ))
+    for app in two_premiss_apps(s):
         for prem in app.premisses:
             assert s <= prem and prem != s
 
@@ -145,11 +175,10 @@ def test_static_premisses_strictly_grow(seq):
 @given(sequents)
 def test_enumeration_is_deterministic(seq):
     s = to_set_sequent(seq)
-    for enumerate_apps in (
-        one_premiss_static_applications,
-        two_premiss_static_applications,
-        transitional_applications,
-    ):
+    for enumerate_apps in (two_premiss_apps, transitional_applications):
         apps = enumerate_apps(s)
         assert apps == enumerate_apps(to_set_sequent(seq))
         assert all(app.rule not in CHECKER_ONLY for app in apps)
+    steps, sat = saturate(s)
+    assert saturate(to_set_sequent(seq)) == (steps, sat)
+    assert all(step.rule in ONE_PREMISS_STATIC for step in steps)

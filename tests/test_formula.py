@@ -14,8 +14,6 @@ from bmdl.formula import (
     Sequent,
     TOP,
     boxed_part,
-    conj_all,
-    disj_all,
     from_set_sequent,
     sequent_subformulas,
     set_sequent,
@@ -112,14 +110,6 @@ def test_deep_formulas_hash_sort_and_fill_without_recursion():
 def test_sort_key_is_stable_under_resorting(f):
     subs = sorted_formulas(subformulas(f))
     assert sorted_formulas(reversed(subs)) == subs
-
-
-def test_conjunction_and_disjunction_folds():
-    assert conj_all([]) == TOP
-    assert disj_all([]) == BOT
-    assert conj_all([p]) == p
-    assert conj_all([p, q, r]) == And(p, And(q, r))
-    assert disj_all([p, q]) == Or(p, q)
 
 
 def test_boxed_part_keeps_the_box():

@@ -1,3 +1,6 @@
+from collections import Counter
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -9,12 +12,13 @@ from bmdl.kernel import (
     check_derivation,
     derivation_from_json,
     derivation_to_json,
+    _same,
     premisses_for,
 )
 from bmdl.parser import parse_sequent
 from bmdl.search import prove
 
-from conftest import formulas
+from conftest import formulas, sequents
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -190,3 +194,28 @@ def test_negation_premisses_match_on_both_sides(f):
     c_r = Sequent((), (Neg(f),))
     (prem,) = premisses_for(RuleId.NEG_R, (Neg(f),), c_r)
     assert prem == Sequent((f,), (Neg(f),))
+
+
+@st.composite
+def sequent_pairs(draw):
+    """A sequent and a second one made from it by permuting each side, and
+    sometimes by repeating or dropping a formula on one side."""
+    a = draw(sequents)
+    sides = []
+    for side in (a.ante, a.succ):
+        side = list(draw(st.permutations(side)))
+        edit = draw(st.sampled_from(["keep", "repeat", "drop"]))
+        if side and edit == "repeat":
+            side.append(draw(st.sampled_from(side)))
+        elif side and edit == "drop":
+            side.pop(draw(st.integers(0, len(side) - 1)))
+        sides.append(tuple(side))
+    return a, Sequent(*sides)
+
+
+@given(sequent_pairs())
+def test_same_is_multiset_equality(pair):
+    a, b = pair
+    by_counts = (Counter(a.ante), Counter(a.succ)) == (Counter(b.ante), Counter(b.succ))
+    assert _same(a, b) == _same(b, a) == by_counts
+    assert _same(a, a)
