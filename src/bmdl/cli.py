@@ -1,11 +1,29 @@
 """Command line front end.
 
-Verbs: prove, countermodel, consistent, check-model, check-proof, corpus,
-bench.  Results go to stdout as JSON (--pretty to indent), diagnostics to
-stderr.  Exit codes: 0 for an affirmative answer, 1 for a negative answer
-with a witness in the output, 2 for usage or input errors, 3 when the
-search budget ran out before an answer was reached.  The default budget
-comes from the MDL_BUDGET environment variable when set.
+Verbs: prove, countermodel, consistent, check-model, check-proof, corpus.
+Results go to stdout as JSON (--pretty to indent), diagnostics to stderr.
+
+Each verb has exactly one implementation, a function from loaded inputs to
+an exit code and a report:
+
+  decide_goal         prove and countermodel
+  decide_consistency  consistent
+  check_model         check-model
+  check_proof         check-proof
+
+The _cmd_* handlers only read their arguments, call the function and emit
+the report.  The corpus runner (bmdl.corpus) replays each manifest entry
+through the same function and compares the verdict in the report with the
+entry's expectation.
+
+Exit codes: 0 for an affirmative answer; 1 for a negative answer with its
+certificate in the report, and for nothing else; 2 for usage or input
+errors; 3 when the search budget ran out before an answer was reached.
+Exit 2 also reports a certificate that failed its own check (a
+countermodel that did not certify, or a derivation the kernel rejected):
+that is an internal fault, never a verdict, and worth reporting as a bug.
+The default budget comes from the MDL_BUDGET environment variable when
+set.
 """
 
 from __future__ import annotations
@@ -13,11 +31,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
-import time
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional, Union
 
 from .consistency import (
     assumption_sequents,
@@ -25,11 +41,10 @@ from .consistency import (
     discharge,
     reduction_sequent,
 )
-from .corpus import DEFAULT_CORPUS, read_sequent_file, run_corpus
 from .countermodel import CountermodelError, certify, model_of_json, result_to_json
 from .formula import Formula, Sequent
-from .gen import random_sequent
 from .kernel import (
+    Derivation,
     DerivationError,
     check_derivation,
     derivation_from_json,
@@ -42,9 +57,12 @@ from .parser import (
     parse_sequent,
     print_formula,
     print_sequent,
+    read_sequent_file,
 )
 from .search import Budget, BudgetExceeded, DEFAULT_BUDGET
-from .semantics import holds, validate_frame
+from .semantics import MModel, holds, validate_frame
+
+DEFAULT_CORPUS = Path("corpus")
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -66,9 +84,10 @@ def _default_budget() -> int:
         raise SystemExit(EXIT_USAGE)
 
 
-def _emit(args, data: dict) -> None:
-    json.dump(data, sys.stdout, indent=2 if args.pretty else None, ensure_ascii=False)
+def _emit(args, code: int, report: dict) -> int:
+    json.dump(report, sys.stdout, indent=2 if args.pretty else None, ensure_ascii=False)
     sys.stdout.write("\n")
+    return code
 
 
 def _note(msg: str) -> None:
@@ -111,41 +130,125 @@ def _looks_like_problem(content: str) -> bool:
     return False
 
 
-def _cmd_prove(args) -> int:
-    return _decide_goal(args, affirm_derivable=True)
-
-
-def _cmd_countermodel(args) -> int:
-    return _decide_goal(args, affirm_derivable=False)
-
-
-def _decide_goal(args, affirm_derivable: bool) -> int:
-    """prove and countermodel: certify the goal with the assumptions boxed
-    on its left.  prove discharges and checks a derivation; both answer
-    yes (exit 0) when the verdict is the one the verb asks for."""
-    assumptions, goal = _load_goal(args)
-    if goal is None:
-        _note("bmdl: the target has no goal sequent" + (" to prove" if affirm_derivable else ""))
-        return EXIT_USAGE
-    res, cm = certify(
-        reduction_sequent(assumptions, goal), Budget(args.budget), atomic_init=args.atomic_init
-    )
-    out = {
-        "sequent": print_sequent(goal, unicode=args.unicode),
-        "assumptions": [print_formula(a, unicode=args.unicode) for a in assumptions],
+def decide_goal(
+    assumptions: tuple[Formula, ...],
+    goal: Sequent,
+    budget: Union[int, Budget],
+    *,
+    affirm_derivable: bool = True,
+    atomic_init: bool = False,
+    unicode: bool = False,
+) -> tuple[int, dict]:
+    """prove (affirm_derivable) and countermodel: certify the goal with the
+    assumptions boxed on its left.  The derivation is kernel checked, for
+    prove after discharging the assumptions; the countermodel comes
+    certified.  Yes (exit 0) when the verdict is the one the verb asks for."""
+    res, cm = certify(reduction_sequent(assumptions, goal), budget, atomic_init=atomic_init)
+    report = {
+        "sequent": print_sequent(goal, unicode=unicode),
+        "assumptions": [print_formula(a, unicode=unicode) for a in assumptions],
         "derivable": res.accepted,
         "steps": res.steps_used,
     }
     if res.accepted:
-        d = res.derivation
+        d, assumed = res.derivation, ()
         if affirm_derivable:
-            d = discharge(d, assumptions, goal)
-            check_derivation(d, assumption_sequents(assumptions))
-        out["derivation"] = derivation_to_json(d)
+            d, assumed = discharge(d, assumptions, goal), assumption_sequents(assumptions)
+        check_derivation(d, assumed)
+        report["derivation"] = derivation_to_json(d)
     else:
-        out["countermodel"] = result_to_json(cm)
-    _emit(args, out)
-    return EXIT_YES if res.accepted == affirm_derivable else EXIT_NO
+        report["countermodel"] = result_to_json(cm)
+    return (EXIT_YES if res.accepted == affirm_derivable else EXIT_NO), report
+
+
+def decide_consistency(
+    assumptions: tuple[Formula, ...],
+    budget: Union[int, Budget],
+    *,
+    with_model: bool = True,
+    atomic_init: bool = False,
+    unicode: bool = False,
+) -> tuple[int, dict]:
+    """consistent: decide outer consistency.  An inconsistency witness is
+    kernel checked against the assumptions; a consistent set comes with a
+    certified countermodel unless with_model is off."""
+    res = check_consistency(assumptions, budget, atomic_init=atomic_init, with_model=with_model)
+    report = {
+        "assumptions": [print_formula(a, unicode=unicode) for a in assumptions],
+        "consistent": res.consistent,
+        "steps": res.steps_used,
+    }
+    if not res.consistent:
+        check_derivation(res.witness, assumption_sequents(assumptions))
+        report["witness"] = derivation_to_json(res.witness)
+        return EXIT_NO, report
+    if res.countermodel is not None:
+        report["countermodel"] = result_to_json(res.countermodel)
+    return EXIT_YES, report
+
+
+def check_model(
+    model: MModel, facts: Iterable[tuple[str, Formula]], unicode: bool = False
+) -> tuple[int, dict]:
+    """check-model: validate the frame conditions and evaluate each
+    (world, formula) fact.  Yes when the frame is valid and every fact
+    holds."""
+    violations = validate_frame(model)
+    cache: dict = {}
+    evaluated = [
+        {"world": w, "formula": print_formula(f, unicode=unicode), "holds": holds(model, w, f, cache)}
+        for w, f in facts
+    ]
+    report = {
+        "valid": not violations,
+        "worlds": len(model.worlds),
+        "violations": [str(v) for v in violations],
+    }
+    if evaluated:
+        report["facts"] = evaluated
+    ok = not violations and all(fact["holds"] for fact in evaluated)
+    return (EXIT_YES if ok else EXIT_NO), report
+
+
+def check_proof(
+    derivation: Derivation, assumed: tuple[Sequent, ...], unicode: bool = False
+) -> tuple[int, dict]:
+    """check-proof: run the kernel over a derivation that may use the
+    assumed sequents as Assumption leaves.  Yes when it checks; no with the
+    kernel's error otherwise."""
+    report = {
+        "conclusion": print_sequent(derivation.conclusion, unicode=unicode),
+        "assumptions": [print_sequent(s, unicode=unicode) for s in assumed],
+    }
+    try:
+        check_derivation(derivation, assumed)
+    except DerivationError as e:
+        report["checks"] = False
+        report["error"] = str(e)
+        return EXIT_NO, report
+    report["checks"] = True
+    report["rules"] = {
+        r.value: n for r, n in sorted(derivation.rules_used().items(), key=lambda kv: kv[0].value)
+    }
+    return EXIT_YES, report
+
+
+def _cmd_goal(args) -> int:
+    assumptions, goal = _load_goal(args)
+    if goal is None:
+        _note("bmdl: the target has no goal sequent" + (" to prove" if args.affirm_derivable else ""))
+        return EXIT_USAGE
+    return _emit(
+        args,
+        *decide_goal(
+            assumptions,
+            goal,
+            Budget(args.budget),
+            affirm_derivable=args.affirm_derivable,
+            atomic_init=args.atomic_init,
+            unicode=args.unicode,
+        ),
+    )
 
 
 def _cmd_consistent(args) -> int:
@@ -160,125 +263,44 @@ def _cmd_consistent(args) -> int:
     if not assumptions:
         _note("bmdl: nothing to check; give a problem file or --assume formulas")
         return EXIT_USAGE
-    res = check_consistency(
-        assumptions,
-        Budget(args.budget),
-        atomic_init=args.atomic_init,
-        with_model=not args.no_model,
+    return _emit(
+        args,
+        *decide_consistency(
+            assumptions,
+            Budget(args.budget),
+            with_model=not args.no_model,
+            atomic_init=args.atomic_init,
+            unicode=args.unicode,
+        ),
     )
-    out = {
-        "assumptions": [print_formula(a, unicode=args.unicode) for a in assumptions],
-        "consistent": res.consistent,
-        "steps": res.steps_used,
-    }
-    if res.consistent:
-        if res.countermodel is not None:
-            out["countermodel"] = result_to_json(res.countermodel)
-        _emit(args, out)
-        return EXIT_YES
-    check_derivation(res.witness, assumption_sequents(assumptions))
-    out["witness"] = derivation_to_json(res.witness)
-    _emit(args, out)
-    return EXIT_NO
 
 
 def _cmd_check_model(args) -> int:
-    data = json.loads(Path(args.file).read_text())
-    m = model_of_json(data, close_rt=args.close_rt)
-    violations = validate_frame(m)
+    model = model_of_json(json.loads(Path(args.file).read_text()), close_rt=args.close_rt)
     facts = []
-    cache: dict = {}
-    for spec_text in args.holds or []:
-        if "::" not in spec_text:
-            _note(f"bmdl: --holds wants WORLD::FORMULA, got {spec_text!r}")
+    for spec in args.holds or []:
+        world, sep, text = spec.partition("::")
+        if not sep:
+            _note(f"bmdl: --holds wants WORLD::FORMULA, got {spec!r}")
             return EXIT_USAGE
-        world, formula_text = spec_text.split("::", 1)
-        f = parse_formula(formula_text)
-        facts.append(
-            {
-                "world": world,
-                "formula": print_formula(f, unicode=args.unicode),
-                "holds": holds(m, world, f, cache),
-            }
-        )
-    out = {
-        "valid": not violations,
-        "worlds": len(m.worlds),
-        "violations": [str(v) for v in violations],
-    }
-    if facts:
-        out["facts"] = facts
-    _emit(args, out)
-    if violations or any(not fact["holds"] for fact in facts):
-        return EXIT_NO
-    return EXIT_YES
+        facts.append((world, parse_formula(text)))
+    return _emit(args, *check_model(model, facts, unicode=args.unicode))
 
 
 def _cmd_check_proof(args) -> int:
     d = derivation_from_json(json.loads(Path(args.file).read_text()))
     assumed = tuple(parse_sequent(t) for t in args.assume or [])
-    out = {
-        "conclusion": print_sequent(d.conclusion, unicode=args.unicode),
-        "assumptions": [print_sequent(s, unicode=args.unicode) for s in assumed],
-    }
-    try:
-        check_derivation(d, assumed)
-    except DerivationError as e:
-        out["checks"] = False
-        out["error"] = str(e)
-        _emit(args, out)
-        return EXIT_NO
-    out["checks"] = True
-    out["rules"] = {r.value: n for r, n in sorted(d.rules_used().items(), key=lambda kv: kv[0].value)}
-    _emit(args, out)
-    return EXIT_YES
+    return _emit(args, *check_proof(d, assumed, unicode=args.unicode))
 
 
 def _cmd_corpus(args) -> int:
+    from .corpus import run_corpus  # imported here: bmdl.corpus imports this module
+
     report = run_corpus(args.root, budget=args.budget, atomic_init=args.atomic_init)
-    _emit(args, report.to_json())
-    if not report.all_ok:
-        for r in report.results:
-            if not r.ok:
-                _note(f"bmdl: corpus entry {r.entry.file} failed: {r.detail}")
-        return EXIT_NO
-    return EXIT_YES
-
-
-def _cmd_bench(args) -> int:
-    sizes = [int(t) for t in args.sizes.split(",") if t.strip()]
-    rng = random.Random(args.seed)
-    rows = []
-    exhausted_any = False
-    for size in sizes:
-        derivable = underivable = inconclusive = 0
-        max_steps = 0
-        t0 = time.perf_counter()
-        for _ in range(args.samples):
-            s = random_sequent(rng, size=size)
-            b = Budget(args.budget)
-            try:
-                if certify(s, b, atomic_init=args.atomic_init).search.accepted:
-                    derivable += 1
-                else:
-                    underivable += 1
-            except BudgetExceeded:
-                inconclusive += 1
-                exhausted_any = True
-            max_steps = max(max_steps, b.used)
-        rows.append(
-            {
-                "size": size,
-                "samples": args.samples,
-                "derivable": derivable,
-                "underivable": underivable,
-                "inconclusive": inconclusive,
-                "seconds": round(time.perf_counter() - t0, 3),
-                "max_steps": max_steps,
-            }
-        )
-    _emit(args, {"seed": args.seed, "budget": args.budget, "rows": rows})
-    return EXIT_INCONCLUSIVE if exhausted_any else EXIT_YES
+    for r in report.results:
+        if not r.ok:
+            _note(f"bmdl: corpus entry {r.entry.file} failed: {r.detail}")
+    return _emit(args, EXIT_YES if report.all_ok else EXIT_NO, report.to_json())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -314,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("target", help="sequent text, .seq file, or problem file")
     p.add_argument("--assume", action="append", metavar="FORMULA", help="extra assumption")
-    p.set_defaults(fn=_cmd_prove)
+    p.set_defaults(fn=_cmd_goal, affirm_derivable=True)
 
     p = sub.add_parser(
         "countermodel",
@@ -323,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("target", help="sequent text, .seq file, or problem file")
     p.add_argument("--assume", action="append", metavar="FORMULA", help="extra assumption")
-    p.set_defaults(fn=_cmd_countermodel)
+    p.set_defaults(fn=_cmd_goal, affirm_derivable=False)
 
     p = sub.add_parser(
         "consistent",
@@ -364,16 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("root", nargs="?", default=str(DEFAULT_CORPUS), help="corpus directory")
     p.set_defaults(fn=_cmd_corpus)
 
-    p = sub.add_parser(
-        "bench",
-        parents=[out_flags, search_flags],
-        help="time the full pipeline on random sequents",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sizes", default="3,5,7", help="comma list of formula sizes")
-    p.add_argument("--samples", type=int, default=25, help="sequents per size")
-    p.set_defaults(fn=_cmd_bench)
-
     return top
 
 
@@ -385,9 +397,8 @@ def main(argv=None) -> int:
         _note(f"bmdl: parse error: {e}")
         return EXIT_USAGE
     except BudgetExceeded as e:
-        _emit(args, {"inconclusive": True, "budget": e.limit})
         _note(f"bmdl: {e}")
-        return EXIT_INCONCLUSIVE
+        return _emit(args, EXIT_INCONCLUSIVE, {"inconclusive": True, "budget": e.limit})
     except FileNotFoundError as e:
         _note(f"bmdl: {e}")
         return EXIT_USAGE

@@ -1,19 +1,25 @@
 """Corpus runner.
 
 A corpus directory holds a manifest.json listing entries to replay, each a
-file plus an expected outcome.  Four kinds are understood:
+file plus an expected outcome.  Every entry is replayed through the one
+function that implements its verb in bmdl.cli, and the verdict in the
+report is compared with the expectation.  Four kinds are understood:
 
-  sequent         a .seq file with one sequent; expected key "derivable".
-                  Derivable entries are proved and their derivations
-                  checked, underivable ones get a certified countermodel.
-  assumption-set  a .mdl problem file; expected key "consistent" (for
-                  consistency mode) or "derivable" (for prove mode, the
-                  discharged derivation is checked against the assumptions,
-                  an underivable goal gets a certified countermodel).
-  model           a model .json; expected key "valid", optional "facts"
+  sequent         a .seq file with one sequent, run through prove;
+                  expected key "derivable".  A derivation is kernel
+                  checked, an underivable sequent gets a certified
+                  countermodel.
+  assumption-set  a .mdl problem file, run through the verb its "mode"
+                  names: consistency (expected key "consistent"), prove or
+                  countermodel (expected key "derivable"; prove checks the
+                  derivation discharged against the assumptions).  A key
+                  that contradicts the mode fails the entry.
+  model           a model .json, or a countermodel report, run through
+                  check-model; expected key "valid", optional "facts"
                   listing world/formula/holds triples to evaluate.
-  derivation      a derivation .json; expected key "checks", optional
-                  "assumptions" with sequent strings the checker may use.
+  derivation      a derivation .json run through check-proof; expected key
+                  "checks", optional "assumptions" with sequent strings the
+                  checker may use.
 
 Entries also carry a free-form "basis" tag saying where the expectation
 comes from and an optional note; both are echoed in reports.
@@ -26,15 +32,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
 
-from .consistency import assumption_sequents, check_consistency, discharge, reduction_sequent
-from .countermodel import certify
-from .formula import Formula, Sequent
-from .kernel import DerivationError, check_derivation, derivation_from_json
-from .parser import ParseError, parse_formula, parse_problem, parse_sequent
+from .cli import DEFAULT_CORPUS, check_model, check_proof, decide_consistency, decide_goal
+from .countermodel import model_of_json
+from .kernel import DerivationError, derivation_from_json
+from .parser import ParseError, parse_formula, parse_problem, parse_sequent, read_sequent_file
 from .search import Budget, BudgetExceeded, DEFAULT_BUDGET
-from .semantics import holds, model_from_json, validate_frame
-
-DEFAULT_CORPUS = Path("corpus")
 
 KINDS = ("sequent", "assumption-set", "model", "derivation")
 
@@ -96,11 +98,21 @@ def load_manifest(root: Union[str, Path]) -> list[CorpusEntry]:
     if not manifest.is_file():
         raise FileNotFoundError(f"no manifest.json under {root}")
     data = json.loads(manifest.read_text())
+    if not isinstance(data, dict) or not isinstance(data.get("entries", []), list):
+        raise ValueError(f'{manifest}: want an object with an "entries" list')
     entries = []
     for item in data.get("entries", []):
+        if not (
+            isinstance(item, dict)
+            and isinstance(item.get("file"), str)
+            and isinstance(item.get("expect", {}), dict)
+        ):
+            raise ValueError(
+                f'{manifest}: every entry must be an object with a "file" string and an "expect" object'
+            )
         kind = item.get("kind", "")
         if kind not in KINDS:
-            raise ValueError(f"manifest entry {item.get('file')}: unknown kind {kind!r}")
+            raise ValueError(f"manifest entry {item['file']}: unknown kind {kind!r}")
         entries.append(
             CorpusEntry(
                 file=item["file"],
@@ -113,100 +125,69 @@ def load_manifest(root: Union[str, Path]) -> list[CorpusEntry]:
     return entries
 
 
-def read_sequent_file(path: Path) -> Sequent:
-    """First meaningful line of a .seq file, # comments and blanks skipped."""
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            try:
-                return parse_sequent(line)
-            except ParseError as e:
-                raise ParseError(e.message, lineno, e.col, e.expected) from None
-    raise ParseError("file holds no sequent", 1, 1)
-
-
-def _run_assumption_set(path: Path, entry: CorpusEntry, budget: Budget, atomic_init: bool) -> EntryResult:
-    prob = parse_problem(path.read_text())
-    if "consistent" in entry.expect:
-        want = entry.expect["consistent"]
-        res = check_consistency(prob.assumptions, budget, atomic_init=atomic_init)
-        if res.consistent != want:
-            return EntryResult(entry, False, f"expected consistent={want}, got {res.consistent}")
-        if not res.consistent:
-            check_derivation(res.witness, assumption_sequents(prob.assumptions))
-            return EntryResult(entry, True, "inconsistency witness checked")
-        return EntryResult(entry, True, "countermodel certified")
-    if prob.goal is None:
-        return EntryResult(entry, False, "prove-style expectation but the file has no goal")
-    return _run_goal(entry, prob.assumptions, prob.goal, budget, atomic_init)
-
-
-def _run_goal(
-    entry: CorpusEntry, assumptions: tuple[Formula, ...], goal: Sequent, budget: Budget, atomic_init: bool
-) -> EntryResult:
-    """Certify the goal from the assumptions; a derivation is discharged and
-    checked against them."""
-    want = entry.expect.get("derivable")
-    res = certify(reduction_sequent(assumptions, goal), budget, atomic_init=atomic_init).search
-    if res.accepted != want:
-        return EntryResult(entry, False, f"expected derivable={want}, got {res.accepted}")
-    if not res.accepted:
-        return EntryResult(entry, True, "countermodel certified")
-    check_derivation(discharge(res.derivation, assumptions, goal), assumption_sequents(assumptions))
-    return EntryResult(entry, True, "discharged derivation checked" if assumptions else "derivation checked")
-
-
-def _run_model(path: Path, entry: CorpusEntry) -> EntryResult:
-    m = model_from_json(json.loads(path.read_text()))
-    want = entry.expect.get("valid", True)
-    bad = validate_frame(m)
-    if bool(not bad) != want:
-        got = "valid" if not bad else "; ".join(str(v) for v in bad)
-        return EntryResult(entry, False, f"expected valid={want}, got {got}")
-    cache: dict = {}
-    for fact in entry.expect.get("facts", []):
-        f = parse_formula(fact["formula"])
-        value = holds(m, fact["world"], f, cache)
-        if value != fact.get("holds", True):
-            return EntryResult(
-                entry, False, f"fact at {fact['world']} evaluates to {value}"
-            )
-    return EntryResult(entry, True, "model checked")
-
-
-def _run_derivation(path: Path, entry: CorpusEntry) -> EntryResult:
-    d = derivation_from_json(json.loads(path.read_text()))
-    assumed = tuple(parse_sequent(t) for t in entry.expect.get("assumptions", []))
-    want = entry.expect.get("checks", True)
-    try:
-        check_derivation(d, assumed)
-        ok, detail = True, "derivation checked"
-    except DerivationError as e:
-        ok, detail = False, str(e)
-    if ok != want:
-        return EntryResult(entry, False, f"expected checks={want}: {detail}")
-    return EntryResult(entry, True, detail)
-
-
 def run_entry(
     root: Path, entry: CorpusEntry, budget: Union[int, Budget], atomic_init: bool = False
 ) -> EntryResult:
     path = root / entry.file
-    b = Budget.ensure(budget)
     try:
         if not path.is_file():
             return EntryResult(entry, False, "file missing")
-        if entry.kind == "sequent":
-            return _run_goal(entry, (), read_sequent_file(path), b, atomic_init)
-        if entry.kind == "assumption-set":
-            return _run_assumption_set(path, entry, b, atomic_init)
-        if entry.kind == "model":
-            return _run_model(path, entry)
-        return _run_derivation(path, entry)
+        return EntryResult(entry, *_replay(path, entry, Budget.ensure(budget), atomic_init))
     except BudgetExceeded:
         return EntryResult(entry, False, "budget exhausted")
     except (ParseError, ValueError, DerivationError, RuntimeError) as e:
         return EntryResult(entry, False, f"{type(e).__name__}: {e}")
+
+
+def _replay(path: Path, entry: CorpusEntry, budget: Budget, atomic_init: bool) -> tuple[bool, str]:
+    """Run the entry's verb and compare its verdict with the expectation:
+    (ok, detail)."""
+    expect = entry.expect
+    if entry.kind == "model":
+        facts = expect.get("facts", [])
+        _, report = check_model(
+            model_of_json(json.loads(path.read_text())),
+            [(fact["world"], parse_formula(fact["formula"])) for fact in facts],
+        )
+        want = expect.get("valid", True)
+        if report["valid"] != want:
+            return False, f"expected valid={want}, got {'; '.join(report['violations']) or 'valid'}"
+        for fact, got in zip(facts, report.get("facts", [])):
+            if got["holds"] != fact.get("holds", True):
+                return False, f"fact at {fact['world']} evaluates to {got['holds']}"
+        return True, "model checked"
+    if entry.kind == "derivation":
+        assumed = tuple(parse_sequent(t) for t in expect.get("assumptions", []))
+        _, report = check_proof(derivation_from_json(json.loads(path.read_text())), assumed)
+        detail = "derivation checked" if report["checks"] else report["error"]
+        want = expect.get("checks", True)
+        if report["checks"] != want:
+            return False, f"expected checks={want}: {detail}"
+        return True, detail
+    if entry.kind == "sequent":
+        assumptions, goal, mode = (), read_sequent_file(path), "prove"
+    else:
+        prob = parse_problem(path.read_text())
+        assumptions, goal, mode = prob.assumptions, prob.goal, prob.mode
+    key, other = ("consistent", "derivable") if mode == "consistency" else ("derivable", "consistent")
+    if other in expect:
+        return False, f"expectation key {other!r} contradicts mode {mode!r}, which is checked by {key!r}"
+    if mode == "consistency":
+        _, report = decide_consistency(assumptions, budget, atomic_init=atomic_init)
+    elif goal is None:
+        return False, f"mode {mode!r} but the file has no goal"
+    else:
+        _, report = decide_goal(
+            assumptions, goal, budget, affirm_derivable=mode == "prove", atomic_init=atomic_init
+        )
+    want, got = expect.get(key), report[key]
+    if got != want:
+        return False, f"expected {key}={want}, got {got}"
+    if "countermodel" in report:
+        return True, "countermodel certified"
+    if "witness" in report:
+        return True, "inconsistency witness checked"
+    return True, "discharged derivation checked" if assumptions and mode == "prove" else "derivation checked"
 
 
 def run_corpus(

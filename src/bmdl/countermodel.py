@@ -70,22 +70,6 @@ class CountermodelError(RuntimeError):
     """The construction could not be certified."""
 
 
-class _Oracle:
-    """Underivability from the memo of exact verdicts, searching with decide
-    only for sequents it does not hold; decide records its root verdict."""
-
-    def __init__(self, budget: Budget, atomic_init: bool, memo: dict[SetSequent, bool]):
-        self.budget = budget
-        self.atomic_init = atomic_init
-        self.memo = memo
-
-    def underivable(self, ss: SetSequent) -> bool:
-        known = self.memo.get(ss)
-        if known is None:
-            known = decide(ss, self.budget, atomic_init=self.atomic_init, memo=self.memo)
-        return not known
-
-
 @dataclass(frozen=True)
 class CounterModelResult:
     sequent: Sequent
@@ -97,14 +81,27 @@ class CounterModelResult:
 
 
 class _Builder:
-    def __init__(self, oracle: _Oracle, conds: tuple[Formula, ...]):
-        self.oracle = oracle
+    def __init__(
+        self, budget: Budget, atomic_init: bool, memo: dict[SetSequent, bool], conds: tuple[Formula, ...]
+    ):
+        self.budget = budget
+        self.atomic_init = atomic_init
+        self.memo = memo
         self.conds = conds
         self.ids: dict[SetSequent, str] = {}
         self.order: list[str] = []
         self.resolved: dict[str, SetSequent] = {}
         self.traces: dict[str, tuple[SetSequent, ...]] = {}
         self.edges: set[tuple[str, str]] = set()
+
+    def underivable(self, ss: SetSequent) -> bool:
+        """The oracle: underivability from the memo of exact verdicts,
+        searching with decide only for sequents it does not hold; decide
+        records its root verdict."""
+        known = self.memo.get(ss)
+        if known is None:
+            known = decide(ss, self.budget, atomic_init=self.atomic_init, memo=self.memo)
+        return not known
 
     def resolve(self, ss: SetSequent) -> tuple[SetSequent, tuple[SetSequent, ...]]:
         trace = [ss]
@@ -119,7 +116,7 @@ class _Builder:
             app = next(iter_two_premiss_static_applications(cur), None)
             if app is not None:
                 prem = next(
-                    (p for p in app.premisses if self.oracle.underivable(p)), None
+                    (p for p in app.premisses if self.underivable(p)), None
                 )
                 if prem is None:
                     raise CountermodelError(
@@ -137,11 +134,11 @@ class _Builder:
             if missing is None:
                 return cur, tuple(trace)
             left = SetSequent(cur.ante | {missing}, cur.succ)
-            if self.oracle.underivable(left):
+            if self.underivable(left):
                 cur = left
             else:
                 right = SetSequent(cur.ante, cur.succ | {missing})
-                if not self.oracle.underivable(right):
+                if not self.underivable(right):
                     raise CountermodelError(
                         "condition placement failed: both polarities of a "
                         "condition formula make the world sequent derivable"
@@ -160,7 +157,7 @@ class _Builder:
         self.resolved[wid] = resolved
         self.traces[wid] = trace
         for app in transitional_applications(resolved):
-            prem = next((p for p in app.premisses if self.oracle.underivable(p)), None)
+            prem = next((p for p in app.premisses if self.underivable(p)), None)
             if prem is None:
                 raise CountermodelError(
                     f"every premiss of {app.rule.value} at "
@@ -239,15 +236,14 @@ def build(
     certification fails."""
     ms = goal if isinstance(goal, Sequent) else from_set_sequent(goal)
     ss = to_set_sequent(ms) if isinstance(goal, Sequent) else goal
-    oracle = _Oracle(Budget.ensure(budget), atomic_init, {} if memo is None else memo)
-    if not oracle.underivable(ss):
-        raise ValueError("the sequent is derivable; no countermodel exists")
     conds = tuple(
         sorted_formulas(
             {f.cond for f in sequent_subformulas(ss) if isinstance(f, Obl)}
         )
     )
-    builder = _Builder(oracle, conds)
+    builder = _Builder(Budget.ensure(budget), atomic_init, {} if memo is None else memo, conds)
+    if not builder.underivable(ss):
+        raise ValueError("the sequent is derivable; no countermodel exists")
     root = builder.explore(ss)
     model = builder.finish()
 
@@ -317,7 +313,7 @@ def result_to_json(r: CounterModelResult) -> dict:
 
 def model_of_json(data: dict, close_rt: bool = False) -> MModel:
     """Load the model part of either a bare model file or a countermodel
-    report."""
-    if "model" in data and "worlds" not in data:
+    report.  Data of any other shape raises ValueError."""
+    if isinstance(data, dict) and "model" in data and "worlds" not in data:
         data = data["model"]
     return model_from_json(data, close_rt=close_rt)

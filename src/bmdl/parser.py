@@ -1,4 +1,5 @@
-"""Concrete syntax: parser and printer for formulas, sequents and problem files.
+"""Concrete syntax: parser and printer for formulas, sequents, sequent files
+and problem files.
 
 Grammar (ASCII, whitespace-insensitive):
 
@@ -23,6 +24,7 @@ parser or in a later recursive pass over the formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 from .formula import (
     BOT,
@@ -344,7 +346,7 @@ def _sequent_text(ante_texts: list[str], succ_texts: list[str], unicode: bool) -
 
 
 # ---------------------------------------------------------------------------
-# problem files
+# problem files and sequent files
 
 MODES = ("prove", "consistency", "countermodel")
 
@@ -385,3 +387,15 @@ def parse_problem(text: str) -> ProblemFile:
     if mode is None:
         mode = "consistency" if goal is None else "prove"
     return ProblemFile(tuple(assumptions), goal, mode)
+
+
+def read_sequent_file(path: Path) -> Sequent:
+    """First meaningful line of a .seq file, # comments and blanks skipped."""
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            try:
+                return parse_sequent(line)
+            except ParseError as e:
+                raise ParseError(e.message, lineno, e.col, e.expected) from None
+    raise ParseError("file holds no sequent", 1, 1)

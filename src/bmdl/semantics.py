@@ -211,8 +211,15 @@ def model_to_json(m: MModel) -> dict:
 
 
 def model_from_json(data: dict, close_rt: bool = False) -> MModel:
+    """Rebuild a model from model_to_json output; data of another shape
+    raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("malformed model data: a model must be a JSON object")
+    worlds = data.get("worlds")
+    if not (isinstance(worlds, list) and all(isinstance(w, str) for w in worlds)):
+        raise ValueError('malformed model data: "worlds" must be a list of world names')
     try:
-        worlds = tuple(str(w) for w in data["worlds"])
+        worlds = tuple(worlds)
         acc = frozenset((str(u), str(v)) for u, v in data.get("acc", []))
         eta = {
             str(w): tuple(
@@ -222,7 +229,7 @@ def model_from_json(data: dict, close_rt: bool = False) -> MModel:
             for w, gens in data.get("eta", {}).items()
         }
         val = {str(w): frozenset(map(str, atoms)) for w, atoms in data.get("val", {}).items()}
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ValueError(f"malformed model data: {e}") from None
     if close_rt:
         acc = rt_closure(worlds, acc)

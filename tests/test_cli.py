@@ -242,9 +242,47 @@ def test_corpus_verb(tmp_path, capsys):
     assert code == 1
 
 
-def test_bench_verb(capsys):
-    code, data = run(capsys, "bench", "--sizes", "3", "--samples", "4", "--seed", "1")
-    assert code == 0
-    (row,) = data["rows"]
-    assert row["samples"] == 4
-    assert row["derivable"] + row["underivable"] + row["inconclusive"] == 4
+@pytest.mark.parametrize(
+    "raw",
+    ["5", '{"worlds": "ab"}', '{"worlds": [1, 2]}', '{"worlds": ["a"], "eta": []}'],
+    ids=["number", "worlds-string", "worlds-numbers", "eta-list"],
+)
+def test_malformed_model_json_exits_2(tmp_path, capsys, raw):
+    f = tmp_path / "m.json"
+    f.write_text(raw)
+    assert main(["check-model", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bmdl: malformed model data" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        [],
+        {"entries": 5},
+        {"entries": [5]},
+        {"entries": [{"kind": "sequent", "expect": {"derivable": True}}]},
+        {"entries": [{"file": "one.seq", "kind": "sequent", "expect": [True]}]},
+    ],
+    ids=["list", "entries-number", "entry-number", "no-file", "expect-list"],
+)
+def test_malformed_manifest_exits_2(tmp_path, capsys, manifest):
+    (tmp_path / "one.seq").write_text("|- p -> p\n")
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["corpus", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "manifest.json: " in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_a_certificate_that_fails_its_check_exits_2(monkeypatch, capsys):
+    # an internal fault, not bad input and not a verdict: it never exits 1
+    monkeypatch.setattr("bmdl.countermodel.validate_frame", lambda m: ["forced violation"])
+    assert main(["prove", "|- O(p / q)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bmdl: frame validation failed: forced violation" in captured.err
+    assert "Traceback" not in captured.err

@@ -75,3 +75,37 @@ def test_budget_exhaustion_is_reported():
     )
     result = run_entry(CORPUS, entry, budget=3)
     assert not result.ok and "budget" in result.detail
+
+
+def _replay_problem(tmp_path, problem: str, expect: dict):
+    """Replay a one-entry manifest holding the problem file."""
+    (tmp_path / "p.mdl").write_text(problem)
+    entry = {"file": "p.mdl", "kind": "assumption-set", "expect": expect}
+    (tmp_path / "manifest.json").write_text(json.dumps({"entries": [entry]}))
+    (result,) = run_corpus(tmp_path, budget=100_000).results
+    return result
+
+
+def test_problem_mode_picks_the_verb(tmp_path):
+    result = _replay_problem(tmp_path, "goal |- O(p / q)\nmode countermodel\n", {"derivable": False})
+    assert result.ok and result.detail == "countermodel certified"
+    result = _replay_problem(tmp_path, "assume p\ngoal |- p\nmode countermodel\n", {"derivable": True})
+    assert result.ok and result.detail == "derivation checked"
+    result = _replay_problem(tmp_path, "assume p\ngoal |- p\n", {"derivable": True})
+    assert result.ok and result.detail == "discharged derivation checked"
+    result = _replay_problem(tmp_path, "mode prove\n", {"derivable": True})
+    assert not result.ok and "no goal" in result.detail
+
+
+@pytest.mark.parametrize(
+    "problem, expect, named",
+    [
+        ("assume p\ngoal |- p\nmode prove\n", {"consistent": True}, ("'consistent'", "'prove'")),
+        ("assume p\ngoal |- p\nmode consistency\n", {"derivable": True}, ("'derivable'", "'consistency'")),
+    ],
+    ids=["prove-with-consistent", "consistency-with-derivable"],
+)
+def test_an_expectation_key_that_contradicts_the_mode_fails(tmp_path, problem, expect, named):
+    result = _replay_problem(tmp_path, problem, expect)
+    assert not result.ok
+    assert all(word in result.detail for word in named)
