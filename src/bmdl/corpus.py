@@ -16,7 +16,8 @@ report is compared with the expectation.  Four kinds are understood:
                   that contradicts the mode fails the entry.
   model           a model .json, or a countermodel report, run through
                   check-model; expected key "valid", optional "facts"
-                  listing world/formula/holds triples to evaluate.
+                  listing objects with "world" and "formula" strings and
+                  an optional boolean "holds" to evaluate.
   derivation      a derivation .json run through check-proof; expected key
                   "checks", optional "assumptions" with sequent strings the
                   checker may use.
@@ -113,16 +114,37 @@ def load_manifest(root: Union[str, Path]) -> list[CorpusEntry]:
         kind = item.get("kind", "")
         if kind not in KINDS:
             raise ValueError(f"manifest entry {item['file']}: unknown kind {kind!r}")
+        expect = item.get("expect", {})
+        if kind == "model" and not _facts_ok(expect.get("facts", [])):
+            raise ValueError(
+                f'{manifest}: entry {item["file"]}: "facts" must be a list of objects with'
+                ' "world" and "formula" strings and an optional boolean "holds"'
+            )
+        assumptions = expect.get("assumptions", [])
+        if kind == "derivation" and not (
+            isinstance(assumptions, list) and all(isinstance(a, str) for a in assumptions)
+        ):
+            raise ValueError(f'{manifest}: entry {item["file"]}: "assumptions" must be a list of sequent strings')
         entries.append(
             CorpusEntry(
                 file=item["file"],
                 kind=kind,
-                expect=item.get("expect", {}),
+                expect=expect,
                 basis=item.get("basis", ""),
                 note=item.get("note", ""),
             )
         )
     return entries
+
+
+def _facts_ok(facts: object) -> bool:
+    return isinstance(facts, list) and all(
+        isinstance(fact, dict)
+        and isinstance(fact.get("world"), str)
+        and isinstance(fact.get("formula"), str)
+        and isinstance(fact.get("holds", True), bool)
+        for fact in facts
+    )
 
 
 def run_entry(

@@ -86,28 +86,36 @@ top-level search and every oracle search of the countermodel built after
 it) share a dict from set sequents to verdicts, in the manner of global
 caching (Gore & Nguyen, "EXPTIME tableaux with global caching for
 description logics").  The history makes a call's failure depend on more
-than its goal, so only failures known to be exact are recorded:
+than its goal, so only failures known to be exact are recorded.  An
+accepted node records its start and its saturation as derivable: its tree
+is a derivation, whatever the history.  A failed node records its start as
+underivable by one rule, a low-water mark in the manner of the lowlink of
+Tarjan's strongly connected components.  Each loop-check refusal notes its
+witness, the deepest history index i with prem <= h[i].  A node's mark is
+the least witness of the refusals made inside its subtree, infinite when
+there are none.  A failed node at history index d is recorded when its mark
+is at least d.
 
-  * an accepted node records its start and its saturation as derivable:
-    its tree is a derivation, whatever the history;
-  * a failed node records its start as underivable when its call is well
-    placed, here when it is reached from the root of its search through
-    static premisses only: every history entry is then a subset of its
-    goal, whose ht is therefore at least that of the goal, and the argument
-    above applies;
-  * a failed node also records its start as underivable when no loop-check
-    refusal happened inside its subtree.  By induction over the subtree: a
-    failed branching node failed on a committed premiss that is
-    underivable, and so is the node, by invertibility.  At a failed node
-    that no static rule changes, sat is not initial and every transitional
-    application failed on an underivable premiss, so a least-height
-    derivation of sat could end neither in a zero-premiss rule, nor in a
-    static one (each has a premiss equal to sat), nor in a transitional
-    one; and start, contained in sat, is no more derivable.
+Why that failure is exact.  Cut the node's history down to its own suffix,
+the node alone.  Every refusal of its subtree has its witness at index d or
+deeper, so it still finds it; dropping history entries refuses nothing new;
+and the memo holds exact verdicts only, so its reads do not depend on the
+history.  So the cut call expands exactly as the node did, and fails too.
+But it is a root call, which is well placed, so its goal is underivable.
+The status propagation of sound global caching is the same idea (Gore &
+Widmann, "Sound global state caching for ALC with inverse roles", 2009).
 
-A failure that a refusal may have caused is never recorded: such a goal can
-be derivable (tests/test_certify.py holds one).  Reading the memo keeps
-these rules true, as an underivable entry fails a node without a refusal.
+Two cases of the rule were once rules of their own.  A failure with no
+refusal inside its subtree has an infinite mark.  A well-placed call,
+reached from the root of its search through static premisses only, has a
+history that only grows, each entry a subset of the next: a static premiss
+contains the saturation it comes from.  So a refusal witnessed before index
+d is witnessed at d too, and the mark of such a call is at least d.
+
+A failure with a mark below its index is never recorded: a refusal against
+an ancestor may have caused it, and such a goal can be derivable
+(tests/test_certify.py holds one).  Reading the memo keeps the rule true,
+as an underivable entry fails a node without a refusal.
 proof_tree reads only the underivable entries: a node they cut short would
 have failed anyway, the search being sound, so every tree and derivation is
 the one a search without the memo builds, and only steps are saved.  decide
@@ -289,16 +297,15 @@ class _Search:
         self.atomic_init = atomic_init
         self.memo = {} if memo is None else memo
         self.trust_derivable = trust_derivable
-        self.refusals = 0
+        # least history index a loop-check refusal in the current subtree
+        # pointed at; see "The memo of exact verdicts" above
+        self.mark = _NO_REFUSAL
 
     def run(self, goal: SetSequent) -> Optional[ProofNode]:
-        return self._node((goal,), True, None)
+        return self._node((goal,), None)
 
     def _node(
-        self,
-        history: tuple[SetSequent, ...],
-        well_placed: bool,
-        base: Optional[SetSequent],
+        self, history: tuple[SetSequent, ...], base: Optional[SetSequent]
     ) -> Optional[ProofNode]:
         """Search the last sequent of history; base is a saturated sequent
         it contains, if one is known (see saturate)."""
@@ -308,20 +315,18 @@ class _Search:
             return None
         if known and self.trust_derivable:
             return _KNOWN_DERIVABLE
-        refusals = self.refusals
-        node = self._expand(history, well_placed, base)
+        outer, self.mark = self.mark, _NO_REFUSAL
+        node = self._expand(history, base)
+        mark, self.mark = self.mark, min(outer, self.mark)
         if node is not None:
             self.memo[start] = self.memo[node.saturated] = True
-        elif well_placed or self.refusals == refusals:
+        elif mark >= len(history) - 1:
             # exact only then; see "The memo of exact verdicts" above
             self.memo[start] = False
         return node
 
     def _expand(
-        self,
-        history: tuple[SetSequent, ...],
-        well_placed: bool,
-        base: Optional[SetSequent],
+        self, history: tuple[SetSequent, ...], base: Optional[SetSequent]
     ) -> Optional[ProofNode]:
         start = history[-1]
         steps, sat = saturate(start, base)
@@ -333,13 +338,13 @@ class _Search:
         # branching static rules are invertible: the first one settles the node
         branch = next(iter_two_premiss_static_applications(sat), None)
         for app in (branch,) if branch is not None else transitional_applications(sat):
-            kids = self._try(h, app, well_placed)
+            kids = self._try(h, app)
             if kids is not None:
                 return ProofNode(start, steps, sat, None, app, kids)
         return None
 
     def _try(
-        self, h: tuple[SetSequent, ...], app: RuleApplication, well_placed: bool
+        self, h: tuple[SetSequent, ...], app: RuleApplication
     ) -> Optional[tuple[ProofNode, ...]]:
         """Evaluate an application's premisses left to right; None as soon as
         one premiss loops or is rejected, the remaining ones unexplored.
@@ -350,16 +355,28 @@ class _Search:
         kids = []
         for prem in app.premisses:
             self.budget.spend()
-            if loopcheck and any(prem <= old for old in h):
-                self.refusals += 1
-                return None
-            kid = self._node(h + (prem,), well_placed and not loopcheck, base)
+            if loopcheck:
+                witness = _deepest_container(h, prem)
+                if witness is not None:
+                    self.mark = min(self.mark, witness)
+                    return None
+            kid = self._node(h + (prem,), base)
             if kid is None:
                 return None
             kids.append(kid)
         return tuple(kids)
 
 
+def _deepest_container(h: tuple[SetSequent, ...], prem: SetSequent) -> Optional[int]:
+    """The greatest i with prem <= h[i], or None when the loop check lets
+    prem through."""
+    for i in range(len(h) - 1, -1, -1):
+        if prem <= h[i]:
+            return i
+    return None
+
+
+_NO_REFUSAL = float("inf")
 _EMPTY = SetSequent(frozenset(), frozenset())
 # Stands in, inside decide, for the tree of a goal the memo knows derivable.
 _KNOWN_DERIVABLE = ProofNode(_EMPTY, (), _EMPTY, None, None, ())

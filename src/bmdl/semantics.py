@@ -210,6 +210,20 @@ def model_to_json(m: MModel) -> dict:
     }
 
 
+def _names(data: object, what: str) -> frozenset[str]:
+    """A JSON list of names as a set; anything else, a string included,
+    raises ValueError."""
+    if not (isinstance(data, list) and all(isinstance(x, str) for x in data)):
+        raise ValueError(f"{what} must be a list of names")
+    return frozenset(data)
+
+
+def _pair(data: object) -> tuple[str, str]:
+    if not (isinstance(data, list) and len(data) == 2 and all(isinstance(x, str) for x in data)):
+        raise ValueError("every acc entry must be a pair of world names")
+    return data[0], data[1]
+
+
 def model_from_json(data: dict, close_rt: bool = False) -> MModel:
     """Rebuild a model from model_to_json output; data of another shape
     raises ValueError."""
@@ -220,15 +234,12 @@ def model_from_json(data: dict, close_rt: bool = False) -> MModel:
         raise ValueError('malformed model data: "worlds" must be a list of world names')
     try:
         worlds = tuple(worlds)
-        acc = frozenset((str(u), str(v)) for u, v in data.get("acc", []))
+        acc = frozenset(_pair(p) for p in data.get("acc", []))
         eta = {
-            str(w): tuple(
-                Generator(frozenset(map(str, g["base"])), frozenset(map(str, g["cond"])))
-                for g in gens
-            )
+            w: tuple(Generator(_names(g["base"], "base"), _names(g["cond"], "cond")) for g in gens)
             for w, gens in data.get("eta", {}).items()
         }
-        val = {str(w): frozenset(map(str, atoms)) for w, atoms in data.get("val", {}).items()}
+        val = {w: _names(atoms, f"val of {w}") for w, atoms in data.get("val", {}).items()}
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ValueError(f"malformed model data: {e}") from None
     if close_rt:

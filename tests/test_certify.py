@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -43,20 +44,60 @@ def _certify_keeping_memo(goal):
     return cert, memo
 
 
-@given(seed=st.integers(0, 2**32), from_assumptions=st.booleans())
-def test_every_memo_entry_is_the_exact_verdict(seed, from_assumptions):
+def _box_neg(n):
+    """|- ([]~)^n p: underivable, and its search loops at every level."""
+    return parse_sequent("|- " + "[]~" * n + "p")
+
+
+def _nested_s43(n):
+    """|- A_n, with A_0 = p0 and A_i = [](A_{i-1} -> []q_i) | []([]q_i -> A_{i-1}):
+    underivable in S4, and a nest of loop-checked alternatives."""
+    a = "p0"
+    for i in range(1, n + 1):
+        a = f"[]({a} -> []q{i}) | []([]q{i} -> {a})"
+    return parse_sequent("|- " + a)
+
+
+def _assert_memo_exact(goal, cert, memo):
+    """Check every entry of the memo certify filled against a memo-free search."""
+    assert memo[to_set_sequent(goal)] == cert.search.accepted
+    for ss, verdict in memo.items():
+        assert decide(ss, BUDGET, memo=_NoMemo()) == verdict, ss
+
+
+@given(seed=st.integers(0, 2**32), kind=st.sampled_from(("sequent", "assumptions", "deep")))
+def test_every_memo_entry_is_the_exact_verdict(seed, kind):
+    # random sequents seldom meet a loop check; assumption sets of modal
+    # depth 3 and 4 meet it more often
     rng = random.Random(seed)
-    if from_assumptions:
-        goal = reduction_sequent(random_assumptions(rng, rng.randint(1, 4)))
-    else:
+    if kind == "sequent":
         goal = random_sequent(rng, size=rng.randint(3, 8), width=rng.choice((2, 3)))
+    else:
+        depth = 2 if kind == "assumptions" else rng.randint(3, 4)
+        goal = reduction_sequent(random_assumptions(rng, rng.randint(1, 4), modal_depth=depth))
     try:
         cert, memo = _certify_keeping_memo(goal)
     except BudgetExceeded:
         assume(False)
-    assert memo[to_set_sequent(goal)] == cert.search.accepted
-    for ss, verdict in memo.items():
-        assert decide(ss, BUDGET, memo=_NoMemo()) == verdict, ss
+    _assert_memo_exact(goal, cert, memo)
+
+
+# A consistency goal with a failure whose refusal sits two calls below it
+# and points above it: a mark not passed up from the calls below records it.
+_DEEP_REFUSAL = "[](r & s | O(q / q)), []~[][](false -> q), []q, [](O(r / r) -> s & p) |- false"
+
+
+@pytest.mark.parametrize(
+    "goal",
+    [_box_neg(n) for n in range(1, 9)]
+    + [_nested_s43(n) for n in range(1, 6)]
+    + [parse_sequent(_DEEP_REFUSAL)],
+    ids=[f"box-neg-{n}" for n in range(1, 9)]
+    + [f"nested-s43-{n}" for n in range(1, 6)]
+    + ["deep-refusal"],
+)
+def test_every_memo_entry_is_the_exact_verdict_on_loop_heavy_goals(goal):
+    _assert_memo_exact(goal, *_certify_keeping_memo(goal))
 
 
 def test_a_failure_behind_a_loop_check_refusal_is_not_recorded():
@@ -73,6 +114,39 @@ def test_a_failure_behind_a_loop_check_refusal_is_not_recorded():
     # the well-placed root and its accepted nodes are recorded
     assert memo[to_set_sequent(goal)] is True
     assert all(decide(ss, memo=_NoMemo()) == v for ss, v in memo.items())
+
+
+def test_a_failure_whose_refusals_point_inside_its_own_suffix_is_recorded():
+    # Below |- []~[]~[]~p, Four leads to []~[]~p |- ~p, whose only Four
+    # premiss is that sequent again: refused against the node's own
+    # saturation.  Cut down to the node itself, the history makes the same
+    # refusal, so the failure is exact although a refusal caused it and the
+    # call is not well placed.
+    memo: dict = {}
+    assert proof_tree(_box_neg(3), memo=memo) is None
+    assert memo[to_set_sequent(parse_sequent("[]~[]~p |- ~p"))] is False
+    memo = {}
+    assert proof_tree(_box_neg(8), memo=memo) is None
+    assert len(memo) > 1  # more than the root
+    assert all(decide(ss, memo=_NoMemo()) == v for ss, v in memo.items())
+
+
+# Steps a certificate of each hard family spends, measured at this bound's
+# last change; a search change may lower a bound, never raise it.
+@pytest.mark.parametrize(
+    "goal, bound",
+    [
+        (_box_neg(12), 4_000),  # measured 3,657 steps, 17 worlds
+        (_nested_s43(7), 8_000),  # measured 7,115 steps, 100 worlds
+    ],
+    ids=["box-neg-12", "nested-s43-7"],
+)
+def test_a_hard_family_is_certified_within_its_bound(goal, bound):
+    b = Budget()
+    cert = certify(goal, b)
+    assert not cert.search.accepted
+    assert cert.countermodel is not None and cert.countermodel.certified
+    assert b.used <= bound
 
 
 def test_certify_gives_the_certificates_of_prove_and_build():

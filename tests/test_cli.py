@@ -244,8 +244,27 @@ def test_corpus_verb(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "raw",
-    ["5", '{"worlds": "ab"}', '{"worlds": [1, 2]}', '{"worlds": ["a"], "eta": []}'],
-    ids=["number", "worlds-string", "worlds-numbers", "eta-list"],
+    [
+        "5",
+        '{"worlds": "ab"}',
+        '{"worlds": [1, 2]}',
+        '{"worlds": ["a"], "eta": []}',
+        # a string where a list of names belongs is not read as its letters
+        '{"worlds": ["a"], "acc": [["a", "a"]], "val": {"a": "pq"}}',
+        '{"worlds": ["a"], "eta": {"a": [{"base": "a", "cond": ["a"]}]}}',
+        '{"worlds": ["a"], "eta": {"a": [{"base": ["a"], "cond": "a"}]}}',
+        '{"worlds": ["a"], "acc": ["aa"]}',
+    ],
+    ids=[
+        "number",
+        "worlds-string",
+        "worlds-numbers",
+        "eta-list",
+        "val-string",
+        "base-string",
+        "cond-string",
+        "acc-string",
+    ],
 )
 def test_malformed_model_json_exits_2(tmp_path, capsys, raw):
     f = tmp_path / "m.json"
@@ -257,6 +276,10 @@ def test_malformed_model_json_exits_2(tmp_path, capsys, raw):
     assert "Traceback" not in captured.err
 
 
+def _model_entry(expect):
+    return {"entries": [{"file": "m.json", "kind": "model", "expect": expect}]}
+
+
 @pytest.mark.parametrize(
     "manifest",
     [
@@ -265,11 +288,28 @@ def test_malformed_model_json_exits_2(tmp_path, capsys, raw):
         {"entries": [5]},
         {"entries": [{"kind": "sequent", "expect": {"derivable": True}}]},
         {"entries": [{"file": "one.seq", "kind": "sequent", "expect": [True]}]},
+        _model_entry({"valid": True, "facts": [{"formula": "p"}]}),
+        _model_entry({"facts": [{"world": "a", "formula": 5}]}),
+        _model_entry({"facts": [{"world": "a", "formula": "p", "holds": "no"}]}),
+        _model_entry({"facts": {"world": "a", "formula": "p"}}),
+        {"entries": [{"file": "one.seq", "kind": "derivation", "expect": {"assumptions": [5]}}]},
     ],
-    ids=["list", "entries-number", "entry-number", "no-file", "expect-list"],
+    ids=[
+        "list",
+        "entries-number",
+        "entry-number",
+        "no-file",
+        "expect-list",
+        "fact-without-world",
+        "fact-formula-number",
+        "fact-holds-string",
+        "facts-object",
+        "assumption-number",
+    ],
 )
 def test_malformed_manifest_exits_2(tmp_path, capsys, manifest):
     (tmp_path / "one.seq").write_text("|- p -> p\n")
+    (tmp_path / "m.json").write_text('{"worlds": ["a"], "acc": [["a", "a"]]}')
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     assert main(["corpus", str(tmp_path)]) == 2
     captured = capsys.readouterr()
