@@ -252,6 +252,9 @@ def _cmd_goal(args) -> int:
 
 
 def _cmd_consistent(args) -> int:
+    if not args.target and not args.assume:
+        _note("bmdl: nothing to check; give a problem file or --assume formulas")
+        return EXIT_USAGE
     assumptions = tuple(parse_formula(t) for t in args.assume or [])
     if args.target:
         path = Path(args.target)
@@ -260,9 +263,6 @@ def _cmd_consistent(args) -> int:
             return EXIT_USAGE
         prob = parse_problem(path.read_text())
         assumptions = prob.assumptions + assumptions
-    if not assumptions:
-        _note("bmdl: nothing to check; give a problem file or --assume formulas")
-        return EXIT_USAGE
     return _emit(
         args,
         *decide_consistency(

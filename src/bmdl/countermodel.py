@@ -20,19 +20,43 @@ The last step makes the syntactic reading of obligation conditions agree
 with their semantic truth sets, which is what lets a generator built from
 formula occurrences certify the obligation clause of the truth conditions.
 
-Each resolved world then spawns one witness per transitional application:
-the application's first underivable premiss, resolved in turn and shared
-globally, so a premiss already seen only contributes an accessibility
-edge.  The valuation makes an atom true exactly at the worlds carrying it
-on the left, and the obligation map of a world takes one generator per
+Each resolved world then gets one witness per transitional application,
+reached by an accessibility edge.  Premisses are taken in order, and the
+witness is the earliest world, in creation order, that already contains
+one of them componentwise (p <= resolved[w], the loop check's test), the
+new world itself included.  Only when no world contains any premiss is
+the application's first underivable premiss resolved into a new world.
+Reusing a containing world W for a premiss P is sound:
+
+  * W is resolved and underivable, as every world is;
+  * W.ante includes P.ante, which includes the boxed part of the source
+    world, so the edge respects every box there;
+  * W holds each active formula of P on the side that resolve(P) would:
+    the body on the left for D1 and D2, the body and the condition sides
+    for Mon, the Four formula on the right;
+  * P is underivable, by weakening, because W is;
+  * sharing a world by equal resolved sequents is the special case
+    W = resolve(P).  Resolution only adds formulas, so a premiss that no
+    world contains never resolves to an existing world's sequent: every
+    new world is a new sequent, and no lookup by sequent is needed.
+
+Reuse costs no oracle call and no new world.  The lookup keeps posting
+lists from (side, formula) to the worlds carrying the formula on that
+side, in creation order, and scans only the shortest list among P's
+formulas: every world containing P is on each of those lists, so the first
+one found there is the earliest overall, whatever the set iteration order.
+
+The valuation makes an atom true exactly at the worlds carrying it on the
+left, and the obligation map of a world takes one generator per
 obligation on its left, built from the occurrence sets of its body and
 condition among the world's successors.
 
 build certifies the result before returning it: the frame conditions are
 validated, every formula occurrence is audited against the truth
 conditions (left occurrences true, right occurrences false), and the goal
-must fail at the root world.  A certification failure raises
-CountermodelError rather than returning a bad model.
+must fail at the root world.  The audit and the root check share one memo
+of the model's truth sets; both run in full.  A certification failure
+raises CountermodelError rather than returning a bad model.
 """
 
 from __future__ import annotations
@@ -88,11 +112,12 @@ class _Builder:
         self.atomic_init = atomic_init
         self.memo = memo
         self.conds = conds
-        self.ids: dict[SetSequent, str] = {}
-        self.order: list[str] = []
-        self.resolved: dict[str, SetSequent] = {}
+        self.resolved: dict[str, SetSequent] = {}  # in creation order
         self.traces: dict[str, tuple[SetSequent, ...]] = {}
         self.edges: set[tuple[str, str]] = set()
+        # (side, formula) -> the worlds carrying formula on that side (0 the
+        # antecedent, 1 the succedent), in creation order
+        self.postings: dict[tuple[int, Formula], list[str]] = {}
 
     def underivable(self, ss: SetSequent) -> bool:
         """The oracle: underivability from the memo of exact verdicts,
@@ -146,29 +171,44 @@ class _Builder:
                 cur = right
             trace.append(cur)
 
+    def container(self, p: SetSequent) -> Optional[str]:
+        """The earliest world whose resolved sequent contains the transitional
+        premiss p componentwise, or None.  Every such world is on the posting
+        list of each formula of p (p has at least its active formula), so
+        scanning the shortest list finds the earliest."""
+        shortest = min(
+            [self.postings.get((0, f), ()) for f in p.ante]
+            + [self.postings.get((1, f), ()) for f in p.succ],
+            key=len,
+        )
+        return next((w for w in shortest if p <= self.resolved[w]), None)
+
     def explore(self, ss: SetSequent) -> str:
         resolved, trace = self.resolve(ss)
-        wid = self.ids.get(resolved)
-        if wid is not None:
-            return wid
-        wid = f"h{len(self.order)}"
-        self.ids[resolved] = wid
-        self.order.append(wid)
+        wid = f"h{len(self.resolved)}"
         self.resolved[wid] = resolved
         self.traces[wid] = trace
+        for side, fs in enumerate((resolved.ante, resolved.succ)):
+            for f in fs:
+                self.postings.setdefault((side, f), []).append(wid)
         for app in transitional_applications(resolved):
-            prem = next((p for p in app.premisses if self.underivable(p)), None)
-            if prem is None:
-                raise CountermodelError(
-                    f"every premiss of {app.rule.value} at "
-                    f"{print_sequent(from_set_sequent(resolved))} is derivable, "
-                    "yet the sequent itself was not"
-                )
-            self.edges.add((wid, self.explore(prem)))
+            witness = next(
+                (w for w in map(self.container, app.premisses) if w is not None), None
+            )
+            if witness is None:
+                prem = next((p for p in app.premisses if self.underivable(p)), None)
+                if prem is None:
+                    raise CountermodelError(
+                        f"every premiss of {app.rule.value} at "
+                        f"{print_sequent(from_set_sequent(resolved))} is derivable, "
+                        "yet the sequent itself was not"
+                    )
+                witness = self.explore(prem)
+            self.edges.add((wid, witness))
         return wid
 
     def finish(self) -> MModel:
-        worlds = tuple(self.order)
+        worlds = tuple(self.resolved)
         acc = rt_closure(worlds, frozenset(self.edges))
         onward: dict[str, set[str]] = {w: set() for w in worlds}
         for u, v in acc:
@@ -179,8 +219,7 @@ class _Builder:
         def left_of(f: Formula) -> frozenset[str]:
             got = occurs_left.get(f)
             if got is None:
-                got = frozenset(w for w in worlds if f in self.resolved[w].ante)
-                occurs_left[f] = got
+                got = occurs_left[f] = frozenset(self.postings.get((0, f), ()))
             return got
 
         val = {
@@ -202,13 +241,15 @@ class _Builder:
 
 
 def truth_lemma_audit(
-    model: MModel, resolved: Mapping[str, SetSequent]
+    model: MModel, resolved: Mapping[str, SetSequent], cache: Optional[dict] = None
 ) -> list[str]:
     """Check every formula occurrence of every world sequent against the
     model: left occurrences must be true there and right occurrences false.
-    Returns the violations as human-readable strings, empty on success."""
+    Returns the violations as human-readable strings, empty on success.
+    cache memoises truth sets of model, as for semantics.holds."""
     problems: list[str] = []
-    cache: dict = {}
+    if cache is None:
+        cache = {}
     for w in model.worlds:
         s = resolved[w]
         for f in sorted_formulas(s.ante):
@@ -252,10 +293,11 @@ def build(
         raise CountermodelError(
             "frame validation failed: " + "; ".join(str(v) for v in frame_bad)
         )
-    audit_bad = truth_lemma_audit(model, builder.resolved)
+    truth_sets: dict = {}  # of this model, shared by the audit and the root check
+    audit_bad = truth_lemma_audit(model, builder.resolved, truth_sets)
     if audit_bad:
         raise CountermodelError("truth audit failed: " + "; ".join(audit_bad))
-    if not falsifies(model, root, ms):
+    if not falsifies(model, root, ms, truth_sets):
         raise CountermodelError("the goal sequent still holds at the root world")
     return CounterModelResult(
         sequent=ms,

@@ -131,22 +131,24 @@ def test_a_failure_whose_refusals_point_inside_its_own_suffix_is_recorded():
     assert all(decide(ss, memo=_NoMemo()) == v for ss, v in memo.items())
 
 
-# Steps a certificate of each hard family spends, measured at this bound's
-# last change; a search change may lower a bound, never raise it.
+# Steps a certificate of each hard family spends and worlds its countermodel
+# has, measured at the bound's last change; a change may lower a bound,
+# never raise it.
 @pytest.mark.parametrize(
-    "goal, bound",
+    "goal, bound, worlds",
     [
-        (_box_neg(12), 4_000),  # measured 3,657 steps, 17 worlds
-        (_nested_s43(7), 8_000),  # measured 7,115 steps, 100 worlds
+        (_box_neg(12), 3_450, 11),  # measured 3,114 steps, 11 worlds
+        (_nested_s43(7), 8_000, 100),  # measured 7,115 steps, 100 worlds
     ],
     ids=["box-neg-12", "nested-s43-7"],
 )
-def test_a_hard_family_is_certified_within_its_bound(goal, bound):
+def test_a_hard_family_is_certified_within_its_bound(goal, bound, worlds):
     b = Budget()
     cert = certify(goal, b)
     assert not cert.search.accepted
     assert cert.countermodel is not None and cert.countermodel.certified
     assert b.used <= bound
+    assert len(cert.countermodel.model.worlds) <= worlds
 
 
 def test_certify_gives_the_certificates_of_prove_and_build():

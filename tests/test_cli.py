@@ -74,6 +74,14 @@ def test_consistent_requires_input(capsys):
     assert main(["consistent"]) == 2
 
 
+def test_a_problem_file_without_assumptions_is_the_empty_set(capsys):
+    # decided as the corpus replays it: consistent, with a certified model
+    code, data = run(capsys, "consistent", str(CORPUS / "empty.mdl"))
+    assert code == 0
+    assert data["assumptions"] == [] and data["consistent"] is True
+    assert data["countermodel"]["certified"] is True
+
+
 def test_check_model_valid_with_facts(capsys):
     code, data = run(
         capsys,

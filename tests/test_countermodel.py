@@ -1,18 +1,24 @@
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from bmdl import countermodel
+from bmdl.calculus import transitional_applications
+from bmdl.consistency import reduction_sequent
 from bmdl.countermodel import (
+    CountermodelError,
     build,
     model_of_json,
     result_to_json,
     truth_lemma_audit,
 )
 from bmdl.formula import SetSequent, to_set_sequent
-from bmdl.gen import random_sequent
+from bmdl.gen import random_assumptions, random_sequent
 from bmdl.parser import parse_sequent
 from bmdl.search import Budget, BudgetExceeded, decide
-from bmdl.semantics import falsifies, model_from_json, validate_frame
+from bmdl.semantics import MModel, falsifies, model_from_json, validate_frame
 
 UNDERIVABLE = [
     "|- false",
@@ -94,6 +100,55 @@ def test_audit_flags_a_doctored_world_map():
         w: SetSequent(ss.succ, ss.ante) for w, ss in res.resolved.items()
     }
     assert truth_lemma_audit(res.model, wrong)
+
+
+def test_a_doctored_root_is_refused(monkeypatch):
+    # the root's world sequent is emptied, so the audit checks nothing
+    # there, and so is the valuation, so p |- q holds at the root: only the
+    # root check can catch it
+    finish = countermodel._Builder.finish
+
+    def doctored(self):
+        m = finish(self)
+        self.resolved["h0"] = SetSequent(frozenset(), frozenset())
+        return MModel(m.worlds, m.acc, m.eta, {w: frozenset() for w in m.worlds})
+
+    monkeypatch.setattr(countermodel._Builder, "finish", doctored)
+    with pytest.raises(CountermodelError, match="still holds at the root"):
+        build(parse_sequent("p |- q"))
+
+
+@given(seed=st.integers(0, 2**32), kind=st.sampled_from(("sequent", "assumptions")))
+def test_every_transitional_application_has_a_witness_among_the_successors(seed, kind):
+    rng = random.Random(seed)
+    if kind == "sequent":
+        goal = random_sequent(rng, size=rng.randint(3, 8), width=rng.choice((2, 3)))
+    else:
+        goal = reduction_sequent(random_assumptions(rng, rng.randint(1, 4), modal_depth=rng.randint(2, 3)))
+    try:
+        res = build(goal, Budget(200_000))
+    except (BudgetExceeded, ValueError):  # ValueError: the goal is derivable
+        assume(False)
+    for w, ss in res.resolved.items():
+        onward = [res.resolved[v] for v in sorted(res.model.successors(w))]
+        for app in transitional_applications(ss):
+            assert any(p <= v for p in app.premisses for v in onward), (w, app.rule)
+
+
+def test_a_premiss_contained_in_an_existing_world_adds_no_world(monkeypatch):
+    # the Four premiss of |- []p, p is |- p, which the root contains: the
+    # root is its own witness, and the oracle is not asked about the premiss
+    asked = []
+
+    def spy(s, *args, **kwargs):
+        asked.append(s)
+        return decide(s, *args, **kwargs)
+
+    monkeypatch.setattr(countermodel, "decide", spy)
+    res = build(parse_sequent("|- []p, p"))
+    assert res.model.worlds == ("h0",)
+    assert res.model.acc == {("h0", "h0")}
+    assert asked == [to_set_sequent(parse_sequent("|- []p, p"))]
 
 
 def test_report_serialization():
