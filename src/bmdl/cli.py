@@ -52,11 +52,10 @@ from .kernel import (
 )
 from .parser import (
     ParseError,
+    Printer,
     parse_formula,
     parse_problem,
     parse_sequent,
-    print_formula,
-    print_sequent,
     read_sequent_file,
 )
 from .search import Budget, BudgetExceeded, DEFAULT_BUDGET
@@ -144,9 +143,10 @@ def decide_goal(
     prove after discharging the assumptions; the countermodel comes
     certified.  Yes (exit 0) when the verdict is the one the verb asks for."""
     res, cm = certify(reduction_sequent(assumptions, goal), budget, atomic_init=atomic_init)
+    show = Printer(unicode)
     report = {
-        "sequent": print_sequent(goal, unicode=unicode),
-        "assumptions": [print_formula(a, unicode=unicode) for a in assumptions],
+        "sequent": show.sequent(goal),
+        "assumptions": [show.formula(a) for a in assumptions],
         "derivable": res.accepted,
         "steps": res.steps_used,
     }
@@ -173,8 +173,9 @@ def decide_consistency(
     kernel checked against the assumptions; a consistent set comes with a
     certified countermodel unless with_model is off."""
     res = check_consistency(assumptions, budget, atomic_init=atomic_init, with_model=with_model)
+    show = Printer(unicode)
     report = {
-        "assumptions": [print_formula(a, unicode=unicode) for a in assumptions],
+        "assumptions": [show.formula(a) for a in assumptions],
         "consistent": res.consistent,
         "steps": res.steps_used,
     }
@@ -195,9 +196,9 @@ def check_model(
     holds."""
     violations = validate_frame(model)
     cache: dict = {}
+    show = Printer(unicode)
     evaluated = [
-        {"world": w, "formula": print_formula(f, unicode=unicode), "holds": holds(model, w, f, cache)}
-        for w, f in facts
+        {"world": w, "formula": show.formula(f), "holds": holds(model, w, f, cache)} for w, f in facts
     ]
     report = {
         "valid": not violations,
@@ -216,9 +217,10 @@ def check_proof(
     """check-proof: run the kernel over a derivation that may use the
     assumed sequents as Assumption leaves.  Yes when it checks; no with the
     kernel's error otherwise."""
+    show = Printer(unicode)
     report = {
-        "conclusion": print_sequent(derivation.conclusion, unicode=unicode),
-        "assumptions": [print_sequent(s, unicode=unicode) for s in assumed],
+        "conclusion": show.sequent(derivation.conclusion),
+        "assumptions": [show.sequent(s) for s in assumed],
     }
     try:
         check_derivation(derivation, assumed)

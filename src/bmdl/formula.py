@@ -8,13 +8,15 @@ structurally.
 Every formula node caches two values: its sort key, a nested tuple
 (tag, children's keys or the atom's name) that fixes a total structural
 order, and its hash, the dataclass hash of its fields.  Both are filled
-together on the node's first hash or sort key, not at construction, from
-the cached values of its children, and are reused from then on.  The fill
-walks down with an explicit stack to the deepest uncached nodes and fills
-bottom-up, so it needs no recursion and works at any nesting depth.  The
-cache changes no result: equality is still structural, the order is the
-one the nested key tuples define, and the hash values are the ones the
-dataclass hash gives, so sets iterate as they would without the cache.
+together from the cached values of the node's children, and are reused
+from then on.  A builder that makes trees bottom-up (the parser) fills
+each node as it makes it, with filled(), at O(1) per node.  Any other
+node is filled lazily, on its first hash or sort key: the fill walks down
+with an explicit stack to the deepest uncached nodes and fills bottom-up,
+so it needs no recursion and works at any nesting depth.  The cache
+changes no result: equality is still structural, the order is the one the
+nested key tuples define, and the hash values are the ones the dataclass
+hash gives, so sets iterate as they would without the cache.
 """
 
 from __future__ import annotations
@@ -107,6 +109,11 @@ _SHAPE = {
 }
 
 
+# The slots' own setters: they write the cache past the frozen __setattr__.
+_set_key = Formula._k.__set__
+_set_hash = Formula._h.__set__
+
+
 def _fill(f: Formula) -> None:
     """Cache the sort key and hash of f and of every uncached node below it,
     children first, with an explicit stack instead of recursion."""
@@ -131,12 +138,31 @@ def _fill(f: Formula) -> None:
             key = (tag, vals[0]._k) if len(vals) == 1 else (tag, vals[0]._k, vals[1]._k)
         stack.pop()
         # hash((field, ...)) as the dataclass hash has it, over cached child hashes
-        object.__setattr__(g, "_h", hash(vals))
-        object.__setattr__(g, "_k", key)
+        _set_hash(g, hash(vals))
+        _set_key(g, key)
+
+
+_TAG = {cls: tag for cls, (tag, _) in _SHAPE.items()}
+
+
+def filled(cls, *fields):
+    """cls(*fields) with its cache filled at once from the fields' caches:
+    the fields are filled formulas, or the name of an Atom.  It computes
+    what _fill would, for this one node."""
+    node = cls(*fields)
+    _set_hash(node, hash(fields))
+    if cls is Atom:
+        _set_key(node, (1, *fields))
+    elif len(fields) == 1:
+        _set_key(node, (_TAG[cls], fields[0]._k))
+    else:
+        _set_key(node, (_TAG[cls], fields[0]._k, fields[1]._k))
+    return node
 
 
 BOT = Bottom()
 TOP = Neg(BOT)
+_fill(TOP)  # and BOT below it: the parser hands both out as they are
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:

@@ -9,7 +9,7 @@ Grammar (ASCII, whitespace-insensitive):
     unary    :=  "~" unary | "[]" unary
               |  "O" "(" formula "/" formula ")"
               |  "false" | "true" | atom | "(" formula ")"
-    atom     :=  [a-z][a-zA-Z0-9_]*
+    atom     :=  a lowercase letter, then letters, digits and "_"
 
     sequent  :=  formulas? "|-" formulas?        comma-separated sides
     problem  :=  lines of "assume f" / "goal s" / "mode m" / "# comment"
@@ -19,10 +19,26 @@ nest at most MAX_NESTING levels deep, counting each "~" and "[]" and each
 formula started inside another (in parentheses, in "O( / )" or right of
 "->"); deeper input is a ParseError rather than a stack overflow in the
 parser or in a later recursive pass over the formula.
+
+Reading is one scan: a compiled regex (_TOKEN) splits the text into
+blanks and candidate tokens in a single call, and _tokenize turns each
+candidate into a plain (kind, text, line, column) tuple or raises the
+ParseError of the first bad character.  Letters may be non-ASCII; "O",
+"true" and "false" are tokens only as whole words ("Ox" is "O" then "x",
+"falsey" an atom).  The recursive-descent parser then builds each node
+with its sort key and hash already filled (formula.filled), children
+first, so the formula layer never walks a parsed tree to fill them; atoms
+of one parse are shared.
+
+Writing goes through one Printer per report: each distinct subformula is
+rendered once, from the cached (text, precedence) pairs of its children,
+and looked up after that.  print_formula and print_sequent are a Printer
+used once, without the memo.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +55,7 @@ from .formula import (
     Or,
     Sequent,
     TOP,
+    filled,
 )
 
 
@@ -55,85 +72,67 @@ class ParseError(ValueError):
         super().__init__(f"{line}:{col}: {message}{suffix}")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+# Blanks, then one candidate token: a word that starts with a word character
+# other than a decimal digit, "_" or an ASCII capital (_tokenize refuses a
+# start that is no lowercase letter), a two-character operator, or any
+# other single character, newline included.  Trailing blanks match nothing
+# and are left over.
+_TOKEN = re.compile(r"([ \t\r]*)([^\W\d_A-Z]\w*|\|-|->|\[\]|[^ \t\r])")
 
-
-_SIMPLE = {
+_KINDS = {
     "(": "LPAREN",
     ")": "RPAREN",
     ",": "COMMA",
     "/": "SLASH",
     "~": "NOT",
     "&": "AND",
+    "|": "OR",
+    "|-": "TURNSTILE",
+    "->": "ARROW",
+    "[]": "BOX",
+    "O": "OBL",
+    "false": "FALSE",
+    "true": "TRUE",
 }
 
-_KEYWORDS = {"false": "FALSE", "true": "TRUE"}
 
-
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """The tokens of text as (kind, text, line, column) tuples, ending in
+    an EOF token placed after the last character."""
+    tokens = []
+    append = tokens.append
     line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if c in _SIMPLE:
-            tokens.append(Token(_SIMPLE[c], c, line, start_col))
-            i += 1
-            col += 1
-        elif c == "|":
-            if i + 1 < n and text[i + 1] == "-":
-                tokens.append(Token("TURNSTILE", "|-", line, start_col))
-                i += 2
-                col += 2
-            else:
-                tokens.append(Token("OR", "|", line, start_col))
-                i += 1
-                col += 1
-        elif c == "-":
-            if i + 1 < n and text[i + 1] == ">":
-                tokens.append(Token("ARROW", "->", line, start_col))
-                i += 2
-                col += 2
-            else:
-                raise ParseError("stray '-'", line, start_col, ("->",))
-        elif c == "[":
-            if i + 1 < n and text[i + 1] == "]":
-                tokens.append(Token("BOX", "[]", line, start_col))
-                i += 2
-                col += 2
-            else:
-                raise ParseError("stray '['", line, start_col, ("[]",))
-        elif c == "O":
-            tokens.append(Token("OBL", "O", line, start_col))
-            i += 1
-            col += 1
-        elif c.isalpha() and c.islower():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            tokens.append(Token(_KEYWORDS.get(word, "IDENT"), word, line, start_col))
-            col += j - i
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, start_col)
-    tokens.append(Token("EOF", "", line, col))
+    for blanks, word in _TOKEN.findall(text):
+        col += len(blanks)
+        kind = _KINDS.get(word)
+        if kind is None:
+            c = word[0]
+            if c == "\n":
+                line += 1
+                col = 1
+                continue
+            if not (c.isalpha() and c.islower()):
+                raise _bad_character(c, line, col)
+            kind = "IDENT"
+        append((kind, word, line, col))
+        col += len(word)
+    append(("EOF", "", line, len(text) - text.rfind("\n")))
     return tokens
+
+
+def _bad_character(c: str, line: int, col: int) -> ParseError:
+    if c == "-":
+        return ParseError("stray '-'", line, col, ("->",))
+    if c == "[":
+        return ParseError("stray '['", line, col, ("[]",))
+    return ParseError(f"unexpected character {c!r}", line, col)
+
+
+def _unexpected(tok: tuple, what: str) -> ParseError:
+    kind, text, line, col = tok
+    return ParseError(
+        f"unexpected {text!r}" if kind != "EOF" else "unexpected end of input", line, col, (what,)
+    )
 
 
 class _Parser:
@@ -141,101 +140,86 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.atoms: dict[str, Atom] = {}
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.pos][0]
 
-    def next(self) -> Token:
+    def expect(self, kind: str, what: str) -> None:
         tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise _unexpected(tok, what)
         self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"unexpected {tok.text!r}" if tok.kind != "EOF" else "unexpected end of input",
-                tok.line,
-                tok.col,
-                (what,),
-            )
-        return self.next()
 
     def deeper(self) -> None:
         """Enter one more nesting level; the caller leaves it again."""
         if self.depth == MAX_NESTING:
-            tok = self.peek()
-            raise ParseError(
-                f"formula nested more than {MAX_NESTING} levels deep", tok.line, tok.col
-            )
+            _, _, line, col = self.tokens[self.pos]
+            raise ParseError(f"formula nested more than {MAX_NESTING} levels deep", line, col)
         self.depth += 1
 
     def formula(self) -> Formula:
         self.deeper()
         out = self.or_f()
-        if self.peek().kind == "ARROW":
-            self.next()
-            out = Imp(out, self.formula())
+        if self.tokens[self.pos][0] == "ARROW":
+            self.pos += 1
+            out = filled(Imp, out, self.formula())
         self.depth -= 1
         return out
 
     def or_f(self) -> Formula:
         out = self.and_f()
-        while self.peek().kind == "OR":
-            self.next()
-            out = Or(out, self.and_f())
+        while self.tokens[self.pos][0] == "OR":
+            self.pos += 1
+            out = filled(Or, out, self.and_f())
         return out
 
     def and_f(self) -> Formula:
         out = self.unary()
-        while self.peek().kind == "AND":
-            self.next()
-            out = And(out, self.unary())
+        while self.tokens[self.pos][0] == "AND":
+            self.pos += 1
+            out = filled(And, out, self.unary())
         return out
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind in ("NOT", "BOX"):
-            self.next()
+        tok = self.tokens[self.pos]
+        kind = tok[0]
+        self.pos += 1
+        if kind == "IDENT":
+            name = tok[1]
+            atom = self.atoms.get(name)
+            if atom is None:
+                atom = self.atoms[name] = filled(Atom, name)
+            return atom
+        if kind == "NOT" or kind == "BOX":
             self.deeper()
             f = self.unary()
             self.depth -= 1
-            return Neg(f) if tok.kind == "NOT" else Box(f)
-        if tok.kind == "OBL":
-            self.next()
+            return filled(Neg if kind == "NOT" else Box, f)
+        if kind == "LPAREN":
+            f = self.formula()
+            self.expect("RPAREN", ")")
+            return f
+        if kind == "OBL":
             self.expect("LPAREN", "(")
             body = self.formula()
             self.expect("SLASH", "/")
             cond = self.formula()
             self.expect("RPAREN", ")")
-            return Obl(body, cond)
-        if tok.kind == "FALSE":
-            self.next()
+            return filled(Obl, body, cond)
+        if kind == "FALSE":
             return BOT
-        if tok.kind == "TRUE":
-            self.next()
+        if kind == "TRUE":
             return TOP
-        if tok.kind == "IDENT":
-            self.next()
-            return Atom(tok.text)
-        if tok.kind == "LPAREN":
-            self.next()
-            f = self.formula()
-            self.expect("RPAREN", ")")
-            return f
-        raise ParseError(
-            f"unexpected {tok.text!r}" if tok.kind != "EOF" else "unexpected end of input",
-            tok.line,
-            tok.col,
-            ("a formula",),
-        )
+        raise _unexpected(tok, "a formula")
 
     def formula_list(self, stop: str) -> tuple[Formula, ...]:
-        if self.peek().kind == stop:
+        if self.peek() == stop:
             return ()
         out = [self.formula()]
-        while self.peek().kind == "COMMA":
-            self.next()
+        while self.peek() == "COMMA":
+            self.pos += 1
             out.append(self.formula())
         return tuple(out)
 
@@ -245,22 +229,23 @@ class _Parser:
         succ = self.formula_list("EOF")
         return Sequent(ante, succ)
 
+    def end(self) -> None:
+        kind, text, line, col = self.tokens[self.pos]
+        if kind != "EOF":
+            raise ParseError(f"trailing input {text!r}", line, col, ("end of input",))
+
 
 def parse_formula(text: str) -> Formula:
     p = _Parser(text)
     f = p.formula()
-    tok = p.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col, ("end of input",))
+    p.end()
     return f
 
 
 def parse_sequent(text: str) -> Sequent:
     p = _Parser(text)
     s = p.sequent()
-    tok = p.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col, ("end of input",))
+    p.end()
     return s
 
 
@@ -270,66 +255,94 @@ def parse_sequent(text: str) -> Sequent:
 _ASCII = {"not": "~", "box": "[]", "and": " & ", "or": " | ", "imp": " -> ", "bot": "false", "top": "true"}
 _UNICODE = {"not": "¬", "box": "□", "and": " ∧ ", "or": " ∨ ", "imp": " → ", "bot": "⊥", "top": "⊤"}
 
-# precedence levels: Imp 1 < Or 2 < And 3 < unary 4 < atomic 5
+# precedence levels: Imp 1 < Or 2 < And 3 < unary 4 < atomic 5; a child
+# printed where a level is required is parenthesised when its own is lower.
+# Per binary connective: its symbol, the levels required of its left and
+# right arguments, and its own level.
+_BINARY = {And: ("and", 3, 4, 3), Or: ("or", 2, 3, 2), Imp: ("imp", 2, 1, 1)}
 
 
-def _show(f: Formula, level: int, sym) -> str:
-    match f:
-        case Bottom():
-            return sym["bot"]
-        case Neg(Bottom()):
-            return sym["top"]
-        case Atom(name):
-            out, prec = name, 5
-        case Obl(b, c):
-            out, prec = f"O({_show(b, 0, sym)} / {_show(c, 0, sym)})", 5
-        case Neg(g):
-            out, prec = sym["not"] + _show(g, 4, sym), 4
-        case Box(g):
-            out, prec = sym["box"] + _show(g, 4, sym), 4
-        case And(l, r):
-            out, prec = _show(l, 3, sym) + sym["and"] + _show(r, 4, sym), 3
-        case Or(l, r):
-            out, prec = _show(l, 2, sym) + sym["or"] + _show(r, 3, sym), 2
-        case Imp(l, r):
-            out, prec = _show(l, 2, sym) + sym["imp"] + _show(r, 1, sym), 1
-        case _:
+class _NoMemo:
+    """The memo of a printer used once: it keeps nothing, so it never
+    hashes a formula."""
+
+    def get(self, f: Formula) -> None:
+        return None
+
+    def __setitem__(self, f: Formula, pair: tuple[str, int]) -> None:
+        pass
+
+
+class Printer:
+    """Minimal-parenthesis rendering of the formulas and sequents of one
+    report; the ASCII form reparses to what was printed.  Each distinct
+    subformula is rendered once, from its children's (text, precedence)
+    pairs, and looked up after that.  The memo is keyed by formulas, and
+    what it holds depends only on their structure, so the output does not
+    follow the hash seed.  A printer made with memo=False keeps none: it
+    serves print_formula and print_sequent, which print once, and a
+    formula built outside the parser would pay its lazy fill on the
+    memo's first hash."""
+
+    def __init__(self, unicode: bool = False, memo: bool = True):
+        self.unicode = unicode
+        self.sym = _UNICODE if unicode else _ASCII
+        self.pairs: dict[Formula, tuple[str, int]] = {} if memo else _NoMemo()
+
+    def formula(self, f: Formula) -> str:
+        return (self.pairs.get(f) or self._render(f))[0]
+
+    def sequent(self, s: Sequent) -> str:
+        pairs = self.pairs
+        return _sequent_text(
+            [(pairs.get(f) or self._render(f))[0] for f in s.ante],
+            [(pairs.get(f) or self._render(f))[0] for f in s.succ],
+            self.unicode,
+        )
+
+    def _render(self, f: Formula) -> tuple[str, int]:
+        """Render f, which is not in the memo yet, from its children's
+        pairs, rendering those first when they are not in it either (one
+        Python frame per nesting level, as in the parser)."""
+        pairs = self.pairs
+        sym = self.sym
+        t = type(f)
+        if t is Atom:
+            pair = f.name, 5
+        elif t is And or t is Or or t is Imp:
+            op, left, right, level = _BINARY[t]
+            lt, lp = pairs.get(f.l) or self._render(f.l)
+            rt, rp = pairs.get(f.r) or self._render(f.r)
+            pair = (
+                (lt if lp >= left else f"({lt})") + sym[op] + (rt if rp >= right else f"({rt})"),
+                level,
+            )
+        elif t is Neg or t is Box:
+            g = f.f
+            if t is Neg and type(g) is Bottom:
+                pair = sym["top"], 5
+            else:
+                text, prec = pairs.get(g) or self._render(g)
+                pair = sym["not" if t is Neg else "box"] + (text if prec >= 4 else f"({text})"), 4
+        elif t is Obl:
+            body = (pairs.get(f.body) or self._render(f.body))[0]
+            cond = (pairs.get(f.cond) or self._render(f.cond))[0]
+            pair = f"O({body} / {cond})", 5
+        elif t is Bottom:
+            pair = sym["bot"], 5
+        else:
             raise TypeError(f"not a formula: {f!r}")
-    return f"({out})" if prec < level else out
+        pairs[f] = pair
+        return pair
 
 
 def print_formula(f: Formula, unicode: bool = False) -> str:
     """Minimal-parenthesis rendering; the ASCII form reparses to f."""
-    return _show(f, 0, _UNICODE if unicode else _ASCII)
+    return Printer(unicode, memo=False).formula(f)
 
 
 def print_sequent(s: Sequent, unicode: bool = False) -> str:
-    return _sequent_text(
-        [print_formula(f, unicode) for f in s.ante],
-        [print_formula(f, unicode) for f in s.succ],
-        unicode,
-    )
-
-
-class Printer:
-    """print_formula and print_sequent for one report that prints the same
-    formulas many times: each distinct formula is rendered once, then looked
-    up."""
-
-    def __init__(self, unicode: bool = False):
-        self.unicode = unicode
-        self.texts: dict[Formula, str] = {}
-
-    def formula(self, f: Formula) -> str:
-        text = self.texts.get(f)
-        if text is None:
-            text = self.texts[f] = print_formula(f, self.unicode)
-        return text
-
-    def sequent(self, s: Sequent) -> str:
-        return _sequent_text(
-            [self.formula(f) for f in s.ante], [self.formula(f) for f in s.succ], self.unicode
-        )
+    return Printer(unicode, memo=False).sequent(s)
 
 
 def _sequent_text(ante_texts: list[str], succ_texts: list[str], unicode: bool) -> str:
@@ -360,30 +373,45 @@ class ProblemFile:
     mode: str = "consistency"
 
 
+def _content_lines(text: str):
+    """(line number, column of its first character, content) for each line
+    of text that holds something once its # comment and its surrounding
+    blanks are cut off."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0]
+        line = body.strip()
+        if line:
+            yield lineno, len(body) - len(body.lstrip()) + 1, line
+
+
+def _reanchored(e: ParseError, lineno: int, col: int) -> ParseError:
+    """e, raised in a one-line text that starts at (lineno, col) of a file,
+    placed at the file's line and column."""
+    return ParseError(e.message, lineno, col + e.col - 1, e.expected)
+
+
 def parse_problem(text: str) -> ProblemFile:
     assumptions: dict[Formula, None] = {}
     goal: Sequent | None = None
     mode: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, col, line in _content_lines(text):
         head, _, rest = line.partition(" ")
-        rest = rest.strip()
-        try:
-            if head == "assume":
-                assumptions[parse_formula(rest)] = None
-            elif head == "goal":
-                goal = parse_sequent(rest)
-            elif head == "mode":
-                if rest not in MODES:
-                    raise ParseError(f"unknown mode {rest!r}", lineno, 1, MODES)
-                mode = rest
-            else:
-                raise ParseError(f"unknown directive {head!r}", lineno, 1, ("assume", "goal", "mode"))
-        except ParseError as e:
-            # re-anchor formula-level errors at the problem-file line
-            raise ParseError(e.message, lineno, e.col, e.expected) from None
+        arg = rest.strip()
+        arg_col = col + len(line) - len(rest.lstrip())
+        if head == "mode":
+            if arg not in MODES:
+                raise ParseError(f"unknown mode {arg!r}", lineno, arg_col, MODES)
+            mode = arg
+        elif head == "assume" or head == "goal":
+            try:
+                if head == "assume":
+                    assumptions[parse_formula(arg)] = None
+                else:
+                    goal = parse_sequent(arg)
+            except ParseError as e:
+                raise _reanchored(e, lineno, arg_col) from None
+        else:
+            raise ParseError(f"unknown directive {head!r}", lineno, col, ("assume", "goal", "mode"))
     if mode is None:
         mode = "consistency" if goal is None else "prove"
     return ProblemFile(tuple(assumptions), goal, mode)
@@ -391,11 +419,9 @@ def parse_problem(text: str) -> ProblemFile:
 
 def read_sequent_file(path: Path) -> Sequent:
     """First meaningful line of a .seq file, # comments and blanks skipped."""
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            try:
-                return parse_sequent(line)
-            except ParseError as e:
-                raise ParseError(e.message, lineno, e.col, e.expected) from None
+    for lineno, col, line in _content_lines(path.read_text()):
+        try:
+            return parse_sequent(line)
+        except ParseError as e:
+            raise _reanchored(e, lineno, col) from None
     raise ParseError("file holds no sequent", 1, 1)

@@ -38,6 +38,10 @@ class MModel:
     val: Mapping[str, frozenset[str]]
 
     @cached_property
+    def _world_set(self) -> frozenset[str]:
+        return frozenset(self.worlds)
+
+    @cached_property
     def _succ(self) -> dict[str, frozenset[str]]:
         out: dict[str, set[str]] = {w: set() for w in self.worlds}
         for u, v in self.acc:
@@ -110,10 +114,15 @@ def validate_frame(m: MModel) -> list[FrameViolation]:
 
 
 def truth_set(m: MModel, f: Formula, cache: Optional[dict] = None) -> frozenset[str]:
-    """Worlds of m at which f holds."""
+    """Worlds of m at which f holds.  A cache passed in maps formulas to
+    their truth sets in m; it is read first and filled as f is evaluated."""
     if cache is None:
         cache = {}
-    all_worlds = frozenset(m.worlds)
+    else:
+        got = cache.get(f)
+        if got is not None:
+            return got
+    all_worlds = m._world_set
 
     def ev(f: Formula) -> frozenset[str]:
         got = cache.get(f)
@@ -154,7 +163,7 @@ def truth_set(m: MModel, f: Formula, cache: Optional[dict] = None) -> frozenset[
 
 
 def holds(m: MModel, w: str, f: Formula, cache: Optional[dict] = None) -> bool:
-    if w not in m.worlds:
+    if w not in m._world_set:
         raise ValueError(f"unknown world {w}")
     return w in truth_set(m, f, cache)
 

@@ -1,3 +1,7 @@
+import json
+from dataclasses import dataclass
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -5,24 +9,32 @@ from bmdl.formula import (
     And,
     Atom,
     BOT,
+    Bottom,
     Box,
+    Formula,
     Imp,
     Neg,
     Obl,
     Or,
     Sequent,
     TOP,
+    sort_key,
+    subformulas,
 )
+from bmdl.kernel import derivation_from_json
 from bmdl.parser import (
     ParseError,
+    Printer,
+    _tokenize,
     parse_formula,
     parse_problem,
     parse_sequent,
     print_formula,
     print_sequent,
+    read_sequent_file,
 )
 
-from conftest import formulas, sequents
+from conftest import CORPUS, formulas, sequents
 
 p, q, r, s = Atom("p"), Atom("q"), Atom("r"), Atom("s")
 
@@ -150,3 +162,296 @@ def test_trailing_input_is_rejected():
         parse_formula("p |- q")
     with pytest.raises(ParseError):
         parse_sequent("p |- q |- r")
+
+
+@pytest.mark.parametrize(
+    "text,line,col",
+    [
+        ("assume p &", 1, 11),
+        ("  assume   q |", 1, 15),
+        ("assume p &   # a comment", 1, 11),
+        ("# head\n\n\tassume (p  # unclosed", 3, 11),
+        ("assume p\ngoal  p |- q |- r # two turnstiles", 2, 14),
+        ("goal p, |- q", 1, 9),
+        ("  mode  sideways # not a mode", 1, 9),
+        ("   prove |- p", 1, 4),
+    ],
+)
+def test_problem_errors_carry_the_file_column(text, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+@pytest.mark.parametrize(
+    "text,line,col",
+    [
+        ("p |- q &", 1, 9),
+        ("   p |- q &   # trailing comment", 1, 12),
+        ("# comment\n\n  \t p - q", 3, 7),
+    ],
+)
+def test_sequent_file_errors_carry_the_file_column(tmp_path, text, line, col):
+    f = tmp_path / "bad.seq"
+    f.write_text(text)
+    with pytest.raises(ParseError) as err:
+        read_sequent_file(f)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+# ---------------------------------------------------------------------------
+# references: the character-by-character tokenizer and the recursive printer
+# the one-scan tokenizer and the Printer replaced, kept to hold them to
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+_SIMPLE = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", "/": "SLASH", "~": "NOT", "&": "AND"}
+_KEYWORDS = {"false": "FALSE", "true": "TRUE"}
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        start_col = col
+        if c in _SIMPLE:
+            tokens.append(Token(_SIMPLE[c], c, line, start_col))
+            i += 1
+            col += 1
+        elif c == "|":
+            if i + 1 < n and text[i + 1] == "-":
+                tokens.append(Token("TURNSTILE", "|-", line, start_col))
+                i += 2
+                col += 2
+            else:
+                tokens.append(Token("OR", "|", line, start_col))
+                i += 1
+                col += 1
+        elif c == "-":
+            if i + 1 < n and text[i + 1] == ">":
+                tokens.append(Token("ARROW", "->", line, start_col))
+                i += 2
+                col += 2
+            else:
+                raise ParseError("stray '-'", line, start_col, ("->",))
+        elif c == "[":
+            if i + 1 < n and text[i + 1] == "]":
+                tokens.append(Token("BOX", "[]", line, start_col))
+                i += 2
+                col += 2
+            else:
+                raise ParseError("stray '['", line, start_col, ("[]",))
+        elif c == "O":
+            tokens.append(Token("OBL", "O", line, start_col))
+            i += 1
+            col += 1
+        elif c.isalpha() and c.islower():
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            tokens.append(Token(_KEYWORDS.get(word, "IDENT"), word, line, start_col))
+            col += j - i
+            i = j
+        else:
+            raise ParseError(f"unexpected character {c!r}", line, start_col)
+    tokens.append(Token("EOF", "", line, col))
+    return tokens
+
+
+_ASCII = {"not": "~", "box": "[]", "and": " & ", "or": " | ", "imp": " -> ", "bot": "false", "top": "true"}
+_UNICODE = {"not": "¬", "box": "□", "and": " ∧ ", "or": " ∨ ", "imp": " → ", "bot": "⊥", "top": "⊤"}
+
+
+def _show(f: Formula, level: int, sym) -> str:
+    match f:
+        case Bottom():
+            return sym["bot"]
+        case Neg(Bottom()):
+            return sym["top"]
+        case Atom(name):
+            out, prec = name, 5
+        case Obl(b, c):
+            out, prec = f"O({_show(b, 0, sym)} / {_show(c, 0, sym)})", 5
+        case Neg(g):
+            out, prec = sym["not"] + _show(g, 4, sym), 4
+        case Box(g):
+            out, prec = sym["box"] + _show(g, 4, sym), 4
+        case And(l, r):
+            out, prec = _show(l, 3, sym) + sym["and"] + _show(r, 4, sym), 3
+        case Or(l, r):
+            out, prec = _show(l, 2, sym) + sym["or"] + _show(r, 3, sym), 2
+        case Imp(l, r):
+            out, prec = _show(l, 2, sym) + sym["imp"] + _show(r, 1, sym), 1
+        case _:
+            raise TypeError(f"not a formula: {f!r}")
+    return f"({out})" if prec < level else out
+
+
+def reference_print(f: Formula, unicode: bool = False) -> str:
+    return _show(f, 0, _UNICODE if unicode else _ASCII)
+
+
+def reference_print_sequent(s: Sequent, unicode: bool = False) -> str:
+    ante = ", ".join(reference_print(f, unicode) for f in s.ante)
+    succ = ", ".join(reference_print(f, unicode) for f in s.succ)
+    sep = "⊢" if unicode else "|-"
+    return " ".join(part for part in (ante, sep, succ) if part)
+
+
+def _tokens_or_error(tokenize, text: str):
+    try:
+        return [tuple(t) if isinstance(t, tuple) else (t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    except ParseError as e:
+        return ("error", e.message, e.line, e.col, e.expected)
+
+
+# Pieces of text near the grammar: its tokens and their prefixes, words that
+# only start like keywords, letters the tokenizer must accept or refuse
+# (non-ASCII lowercase, capitals, titlecase, digits that are not decimal,
+# decimal digits of other scripts), blanks and other characters.
+_PIECES = [
+    "p", "q", "dhe_2x", "x1", "_", "O", "Ox", "OO", "O(", "(", ")", ",", "/", "~", "&",
+    "|", "|-", "|->", "-", "->", "[", "[]", "]", "false", "true", "falsey", "truex", "pfalse",
+    "é", "ßx", "π", "Ä", "É", "A", "ǅ", "²", "٣", "0", "7", "@", "#", ":", ">",
+    " ", "  ", "\t", "\n", "\r", "\r\n", "\x0b", "　",
+]
+texts = st.one_of(
+    st.lists(st.sampled_from(_PIECES), max_size=30).map("".join),
+    st.text(max_size=20),
+)
+
+
+@given(texts)
+def test_tokenizer_matches_the_reference(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(reference_tokenize, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "", "  ", "p\n", "a\n  \n", "Ox", "falsey", "true1", "é_1 & Äb", "p - q", "[p", "p²q", "٣", "p |->q",
+        "ǅx", "ªb", "ᵃ", "ⅰ", "²", "_p", "\x0bp",
+    ],
+)
+def test_tokenizer_matches_the_reference_on_edge_cases(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(reference_tokenize, text)
+
+
+@given(formulas)
+def test_printer_matches_the_reference(f):
+    for unicode in (False, True):
+        assert print_formula(f, unicode) == reference_print(f, unicode)
+
+
+@given(st.lists(formulas, max_size=6), st.randoms(use_true_random=False))
+def test_one_printer_reused_across_shared_subformulas(fs, rng):
+    """One Printer per report: every formula and every subformula, in any
+    order, prints as the reference prints it alone."""
+    todo = [g for f in fs for g in subformulas(f)] + fs
+    rng.shuffle(todo)
+    for unicode in (False, True):
+        show = Printer(unicode)
+        for g in todo:
+            assert show.formula(g) == reference_print(g, unicode)
+        for s in (Sequent(tuple(fs[:2]), tuple(fs[2:])), Sequent((), tuple(fs))):
+            assert show.sequent(s) == print_sequent(s, unicode) == reference_print_sequent(s, unicode)
+
+
+def test_printing_once_leaves_a_built_formula_unfilled():
+    """print_formula and print_sequent keep no memo, so they never hash a
+    formula built outside the parser and never pay its lazy fill."""
+    f = Imp(Neg(Atom("p")), Obl(Box(Atom("q")), TOP))
+    print_formula(f)
+    print_sequent(Sequent((f,), (f,)), unicode=True)
+    assert not any(hasattr(g, "_k") for g in (f, f.l, f.r, f.r.body))
+
+
+def _rebuilt(f: Formula) -> Formula:
+    """f rebuilt through the plain constructors, its cache left to the lazy
+    fill."""
+    match f:
+        case Atom(name):
+            return Atom(name)
+        case Bottom():
+            return Bottom()
+        case Neg(g) | Box(g):
+            return type(f)(_rebuilt(g))
+        case And(l, r) | Or(l, r) | Imp(l, r) | Obl(l, r):
+            return type(f)(_rebuilt(l), _rebuilt(r))
+
+
+def _assert_filled_as_lazily(f: Formula) -> None:
+    """Every node of a parsed formula has its cache filled already, with
+    the values the lazy fill gives a copy built apart."""
+    for g in subformulas(f):
+        lazy = _rebuilt(g)
+        assert g == lazy
+        assert (g._k, g._h) == (sort_key(lazy), hash(lazy))
+
+
+@given(formulas)
+def test_parsed_nodes_are_filled_as_the_lazy_fill_fills_them(f):
+    _assert_filled_as_lazily(parse_formula(print_formula(f)))
+
+
+def _sides(s: Sequent) -> list[Formula]:
+    return list(s.ante + s.succ)
+
+
+def _corpus_formulas(path) -> tuple[list[Formula], list[str]]:
+    """What the parser reads from one corpus file: its formulas, and the
+    texts they were read from."""
+    if path.suffix == ".seq":
+        return _sides(read_sequent_file(path)), [path.read_text()]
+    if path.suffix == ".mdl":
+        prob = parse_problem(path.read_text())
+        return list(prob.assumptions) + (_sides(prob.goal) if prob.goal else []), [path.read_text()]
+    data = json.loads(path.read_text())
+    if path.name == "manifest.json":
+        expects = [e.get("expect", {}) for e in data["entries"]]
+        facts = [fact["formula"] for x in expects for fact in x.get("facts", [])]
+        assumed = [a for x in expects for a in x.get("assumptions", [])]
+        fs = [parse_formula(t) for t in facts] + [g for t in assumed for g in _sides(parse_sequent(t))]
+        return fs, facts + assumed
+    if "rule" not in data:
+        return [], []  # a model file
+    fs, nodes = [], [derivation_from_json(data)]
+    texts, todo = [], [data]
+    while nodes:
+        n = nodes.pop()
+        fs += _sides(n.conclusion) + list(n.principal)
+        nodes += n.children
+        node = todo.pop()
+        texts += [node["conclusion"], *node["principal"]]
+        todo += node["children"]
+    return fs, texts
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.iterdir()), ids=lambda p: p.name)
+def test_every_corpus_file_parses_as_the_references_read_it(path):
+    fs, texts = _corpus_formulas(path)
+    for text in texts:
+        for line in text.splitlines():
+            assert _tokens_or_error(_tokenize, line) == _tokens_or_error(reference_tokenize, line)
+    for f in fs:
+        _assert_filled_as_lazily(f)
+        assert print_formula(f) == reference_print(f)

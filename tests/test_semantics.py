@@ -1,9 +1,11 @@
 import json
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
-from bmdl.formula import Atom, BOT, Box, Imp, Neg, Obl, Or, Sequent
+from bmdl.formula import And, Atom, BOT, Bottom, Box, Imp, Neg, Obl, Or, Sequent
 from bmdl.parser import parse_formula
 from bmdl.semantics import (
     Generator,
@@ -18,7 +20,7 @@ from bmdl.semantics import (
     validate_frame,
 )
 
-from conftest import CORPUS
+from conftest import CORPUS, formulas
 
 p, q = Atom("p"), Atom("q")
 
@@ -172,6 +174,65 @@ def test_sequent_evaluation():
 def test_holds_rejects_unknown_worlds():
     with pytest.raises(ValueError):
         holds(_single(), "nowhere", p)
+
+
+def _random_model(rng: random.Random) -> MModel:
+    """A preordered model of 1-5 worlds with random generators inside
+    each R[w]; the frame conditions on generators are not enforced."""
+    worlds = tuple(f"w{i}" for i in range(rng.randint(1, 5)))
+    pairs = frozenset((rng.choice(worlds), rng.choice(worlds)) for _ in range(rng.randint(0, 6)))
+    acc = rt_closure(worlds, pairs)
+    eta, val = {}, {}
+    for w in worlds:
+        reach = sorted(v for u, v in acc if u == w)
+        eta[w] = tuple(
+            Generator(
+                frozenset(rng.sample(reach, rng.randint(1, len(reach)))),
+                frozenset(rng.sample(reach, rng.randint(0, len(reach)))),
+            )
+            for _ in range(rng.randint(0, 2))
+        )
+        val[w] = frozenset(a for a in "pqrs" if rng.random() < 0.5)
+    return MModel(worlds, acc, eta, val)
+
+
+def _holds_at(m: MModel, w: str, f) -> bool:
+    """The truth clauses read world by world, with no truth sets."""
+    match f:
+        case Bottom():
+            return False
+        case Atom(name):
+            return name in m.val[w]
+        case Neg(g):
+            return not _holds_at(m, w, g)
+        case And(l, r):
+            return _holds_at(m, w, l) and _holds_at(m, w, r)
+        case Or(l, r):
+            return _holds_at(m, w, l) or _holds_at(m, w, r)
+        case Imp(l, r):
+            return not _holds_at(m, w, l) or _holds_at(m, w, r)
+        case Box(g):
+            return all(_holds_at(m, v, g) for v in m.successors(w))
+        case Obl(body, cond):
+            reach = m.successors(w)
+            tb = {v for v in reach if _holds_at(m, v, body)}
+            tc = {v for v in reach if _holds_at(m, v, cond)}
+            return any(g.base <= tb and g.cond == tc for g in m.eta[w])
+
+
+@given(st.lists(formulas, min_size=1, max_size=6), st.randoms(use_true_random=False))
+def test_a_shared_cache_agrees_with_fresh_evaluation(fs, rng):
+    """truth_set and holds through one cache, asked again in another order,
+    give what a fresh cache and the world-by-world clauses give; an unknown
+    world is refused even for a cached formula."""
+    m = _random_model(rng)
+    cache: dict = {}
+    for f in fs + rng.sample(fs, len(fs)):
+        worlds = truth_set(m, f, cache)
+        assert worlds == truth_set(m, f) == {w for w in m.worlds if _holds_at(m, w, f)}
+        assert all(holds(m, w, f, cache) == (w in worlds) for w in m.worlds)
+        with pytest.raises(ValueError):
+            holds(m, "nowhere", f, cache)
 
 
 def test_rt_closure():
