@@ -133,7 +133,7 @@ class _Builder:
         cur = ss
         base = None  # the last saturated sequent, contained in cur
         while True:
-            steps, sat = saturate(cur, base)
+            steps, sat = saturate(cur, base, self.atomic_init)
             if steps:
                 cur = sat
                 trace.append(cur)

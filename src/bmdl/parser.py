@@ -395,9 +395,10 @@ def parse_problem(text: str) -> ProblemFile:
     goal: Sequent | None = None
     mode: str | None = None
     for lineno, col, line in _content_lines(text):
-        head, _, rest = line.partition(" ")
-        arg = rest.strip()
-        arg_col = col + len(line) - len(rest.lstrip())
+        # the directive ends at the first blank, a tab as much as a space
+        head, *rest = line.split(None, 1)
+        arg = rest[0] if rest else ""
+        arg_col = col + len(line) - len(arg)
         if head == "mode":
             if arg not in MODES:
                 raise ParseError(f"unknown mode {arg!r}", lineno, arg_col, MODES)

@@ -4,13 +4,15 @@ The search works on a history, a nonempty list of set sequents whose last
 entry is the current goal.  A goal is first saturated under the one-premiss
 static rules (replacing it in the history), then closed if it is initial.
 Otherwise, if a two-premiss static rule (AndR, OrL, ImpL) applies, the
-search commits to the first such application: the goal is accepted exactly
-when both of its premisses are, and no other rule is tried.  Only a goal
-that no static rule changes is attacked with the transitional rules, each
-application in turn.  Transitional premisses are loop checked: a premiss is
-refused when it is componentwise contained in some sequent of the history,
-the current one included.  Static premisses need no check because the
-application filter keeps only strictly growing premisses.
+search commits to the first such application: the goal is accepted when
+both of its premisses are, or when one is by a proof that does not read
+what that premiss added (the use-check, below), and no other rule is
+tried.  Only a goal that no static rule changes is attacked with the
+transitional rules, each application in turn.  Transitional premisses are
+loop checked: a premiss is refused when it is componentwise contained in
+some sequent of the history, the current one included.  Static premisses
+need no check because the application filter keeps only strictly growing
+premisses.
 
 Why committing is complete.  Static premisses are supersets of their
 conclusion, and weakening is height-preserving admissible, so a static rule
@@ -79,7 +81,11 @@ base has a productive move at s, and the agenda may be seeded with the
 formulas of s outside base.  The static premisses of a branching
 application contain the saturated sequent they come from, and the builder's
 refinements contain the world sequent they refine, so both saturate from
-there.
+there.  Saturation stops at the first move that closes the sequent (Init,
+on atoms alone under atomic_init, or BottomL), and a start that is already
+closed makes no move: what a closed sequent derives needs no more
+formulas.  The builder saturates underivable sequents only, which never
+close, so its worlds are saturated in full.
 
 The memo of exact verdicts.  The searches made for one certificate (the
 top-level search and every oracle search of the countermodel built after
@@ -124,19 +130,66 @@ the failure of a derivable sequent, so its root verdict stays exact.  A memo
 lives for one certify or build call (or one search when none is given) and
 one atomic_init setting; nothing is cached across calls.
 
+Relevance and the use-check.  Every accepted node carries its uses: the
+(side, formula) pairs of its start sequent that its proof reads, as a
+SetSequent, sided because a formula read on the left is not the one a move
+added on the right.  They are computed bottom-up when a node is accepted,
+so failed nodes pay nothing.  A closing rule uses its principal on each
+side it reads.  A branching rule uses its principal, and each premiss
+proof's uses that lie in the saturated sequent; the formula the premiss
+added is its own.  A transitional rule uses its principals, and the boxed
+antecedent formulas its premiss proofs use; the rest of a transitional
+premiss is its active formulas, which the conclusion need not hold.  The
+saturation moves are then walked back from the saturated sequent: a move
+is kept when it added a used formula, and then its additions leave the use
+set and its principal joins it; every other move is dropped.  What is left
+is a subset of the start.
+
+Kept moves never read an unused formula: each kept move's principal is in
+the use set where the move is made, so it is one of the start's used
+formulas or was added by an earlier kept move.  So a proof replays at any
+sequent that holds its uses, whatever else the set sequent the search
+worked on held.  Hence:
+
+  * Soundness.  At a branching node whose premiss proof does not use the
+    formula that premiss added, that proof reads only formulas of the
+    saturated conclusion, so it replays at the conclusion as it is; the
+    node is accepted on that proof alone, and when it is the first
+    premiss's, the second premiss is never searched.  This is the
+    use-check of tableau provers (Horrocks & Patel-Schneider, "Optimizing
+    description logic subsumption", 1999).  A node that decide accepts
+    from a derivable memo entry has no tree and no known uses; its uses
+    are None, which blocks the use-check above it, since counting them as
+    empty would accept a conclusion that the premiss's hidden proof needs
+    the added formula for.
+  * Completeness.  The use-check only turns into acceptance what would
+    otherwise be searched further; it never fails a node.  In the argument
+    above, a well-placed branching node on a derivable goal has a first
+    premiss that succeeds; either the use-check accepts the node, or the
+    second premiss is searched, is well placed and succeeds.  Early closure
+    only accepts sooner.  So a well-placed call on a derivable goal still
+    succeeds, and the root verdict is exact.
+  * The low-water mark.  Its argument needs the cut-down call to expand
+    exactly as the node did, and it still does: expansion is deterministic
+    given the refusals it meets and the memo, which holds exact verdicts
+    only.  The cut call meets the same refusals, so it accepts the same
+    subtrees with the same use sets and takes the same use-checks.
+
 Accepted goals come back as a tree of ProofNode records, which
 assemble_derivation turns into an exact multiset derivation for the kernel.
 The translation keeps one invariant: the multiset conclusion built for a
-node always has the node's set sequent as its support, so the kernel-level
-premisses of each rule line up with the set-level premisses the search used
-and no weakening or contraction is ever inserted.
+node contains, as a set, the formulas its proof uses and is contained in
+the node's start; the root's is the goal itself.  The kept moves and the
+closing or transitional rule need only the used formulas to be present, so
+the kernel-level premisses of each rule carry every formula the proof
+above them reads, and no weakening or contraction is ever inserted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .calculus import (
     ONE_PREMISS_MOVES,
@@ -149,6 +202,8 @@ from .calculus import (
 from .formula import (
     Atom,
     BOT,
+    Bottom,
+    Box,
     Formula,
     Sequent,
     SetSequent,
@@ -187,20 +242,32 @@ class Budget:
         return b if isinstance(b, Budget) else cls(b)
 
 
-@dataclass(frozen=True)
-class SatStep:
-    """One saturation move: the rule, its principal, and the set sequent it
-    produced."""
+class SatStep(NamedTuple):
+    """One saturation move: the rule, its principal, and the formulas it
+    added to the antecedent and to the succedent, those it would add that
+    were not there yet."""
 
     rule: RuleId
     principal: tuple[Formula, ...]
-    result: SetSequent
+    new_ante: tuple[Formula, ...]
+    new_succ: tuple[Formula, ...]
+
+
+def _shares(new_ante, new_succ, ante: frozenset, succ: frozenset, atomic_init: bool) -> bool:
+    """Whether a formula just added to one side of the sequent ante |- succ
+    is on the other side too, so that Init closes it (on an atom alone
+    under atomic_init)."""
+    if atomic_init:
+        shared = succ.intersection(new_ante) | ante.intersection(new_succ)
+        return any(type(g) is Atom for g in shared)
+    return not (succ.isdisjoint(new_ante) and ante.isdisjoint(new_succ))
 
 
 def saturate(
-    s: SetSequent, base: Optional[SetSequent] = None
+    s: SetSequent, base: Optional[SetSequent] = None, atomic_init: bool = False
 ) -> tuple[tuple[SatStep, ...], SetSequent]:
-    """Close s under the one-premiss static rules, recording the moves.
+    """Close s under the one-premiss static rules, recording the moves,
+    until the sequent closes.
 
     Each move is the first productive one-premiss move in the fixed order,
     antecedent before succedent and each side in sort_key order, taken from
@@ -209,16 +276,24 @@ def saturate(
     it first appears there, and leaves it for good when it is popped, either
     unproductive or spent by its own move.  The agenda is ordered by side,
     then sort_key: one heap of (sort_key, formula) entries per side, the
-    antecedent's drained first.  base, when given, must be a saturated
-    sequent contained in s; then only the formulas of s outside base enter
-    the agenda.  Each formula of the finite subformula universe enters each
-    side's heap at most once, so saturation ends.
+    antecedent's drained first.  Saturation stops after the first move that
+    closes the sequent, by BottomL or by Init under atomic_init, and makes
+    none when s is closed.  base, when given, must be a saturated sequent
+    contained in s that is not closed; then only the formulas of s outside
+    base enter the agenda and are checked for closing it.  Each formula of
+    the finite subformula universe enters each side's heap at most once, so
+    saturation ends.
     """
     ante, succ = s.ante, s.succ
+    if base is None:
+        fresh_ante, fresh_succ = ante, succ
+        closed = BOT in ante or _shares(ante, (), ante, succ, atomic_init)
+    else:
+        fresh_ante, fresh_succ = ante - base.ante, succ - base.succ
+        closed = BOT in fresh_ante or _shares(fresh_ante, fresh_succ, ante, succ, atomic_init)
+    if closed:
+        return (), s
     moves_ante, moves_succ = ONE_PREMISS_MOVES
-    fresh_ante, fresh_succ = (
-        (ante, succ) if base is None else (ante - base.ante, succ - base.succ)
-    )
     at_ante = [(sort_key(f), f) for f in fresh_ante if type(f) in moves_ante]
     at_succ = [(sort_key(f), f) for f in fresh_succ if type(f) in moves_succ]
     heapify(at_ante)
@@ -234,21 +309,27 @@ def saturate(
         if move is None:
             continue  # unproductive here, so at every later, larger sequent
         rule, add_ante, add_succ = move
-        new = [g for g in add_ante if g not in ante]
-        if new:
-            ante = ante.union(new)
-            for g in new:
-                if type(g) in moves_ante:
-                    heappush(at_ante, (sort_key(g), g))
-        new = [g for g in add_succ if g not in succ]
-        if new:
-            succ = succ.union(new)
-            for g in new:
-                if type(g) in moves_succ:
-                    heappush(at_succ, (sort_key(g), g))
-        s = SetSequent(ante, succ)
-        steps.append(SatStep(rule, (f,), s))
-    return tuple(steps), s
+        new_ante = new_succ = ()
+        if add_ante:
+            new_ante = tuple([g for g in add_ante if g not in ante])
+            if new_ante:
+                ante = ante.union(new_ante)
+                for g in new_ante:
+                    if type(g) in moves_ante:
+                        heappush(at_ante, (sort_key(g), g))
+        if add_succ:
+            new_succ = tuple([g for g in add_succ if g not in succ])
+            if new_succ:
+                succ = succ.union(new_succ)
+                for g in new_succ:
+                    if type(g) in moves_succ:
+                        heappush(at_succ, (sort_key(g), g))
+        steps.append(SatStep(rule, (f,), new_ante, new_succ))
+        if Bottom in map(type, new_ante) or _shares(new_ante, new_succ, ante, succ, atomic_init):
+            break
+    if not steps:
+        return (), s
+    return tuple(steps), SetSequent(ante, succ)
 
 
 def closure_of(
@@ -265,16 +346,82 @@ def closure_of(
     return None
 
 
-@dataclass(frozen=True)
-class ProofNode:
-    """Accepted search node.  Exactly one of closure and application is set."""
+class ProofNode(NamedTuple):
+    """Accepted search node.  steps are the saturation moves its derivation
+    replays, the used ones alone, and at most one of closure and
+    application is set; uses are the formulas of the node's start that its
+    proof uses (see "Relevance and the use-check" above), None when they
+    are unknown."""
 
-    start: SetSequent
     steps: tuple[SatStep, ...]
-    saturated: SetSequent
     closure: Optional[tuple[RuleId, tuple[Formula, ...]]]
     application: Optional[RuleApplication]
     children: tuple["ProofNode", ...]
+    uses: Optional[SetSequent]
+
+
+# How many leading principals of each rule sit in the antecedent; the rest
+# sit in the succedent.
+_LEFT_PRINCIPALS = {
+    RuleId.NEG_L: 1,
+    RuleId.AND_L: 1,
+    RuleId.T: 1,
+    RuleId.NEG_R: 0,
+    RuleId.OR_R: 0,
+    RuleId.IMP_R: 0,
+    RuleId.AND_R: 0,
+    RuleId.OR_L: 1,
+    RuleId.IMP_L: 1,
+    RuleId.D1: 1,
+    RuleId.D2: 2,
+    RuleId.MON: 1,
+    RuleId.FOUR: 0,
+}
+
+
+def _relevant(
+    steps: tuple[SatStep, ...], used: SetSequent
+) -> tuple[tuple[SatStep, ...], SetSequent]:
+    """The moves of steps that add a formula used after them, and what the
+    start of steps must hold: used walked back through the kept moves."""
+    if not steps:
+        return (), used
+    ante, succ = set(used.ante), set(used.succ)
+    kept = []
+    for step in reversed(steps):
+        if ante.isdisjoint(step.new_ante) and succ.isdisjoint(step.new_succ):
+            continue
+        kept.append(step)
+        ante.difference_update(step.new_ante)
+        succ.difference_update(step.new_succ)
+        (ante if _LEFT_PRINCIPALS[step.rule] else succ).add(step.principal[0])
+    kept.reverse()
+    return tuple(kept), SetSequent(frozenset(ante), frozenset(succ))
+
+
+def _rule_uses(
+    app: RuleApplication, sat: SetSequent, kids: tuple[ProofNode, ...]
+) -> Optional[SetSequent]:
+    """What an application at sat uses, given its premisses' proofs: its
+    principals, and what those proofs use of sat; of a transitional
+    premiss, only the boxed antecedent formulas are sat's."""
+    ante: set[Formula] = set()
+    succ: set[Formula] = set()
+    for kid in kids:
+        if kid.uses is None:
+            return None
+        ante.update(kid.uses.ante)
+        succ.update(kid.uses.succ)
+    if app.rule in TRANSITIONAL:
+        ante = {f for f in ante if type(f) is Box and f in sat.ante}
+        succ.clear()
+    else:
+        ante.intersection_update(sat.ante)
+        succ.intersection_update(sat.succ)
+    n = _LEFT_PRINCIPALS[app.rule]
+    ante.update(app.principal[:n])
+    succ.update(app.principal[n:])
+    return SetSequent(frozenset(ante), frozenset(succ))
 
 
 class _Search:
@@ -319,7 +466,7 @@ class _Search:
         node = self._expand(history, base)
         mark, self.mark = self.mark, min(outer, self.mark)
         if node is not None:
-            self.memo[start] = self.memo[node.saturated] = True
+            self.memo[start] = True
         elif mark >= len(history) - 1:
             # exact only then; see "The memo of exact verdicts" above
             self.memo[start] = False
@@ -329,38 +476,76 @@ class _Search:
         self, history: tuple[SetSequent, ...], base: Optional[SetSequent]
     ) -> Optional[ProofNode]:
         start = history[-1]
-        steps, sat = saturate(start, base)
+        steps, sat = saturate(start, base, self.atomic_init)
         self.budget.spend(1 + len(steps))
         cl = closure_of(sat, self.atomic_init)
         if cl is not None:
-            return ProofNode(start, steps, sat, cl, None, ())
+            rule, principal = cl
+            used = _BOTTOM_USED if rule is RuleId.BOTTOM_L else SetSequent(
+                frozenset(principal), frozenset(principal)
+            )
+            return self._accept(sat, steps, used, ProofNode((), cl, None, (), None))
         h = history[:-1] + (sat,)
-        # branching static rules are invertible: the first one settles the node
         branch = next(iter_two_premiss_static_applications(sat), None)
-        for app in (branch,) if branch is not None else transitional_applications(sat):
+        if branch is not None:
+            return self._branch(h, steps, branch)
+        for app in transitional_applications(sat):
             kids = self._try(h, app)
             if kids is not None:
-                return ProofNode(start, steps, sat, None, app, kids)
+                above = ProofNode((), None, app, kids, None)
+                return self._accept(sat, steps, _rule_uses(app, sat, kids), above)
         return None
+
+    def _branch(
+        self, h: tuple[SetSequent, ...], steps: tuple[SatStep, ...], app: RuleApplication
+    ) -> Optional[ProofNode]:
+        """Settle the node at the saturated h[-1] by the first branching
+        application: branching static rules are invertible.  Premisses
+        contain h[-1] and start their saturation from it.  A premiss whose
+        proof does not use what it added proves h[-1] itself, and the rest
+        are never searched (the use-check)."""
+        sat = h[-1]
+        kids = []
+        for prem in app.premisses:
+            self.budget.spend()
+            kid = self._node(h + (prem,), sat)
+            if kid is None:
+                return None
+            if kid.uses is not None and kid.uses <= sat:
+                return self._accept(sat, steps, kid.uses, kid)
+            kids.append(kid)
+        above = ProofNode((), None, app, tuple(kids), None)
+        return self._accept(sat, steps, _rule_uses(app, sat, above.children), above)
+
+    def _accept(
+        self,
+        sat: SetSequent,
+        steps: tuple[SatStep, ...],
+        used: Optional[SetSequent],
+        above: ProofNode,
+    ) -> ProofNode:
+        """The accepted node that saturates by steps to sat and then goes on
+        as the proof above, which uses used of sat."""
+        self.memo[sat] = True
+        if used is None:
+            return _KNOWN_DERIVABLE
+        kept, uses = _relevant(steps, used)
+        return ProofNode(kept + above.steps, above.closure, above.application, above.children, uses)
 
     def _try(
         self, h: tuple[SetSequent, ...], app: RuleApplication
     ) -> Optional[tuple[ProofNode, ...]]:
-        """Evaluate an application's premisses left to right; None as soon as
-        one premiss loops or is rejected, the remaining ones unexplored.
-        Only transitional premisses are loop checked; static ones contain
-        the saturated h[-1] and start their saturation from it."""
-        loopcheck = app.rule in TRANSITIONAL
-        base = None if loopcheck else h[-1]
+        """Evaluate a transitional application's premisses left to right,
+        each loop checked; None as soon as one premiss loops or is
+        rejected, the remaining ones unexplored."""
         kids = []
         for prem in app.premisses:
             self.budget.spend()
-            if loopcheck:
-                witness = _deepest_container(h, prem)
-                if witness is not None:
-                    self.mark = min(self.mark, witness)
-                    return None
-            kid = self._node(h + (prem,), base)
+            witness = _deepest_container(h, prem)
+            if witness is not None:
+                self.mark = min(self.mark, witness)
+                return None
+            kid = self._node(h + (prem,), None)
             if kid is None:
                 return None
             kids.append(kid)
@@ -377,9 +562,11 @@ def _deepest_container(h: tuple[SetSequent, ...], prem: SetSequent) -> Optional[
 
 
 _NO_REFUSAL = float("inf")
-_EMPTY = SetSequent(frozenset(), frozenset())
-# Stands in, inside decide, for the tree of a goal the memo knows derivable.
-_KNOWN_DERIVABLE = ProofNode(_EMPTY, (), _EMPTY, None, None, ())
+_BOTTOM_USED = SetSequent(frozenset({BOT}), frozenset())
+# Stands in, inside decide, for the tree of an accepted goal whose uses are
+# unknown: one the memo knows derivable, or one whose proof rests on such a
+# goal.  decide reads no tree, only whether there is one.
+_KNOWN_DERIVABLE = ProofNode((), None, None, (), None)
 
 
 def proof_tree(
@@ -415,10 +602,11 @@ def decide(
 def assemble_derivation(node: ProofNode, target: Sequent) -> Derivation:
     """Turn an accepted search tree into a kernel derivation of target.
 
-    Requires the support of target to be node.start.  Saturation moves are
-    replayed as one-premiss inferences on the multiset sequent, then the
-    node's closing rule or branching application is emitted with the exact
-    premisses the kernel schema computes at that multiset conclusion.
+    Requires target, as a set, to contain node.uses and to lie within the
+    node's start.  The used saturation moves, node.steps, are replayed as
+    one-premiss inferences on the multiset sequent, then the node's closing
+    rule or branching application is emitted with the exact premisses the
+    kernel schema computes at that multiset conclusion.
     """
     chain: list[tuple[Sequent, RuleId, tuple[Formula, ...]]] = []
     cur = target

@@ -44,7 +44,8 @@ def test_one_premiss_rules_copy_their_principal():
     (step,), sat = saturate(s)
     assert step.rule == RuleId.AND_L and step.principal == (And(p, q),)
     assert And(p, q) in sat.ante
-    assert sat == step.result == set_sequent([And(p, q), p, q], [r])
+    assert sat == set_sequent([And(p, q), p, q], [r])
+    assert (step.new_ante, step.new_succ) == ((p, q), ())
 
 
 def test_one_premiss_rules_skip_settled_principals():

@@ -138,7 +138,7 @@ def test_a_failure_whose_refusals_point_inside_its_own_suffix_is_recorded():
     "goal, bound, worlds",
     [
         (_box_neg(12), 3_450, 11),  # measured 3,114 steps, 11 worlds
-        (_nested_s43(7), 8_000, 100),  # measured 7,115 steps, 100 worlds
+        (_nested_s43(7), 5_987, 100),  # measured 5,987 steps, 100 worlds
     ],
     ids=["box-neg-12", "nested-s43-7"],
 )

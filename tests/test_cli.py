@@ -40,6 +40,19 @@ def test_prove_reads_problem_files(capsys):
     assert data["assumptions"]
 
 
+def test_prove_reads_a_problem_file_with_a_tab_after_its_directive(tmp_path, capsys):
+    f = tmp_path / "tabbed.mdl"
+    f.write_text("assume\tp -> q\ngoal\tp |- q\n")
+    code, data = run(capsys, "prove", str(f))
+    assert code == 0 and data["derivable"]
+    assert data["assumptions"] == ["p -> q"]
+    # without the .mdl suffix the directive alone marks it a problem file
+    g = tmp_path / "tabbed.txt"
+    g.write_text("goal\t|- p -> p\n")
+    code, data = run(capsys, "prove", str(g))
+    assert code == 0 and data["sequent"] == "|- p -> p"
+
+
 def _walk(node):
     yield node
     for child in node["children"]:

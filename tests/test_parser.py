@@ -175,12 +175,24 @@ def test_trailing_input_is_rejected():
         ("goal p, |- q", 1, 9),
         ("  mode  sideways # not a mode", 1, 9),
         ("   prove |- p", 1, 4),
+        # a tab ends a directive as a space does, and counts one column
+        ("goal\t|- p &", 1, 12),
+        ("assume\t\tp &", 1, 12),
+        ("goal \t p, |- q", 1, 11),
+        ("mode\tsideways", 1, 6),
     ],
 )
 def test_problem_errors_carry_the_file_column(text, line, col):
     with pytest.raises(ParseError) as err:
         parse_problem(text)
     assert (err.value.line, err.value.col) == (line, col)
+
+
+def test_a_directive_followed_by_a_tab_is_read():
+    prob = parse_problem("assume\tp\ngoal\t|- p\nmode\t consistency")
+    assert prob.assumptions == (p,)
+    assert prob.goal == Sequent((), (p,))
+    assert prob.mode == "consistency"
 
 
 @pytest.mark.parametrize(

@@ -8,9 +8,13 @@ from hypothesis import given, settings
 from bmdl import search
 from bmdl.calculus import (
     ONE_PREMISS_MOVES,
+    TRANSITIONAL,
     RuleApplication,
     RuleId,
+    iter_two_premiss_static_applications,
+    transitional_applications,
 )
+from bmdl.consistency import reduction_sequent
 from bmdl.formula import (
     And,
     Atom,
@@ -22,13 +26,14 @@ from bmdl.formula import (
     Or,
     Sequent,
     SetSequent,
+    from_set_sequent,
     sequent_subformulas,
     set_sequent,
     sorted_formulas,
     to_set_sequent,
 )
-from bmdl.gen import random_formula, random_sequent
-from bmdl.kernel import check_derivation
+from bmdl.gen import random_assumptions, random_formula, random_sequent
+from bmdl.kernel import Derivation, check_derivation, premisses_for
 from bmdl.parser import parse_sequent
 from bmdl.search import (
     Budget,
@@ -153,16 +158,53 @@ def reference_one_premiss_applications(s: SetSequent) -> list[RuleApplication]:
     return apps
 
 
-def reference_saturate(s: SetSequent) -> tuple[tuple[SatStep, ...], SetSequent]:
-    """Saturation by restarting the scan after every move: each move is the
-    first entry of reference_one_premiss_applications."""
-    steps = []
+def _restart_scan(s: SetSequent):
+    """The moves of saturation by restarting the scan after every move, each
+    the first entry of reference_one_premiss_applications, as (step, the
+    sequent after it); the formulas a move adds are listed in the order of
+    the principal's arguments."""
     while True:
         apps = reference_one_premiss_applications(s)
         if not apps:
-            return tuple(steps), s
-        s = apps[0].premisses[0]
-        steps.append(SatStep(apps[0].rule, apps[0].principal, s))
+            return
+        (f,), prem = apps[0].principal, apps[0].premisses[0]
+        parts = tuple(dict.fromkeys(getattr(f, name) for name in f.__dataclass_fields__))
+        step = SatStep(
+            apps[0].rule,
+            (f,),
+            tuple(g for g in parts if g in prem.ante and g not in s.ante),
+            tuple(g for g in parts if g in prem.succ and g not in s.succ),
+        )
+        yield step, prem
+        s = prem
+
+
+def full_saturation(s: SetSequent) -> tuple[tuple[SatStep, ...], SetSequent]:
+    """Saturation to the fixpoint by the restart scan, closed or not."""
+    steps = []
+    for step, s in _restart_scan(s):
+        steps.append(step)
+    return tuple(steps), s
+
+
+def reference_saturate(
+    s: SetSequent, atomic_init: bool = False
+) -> tuple[tuple[SatStep, ...], SetSequent]:
+    """The restart scan, stopped at the first closed sequent: none of its
+    moves when s is closed already."""
+    steps = []
+    if closure_of(s, atomic_init) is None:
+        for step, s in _restart_scan(s):
+            steps.append(step)
+            if closure_of(s, atomic_init) is not None:
+                break
+    return tuple(steps), s
+
+
+def _grown(s: SetSequent, step: SatStep) -> SetSequent:
+    """s with the formulas step added, each of them new to its side."""
+    assert not (set(step.new_ante) & s.ante or set(step.new_succ) & s.succ)
+    return SetSequent(s.ante.union(step.new_ante), s.succ.union(step.new_succ))
 
 
 def generated_sequents(seed: int, count: int) -> list[SetSequent]:
@@ -187,47 +229,70 @@ def sequents_with_extras(draw):
 
 
 def test_saturation_reaches_a_fixpoint():
-    s = set_sequent([Neg(Neg(p)), Box(And(p, q))], [Or(p, q)])
+    s = set_sequent([Neg(Neg(p)), Box(And(p, q))], [Or(Atom("r"), Atom("s"))])
     steps, sat = saturate(s)
     assert reference_one_premiss_applications(sat) == []
+    assert closure_of(sat) is None
     assert s <= sat
-    assert steps[-1].result == sat
-    # replaying the recorded moves lands on the same sequent
+    # replaying the recorded additions lands on the same sequent
     cur = s
     for step in steps:
-        assert cur <= step.result
-        cur = step.result
+        cur = _grown(cur, step)
     assert cur == sat
 
 
-@given(sequents)
-def test_saturation_takes_the_first_enumerated_move(seq):
+def test_saturation_stops_at_the_first_closing_move():
+    r = Atom("r")
+    s = set_sequent([And(p, q), Neg(r)], [Or(p, Atom("s")), Imp(q, Atom("t"))])
+    steps, sat = saturate(s)
+    # OrR puts p on the right, where AndL put it on the left: ImpR, next in
+    # the agenda, is never made
+    assert [step.rule for step in steps] == [RuleId.NEG_L, RuleId.AND_L, RuleId.OR_R]
+    assert closure_of(sat) == (RuleId.INIT, (p,))
+    assert full_saturation(s)[0][:3] == steps
+    assert [step.rule for step in full_saturation(s)[0][3:]] == [RuleId.IMP_R]
+    assert saturate(sat) == ((), sat)  # a closed start makes no move
+    # under atomic_init only a shared atom closes
+    boxed = set_sequent([Box(p), Box(Box(p))], [Box(p)])
+    assert saturate(boxed)[0] == ()
+    steps, sat = saturate(boxed, atomic_init=True)
+    assert [step.rule for step in steps] == [RuleId.T]
+    assert closure_of(sat, atomic_init=True) is None
+
+
+@given(sequents, st.booleans())
+def test_saturation_takes_the_first_enumerated_move(seq, atomic_init):
     cur = to_set_sequent(seq)
-    steps, sat = saturate(cur)
-    for step in steps:
+    steps, sat = saturate(cur, atomic_init=atomic_init)
+    for i, step in enumerate(steps):
+        assert closure_of(cur, atomic_init) is None
         first = reference_one_premiss_applications(cur)[0]
-        assert (step.rule, step.principal, step.result) == (
+        cur = _grown(cur, step)
+        assert (step.rule, step.principal, cur) == (
             first.rule,
             first.principal,
             first.premisses[0],
         )
-        cur = step.result
     assert cur == sat
+    assert closure_of(sat, atomic_init) is not None or not reference_one_premiss_applications(sat)
 
 
-@given(sequents)
-def test_agenda_saturation_equals_the_restart_scan(seq):
+@given(sequents, st.booleans())
+def test_agenda_saturation_equals_the_restart_scan(seq, atomic_init):
     s = to_set_sequent(seq)
-    assert saturate(s) == reference_saturate(s)
+    assert saturate(s, atomic_init=atomic_init) == reference_saturate(s, atomic_init)
 
 
 def test_agenda_saturation_equals_the_restart_scan_on_generated_sequents():
     for s in generated_sequents(2718, 300):
         assert saturate(s) == reference_saturate(s)
+        assert saturate(s, atomic_init=True) == reference_saturate(s, atomic_init=True)
 
 
 def _seeded_agrees(s, extra_ante, extra_succ):
-    base = saturate(s)[1]
+    base = full_saturation(s)[1]
+    if closure_of(base) is not None:
+        return  # a base must not be closed
     wider = SetSequent(base.ante | extra_ante, base.succ | extra_succ)
     assert saturate(wider, base) == saturate(wider) == reference_saturate(wider)
 
@@ -288,7 +353,9 @@ def test_saturation_examines_each_formula_once(drawn):
         {cls: counting(side, move) for cls, move in moves.items()}
         for side, moves in enumerate(ONE_PREMISS_MOVES)
     )
-    base = saturate(s)[1]
+    base = full_saturation(s)[1]
+    if closure_of(base) is not None:
+        return  # a base must not be closed
     wider = SetSequent(base.ante | extra_ante, base.succ | extra_succ)
     saved = search.ONE_PREMISS_MOVES
     search.ONE_PREMISS_MOVES = counted
@@ -298,12 +365,14 @@ def test_saturation_examines_each_formula_once(drawn):
         search.ONE_PREMISS_MOVES = saved
     assert all(n == 1 for n in seen.values())
     fresh = (sat.ante - base.ante, sat.succ - base.succ)
-    assert set(seen) == {
+    agenda = {
         (side, f)
         for side in (ANTE, SUCC)
         for f in fresh[side]
         if type(f) in ONE_PREMISS_MOVES[side]
     }
+    # a closing move leaves the rest of the agenda unexamined
+    assert set(seen) == agenda if closure_of(sat) is None else set(seen) <= agenda
 
 
 def test_closure_detection():
@@ -379,3 +448,155 @@ def test_assembled_derivations_use_no_structural_rules():
 def test_empty_sequent_is_rejected():
     assert not decide(Sequent((), ()))
     assert not decide(to_set_sequent(Sequent((), ())))
+
+
+class ReferenceSearch:
+    """The search before relevance, kept as a reference for tests only:
+    every node saturated in full (the restart scan), every premiss of the
+    first branching application searched, and every saturation move
+    replayed into the derivation, whose multiset conclusions have each
+    node's whole set sequent as support.  The memo and its low-water mark
+    are bmdl.search's, so it spends the steps that search once spent."""
+
+    def __init__(self, budget: int):
+        self.budget = Budget(budget)
+        self.memo: dict[SetSequent, bool] = {}
+        self.mark = float("inf")
+
+    def prove(self, goal: Sequent):
+        """The derivation of goal, or None when it is underivable."""
+        tree = self._node((to_set_sequent(goal),))
+        return None if tree is None else self._assemble(tree, goal)
+
+    def _node(self, history):
+        start = history[-1]
+        if self.memo.get(start) is False:
+            return None
+        outer, self.mark = self.mark, float("inf")
+        tree = self._expand(history)
+        mark, self.mark = self.mark, min(outer, self.mark)
+        if tree is not None:
+            self.memo[start] = self.memo[tree[1]] = True
+        elif mark >= len(history) - 1:
+            self.memo[start] = False
+        return tree
+
+    def _expand(self, history):
+        steps, sat = full_saturation(history[-1])
+        self.budget.spend(1 + len(steps))
+        closure = closure_of(sat)
+        if closure is not None:
+            return steps, sat, closure, None, ()
+        h = history[:-1] + (sat,)
+        branch = next(iter_two_premiss_static_applications(sat), None)
+        for app in (branch,) if branch is not None else transitional_applications(sat):
+            kids = []
+            for prem in app.premisses:
+                self.budget.spend()
+                if app.rule in TRANSITIONAL:
+                    witness = next((i for i in range(len(h) - 1, -1, -1) if prem <= h[i]), None)
+                    if witness is not None:
+                        self.mark = min(self.mark, witness)
+                        break
+                kid = self._node(h + (prem,))
+                if kid is None:
+                    break
+                kids.append(kid)
+            else:
+                return steps, sat, None, app, tuple(kids)
+        return None
+
+    def _assemble(self, tree, target: Sequent) -> Derivation:
+        steps, _, closure, app, kids = tree
+        chain = []
+        for step in steps:
+            chain.append((target, step))
+            target = premisses_for(step.rule, step.principal, target)[0]
+        if closure is not None:
+            d = Derivation(target, *closure)
+        else:
+            prems = premisses_for(app.rule, app.principal, target)
+            d = Derivation(
+                target,
+                app.rule,
+                app.principal,
+                tuple(self._assemble(kid, prem) for kid, prem in zip(kids, prems)),
+            )
+        for conc, step in reversed(chain):
+            d = Derivation(conc, step.rule, step.principal, (d,))
+        return d
+
+
+def _size(d: Derivation) -> int:
+    return 1 + sum(_size(c) for c in d.children)
+
+
+def _agrees_with_the_reference(goal: Sequent) -> None:
+    """The search gives the reference's verdict, spending no more steps,
+    and a checked derivation of goal with no more nodes than the
+    reference's; goals that exhaust the reference's budget are passed."""
+    ref = ReferenceSearch(100_000)
+    try:
+        want = ref.prove(goal)
+    except BudgetExceeded:
+        return
+    res = prove(goal, Budget(100_000))
+    assert res.accepted == (want is not None)
+    assert res.steps_used <= ref.budget.used
+    if res.accepted:
+        assert res.derivation.conclusion == goal
+        assert check_derivation(res.derivation)
+        assert _size(res.derivation) <= _size(want)
+
+
+@given(seed=st.integers(0, 2**32), kind=st.sampled_from(("sequent", "assumptions")))
+@settings(max_examples=80)
+def test_relevance_keeps_the_verdict_and_shrinks_the_derivation(seed, kind):
+    rng = random.Random(seed)
+    if kind == "sequent":
+        goal = random_sequent(rng, size=rng.randint(3, 8), width=rng.choice((2, 3)))
+    else:
+        goal = reduction_sequent(random_assumptions(rng, rng.randint(1, 4), modal_depth=3))
+    _agrees_with_the_reference(goal)
+
+
+def test_relevance_keeps_the_verdict_on_generated_sequents():
+    for s in generated_sequents(1414, 400):
+        _agrees_with_the_reference(from_set_sequent(s))
+
+
+def test_a_first_premiss_proved_without_its_new_formula_settles_the_branch():
+    # OrL on p | q comes first.  Its first premiss is proved by Four on
+    # [](r -> r) alone, which never reads the p that premiss added, so that
+    # proof proves the goal as it is and the premiss with q is never searched.
+    goal = parse_sequent("p | q |- [](r -> r)")
+    res = prove(goal)
+    assert res.accepted and check_derivation(res.derivation)
+    d = res.derivation
+    assert [d.rule, d.children[0].rule, d.children[0].children[0].rule] == [
+        RuleId.FOUR,
+        RuleId.IMP_R,
+        RuleId.INIT,
+    ]
+    assert _size(d) == 3
+    # the search before relevance searched both premisses and branched
+    ref = ReferenceSearch(1000)
+    assert ref.prove(goal).rule == RuleId.OR_L
+    assert (res.steps_used, ref.budget.used) == (6, 11)
+    tree = search.proof_tree(goal)
+    assert tree.application.rule == RuleId.FOUR and len(tree.children) == 1
+    assert tree.uses == to_set_sequent(parse_sequent("|- [](r -> r)"))
+
+
+def test_a_derivable_memo_entry_under_a_branching_premiss_blocks_the_use_check():
+    # OrL on p | q branches p | q |- p; its first premiss is derivable, but
+    # only through the p it adds.  decide takes it from the memo, with no
+    # tree, so what it uses is unknown: counting that as nothing would
+    # accept the goal without searching the underivable second premiss.
+    goal = parse_sequent("p | q |- p")
+    first = to_set_sequent(parse_sequent("p | q, p |- p"))
+    memo: dict = {}
+    assert decide(first, memo=memo)
+    assert memo[first] is True
+    assert not decide(goal, memo=memo)
+    assert not decide(goal, memo={})
