@@ -41,7 +41,15 @@ from .consistency import (
     discharge,
     reduction_sequent,
 )
-from .countermodel import CountermodelError, certify, model_of_json, result_to_json
+from .countermodel import (
+    Claim,
+    CountermodelError,
+    certify,
+    claim_of_json,
+    model_of_json,
+    result_to_json,
+    truth_lemma_audit,
+)
 from .formula import Formula, Sequent
 from .kernel import (
     Derivation,
@@ -59,7 +67,7 @@ from .parser import (
     read_sequent_file,
 )
 from .search import Budget, BudgetExceeded, DEFAULT_BUDGET
-from .semantics import MModel, holds, validate_frame
+from .semantics import MModel, falsifies, holds, validate_frame
 
 DEFAULT_CORPUS = Path("corpus")
 
@@ -189,11 +197,17 @@ def decide_consistency(
 
 
 def check_model(
-    model: MModel, facts: Iterable[tuple[str, Formula]], unicode: bool = False
+    model: MModel,
+    facts: Iterable[tuple[str, Formula]],
+    unicode: bool = False,
+    claim: Optional[Claim] = None,
 ) -> tuple[int, dict]:
     """check-model: validate the frame conditions and evaluate each
-    (world, formula) fact.  Yes when the frame is valid and every fact
-    holds."""
+    (world, formula) fact.  Given a countermodel report's claim, also audit
+    every world's label against the model and check that the report's goal
+    fails at its root: the checks that certified the model when it was
+    built.  Yes when the frame is valid, every fact holds and the claim, if
+    any, checks."""
     violations = validate_frame(model)
     cache: dict = {}
     show = Printer(unicode)
@@ -208,6 +222,10 @@ def check_model(
     if evaluated:
         report["facts"] = evaluated
     ok = not violations and all(fact["holds"] for fact in evaluated)
+    if claim is not None:
+        report["audit"] = truth_lemma_audit(model, claim.labels, cache)
+        report["goal_fails_at_root"] = falsifies(model, claim.root, claim.goal, cache)
+        ok = ok and not report["audit"] and report["goal_fails_at_root"]
     return (EXIT_YES if ok else EXIT_NO), report
 
 
@@ -278,7 +296,9 @@ def _cmd_consistent(args) -> int:
 
 
 def _cmd_check_model(args) -> int:
-    model = model_of_json(json.loads(Path(args.file).read_text()), close_rt=args.close_rt)
+    data = json.loads(Path(args.file).read_text())
+    model = model_of_json(data, close_rt=args.close_rt)
+    claim = claim_of_json(data, model)
     facts = []
     for spec in args.holds or []:
         world, sep, text = spec.partition("::")
@@ -286,12 +306,21 @@ def _cmd_check_model(args) -> int:
             _note(f"bmdl: --holds wants WORLD::FORMULA, got {spec!r}")
             return EXIT_USAGE
         facts.append((world, parse_formula(text)))
-    return _emit(args, *check_model(model, facts, unicode=args.unicode))
+    return _emit(args, *check_model(model, facts, unicode=args.unicode, claim=claim))
 
 
 def _cmd_check_proof(args) -> int:
-    d = derivation_from_json(json.loads(Path(args.file).read_text()))
+    data = json.loads(Path(args.file).read_text())
     assumed = tuple(parse_sequent(t) for t in args.assume or [])
+    if isinstance(data, dict) and ("derivation" in data or "witness" in data):
+        # a prove, countermodel or consistent report: its derivation may use
+        # the report's assumptions, as when the verb checked it
+        assumptions = data.get("assumptions", [])
+        if not (isinstance(assumptions, list) and all(isinstance(a, str) for a in assumptions)):
+            raise ValueError('malformed report: "assumptions" must be a list of formulas')
+        assumed += assumption_sequents(parse_formula(a) for a in assumptions)
+        data = data["derivation"] if "derivation" in data else data["witness"]
+    d = derivation_from_json(data)
     return _emit(args, *check_proof(d, assumed, unicode=args.unicode))
 
 
@@ -364,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[out_flags],
         help="validate a model file against the frame conditions",
     )
-    p.add_argument("file", help="model .json, or a countermodel report")
+    p.add_argument("file", help="model .json, or a prove, countermodel or consistent report")
     p.add_argument("--close-rt", action="store_true", help="close the relation reflexively and transitively first")
     p.add_argument(
         "--holds", action="append", metavar="WORLD::FORMULA", help="also evaluate a formula at a world"
@@ -376,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[out_flags],
         help="run the kernel over a derivation file",
     )
-    p.add_argument("file", help="derivation .json")
+    p.add_argument("file", help="derivation .json, or a prove, countermodel or consistent report")
     p.add_argument("--assume", action="append", metavar="SEQUENT", help="allowed Assumption leaf")
     p.set_defaults(fn=_cmd_check_proof)
 

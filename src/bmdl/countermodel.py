@@ -12,13 +12,39 @@ why its entries are exact):
     sequent by its first underivable premiss, so that at the fixpoint every
     conjunction on the right, disjunction on the left and implication on
     the left has a decomposed alternative already present;
-  * for every condition formula of an obligation occurring anywhere in the
-    goal, placement of that condition on the left or on the right,
-    whichever keeps the sequent underivable, the left tried first.
+  * for the condition g of every obligation O(f/g) that can occur on the
+    left of some world sequent, placement of g on the left or on the
+    right, whichever keeps the sequent underivable, the left tried first.
 
-The last step makes the syntactic reading of obligation conditions agree
-with their semantic truth sets, which is what lets a generator built from
-formula occurrences certify the obligation clause of the truth conditions.
+The last move makes the syntactic reading of a condition agree with its
+semantic truth set wherever certification reads it.  An obligation O(f/g)
+on the left of w is made true by the generator built from the occurrence
+sets of f and g among the successors of w, and that generator's cond set
+equals the truth set of g on R[w] only because every world of R[w] carries
+g on one side.  No other check reads a placement:
+
+  * an obligation O(f'/g') on the right of w must be false there, so no
+    generator of w may have its base inside the truth set of f' and its
+    cond set equal to that of g' on R[w].  The generator of a left O(f/g)
+    fails that by the witness of their Mon application, a world of R[w]
+    that carries f on the left and f' on the right (in the base, f'
+    false), or g on the left and g' on the right (in the cond set, g'
+    false), or g' on the left and g on the right (outside the cond set,
+    g' true).  Each case reads formulas the Mon premiss itself put there,
+    never a placement of g';
+  * the generators of two left obligations O(f1/g1), O(f2/g2) with one
+    cond set must overlap (the frame's no-conflict condition).  The
+    witness of their D2 application carries f1 and f2 on the left (a
+    world in both bases), or one condition on the left and the other on
+    the right (a world in one cond set only), again formulas of its own.
+
+So conditions of right-only obligations are left unplaced.  Which
+obligations can occur on the left is found by one walk over (formula,
+side) pairs from the goal (left_obligation_conds): a negation and the left
+argument of an implication flip the side, conjunctions, disjunctions and
+boxes keep it, and an obligation's body and condition go to both sides,
+since D1, D2 and Mon premisses and placement itself put them there.  Every
+formula of every world sequent is reached by that walk on its own side.
 
 Each resolved world then gets one witness per transitional application,
 reached by an accessibility edge.  Premisses are taken in order, and the
@@ -57,6 +83,11 @@ conditions (left occurrences true, right occurrences false), and the goal
 must fail at the root world.  The audit and the root check share one memo
 of the model's truth sets; both run in full.  A certification failure
 raises CountermodelError rather than returning a bad model.
+
+The report (result_to_json) carries the model, the goal, the root and the
+labels: each world's resolved sequent, the claim the audit checked.  From
+a report alone, claim_of_json reads the labels back, so that check-model
+can run all three checks again.
 """
 
 from __future__ import annotations
@@ -66,17 +97,21 @@ from typing import Mapping, NamedTuple, Optional, Union
 
 from .calculus import iter_two_premiss_static_applications, transitional_applications
 from .formula import (
+    And,
     Atom,
+    Box,
     Formula,
+    Imp,
+    Neg,
     Obl,
+    Or,
     Sequent,
     SetSequent,
     from_set_sequent,
-    sequent_subformulas,
     sorted_formulas,
     to_set_sequent,
 )
-from .parser import Printer, print_sequent
+from .parser import Printer, parse_sequent, print_formula, print_sequent
 from .search import Budget, DEFAULT_BUDGET, SearchResult, decide, prove, saturate
 from .semantics import (
     Generator,
@@ -100,7 +135,6 @@ class CounterModelResult:
     model: MModel
     root: str
     resolved: Mapping[str, SetSequent]
-    traces: Mapping[str, tuple[SetSequent, ...]]
     certified: bool
 
 
@@ -113,7 +147,6 @@ class _Builder:
         self.memo = memo
         self.conds = conds
         self.resolved: dict[str, SetSequent] = {}  # in creation order
-        self.traces: dict[str, tuple[SetSequent, ...]] = {}
         self.edges: set[tuple[str, str]] = set()
         # (side, formula) -> the worlds carrying formula on that side (0 the
         # antecedent, 1 the succedent), in creation order
@@ -128,15 +161,11 @@ class _Builder:
             known = decide(ss, self.budget, atomic_init=self.atomic_init, memo=self.memo)
         return not known
 
-    def resolve(self, ss: SetSequent) -> tuple[SetSequent, tuple[SetSequent, ...]]:
-        trace = [ss]
+    def resolve(self, ss: SetSequent) -> SetSequent:
         cur = ss
         base = None  # the last saturated sequent, contained in cur
         while True:
-            steps, sat = saturate(cur, base, self.atomic_init)
-            if steps:
-                cur = sat
-                trace.append(cur)
+            _, cur = saturate(cur, base, self.atomic_init)
             base = cur
             app = next(iter_two_premiss_static_applications(cur), None)
             if app is not None:
@@ -150,14 +179,13 @@ class _Builder:
                         "yet the sequent itself was not"
                     )
                 cur = prem
-                trace.append(cur)
                 continue
             missing = next(
                 (c for c in self.conds if c not in cur.ante and c not in cur.succ),
                 None,
             )
             if missing is None:
-                return cur, tuple(trace)
+                return cur
             left = SetSequent(cur.ante | {missing}, cur.succ)
             if self.underivable(left):
                 cur = left
@@ -169,7 +197,6 @@ class _Builder:
                         "condition formula make the world sequent derivable"
                     )
                 cur = right
-            trace.append(cur)
 
     def container(self, p: SetSequent) -> Optional[str]:
         """The earliest world whose resolved sequent contains the transitional
@@ -184,10 +211,9 @@ class _Builder:
         return next((w for w in shortest if p <= self.resolved[w]), None)
 
     def explore(self, ss: SetSequent) -> str:
-        resolved, trace = self.resolve(ss)
+        resolved = self.resolve(ss)
         wid = f"h{len(self.resolved)}"
         self.resolved[wid] = resolved
-        self.traces[wid] = trace
         for side, fs in enumerate((resolved.ante, resolved.succ)):
             for f in fs:
                 self.postings.setdefault((side, f), []).append(wid)
@@ -240,6 +266,38 @@ class _Builder:
         return MModel(worlds, acc, eta, val)
 
 
+def left_obligation_conds(ss: SetSequent) -> tuple[Formula, ...]:
+    """The conditions of the obligations that can occur on the left of some
+    world sequent built from ss, sorted: one walk over (formula, side)
+    pairs from ss, 0 the antecedent and 1 the succedent (see the module
+    docstring for why the walk covers every world sequent)."""
+    todo = [(f, 0) for f in ss.ante] + [(f, 1) for f in ss.succ]
+    seen = set(todo)
+    conds = set()
+    while todo:
+        f, side = todo.pop()
+        t = type(f)
+        if t is Neg:
+            nxt = ((f.f, 1 - side),)
+        elif t is Imp:
+            nxt = ((f.l, 1 - side), (f.r, side))
+        elif t is And or t is Or:
+            nxt = ((f.l, side), (f.r, side))
+        elif t is Box:
+            nxt = ((f.f, side),)
+        elif t is Obl:
+            if side == 0:
+                conds.add(f.cond)
+            nxt = ((f.body, 0), (f.body, 1), (f.cond, 0), (f.cond, 1))
+        else:
+            continue
+        for pair in nxt:
+            if pair not in seen:
+                seen.add(pair)
+                todo.append(pair)
+    return tuple(sorted_formulas(conds))
+
+
 def truth_lemma_audit(
     model: MModel, resolved: Mapping[str, SetSequent], cache: Optional[dict] = None
 ) -> list[str]:
@@ -254,10 +312,10 @@ def truth_lemma_audit(
         s = resolved[w]
         for f in sorted_formulas(s.ante):
             if not holds(model, w, f, cache):
-                problems.append(f"{w}: left formula is false in the model")
+                problems.append(f"{w}: left formula {print_formula(f)} is false in the model")
         for f in sorted_formulas(s.succ):
             if holds(model, w, f, cache):
-                problems.append(f"{w}: right formula is true in the model")
+                problems.append(f"{w}: right formula {print_formula(f)} is true in the model")
     return problems
 
 
@@ -277,12 +335,9 @@ def build(
     certification fails."""
     ms = goal if isinstance(goal, Sequent) else from_set_sequent(goal)
     ss = to_set_sequent(ms) if isinstance(goal, Sequent) else goal
-    conds = tuple(
-        sorted_formulas(
-            {f.cond for f in sequent_subformulas(ss) if isinstance(f, Obl)}
-        )
+    builder = _Builder(
+        Budget.ensure(budget), atomic_init, {} if memo is None else memo, left_obligation_conds(ss)
     )
-    builder = _Builder(Budget.ensure(budget), atomic_init, {} if memo is None else memo, conds)
     if not builder.underivable(ss):
         raise ValueError("the sequent is derivable; no countermodel exists")
     root = builder.explore(ss)
@@ -304,7 +359,6 @@ def build(
         model=model,
         root=root,
         resolved=dict(builder.resolved),
-        traces=dict(builder.traces),
         certified=True,
     )
 
@@ -346,16 +400,58 @@ def result_to_json(r: CounterModelResult) -> dict:
         "root": r.root,
         "certified": r.certified,
         "model": model_to_json(r.model),
-        "histories": {
-            w: [show.sequent(from_set_sequent(s)) for s in r.traces[w]]
-            for w in r.model.worlds
-        },
+        "labels": {w: show.sequent(from_set_sequent(r.resolved[w])) for w in r.model.worlds},
     }
 
 
+def _countermodel_part(data: object) -> object:
+    """The countermodel report that a prove, countermodel or consistent
+    report carries, or data itself."""
+    if isinstance(data, dict) and "countermodel" in data:
+        return data["countermodel"]
+    return data
+
+
 def model_of_json(data: dict, close_rt: bool = False) -> MModel:
-    """Load the model part of either a bare model file or a countermodel
-    report.  Data of any other shape raises ValueError."""
+    """Load the model part of a bare model file, a countermodel report, or
+    a CLI report that carries one.  Data of any other shape raises
+    ValueError."""
+    data = _countermodel_part(data)
     if isinstance(data, dict) and "model" in data and "worlds" not in data:
         data = data["model"]
     return model_from_json(data, close_rt=close_rt)
+
+
+class Claim(NamedTuple):
+    """What a countermodel report claims of its model: the goal fails at
+    the root, and each world's label holds there (left formulas true, right
+    formulas false)."""
+
+    goal: Sequent
+    root: str
+    labels: dict[str, SetSequent]
+
+
+def claim_of_json(data: dict, model: MModel) -> Optional[Claim]:
+    """The claim of a countermodel report, or of a CLI report that carries
+    one, about its model; None for data without labels, such as a bare
+    model file.  Labels that do not name exactly the model's worlds, or a
+    goal or root of the wrong shape, raise ValueError; a label or goal that
+    does not parse raises ParseError."""
+    data = _countermodel_part(data)
+    if not (isinstance(data, dict) and "labels" in data):
+        return None
+    labels, goal, root = data["labels"], data.get("goal"), data.get("root")
+    if not (
+        isinstance(labels, dict)
+        and set(labels) == set(model.worlds)
+        and all(isinstance(t, str) for t in labels.values())
+    ):
+        raise ValueError('malformed report: "labels" must map each world of the model to a sequent')
+    if not isinstance(goal, str):
+        raise ValueError('malformed report: "goal" must be a sequent')
+    if not (isinstance(root, str) and root in model.worlds):
+        raise ValueError('malformed report: "root" must name a world of the model')
+    return Claim(
+        parse_sequent(goal), root, {w: to_set_sequent(parse_sequent(t)) for w, t in labels.items()}
+    )

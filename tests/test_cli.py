@@ -29,7 +29,7 @@ def test_prove_rejects_with_a_countermodel(capsys):
     assert code == 1
     assert data["derivable"] is False
     assert data["countermodel"]["certified"] is True
-    assert data["countermodel"]["root"] in data["countermodel"]["histories"]
+    assert data["countermodel"]["root"] in data["countermodel"]["labels"]
 
 
 def test_prove_reads_problem_files(capsys):
@@ -147,6 +147,109 @@ def test_check_proof_verbs(capsys):
         "|- p",
     )
     assert code == 0
+
+
+def printed(tmp_path, capsys, *argv) -> tuple[object, dict]:
+    """Run a verb and save its stdout, as printed, to a file: (path, report)."""
+    main(list(argv))
+    out = capsys.readouterr().out
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    return path, json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("countermodel", "[]p |- p & q"),
+        ("prove", "O(p / q), O(q / r) |- O(p / r)"),
+        ("prove", "--assume", "O(p / q)", "|- O(p & q / q)"),
+        ("consistent", "--assume", "O(p / q)", "--assume", "[](q -> p)"),
+    ],
+)
+def test_check_model_rechecks_a_printed_report_whole(tmp_path, capsys, argv):
+    path, report = printed(tmp_path, capsys, *argv)
+    code, data = run(capsys, "check-model", str(path))
+    assert code == 0, data
+    assert data["valid"] and data["audit"] == [] and data["goal_fails_at_root"] is True
+    assert data["worlds"] == len(report["countermodel"]["model"]["worlds"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("prove", "|- []p -> p"),
+        ("prove", "--assume", "p -> q", "p |- q"),
+        ("countermodel", "--assume", "p -> q", "p |- q"),
+        ("consistent", "--assume", "p", "--assume", "~p"),
+    ],
+)
+def test_check_proof_rechecks_a_printed_report_whole(tmp_path, capsys, argv):
+    path, report = printed(tmp_path, capsys, *argv)
+    code, data = run(capsys, "check-proof", str(path))
+    assert code == 0, data
+    assert data["checks"] is True
+    assert data["assumptions"] == [f"|- {a}" for a in report["assumptions"]]
+
+
+def test_check_proof_refuses_a_report_stripped_of_its_assumptions(tmp_path, capsys):
+    path, report = printed(tmp_path, capsys, "prove", "--assume", "p -> q", "p |- q")
+    report["assumptions"] = []
+    path.write_text(json.dumps(report))
+    code, data = run(capsys, "check-proof", str(path))
+    assert code == 1 and "error" in data
+
+
+def test_check_model_refuses_a_label_the_model_contradicts(tmp_path, capsys):
+    path, report = printed(tmp_path, capsys, "countermodel", "O(p / q) |- O(r / s)")
+    labels = report["countermodel"]["labels"]
+    root = report["countermodel"]["root"]
+    assert labels[root] == "q, O(p / q) |- O(r / s)"
+    labels[root] = "O(p / q) |- q, O(r / s)"  # q is true at the root
+    path.write_text(json.dumps(report))
+    code, data = run(capsys, "check-model", str(path))
+    assert code == 1
+    assert data["valid"] is True and data["audit"] == [f"{root}: right formula q is true in the model"]
+
+
+def test_check_model_refuses_a_report_whose_goal_holds_at_its_root(tmp_path, capsys):
+    path, report = printed(tmp_path, capsys, "countermodel", "p |- q")
+    report["countermodel"]["goal"] = "p |- p"
+    path.write_text(json.dumps(report))
+    code, data = run(capsys, "check-model", str(path))
+    assert code == 1 and data["audit"] == [] and data["goal_fails_at_root"] is False
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        ["p |- q"],
+        {"h0": 3},
+        {"h0": "p |- q", "h9": "|-"},
+        {},
+        {"h0": "p |- q &"},
+    ],
+)
+def test_check_model_refuses_malformed_labels_with_exit_2(tmp_path, capsys, labels):
+    # the countermodel object alone, as a model file would carry it
+    path, report = printed(tmp_path, capsys, "countermodel", "p |- q")
+    report["countermodel"]["labels"] = labels
+    path.write_text(json.dumps(report["countermodel"]))
+    assert main(["check-model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_check_model_keeps_its_checks_for_a_report_without_labels(tmp_path, capsys):
+    # without labels there is no claim to audit: only the frame is checked,
+    # and a goal the model does not refute is not read
+    path, report = printed(tmp_path, capsys, "countermodel", "p |- q")
+    del report["countermodel"]["labels"]
+    report["countermodel"]["goal"] = "p |- p"
+    path.write_text(json.dumps(report))
+    code, data = run(capsys, "check-model", str(path))
+    assert code == 0
+    assert data == {"valid": True, "worlds": 1, "violations": []}
 
 
 def test_parse_errors_exit_2(capsys):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bmdl import countermodel
@@ -10,13 +10,14 @@ from bmdl.consistency import reduction_sequent
 from bmdl.countermodel import (
     CountermodelError,
     build,
+    left_obligation_conds,
     model_of_json,
     result_to_json,
     truth_lemma_audit,
 )
-from bmdl.formula import SetSequent, to_set_sequent
+from bmdl.formula import Obl, SetSequent, from_set_sequent, to_set_sequent
 from bmdl.gen import random_assumptions, random_sequent
-from bmdl.parser import parse_sequent
+from bmdl.parser import parse_sequent, print_sequent
 from bmdl.search import Budget, BudgetExceeded, decide
 from bmdl.semantics import MModel, falsifies, model_from_json, validate_frame
 
@@ -59,7 +60,6 @@ def test_root_world_extends_the_goal():
     res = build(s)
     root = res.resolved[res.root]
     assert to_set_sequent(s) <= root
-    assert res.traces[res.root][0] == to_set_sequent(s)
 
 
 def test_every_world_sequent_is_underivable():
@@ -155,7 +155,7 @@ def test_report_serialization():
     res = build(parse_sequent("|- O(p / q)"))
     data = result_to_json(res)
     assert data["certified"] is True
-    assert data["root"] in data["histories"]
+    assert data["labels"] == {w: print_sequent(from_set_sequent(ss)) for w, ss in res.resolved.items()}
     assert data["goal"] == "|- O(p / q)"
     m = model_of_json(data)
     assert m == res.model
@@ -167,3 +167,57 @@ def test_world_names_follow_creation_order():
     res = build(parse_sequent("O(p / q), O(q / r) |- O(p / r)"))
     assert list(res.model.worlds) == [f"h{i}" for i in range(len(res.model.worlds))]
     assert res.root == "h0"
+
+
+def test_a_right_only_obligation_leaves_its_condition_unplaced():
+    res = build(parse_sequent("|- O(p / q)"))
+    data = result_to_json(res)
+    assert data["labels"][res.root] == "|- O(p / q)"
+
+
+def test_only_conditions_of_left_obligations_are_placed():
+    res = build(parse_sequent("O(p / q) |- O(r / s)"))
+    s, q = parse_sequent("s, q |-").ante
+    assert len(res.model.worlds) == 3
+    for ss in res.resolved.values():
+        assert s not in ss.ante and s not in ss.succ
+        assert q in ss.ante or q in ss.succ
+
+
+def test_a_negated_obligation_is_on_the_left_and_places_its_condition():
+    res = build(parse_sequent("|- ~O(p / q)"))
+    q = parse_sequent("q |-").ante[0]
+    for ss in res.resolved.values():
+        assert q in ss.ante or q in ss.succ
+
+
+def test_left_obligation_conds_follow_polarity():
+    conds = left_obligation_conds(
+        to_set_sequent(parse_sequent("O(a / b) -> c, ~O(d / e) |- []O(f / g), O(h / O(i / j)) | k"))
+    )
+    # O(a / b) is on the right, ~O(d / e) puts O(d / e) on the right, []O(f / g)
+    # keeps it on the right; O(i / j), the condition of an obligation, goes
+    # to both sides
+    want = parse_sequent("j |-").ante
+    assert conds == want
+    assert left_obligation_conds(to_set_sequent(parse_sequent("O(a / b) -> c |-"))) == ()
+    assert left_obligation_conds(to_set_sequent(parse_sequent("|- O(a / b) -> c"))) == parse_sequent("b |-").ante
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32))
+def test_every_left_obligation_has_its_condition_placed_on_its_successors(seed):
+    # the invariant the audit of O(f/g) on the left of u reads: g sits on
+    # one side of every world of R[u], so its occurrence set there is its
+    # truth set
+    rng = random.Random(seed)
+    goal = random_sequent(rng, size=rng.randint(6, 10), width=rng.choice((2, 3)))
+    try:
+        res = build(goal, Budget(200_000))
+    except (BudgetExceeded, ValueError):  # ValueError: the goal is derivable
+        assume(False)
+    for u, ss in res.resolved.items():
+        for o in ss.ante:
+            if isinstance(o, Obl):
+                for v in res.model.successors(u):
+                    assert o.cond in res.resolved[v].ante or o.cond in res.resolved[v].succ, (u, v, o)

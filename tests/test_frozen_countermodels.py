@@ -1,8 +1,9 @@
 """Differential gate on countermodel construction: every underivable goal of
 data/frozen_verdicts.json keeps the countermodel report recorded in
-data/frozen_countermodels.json, as a sha256 digest of its JSON, both from
-build alone and from certify, whose build starts from the memo of the
-search that refuted the goal.
+data/frozen_countermodels.json, as a sha256 digest of its JSON beside the
+model's world count, both from build alone and from certify, whose build
+starts from the memo of the search that refuted the goal.  On failure the
+message counts the models that gained worlds and those that lost some.
 
 Any change to the oracle, the builder or its caching must leave these
 records intact.  Re-record only when a change of output is intended:
@@ -36,18 +37,27 @@ def underivable_goals() -> tuple[int, list[str]]:
     return data["budget"], [text for text, want, _ in data["goals"] if want == "underivable"]
 
 
+def record(res) -> tuple[str, int]:
+    return digest(result_to_json(res)), len(res.model.worlds)
+
+
 def test_countermodels_are_frozen():
     data = json.loads(DATA.read_text())
     changed = []
-    for text, want in data["goals"]:
+    for text, want, worlds in data["goals"]:
         goal = parse_sequent(text)
-        built = digest(result_to_json(build(goal, Budget(data["budget"]))))
+        built = record(build(goal, Budget(data["budget"])))
         cm = certify(goal, Budget(data["budget"])).countermodel
-        certified = cm and digest(result_to_json(cm))
-        if (built, certified) != (want, want):
-            changed.append((text, want, built, certified))
+        certified = cm and record(cm)
+        if (built, certified) != ((want, worlds), (want, worlds)):
+            changed.append((text, worlds, built, certified))
     assert len(data["goals"]) == len(underivable_goals()[1])
-    assert not changed, f"{len(changed)} of {len(data['goals'])} changed, first: {changed[:3]}"
+    gained = sum(built[1] > worlds for _, worlds, built, _ in changed)
+    lost = sum(built[1] < worlds for _, worlds, built, _ in changed)
+    assert not changed, (
+        f"{len(changed)} of {len(data['goals'])} changed ({gained} gained worlds, {lost} lost worlds),"
+        f" first: {changed[:3]}"
+    )
 
 
 def main() -> None:
@@ -56,7 +66,7 @@ def main() -> None:
     args = ap.parse_args()
     budget, texts = underivable_goals()
     rows = ",\n".join(
-        json.dumps([text, digest(result_to_json(build(parse_sequent(text), Budget(budget))))], ensure_ascii=False)
+        json.dumps([text, *record(build(parse_sequent(text), Budget(budget)))], ensure_ascii=False)
         for text in texts
     )
     # one goal per line, so that a re-recording diffs goal by goal

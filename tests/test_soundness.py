@@ -13,12 +13,19 @@ non-empty bases inside R[w] that overlap whenever their cond sets agree.
     from validity (premisses true at every world, conclusion too), which is
     checked as well; it ties D1 and D2 to the frame conditions of non-empty
     bases and no conflicting obligations.
+  * D2 and Mon are also checked on models aimed at their condition
+    premisses: a world gets generators for obligations whose conditions
+    are distinct formulas with equal or nested truth sets on R[w], the case
+    in which a schema missing one condition premiss goes wrong.  Random
+    principals meet a generator's cond set too rarely for that (about one
+    draw in a thousand refutes such a D2).
   * Every node conclusion of every derivation the search emits holds at
     every world.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from hypothesis import given
@@ -30,10 +37,15 @@ from bmdl.formula import BOT, TOP, And, Atom, Box, Imp, Neg, Obl, Or, Sequent
 from bmdl.gen import random_assumptions, random_formula, random_sequent
 from bmdl.kernel import Derivation, premisses_for
 from bmdl.search import BudgetExceeded, prove
-from bmdl.semantics import Generator, MModel, rt_closure, sequent_holds, validate_frame
+from bmdl.semantics import Generator, MModel, rt_closure, sequent_holds, truth_set, validate_frame
 
 ATOMS = ("p", "q", "r")
 LITERALS = tuple(Atom(a) for a in ATOMS) + tuple(Neg(Atom(a)) for a in ATOMS) + (BOT, TOP)
+# literals and their binary conjunctions and disjunctions: enough formulas
+# that two distinct ones often share a truth set on R[w], or nest
+PROPOSITIONS = LITERALS + tuple(
+    op(a, b) for op in (And, Or) for a, b in itertools.combinations(LITERALS[:6], 2)
+)
 
 # Each rule with its principals: (constructor, side, how many arguments).
 SHAPES = {
@@ -100,9 +112,12 @@ def holds_literal(f, atoms: frozenset[str]) -> bool:
     return False  # falsum
 
 
-def random_instance(rng: random.Random, rule: RuleId) -> tuple[Sequent, tuple[Sequent, ...]]:
-    """A conclusion for rule, with random context and principals, and the
-    premisses the schema gives it."""
+def random_instance(
+    rng: random.Random, rule: RuleId, principal: tuple = ()
+) -> tuple[Sequent, tuple[Sequent, ...]]:
+    """A conclusion for rule, with random context and the given principals
+    (random ones when none are given), and the premisses the schema gives
+    it."""
 
     def formula():
         if rng.random() < 0.5:  # literals meet generator conds more often
@@ -111,13 +126,52 @@ def random_instance(rng: random.Random, rule: RuleId) -> tuple[Sequent, tuple[Se
 
     ante = [formula() for _ in range(rng.randint(0, 2))]
     succ = [formula() for _ in range(rng.randint(0, 2))]
-    principal = []
-    for cls, side, arity in SHAPES[rule]:
-        f = cls(*(formula() for _ in range(arity)))
-        principal.append(f)
+    principal = principal or tuple(cls(*(formula() for _ in range(arity))) for cls, _, arity in SHAPES[rule])
+    for f, (_, side, _) in zip(principal, SHAPES[rule]):
         (ante if side == "ante" else succ).insert(rng.randint(0, 2), f)
     conclusion = Sequent(tuple(ante), tuple(succ))
-    return conclusion, premisses_for(rule, tuple(principal), conclusion)
+    return conclusion, premisses_for(rule, principal, conclusion)
+
+
+def aimed_model(rng: random.Random, rule: RuleId) -> tuple[MModel, tuple[Obl, Obl]]:
+    """For D2 or Mon, a random frame-valid model and two principal
+    obligations O(f1/g1), O(f2/g2) aimed at the condition premisses.  g1
+    and g2 are distinct formulas whose truth sets on R[w], for a world w,
+    are equal or nested.  w gets a generator that makes O(f1/g1) true
+    there, and for D2 one that makes O(f2/g2) true as well, so both
+    obligations on the left hold unless the frame's no-conflict condition
+    forced a base to grow.  w is a world with the largest R[w], and for D2,
+    f1 and f2 are kept apart on R[w] where the model allows it."""
+    m = random_model(rng)
+    # a world that sees the most, since one world alone cannot tell apart
+    # bodies or nest conditions strictly
+    widest = max(len(m.successors(v)) for v in m.worlds)
+    w = rng.choice([v for v in m.worlds if len(m.successors(v)) == widest])
+    reach = m.successors(w)
+    cache: dict = {}
+    on_reach = {f: truth_set(m, f, cache) & reach for f in PROPOSITIONS}
+    g1 = rng.choice(PROPOSITIONS)
+    g2 = rng.choice(
+        [g for g in PROPOSITIONS if g != g1 and (on_reach[g] <= on_reach[g1] or on_reach[g1] <= on_reach[g])]
+    )
+    inhabited = [f for f in PROPOSITIONS if on_reach[f]]
+    pairs = [(f1, f2) for f1 in inhabited for f2 in inhabited if not on_reach[f1] & on_reach[f2]]
+    # for D2, bodies apart on R[w] where possible, so that its body
+    # premiss holds and only the condition premisses can fail
+    if rule is RuleId.D2 and pairs:
+        f1, f2 = rng.choice(pairs)
+    else:
+        f1, f2 = rng.choice(inhabited), rng.choice(inhabited)
+    gens = list(m.eta[w])
+    for f, g in ((f1, g1), (f2, g2))[: 2 if rule is RuleId.D2 else 1]:
+        base = set(on_reach[f])
+        for other in gens:
+            if other.cond == on_reach[g] and not base & other.base:
+                base.add(min(other.base))
+        gens.append(Generator(frozenset(base), on_reach[g]))
+    aimed = MModel(m.worlds, m.acc, {**m.eta, w: tuple(gens)}, m.val)
+    assert validate_frame(aimed) == []
+    return aimed, (Obl(f1, g1), Obl(f2, g2))
 
 
 def unsound_at(m: MModel, rule: RuleId, conclusion: Sequent, premisses) -> list[str]:
@@ -146,6 +200,22 @@ def test_every_rule_instance_is_sound_on_random_models(seed):
         for rule in SHAPES:
             conclusion, premisses = random_instance(rng, rule)
             assert unsound_at(m, rule, conclusion, premisses) == [], (rule, conclusion)
+
+
+def test_d2_and_mon_are_sound_on_models_aimed_at_their_condition_premisses():
+    # the aimed models must also bite: dropping either condition premiss of
+    # D2 or of Mon gives a schema that some of them refute
+    rng = random.Random(2017)
+    refuted = dict.fromkeys(itertools.product((RuleId.D2, RuleId.MON), (1, 2)), 0)
+    for _ in range(300):
+        for rule in (RuleId.D2, RuleId.MON):
+            m, principal = aimed_model(rng, rule)
+            conclusion, premisses = random_instance(rng, rule, principal)
+            assert unsound_at(m, rule, conclusion, premisses) == [], (rule, conclusion)
+            for drop in (1, 2):
+                wrong = premisses[:drop] + premisses[drop + 1:]
+                refuted[rule, drop] += bool(unsound_at(m, rule, conclusion, wrong))
+    assert all(n >= 10 for n in refuted.values()), refuted
 
 
 def test_the_soundness_check_refutes_unsound_schemas_and_frames():
