@@ -33,9 +33,11 @@ import json
 import os
 import sys
 from pathlib import Path
+from collections import Counter
 from typing import Iterable, Optional, Union
 
 from .consistency import (
+    FALSUM_SEQUENT,
     assumption_sequents,
     check_consistency,
     discharge,
@@ -223,23 +225,31 @@ def check_model(
         report["facts"] = evaluated
     ok = not violations and all(fact["holds"] for fact in evaluated)
     if claim is not None:
-        report["audit"] = truth_lemma_audit(model, claim.labels, cache)
+        report["audit"] = truth_lemma_audit(model, claim.labels, cache, show)
         report["goal_fails_at_root"] = falsifies(model, claim.root, claim.goal, cache)
         ok = ok and not report["audit"] and report["goal_fails_at_root"]
     return (EXIT_YES if ok else EXIT_NO), report
 
 
 def check_proof(
-    derivation: Derivation, assumed: tuple[Sequent, ...], unicode: bool = False
+    derivation: Derivation,
+    assumed: tuple[Sequent, ...],
+    unicode: bool = False,
+    claim: Optional[Sequent] = None,
 ) -> tuple[int, dict]:
     """check-proof: run the kernel over a derivation that may use the
-    assumed sequents as Assumption leaves.  Yes when it checks; no with the
-    kernel's error otherwise."""
+    assumed sequents as Assumption leaves.  Given a report's claim, the
+    derivation must also conclude it, up to the order of formulas.  Yes
+    when it checks; no with the reason otherwise."""
     show = Printer(unicode)
     report = {
         "conclusion": show.sequent(derivation.conclusion),
         "assumptions": [show.sequent(s) for s in assumed],
     }
+    if claim is not None and not _same_sequent(derivation.conclusion, claim):
+        report["checks"] = False
+        report["error"] = f"the derivation concludes {report['conclusion']}, not {show.sequent(claim)}"
+        return EXIT_NO, report
     try:
         check_derivation(derivation, assumed)
     except DerivationError as e:
@@ -251,6 +261,34 @@ def check_proof(
         r.value: n for r, n in sorted(derivation.rules_used().items(), key=lambda kv: kv[0].value)
     }
     return EXIT_YES, report
+
+
+def _same_sequent(a: Sequent, b: Sequent) -> bool:
+    return Counter(a.ante) == Counter(b.ante) and Counter(a.succ) == Counter(b.succ)
+
+
+def _proof_claim_of_json(report: dict) -> tuple[Derivation, Sequent, tuple[Sequent, ...]]:
+    """The derivation a prove, countermodel or consistent report carries,
+    the sequent it must conclude, and the Assumption leaves it may use, as
+    the verb checked it: a prove report's derivation concludes its sequent
+    from its assumptions; a countermodel report's concludes the reduction
+    sequent, the assumptions boxed on the left, from none; a consistent
+    report's witness concludes |- false from its assumptions.  A report of
+    the wrong shape raises ValueError."""
+    texts = report.get("assumptions", [])
+    if not (isinstance(texts, list) and all(isinstance(a, str) for a in texts)):
+        raise ValueError('malformed report: "assumptions" must be a list of formulas')
+    assumptions = tuple(parse_formula(a) for a in texts)
+    leaves = assumption_sequents(assumptions)
+    if "derivation" not in report:
+        return derivation_from_json(report["witness"]), FALSUM_SEQUENT, leaves
+    if not isinstance(report.get("sequent"), str):
+        raise ValueError('malformed report: "sequent" must be a sequent')
+    derivation, goal = derivation_from_json(report["derivation"]), parse_sequent(report["sequent"])
+    reduction = reduction_sequent(assumptions, goal)
+    if assumptions and _same_sequent(derivation.conclusion, reduction):
+        return derivation, reduction, ()
+    return derivation, goal, leaves
 
 
 def _cmd_goal(args) -> int:
@@ -312,16 +350,10 @@ def _cmd_check_model(args) -> int:
 def _cmd_check_proof(args) -> int:
     data = json.loads(Path(args.file).read_text())
     assumed = tuple(parse_sequent(t) for t in args.assume or [])
-    if isinstance(data, dict) and ("derivation" in data or "witness" in data):
-        # a prove, countermodel or consistent report: its derivation may use
-        # the report's assumptions, as when the verb checked it
-        assumptions = data.get("assumptions", [])
-        if not (isinstance(assumptions, list) and all(isinstance(a, str) for a in assumptions)):
-            raise ValueError('malformed report: "assumptions" must be a list of formulas')
-        assumed += assumption_sequents(parse_formula(a) for a in assumptions)
-        data = data["derivation"] if "derivation" in data else data["witness"]
-    d = derivation_from_json(data)
-    return _emit(args, *check_proof(d, assumed, unicode=args.unicode))
+    if not (isinstance(data, dict) and ("derivation" in data or "witness" in data)):
+        return _emit(args, *check_proof(derivation_from_json(data), assumed, unicode=args.unicode))
+    derivation, claim, leaves = _proof_claim_of_json(data)
+    return _emit(args, *check_proof(derivation, assumed + leaves, unicode=args.unicode, claim=claim))
 
 
 def _cmd_corpus(args) -> int:

@@ -111,7 +111,7 @@ from .formula import (
     sorted_formulas,
     to_set_sequent,
 )
-from .parser import Printer, parse_sequent, print_formula, print_sequent
+from .parser import Printer, parse_sequent, print_sequent
 from .search import Budget, DEFAULT_BUDGET, SearchResult, decide, prove, saturate
 from .semantics import (
     Generator,
@@ -299,24 +299,26 @@ def left_obligation_conds(ss: SetSequent) -> tuple[Formula, ...]:
 
 
 def truth_lemma_audit(
-    model: MModel, resolved: Mapping[str, SetSequent], cache: Optional[dict] = None
+    model: MModel,
+    resolved: Mapping[str, SetSequent],
+    cache: Optional[dict] = None,
+    show: Optional[Printer] = None,
 ) -> list[str]:
     """Check every formula occurrence of every world sequent against the
     model: left occurrences must be true there and right occurrences false.
-    Returns the violations as human-readable strings, empty on success.
-    cache memoises truth sets of model, as for semantics.holds."""
-    problems: list[str] = []
+    Returns the violations as human-readable strings, formulas printed with
+    show (plain ASCII by default), empty on success.  cache memoises truth
+    sets of model, as for semantics.holds."""
+    bad: list[tuple[str, str, str, Formula]] = []
     if cache is None:
         cache = {}
     for w in model.worlds:
         s = resolved[w]
-        for f in sorted_formulas(s.ante):
-            if not holds(model, w, f, cache):
-                problems.append(f"{w}: left formula {print_formula(f)} is false in the model")
-        for f in sorted_formulas(s.succ):
-            if holds(model, w, f, cache):
-                problems.append(f"{w}: right formula {print_formula(f)} is true in the model")
-    return problems
+        bad.extend((w, "left", "false", f) for f in sorted_formulas(s.ante) if not holds(model, w, f, cache))
+        bad.extend((w, "right", "true", f) for f in sorted_formulas(s.succ) if holds(model, w, f, cache))
+    if bad and show is None:
+        show = Printer()
+    return [f"{w}: {side} formula {show.formula(f)} is {value} in the model" for w, side, value, f in bad]
 
 
 def build(

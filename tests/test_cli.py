@@ -176,20 +176,21 @@ def test_check_model_rechecks_a_printed_report_whole(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, leaves",
     [
-        ("prove", "|- []p -> p"),
-        ("prove", "--assume", "p -> q", "p |- q"),
-        ("countermodel", "--assume", "p -> q", "p |- q"),
-        ("consistent", "--assume", "p", "--assume", "~p"),
+        (("prove", "|- []p -> p"), []),
+        (("prove", "--assume", "p -> q", "p |- q"), ["|- p -> q"]),
+        # the verb checked the reduction sequent outright, with no Assumption leaves
+        (("countermodel", "--assume", "p -> q", "p |- q"), []),
+        (("consistent", "--assume", "p", "--assume", "~p"), ["|- p", "|- ~p"]),
     ],
 )
-def test_check_proof_rechecks_a_printed_report_whole(tmp_path, capsys, argv):
+def test_check_proof_rechecks_a_printed_report_whole(tmp_path, capsys, argv, leaves):
     path, report = printed(tmp_path, capsys, *argv)
     code, data = run(capsys, "check-proof", str(path))
     assert code == 0, data
     assert data["checks"] is True
-    assert data["assumptions"] == [f"|- {a}" for a in report["assumptions"]]
+    assert data["assumptions"] == leaves
 
 
 def test_check_proof_refuses_a_report_stripped_of_its_assumptions(tmp_path, capsys):
@@ -198,6 +199,39 @@ def test_check_proof_refuses_a_report_stripped_of_its_assumptions(tmp_path, caps
     path.write_text(json.dumps(report))
     code, data = run(capsys, "check-proof", str(path))
     assert code == 1 and "error" in data
+
+
+def test_check_proof_refuses_a_report_whose_sequent_the_derivation_does_not_conclude(tmp_path, capsys):
+    path, report = printed(tmp_path, capsys, "prove", "|- []p -> p")
+    report["sequent"] = "|- p"
+    path.write_text(json.dumps(report))
+    code, data = run(capsys, "check-proof", str(path))
+    assert code == 1 and data["checks"] is False
+    assert data["error"] == "the derivation concludes |- []p -> p, not |- p"
+
+
+def test_check_proof_refuses_assumption_leaves_under_a_reduction_sequent(tmp_path, capsys):
+    # the prove derivation of p |- q, which uses |- p -> q as a leaf, weakened
+    # to the reduction sequent that the countermodel verb derives outright
+    _, proved = printed(tmp_path, capsys, "prove", "--assume", "p -> q", "p |- q")
+    path, report = printed(tmp_path, capsys, "countermodel", "--assume", "p -> q", "p |- q")
+    report["derivation"] = {
+        "rule": "WeakL",
+        "principal": ["[](p -> q)"],
+        "conclusion": report["derivation"]["conclusion"],
+        "children": [proved["derivation"]],
+    }
+    path.write_text(json.dumps(report))
+    code, data = run(capsys, "check-proof", str(path))
+    assert code == 1 and data["assumptions"] == [] and "not an assumption" in data["error"]
+
+
+def test_check_proof_refuses_a_witness_of_something_other_than_false(tmp_path, capsys):
+    path, report = printed(tmp_path, capsys, "consistent", "--assume", "p", "--assume", "~p")
+    report["witness"] = report["witness"]["children"][0]
+    path.write_text(json.dumps(report))
+    code, data = run(capsys, "check-proof", str(path))
+    assert code == 1 and "not |- false" in data["error"]
 
 
 def test_check_model_refuses_a_label_the_model_contradicts(tmp_path, capsys):
@@ -210,6 +244,16 @@ def test_check_model_refuses_a_label_the_model_contradicts(tmp_path, capsys):
     code, data = run(capsys, "check-model", str(path))
     assert code == 1
     assert data["valid"] is True and data["audit"] == [f"{root}: right formula q is true in the model"]
+
+
+def test_check_model_audit_prints_formulas_as_the_report_asks(tmp_path, capsys):
+    path, report = printed(tmp_path, capsys, "countermodel", "O(p / q) |- O(r / s)")
+    root = report["countermodel"]["root"]
+    report["countermodel"]["labels"][root] = "~q, O(p / q) |- O(r / s)"  # q is true at the root
+    path.write_text(json.dumps(report))
+    code, data = run(capsys, "check-model", "--unicode", str(path))
+    assert code == 1
+    assert data["audit"] == [f"{root}: left formula ¬q is false in the model"]
 
 
 def test_check_model_refuses_a_report_whose_goal_holds_at_its_root(tmp_path, capsys):

@@ -57,12 +57,13 @@ def _same_sequent(a: str, b: str) -> bool:
     return Counter(sa.ante) == Counter(sb.ante) and Counter(sa.succ) == Counter(sb.succ)
 
 
-def _check_derivation(path, conclusion: str) -> None:
-    """check-proof accepts the report's derivation, with the report's
-    assumptions as Assumption leaves, and it concludes conclusion."""
+def _check_derivation(path, conclusion: str, assumptions: list[str]) -> None:
+    """check-proof accepts the report's derivation of conclusion with
+    exactly these sequents as Assumption leaves."""
     code, out, err = _run("check-proof", str(path))
     assert code == 0, err
     assert _same_sequent(json.loads(out)["conclusion"], conclusion)
+    assert json.loads(out)["assumptions"] == assumptions
 
 
 def _check_countermodel(path, countermodel: dict, assumptions: list[str], goal: str) -> None:
@@ -81,18 +82,19 @@ def _check_verdict(where, verb: str, code: int, out: str) -> None:
     assumptions = report["assumptions"]
     path = where / "report.json"
     path.write_text(out)
+    leaves = [f"|- {a}" for a in assumptions]
     if verb == "consistent":
         if code == 1:
-            _check_derivation(path, "|- false")
+            _check_derivation(path, "|- false", leaves)
         else:
             _check_countermodel(path, report["countermodel"], assumptions, "|- false")
     elif "derivation" in report:
         assert code == (0 if verb == "prove" else 1)
         if verb == "prove":
-            _check_derivation(path, report["sequent"])
-        else:
+            _check_derivation(path, report["sequent"], leaves)
+        else:  # the verb checked the reduction sequent with no Assumption leaves
             goal = reduction_sequent([parse_formula(a) for a in assumptions], parse_sequent(report["sequent"]))
-            _check_derivation(path, print_sequent(goal))
+            _check_derivation(path, print_sequent(goal), [])
     else:
         assert code == (1 if verb == "prove" else 0)
         _check_countermodel(path, report["countermodel"], assumptions, report["sequent"])

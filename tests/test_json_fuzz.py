@@ -2,13 +2,14 @@
 
 Valid prove, countermodel and consistent reports, as the CLI prints them,
 are mutated: a field is dropped, retyped or swapped with another, a world's
-label is copied onto another world, or a formula is moved to the other
-side of a label.  Each result goes through both verbs in cli.main.  The
-exit code is one of 0, 1, 2 and no traceback escapes.  An exit 0 from
-check-model means the frame is valid and every label the report still
-carries holds in its model, which is checked here world by world; an exit
-0 from check-proof means the kernel accepts the derivation with the
-report's assumptions.
+label is copied onto another world, a formula is moved to the other side
+of a label, or the report's sequent is replaced.  Each result goes through
+both verbs in cli.main.  The exit code is one of 0, 1, 2 and no traceback
+escapes.  An exit 0 from check-model means the frame is valid and every
+label the report still carries holds in its model, which is checked here
+world by world; an exit 0 from check-proof means the derivation concludes
+what the report claims and the kernel accepts it with the Assumption
+leaves the verb allowed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import copy
 import io
 import json
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 
@@ -23,7 +25,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from bmdl.cli import main
-from bmdl.consistency import assumption_sequents
+from bmdl.consistency import assumption_sequents, reduction_sequent
 from bmdl.countermodel import model_of_json
 from bmdl.kernel import check_derivation, derivation_from_json
 from bmdl.formula import Sequent
@@ -39,6 +41,8 @@ BASES = (
     ("consistent", "--assume", "O(p / q)", "--assume", "[](q -> p)"),
     ("consistent", "--assume", "p", "--assume", "~p"),
 )
+
+CLAIMS = ("|- p", "|- []p -> p", "p |- q", "|- O(p & q / q)", "O(p / q) |- O(p & q / q)", "[]p |- p & q")
 
 ODD_VALUES = (None, 0, 1.5, True, "x", "|-", [], {}, ["h0"], {"h0": "|-"})
 
@@ -83,6 +87,7 @@ def mutated_reports(draw):
     paths = _paths(report)
     cm = report.get("countermodel")
     kinds = ["drop", "retype", "swap"] + (["copy-label", "flip-formula"] if cm else [])
+    kinds += ["edit-claim"] if "sequent" in report else []
     kind = draw(st.sampled_from(kinds))
     if kind == "drop":
         path = draw(st.sampled_from([p for p in paths if isinstance(_get(report, p[:-1]), dict)]))
@@ -97,6 +102,8 @@ def mutated_reports(draw):
             va, vb = _get(report, a), _get(report, b)
             _set(report, a, vb)
             _set(report, b, va)
+    elif kind == "edit-claim":
+        report["sequent"] = draw(st.sampled_from(CLAIMS))
     elif kind == "copy-label":
         worlds = sorted(cm["labels"])
         cm["labels"][draw(st.sampled_from(worlds))] = cm["labels"][draw(st.sampled_from(worlds))]
@@ -131,15 +138,29 @@ def _claim_holds(report: dict) -> bool:
 
 
 def _kernel_accepts(report) -> bool:
-    """The kernel accepts the report's derivation with the report's
-    assumptions, or the bare derivation with none."""
-    if "derivation" in report or "witness" in report:
-        tree = report["derivation"] if "derivation" in report else report["witness"]
-        assumed = assumption_sequents(parse_formula(a) for a in report.get("assumptions", []))
+    """The report's derivation concludes what the report claims and the
+    kernel accepts it: a prove report's sequent or a witness's |- false
+    from the report's assumptions, or a countermodel report's reduction
+    sequent from none.  A bare derivation is accepted with no assumptions."""
+    if "derivation" not in report and "witness" not in report:
+        check_derivation(derivation_from_json(report), ())
+        return True
+    assumptions = [parse_formula(a) for a in report.get("assumptions", [])]
+    leaves = assumption_sequents(assumptions)
+    if "derivation" in report:
+        d, goal = derivation_from_json(report["derivation"]), parse_sequent(report["sequent"])
+        claims = [(goal, leaves), (reduction_sequent(assumptions, goal), ())]
     else:
-        tree, assumed = report, ()
-    check_derivation(derivation_from_json(tree), assumed)
-    return True
+        d, claims = derivation_from_json(report["witness"]), [(parse_sequent("|- false"), leaves)]
+    for conclusion, assumed in claims:
+        if _multiset(d.conclusion) == _multiset(conclusion):
+            check_derivation(d, assumed)
+            return True
+    return False
+
+
+def _multiset(s: Sequent) -> tuple[Counter, Counter]:
+    return Counter(s.ante), Counter(s.succ)
 
 
 def _check(tmp_path, report) -> None:
