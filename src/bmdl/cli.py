@@ -22,8 +22,9 @@ errors; 3 when the search budget ran out before an answer was reached.
 Exit 2 also reports a certificate that failed its own check (a
 countermodel that did not certify, or a derivation the kernel rejected):
 that is an internal fault, never a verdict, and worth reporting as a bug.
-The default budget comes from the MDL_BUDGET environment variable when
-set.
+The verbs that search take their budget from --budget, else from the
+MDL_BUDGET environment variable, else DEFAULT_BUDGET; either must be a
+positive integer.
 """
 
 from __future__ import annotations
@@ -79,17 +80,29 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 
-def _default_budget() -> int:
+def _positive_budget(text: str) -> int:
+    """A step budget read from text: a positive integer."""
+    try:
+        value = int(text)
+        if value > 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+
+
+def _budget(args) -> int:
+    """The step budget of a verb that searches: --budget, else MDL_BUDGET,
+    else DEFAULT_BUDGET.  A bad MDL_BUDGET is a usage error."""
+    if args.budget is not None:
+        return args.budget
     raw = os.environ.get("MDL_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        value = int(raw)
-        if value <= 0:
-            raise ValueError
-        return value
-    except ValueError:
-        _note(f"bmdl: MDL_BUDGET must be a positive integer, got {raw!r}")
+        return _positive_budget(raw)
+    except argparse.ArgumentTypeError as e:
+        _note(f"bmdl: MDL_BUDGET {e}")
         raise SystemExit(EXIT_USAGE)
 
 
@@ -145,14 +158,13 @@ def decide_goal(
     budget: Union[int, Budget],
     *,
     affirm_derivable: bool = True,
-    atomic_init: bool = False,
     unicode: bool = False,
 ) -> tuple[int, dict]:
     """prove (affirm_derivable) and countermodel: certify the goal with the
     assumptions boxed on its left.  The derivation is kernel checked, for
     prove after discharging the assumptions; the countermodel comes
     certified.  Yes (exit 0) when the verdict is the one the verb asks for."""
-    res, cm = certify(reduction_sequent(assumptions, goal), budget, atomic_init=atomic_init)
+    res, cm = certify(reduction_sequent(assumptions, goal), budget)
     show = Printer(unicode)
     report = {
         "sequent": show.sequent(goal),
@@ -175,14 +187,12 @@ def decide_consistency(
     assumptions: tuple[Formula, ...],
     budget: Union[int, Budget],
     *,
-    with_model: bool = True,
-    atomic_init: bool = False,
     unicode: bool = False,
 ) -> tuple[int, dict]:
     """consistent: decide outer consistency.  An inconsistency witness is
     kernel checked against the assumptions; a consistent set comes with a
-    certified countermodel unless with_model is off."""
-    res = check_consistency(assumptions, budget, atomic_init=atomic_init, with_model=with_model)
+    certified countermodel."""
+    res = check_consistency(assumptions, budget)
     show = Printer(unicode)
     report = {
         "assumptions": [show.formula(a) for a in assumptions],
@@ -193,8 +203,7 @@ def decide_consistency(
         check_derivation(res.witness, assumption_sequents(assumptions))
         report["witness"] = derivation_to_json(res.witness)
         return EXIT_NO, report
-    if res.countermodel is not None:
-        report["countermodel"] = result_to_json(res.countermodel)
+    report["countermodel"] = result_to_json(res.countermodel)
     return EXIT_YES, report
 
 
@@ -301,9 +310,8 @@ def _cmd_goal(args) -> int:
         *decide_goal(
             assumptions,
             goal,
-            Budget(args.budget),
+            Budget(_budget(args)),
             affirm_derivable=args.affirm_derivable,
-            atomic_init=args.atomic_init,
             unicode=args.unicode,
         ),
     )
@@ -321,16 +329,7 @@ def _cmd_consistent(args) -> int:
             return EXIT_USAGE
         prob = parse_problem(path.read_text())
         assumptions = prob.assumptions + assumptions
-    return _emit(
-        args,
-        *decide_consistency(
-            assumptions,
-            Budget(args.budget),
-            with_model=not args.no_model,
-            atomic_init=args.atomic_init,
-            unicode=args.unicode,
-        ),
-    )
+    return _emit(args, *decide_consistency(assumptions, Budget(_budget(args)), unicode=args.unicode))
 
 
 def _cmd_check_model(args) -> int:
@@ -359,7 +358,7 @@ def _cmd_check_proof(args) -> int:
 def _cmd_corpus(args) -> int:
     from .corpus import run_corpus  # imported here: bmdl.corpus imports this module
 
-    report = run_corpus(args.root, budget=args.budget, atomic_init=args.atomic_init)
+    report = run_corpus(args.root, budget=_budget(args))
     for r in report.results:
         if not r.ok:
             _note(f"bmdl: corpus entry {r.entry.file} failed: {r.detail}")
@@ -382,14 +381,8 @@ def _build_parser() -> argparse.ArgumentParser:
     search_flags = argparse.ArgumentParser(add_help=False)
     search_flags.add_argument(
         "--budget",
-        type=int,
-        default=_default_budget(),
-        help="search step budget (default %(default)s, or MDL_BUDGET)",
-    )
-    search_flags.add_argument(
-        "--atomic-init",
-        action="store_true",
-        help="close branches only on shared atoms",
+        type=_positive_budget,
+        help=f"search step budget (default: MDL_BUDGET, else {DEFAULT_BUDGET})",
     )
 
     p = sub.add_parser(
@@ -417,7 +410,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("target", nargs="?", help="problem file with assume lines")
     p.add_argument("--assume", action="append", metavar="FORMULA", help="extra assumption")
-    p.add_argument("--no-model", action="store_true", help="skip the witness countermodel")
     p.set_defaults(fn=_cmd_consistent)
 
     p = sub.add_parser(

@@ -24,7 +24,7 @@ from .calculus import RuleId
 from .countermodel import CounterModelResult, build, certify  # noqa: F401
 from .formula import BOT, Box, Formula, Sequent
 from .kernel import Derivation
-from .search import Budget, DEFAULT_BUDGET, SearchResult, prove
+from .search import Budget, DEFAULT_BUDGET
 
 FALSUM_SEQUENT = Sequent((), (BOT,))
 
@@ -40,16 +40,6 @@ def reduction_sequent(assumptions: Iterable[Formula], goal: Optional[Sequent] = 
 def assumption_sequents(assumptions: Iterable[Formula]) -> tuple[Sequent, ...]:
     """The sequent form of the assumptions, for the kernel's Assumption rule."""
     return tuple(Sequent((), (a,)) for a in assumptions)
-
-
-def derives(
-    assumptions: Iterable[Formula],
-    goal: Sequent,
-    budget: Union[int, Budget] = DEFAULT_BUDGET,
-    *,
-    atomic_init: bool = False,
-) -> SearchResult:
-    return prove(reduction_sequent(assumptions, goal), budget, atomic_init=atomic_init)
 
 
 def discharge(
@@ -87,23 +77,15 @@ class ConsistencyResult:
 def check_consistency(
     assumptions: Iterable[Formula],
     budget: Union[int, Budget] = DEFAULT_BUDGET,
-    *,
-    atomic_init: bool = False,
-    with_model: bool = True,
 ) -> ConsistencyResult:
     """Decide outer consistency and produce the relevant certificate.
 
     Inconsistent sets come with a derivation of |- false from Assumption
-    leaves; consistent ones, unless with_model is off, with a certified
-    countermodel of the reduction sequent, whose root world satisfies every
-    boxed assumption."""
+    leaves; consistent ones with a certified countermodel of the reduction
+    sequent, whose root world satisfies every boxed assumption."""
     fixed = tuple(assumptions)
     b = Budget.ensure(budget)
-    target = reduction_sequent(fixed, FALSUM_SEQUENT)
-    if with_model:
-        res, cm = certify(target, b, atomic_init=atomic_init)
-    else:
-        res, cm = prove(target, b, atomic_init=atomic_init), None
+    res, cm = certify(reduction_sequent(fixed, FALSUM_SEQUENT), b)
     if res.accepted:
         witness = discharge(res.derivation, fixed, FALSUM_SEQUENT)
         return ConsistencyResult(fixed, False, witness, None, b.used)

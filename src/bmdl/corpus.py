@@ -147,21 +147,19 @@ def _facts_ok(facts: object) -> bool:
     )
 
 
-def run_entry(
-    root: Path, entry: CorpusEntry, budget: Union[int, Budget], atomic_init: bool = False
-) -> EntryResult:
+def run_entry(root: Path, entry: CorpusEntry, budget: Union[int, Budget]) -> EntryResult:
     path = root / entry.file
     try:
         if not path.is_file():
             return EntryResult(entry, False, "file missing")
-        return EntryResult(entry, *_replay(path, entry, Budget.ensure(budget), atomic_init))
+        return EntryResult(entry, *_replay(path, entry, Budget.ensure(budget)))
     except BudgetExceeded:
         return EntryResult(entry, False, "budget exhausted")
     except (ParseError, ValueError, DerivationError, RuntimeError) as e:
         return EntryResult(entry, False, f"{type(e).__name__}: {e}")
 
 
-def _replay(path: Path, entry: CorpusEntry, budget: Budget, atomic_init: bool) -> tuple[bool, str]:
+def _replay(path: Path, entry: CorpusEntry, budget: Budget) -> tuple[bool, str]:
     """Run the entry's verb and compare its verdict with the expectation:
     (ok, detail)."""
     expect = entry.expect
@@ -195,13 +193,11 @@ def _replay(path: Path, entry: CorpusEntry, budget: Budget, atomic_init: bool) -
     if other in expect:
         return False, f"expectation key {other!r} contradicts mode {mode!r}, which is checked by {key!r}"
     if mode == "consistency":
-        _, report = decide_consistency(assumptions, budget, atomic_init=atomic_init)
+        _, report = decide_consistency(assumptions, budget)
     elif goal is None:
         return False, f"mode {mode!r} but the file has no goal"
     else:
-        _, report = decide_goal(
-            assumptions, goal, budget, affirm_derivable=mode == "prove", atomic_init=atomic_init
-        )
+        _, report = decide_goal(assumptions, goal, budget, affirm_derivable=mode == "prove")
     want, got = expect.get(key), report[key]
     if got != want:
         return False, f"expected {key}={want}, got {got}"
@@ -212,14 +208,10 @@ def _replay(path: Path, entry: CorpusEntry, budget: Budget, atomic_init: bool) -
     return True, "discharged derivation checked" if assumptions and mode == "prove" else "derivation checked"
 
 
-def run_corpus(
-    root: Union[str, Path] = DEFAULT_CORPUS,
-    budget: int = DEFAULT_BUDGET,
-    atomic_init: bool = False,
-) -> CorpusReport:
+def run_corpus(root: Union[str, Path] = DEFAULT_CORPUS, budget: int = DEFAULT_BUDGET) -> CorpusReport:
     """Replay every manifest entry with a fresh budget each."""
     root = Path(root)
     report = CorpusReport(root=str(root))
     for entry in load_manifest(root):
-        report.results.append(run_entry(root, entry, Budget(budget), atomic_init))
+        report.results.append(run_entry(root, entry, Budget(budget)))
     return report

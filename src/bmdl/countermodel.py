@@ -95,7 +95,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Union
 
-from .calculus import iter_two_premiss_static_applications, transitional_applications
+from .calculus import RuleApplication, iter_two_premiss_static_applications, transitional_applications
 from .formula import (
     And,
     Atom,
@@ -139,11 +139,8 @@ class CounterModelResult:
 
 
 class _Builder:
-    def __init__(
-        self, budget: Budget, atomic_init: bool, memo: dict[SetSequent, bool], conds: tuple[Formula, ...]
-    ):
+    def __init__(self, budget: Budget, memo: dict[SetSequent, bool], conds: tuple[Formula, ...]):
         self.budget = budget
-        self.atomic_init = atomic_init
         self.memo = memo
         self.conds = conds
         self.resolved: dict[str, SetSequent] = {}  # in creation order
@@ -155,30 +152,34 @@ class _Builder:
     def underivable(self, ss: SetSequent) -> bool:
         """The oracle: underivability from the memo of exact verdicts,
         searching with decide only for sequents it does not hold; decide
-        records its root verdict."""
+        records its root verdict.  This is the one reader of the memo's
+        derivable entries (see the search module)."""
         known = self.memo.get(ss)
         if known is None:
-            known = decide(ss, self.budget, atomic_init=self.atomic_init, memo=self.memo)
+            known = decide(ss, self.budget, memo=self.memo)
         return not known
+
+    def first_underivable(self, app: RuleApplication, at: SetSequent) -> SetSequent:
+        """The first underivable premiss of app at the underivable sequent
+        at; the rule's soundness rules out that there is none."""
+        prem = next((p for p in app.premisses if self.underivable(p)), None)
+        if prem is None:
+            raise CountermodelError(
+                f"every premiss of {app.rule.value} at "
+                f"{print_sequent(from_set_sequent(at))} is derivable, "
+                "yet the sequent itself was not"
+            )
+        return prem
 
     def resolve(self, ss: SetSequent) -> SetSequent:
         cur = ss
         base = None  # the last saturated sequent, contained in cur
         while True:
-            _, cur = saturate(cur, base, self.atomic_init)
+            _, cur = saturate(cur, base)
             base = cur
             app = next(iter_two_premiss_static_applications(cur), None)
             if app is not None:
-                prem = next(
-                    (p for p in app.premisses if self.underivable(p)), None
-                )
-                if prem is None:
-                    raise CountermodelError(
-                        f"every premiss of {app.rule.value} at "
-                        f"{print_sequent(from_set_sequent(cur))} is derivable, "
-                        "yet the sequent itself was not"
-                    )
-                cur = prem
+                cur = self.first_underivable(app, cur)
                 continue
             missing = next(
                 (c for c in self.conds if c not in cur.ante and c not in cur.succ),
@@ -222,14 +223,7 @@ class _Builder:
                 (w for w in map(self.container, app.premisses) if w is not None), None
             )
             if witness is None:
-                prem = next((p for p in app.premisses if self.underivable(p)), None)
-                if prem is None:
-                    raise CountermodelError(
-                        f"every premiss of {app.rule.value} at "
-                        f"{print_sequent(from_set_sequent(resolved))} is derivable, "
-                        "yet the sequent itself was not"
-                    )
-                witness = self.explore(prem)
+                witness = self.explore(self.first_underivable(app, resolved))
             self.edges.add((wid, witness))
         return wid
 
@@ -325,7 +319,6 @@ def build(
     goal: Union[Sequent, SetSequent],
     budget: Union[int, Budget] = DEFAULT_BUDGET,
     *,
-    atomic_init: bool = False,
     memo: Optional[dict[SetSequent, bool]] = None,
 ) -> CounterModelResult:
     """Build and certify a countermodel for an underivable sequent.
@@ -337,9 +330,7 @@ def build(
     certification fails."""
     ms = goal if isinstance(goal, Sequent) else from_set_sequent(goal)
     ss = to_set_sequent(ms) if isinstance(goal, Sequent) else goal
-    builder = _Builder(
-        Budget.ensure(budget), atomic_init, {} if memo is None else memo, left_obligation_conds(ss)
-    )
+    builder = _Builder(Budget.ensure(budget), {} if memo is None else memo, left_obligation_conds(ss))
     if not builder.underivable(ss):
         raise ValueError("the sequent is derivable; no countermodel exists")
     root = builder.explore(ss)
@@ -374,12 +365,7 @@ class Certificate(NamedTuple):
     countermodel: Optional[CounterModelResult]
 
 
-def certify(
-    goal: Sequent,
-    budget: Union[int, Budget] = DEFAULT_BUDGET,
-    *,
-    atomic_init: bool = False,
-) -> Certificate:
+def certify(goal: Sequent, budget: Union[int, Budget] = DEFAULT_BUDGET) -> Certificate:
     """Prove goal, or else build and certify a countermodel to it.
 
     One search decides the goal.  When it fails, the countermodel is built
@@ -389,10 +375,10 @@ def certify(
     construction spends from the same budget."""
     b = Budget.ensure(budget)
     memo: dict[SetSequent, bool] = {}
-    res = prove(goal, b, atomic_init=atomic_init, memo=memo)
+    res = prove(goal, b, memo=memo)
     if res.accepted:
         return Certificate(res, None)
-    return Certificate(res, build(goal, b, atomic_init=atomic_init, memo=memo))
+    return Certificate(res, build(goal, b, memo=memo))
 
 
 def result_to_json(r: CounterModelResult) -> dict:

@@ -81,11 +81,11 @@ base has a productive move at s, and the agenda may be seeded with the
 formulas of s outside base.  The static premisses of a branching
 application contain the saturated sequent they come from, and the builder's
 refinements contain the world sequent they refine, so both saturate from
-there.  Saturation stops at the first move that closes the sequent (Init,
-on atoms alone under atomic_init, or BottomL), and a start that is already
-closed makes no move: what a closed sequent derives needs no more
-formulas.  The builder saturates underivable sequents only, which never
-close, so its worlds are saturated in full.
+there.  Saturation stops at the first move that closes the sequent (Init
+or BottomL), and a start that is already closed makes no move: what a
+closed sequent derives needs no more formulas.  The builder saturates
+underivable sequents only, which never close, so its worlds are saturated
+in full.
 
 The memo of exact verdicts.  The searches made for one certificate (the
 top-level search and every oracle search of the countermodel built after
@@ -122,13 +122,16 @@ A failure with a mark below its index is never recorded: a refusal against
 an ancestor may have caused it, and such a goal can be derivable
 (tests/test_certify.py holds one).  Reading the memo keeps the rule true,
 as an underivable entry fails a node without a refusal.
-proof_tree reads only the underivable entries: a node they cut short would
-have failed anyway, the search being sound, so every tree and derivation is
-the one a search without the memo builds, and only steps are saved.  decide
-also takes derivable entries as settled; that only turns into acceptance
-the failure of a derivable sequent, so its root verdict stays exact.  A memo
-lives for one certify or build call (or one search when none is given) and
-one atomic_init setting; nothing is cached across calls.
+
+One rule governs reading the memo: every search reads only its underivable
+entries.  A node they cut short would have failed anyway, the search being
+sound, so every tree and derivation is the one a search without the memo
+builds, and only steps are saved.  The derivable entries are read in one
+place alone, countermodel._Builder.underivable, and only for the sequent
+it asks about, before it searches; a search never settles a node from them,
+so every accepted node has a tree and known uses.  A memo lives for one
+certify or build call (or one search when none is given); nothing is cached
+across calls.
 
 Relevance and the use-check.  Every accepted node carries its uses: the
 (side, formula) pairs of its start sequent that its proof reads, as a
@@ -157,11 +160,7 @@ worked on held.  Hence:
     node is accepted on that proof alone, and when it is the first
     premiss's, the second premiss is never searched.  This is the
     use-check of tableau provers (Horrocks & Patel-Schneider, "Optimizing
-    description logic subsumption", 1999).  A node that decide accepts
-    from a derivable memo entry has no tree and no known uses; its uses
-    are None, which blocks the use-check above it, since counting them as
-    empty would accept a conclusion that the premiss's hidden proof needs
-    the added formula for.
+    description logic subsumption", 1999).
   * Completeness.  The use-check only turns into acceptance what would
     otherwise be searched further; it never fails a node.  In the argument
     above, a well-placed branching node on a derivable goal has a first
@@ -200,7 +199,6 @@ from .calculus import (
     transitional_applications,
 )
 from .formula import (
-    Atom,
     BOT,
     Bottom,
     Box,
@@ -253,18 +251,14 @@ class SatStep(NamedTuple):
     new_succ: tuple[Formula, ...]
 
 
-def _shares(new_ante, new_succ, ante: frozenset, succ: frozenset, atomic_init: bool) -> bool:
+def _shares(new_ante, new_succ, ante: frozenset, succ: frozenset) -> bool:
     """Whether a formula just added to one side of the sequent ante |- succ
-    is on the other side too, so that Init closes it (on an atom alone
-    under atomic_init)."""
-    if atomic_init:
-        shared = succ.intersection(new_ante) | ante.intersection(new_succ)
-        return any(type(g) is Atom for g in shared)
+    is on the other side too, so that Init closes it."""
     return not (succ.isdisjoint(new_ante) and ante.isdisjoint(new_succ))
 
 
 def saturate(
-    s: SetSequent, base: Optional[SetSequent] = None, atomic_init: bool = False
+    s: SetSequent, base: Optional[SetSequent] = None
 ) -> tuple[tuple[SatStep, ...], SetSequent]:
     """Close s under the one-premiss static rules, recording the moves,
     until the sequent closes.
@@ -277,20 +271,20 @@ def saturate(
     unproductive or spent by its own move.  The agenda is ordered by side,
     then sort_key: one heap of (sort_key, formula) entries per side, the
     antecedent's drained first.  Saturation stops after the first move that
-    closes the sequent, by BottomL or by Init under atomic_init, and makes
-    none when s is closed.  base, when given, must be a saturated sequent
-    contained in s that is not closed; then only the formulas of s outside
-    base enter the agenda and are checked for closing it.  Each formula of
+    closes the sequent, by BottomL or Init, and makes none when s is
+    closed.  base, when given, must be a saturated sequent contained in s
+    that is not closed; then only the formulas of s outside base enter the
+    agenda and are checked for closing it.  Each formula of
     the finite subformula universe enters each side's heap at most once, so
     saturation ends.
     """
     ante, succ = s.ante, s.succ
     if base is None:
         fresh_ante, fresh_succ = ante, succ
-        closed = BOT in ante or _shares(ante, (), ante, succ, atomic_init)
+        closed = BOT in ante or _shares(ante, (), ante, succ)
     else:
         fresh_ante, fresh_succ = ante - base.ante, succ - base.succ
-        closed = BOT in fresh_ante or _shares(fresh_ante, fresh_succ, ante, succ, atomic_init)
+        closed = BOT in fresh_ante or _shares(fresh_ante, fresh_succ, ante, succ)
     if closed:
         return (), s
     moves_ante, moves_succ = ONE_PREMISS_MOVES
@@ -325,22 +319,18 @@ def saturate(
                     if type(g) in moves_succ:
                         heappush(at_succ, (sort_key(g), g))
         steps.append(SatStep(rule, (f,), new_ante, new_succ))
-        if Bottom in map(type, new_ante) or _shares(new_ante, new_succ, ante, succ, atomic_init):
+        if Bottom in map(type, new_ante) or _shares(new_ante, new_succ, ante, succ):
             break
     if not steps:
         return (), s
     return tuple(steps), SetSequent(ante, succ)
 
 
-def closure_of(
-    s: SetSequent, atomic_init: bool = False
-) -> Optional[tuple[RuleId, tuple[Formula, ...]]]:
+def closure_of(s: SetSequent) -> Optional[tuple[RuleId, tuple[Formula, ...]]]:
     """The zero-premiss rule closing s, if any, with its principal."""
     if BOT in s.ante:
         return (RuleId.BOTTOM_L, ())
     shared = s.ante & s.succ
-    if atomic_init:
-        shared = frozenset(f for f in shared if isinstance(f, Atom))
     if shared:
         return (RuleId.INIT, (sorted_formulas(shared)[0],))
     return None
@@ -350,14 +340,13 @@ class ProofNode(NamedTuple):
     """Accepted search node.  steps are the saturation moves its derivation
     replays, the used ones alone, and at most one of closure and
     application is set; uses are the formulas of the node's start that its
-    proof uses (see "Relevance and the use-check" above), None when they
-    are unknown."""
+    proof uses (see "Relevance and the use-check" above)."""
 
     steps: tuple[SatStep, ...]
     closure: Optional[tuple[RuleId, tuple[Formula, ...]]]
     application: Optional[RuleApplication]
     children: tuple["ProofNode", ...]
-    uses: Optional[SetSequent]
+    uses: SetSequent
 
 
 # How many leading principals of each rule sit in the antecedent; the rest
@@ -401,15 +390,13 @@ def _relevant(
 
 def _rule_uses(
     app: RuleApplication, sat: SetSequent, kids: tuple[ProofNode, ...]
-) -> Optional[SetSequent]:
+) -> SetSequent:
     """What an application at sat uses, given its premisses' proofs: its
     principals, and what those proofs use of sat; of a transitional
     premiss, only the boxed antecedent formulas are sat's."""
     ante: set[Formula] = set()
     succ: set[Formula] = set()
     for kid in kids:
-        if kid.uses is None:
-            return None
         ante.update(kid.uses.ante)
         succ.update(kid.uses.succ)
     if app.rule in TRANSITIONAL:
@@ -426,24 +413,12 @@ def _rule_uses(
 
 class _Search:
     """One search over a memo of exact verdicts shared with related searches.
+    Only its "underivable" entries cut the search short, so the tree it
+    returns is the one a search without the memo would build."""
 
-    With trust_derivable off, as for proof_tree, only "underivable" entries
-    cut the search short, so the tree it returns is the one a search without
-    the memo would build.  With it on, as for decide, a "derivable" entry
-    accepts its node outright, standing in for a tree that is never built.
-    """
-
-    def __init__(
-        self,
-        budget: Budget,
-        atomic_init: bool,
-        memo: Optional[dict[SetSequent, bool]],
-        trust_derivable: bool,
-    ):
+    def __init__(self, budget: Budget, memo: Optional[dict[SetSequent, bool]]):
         self.budget = budget
-        self.atomic_init = atomic_init
         self.memo = {} if memo is None else memo
-        self.trust_derivable = trust_derivable
         # least history index a loop-check refusal in the current subtree
         # pointed at; see "The memo of exact verdicts" above
         self.mark = _NO_REFUSAL
@@ -457,11 +432,8 @@ class _Search:
         """Search the last sequent of history; base is a saturated sequent
         it contains, if one is known (see saturate)."""
         start = history[-1]
-        known = self.memo.get(start)
-        if known is False:
+        if self.memo.get(start) is False:
             return None
-        if known and self.trust_derivable:
-            return _KNOWN_DERIVABLE
         outer, self.mark = self.mark, _NO_REFUSAL
         node = self._expand(history, base)
         mark, self.mark = self.mark, min(outer, self.mark)
@@ -476,15 +448,15 @@ class _Search:
         self, history: tuple[SetSequent, ...], base: Optional[SetSequent]
     ) -> Optional[ProofNode]:
         start = history[-1]
-        steps, sat = saturate(start, base, self.atomic_init)
+        steps, sat = saturate(start, base)
         self.budget.spend(1 + len(steps))
-        cl = closure_of(sat, self.atomic_init)
+        cl = closure_of(sat)
         if cl is not None:
             rule, principal = cl
             used = _BOTTOM_USED if rule is RuleId.BOTTOM_L else SetSequent(
                 frozenset(principal), frozenset(principal)
             )
-            return self._accept(sat, steps, used, ProofNode((), cl, None, (), None))
+            return self._accept(sat, steps, ProofNode((), cl, None, (), used))
         h = history[:-1] + (sat,)
         branch = next(iter_two_premiss_static_applications(sat), None)
         if branch is not None:
@@ -492,8 +464,8 @@ class _Search:
         for app in transitional_applications(sat):
             kids = self._try(h, app)
             if kids is not None:
-                above = ProofNode((), None, app, kids, None)
-                return self._accept(sat, steps, _rule_uses(app, sat, kids), above)
+                above = ProofNode((), None, app, kids, _rule_uses(app, sat, kids))
+                return self._accept(sat, steps, above)
         return None
 
     def _branch(
@@ -511,25 +483,18 @@ class _Search:
             kid = self._node(h + (prem,), sat)
             if kid is None:
                 return None
-            if kid.uses is not None and kid.uses <= sat:
-                return self._accept(sat, steps, kid.uses, kid)
+            if kid.uses <= sat:
+                return self._accept(sat, steps, kid)
             kids.append(kid)
-        above = ProofNode((), None, app, tuple(kids), None)
-        return self._accept(sat, steps, _rule_uses(app, sat, above.children), above)
+        kids = tuple(kids)
+        above = ProofNode((), None, app, kids, _rule_uses(app, sat, kids))
+        return self._accept(sat, steps, above)
 
-    def _accept(
-        self,
-        sat: SetSequent,
-        steps: tuple[SatStep, ...],
-        used: Optional[SetSequent],
-        above: ProofNode,
-    ) -> ProofNode:
+    def _accept(self, sat: SetSequent, steps: tuple[SatStep, ...], above: ProofNode) -> ProofNode:
         """The accepted node that saturates by steps to sat and then goes on
-        as the proof above, which uses used of sat."""
+        as the proof above, which uses above.uses of sat."""
         self.memo[sat] = True
-        if used is None:
-            return _KNOWN_DERIVABLE
-        kept, uses = _relevant(steps, used)
+        kept, uses = _relevant(steps, above.uses)
         return ProofNode(kept + above.steps, above.closure, above.application, above.children, uses)
 
     def _try(
@@ -563,17 +528,12 @@ def _deepest_container(h: tuple[SetSequent, ...], prem: SetSequent) -> Optional[
 
 _NO_REFUSAL = float("inf")
 _BOTTOM_USED = SetSequent(frozenset({BOT}), frozenset())
-# Stands in, inside decide, for the tree of an accepted goal whose uses are
-# unknown: one the memo knows derivable, or one whose proof rests on such a
-# goal.  decide reads no tree, only whether there is one.
-_KNOWN_DERIVABLE = ProofNode((), None, None, (), None)
 
 
 def proof_tree(
     s: Union[Sequent, SetSequent],
     budget: Union[int, Budget] = DEFAULT_BUDGET,
     *,
-    atomic_init: bool = False,
     memo: Optional[dict[SetSequent, bool]] = None,
 ) -> Optional[ProofNode]:
     """The accepted search tree of s, or None when s is underivable.
@@ -582,21 +542,17 @@ def proof_tree(
     certificate; the search reads its "underivable" entries and records
     what it settles.  Without one, the search keeps a memo of its own."""
     goal = s if isinstance(s, SetSequent) else to_set_sequent(s)
-    return _Search(Budget.ensure(budget), atomic_init, memo, trust_derivable=False).run(goal)
+    return _Search(Budget.ensure(budget), memo).run(goal)
 
 
 def decide(
     s: Union[Sequent, SetSequent],
     budget: Union[int, Budget] = DEFAULT_BUDGET,
     *,
-    atomic_init: bool = False,
     memo: Optional[dict[SetSequent, bool]] = None,
 ) -> bool:
-    """Derivability verdict alone.  Reads and fills memo as proof_tree does,
-    and also takes its "derivable" entries as settled."""
-    goal = s if isinstance(s, SetSequent) else to_set_sequent(s)
-    searcher = _Search(Budget.ensure(budget), atomic_init, memo, trust_derivable=True)
-    return searcher.run(goal) is not None
+    """Derivability verdict alone: whether proof_tree accepts s."""
+    return proof_tree(s, budget, memo=memo) is not None
 
 
 def assemble_derivation(node: ProofNode, target: Sequent) -> Derivation:
@@ -642,13 +598,12 @@ def prove(
     s: Sequent,
     budget: Union[int, Budget] = DEFAULT_BUDGET,
     *,
-    atomic_init: bool = False,
     memo: Optional[dict[SetSequent, bool]] = None,
 ) -> SearchResult:
     """Search for s and, on acceptance, assemble the checkable derivation.
     memo is as for proof_tree."""
     b = Budget.ensure(budget)
-    node = proof_tree(s, b, atomic_init=atomic_init, memo=memo)
+    node = proof_tree(s, b, memo=memo)
     if node is None:
         return SearchResult(s, False, None, b.used)
     return SearchResult(s, True, assemble_derivation(node, s), b.used)

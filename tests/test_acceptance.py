@@ -14,8 +14,8 @@ from time import perf_counter
 from bmdl.consistency import (
     assumption_sequents,
     check_consistency,
-    derives,
     discharge,
+    reduction_sequent,
 )
 from bmdl.countermodel import build, truth_lemma_audit
 from bmdl.formula import Sequent
@@ -286,7 +286,7 @@ def test_criterion_9_reduction_agrees_with_discharged_derivations():
         for _ in range(50):
             assumptions = random_assumptions(rng, rng.randint(0, 3))
             goal = random_sequent(rng, size=4)
-            res = derives(assumptions, goal, Budget(FULL_BUDGET))
+            res = prove(reduction_sequent(assumptions, goal), Budget(FULL_BUDGET))
             if not res.accepted:
                 continue
             accepted += 1

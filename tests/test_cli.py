@@ -78,9 +78,10 @@ def test_consistent_with_inline_assumptions(capsys):
     assert code == 1
     assert data["consistent"] is False
     assert data["witness"]["conclusion"] == "|- false"
-    code, data = run(capsys, "consistent", "--assume", "O(p / q)", "--no-model")
+    code, data = run(capsys, "consistent", "--assume", "O(p / q)")
     assert code == 0
-    assert data["consistent"] is True and "countermodel" not in data
+    assert data["consistent"] is True
+    assert data["countermodel"]["certified"] is True
 
 
 def test_consistent_requires_input(capsys):
@@ -331,6 +332,36 @@ def test_bad_budget_env_var_is_a_usage_error():
     assert proc.returncode == 2
     assert "MDL_BUDGET must be a positive integer, got 'zero'" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _usage_error(capsys, *argv) -> str:
+    """Run argv, which argparse must refuse: exit 2 and no traceback.
+    Returns stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("budget", ["0", "-3", "many"])
+def test_a_budget_flag_that_is_not_positive_is_a_usage_error(capsys, budget):
+    err = _usage_error(capsys, "prove", "|- p", "--budget", budget)
+    assert f"must be a positive integer, got '{budget}'" in err
+
+
+def test_verbs_that_do_not_search_ignore_the_budget_env_var(capsys, monkeypatch):
+    monkeypatch.setenv("MDL_BUDGET", "abc")
+    assert main(["check-proof", str(CORPUS / "example1_derivation.json")]) == 0
+    assert main(["check-model", str(CORPUS / "m0.json")]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv", [["prove", "|- p", "--atomic-init"], ["consistent", "--assume", "p", "--no-model"]]
+)
+def test_removed_flags_are_usage_errors(capsys, argv):
+    _usage_error(capsys, *argv)
 
 
 def test_long_literal_sequents_are_not_file_names(capsys):

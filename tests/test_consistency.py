@@ -3,7 +3,6 @@ import random
 from bmdl.consistency import (
     assumption_sequents,
     check_consistency,
-    derives,
     discharge,
     reduction_sequent,
 )
@@ -12,6 +11,7 @@ from bmdl.formula import Atom, BOT, Box, Neg, Obl, Sequent
 from bmdl.gen import random_assumptions, random_sequent
 from bmdl.kernel import check_derivation
 from bmdl.parser import parse_formula, parse_sequent
+from bmdl.search import prove
 from bmdl.semantics import holds
 
 p, q = Atom("p"), Atom("q")
@@ -30,11 +30,12 @@ def test_assumption_sequents_shape():
 
 def test_empty_and_harmless_sets_are_consistent():
     for assumptions in ([], [p], [p, Obl(q, p)]):
-        assert check_consistency(assumptions, with_model=False).consistent
+        res = check_consistency(assumptions)
+        assert res.consistent and res.countermodel.certified
 
 
 def test_contradictory_atoms_are_inconsistent():
-    res = check_consistency([p, Neg(p)], with_model=False)
+    res = check_consistency([p, Neg(p)])
     assert not res.consistent
     assert res.witness.conclusion == Sequent((), (BOT,))
     assert check_derivation(res.witness, assumption_sequents(res.assumptions))
@@ -45,7 +46,7 @@ def test_contradictory_atoms_are_inconsistent():
 
 def test_conflicting_obligations_are_inconsistent():
     a = [parse_formula("O(p / ~false)"), parse_formula("O(~p / ~false)")]
-    res = check_consistency(a, with_model=False)
+    res = check_consistency(a)
     assert not res.consistent
     assert check_derivation(res.witness, assumption_sequents(res.assumptions))
     assert res.witness.rules_used()[RuleId.D2] >= 1
@@ -62,7 +63,7 @@ def test_consistent_sets_come_with_a_witness_model():
 def test_derives_and_discharge_agree():
     assumptions = (parse_formula("[](p -> q)"), parse_formula("O(p / r)"))
     goal = parse_sequent("|- O(q / r)")
-    res = derives(assumptions, goal)
+    res = prove(reduction_sequent(assumptions, goal))
     assert res.accepted
     d = discharge(res.derivation, assumptions, goal)
     assert d.conclusion == goal
@@ -73,7 +74,7 @@ def test_derives_and_discharge_agree():
 
 def test_discharge_is_the_identity_without_assumptions():
     goal = parse_sequent("|- p -> p")
-    res = derives((), goal)
+    res = prove(reduction_sequent((), goal))
     assert discharge(res.derivation, (), goal) == res.derivation
 
 
@@ -83,7 +84,7 @@ def test_random_accepted_reductions_discharge_cleanly():
     while done < 25:
         assumptions = random_assumptions(rng, rng.randint(0, 3))
         goal = random_sequent(rng, size=4)
-        res = derives(assumptions, goal, budget=400_000)
+        res = prove(reduction_sequent(assumptions, goal), 400_000)
         if not res.accepted:
             continue
         d = discharge(res.derivation, assumptions, goal)
@@ -96,5 +97,5 @@ def test_consistency_matches_plain_search_on_the_reduction():
     rng = random.Random(9)
     for _ in range(30):
         assumptions = random_assumptions(rng, rng.randint(0, 3))
-        expected = not derives(assumptions, Sequent((), (BOT,))).accepted
+        expected = not prove(reduction_sequent(assumptions, Sequent((), (BOT,)))).accepted
         assert check_consistency(assumptions).consistent == expected

@@ -187,16 +187,14 @@ def full_saturation(s: SetSequent) -> tuple[tuple[SatStep, ...], SetSequent]:
     return tuple(steps), s
 
 
-def reference_saturate(
-    s: SetSequent, atomic_init: bool = False
-) -> tuple[tuple[SatStep, ...], SetSequent]:
+def reference_saturate(s: SetSequent) -> tuple[tuple[SatStep, ...], SetSequent]:
     """The restart scan, stopped at the first closed sequent: none of its
     moves when s is closed already."""
     steps = []
-    if closure_of(s, atomic_init) is None:
+    if closure_of(s) is None:
         for step, s in _restart_scan(s):
             steps.append(step)
-            if closure_of(s, atomic_init) is not None:
+            if closure_of(s) is not None:
                 break
     return tuple(steps), s
 
@@ -252,20 +250,17 @@ def test_saturation_stops_at_the_first_closing_move():
     assert full_saturation(s)[0][:3] == steps
     assert [step.rule for step in full_saturation(s)[0][3:]] == [RuleId.IMP_R]
     assert saturate(sat) == ((), sat)  # a closed start makes no move
-    # under atomic_init only a shared atom closes
+    # a shared formula closes whatever its shape
     boxed = set_sequent([Box(p), Box(Box(p))], [Box(p)])
     assert saturate(boxed)[0] == ()
-    steps, sat = saturate(boxed, atomic_init=True)
-    assert [step.rule for step in steps] == [RuleId.T]
-    assert closure_of(sat, atomic_init=True) is None
 
 
-@given(sequents, st.booleans())
-def test_saturation_takes_the_first_enumerated_move(seq, atomic_init):
+@given(sequents)
+def test_saturation_takes_the_first_enumerated_move(seq):
     cur = to_set_sequent(seq)
-    steps, sat = saturate(cur, atomic_init=atomic_init)
+    steps, sat = saturate(cur)
     for i, step in enumerate(steps):
-        assert closure_of(cur, atomic_init) is None
+        assert closure_of(cur) is None
         first = reference_one_premiss_applications(cur)[0]
         cur = _grown(cur, step)
         assert (step.rule, step.principal, cur) == (
@@ -274,19 +269,18 @@ def test_saturation_takes_the_first_enumerated_move(seq, atomic_init):
             first.premisses[0],
         )
     assert cur == sat
-    assert closure_of(sat, atomic_init) is not None or not reference_one_premiss_applications(sat)
+    assert closure_of(sat) is not None or not reference_one_premiss_applications(sat)
 
 
-@given(sequents, st.booleans())
-def test_agenda_saturation_equals_the_restart_scan(seq, atomic_init):
+@given(sequents)
+def test_agenda_saturation_equals_the_restart_scan(seq):
     s = to_set_sequent(seq)
-    assert saturate(s, atomic_init=atomic_init) == reference_saturate(s, atomic_init)
+    assert saturate(s) == reference_saturate(s)
 
 
 def test_agenda_saturation_equals_the_restart_scan_on_generated_sequents():
     for s in generated_sequents(2718, 300):
         assert saturate(s) == reference_saturate(s)
-        assert saturate(s, atomic_init=True) == reference_saturate(s, atomic_init=True)
 
 
 def _seeded_agrees(s, extra_ante, extra_succ):
@@ -379,7 +373,7 @@ def test_closure_detection():
     assert closure_of(set_sequent([BOT], [])) == (RuleId.BOTTOM_L, ())
     rule, principal = closure_of(set_sequent([p, q], [q]))
     assert rule == RuleId.INIT and principal == (q,)
-    assert closure_of(set_sequent([Box(p)], [Box(p)]), atomic_init=True) is None
+    assert closure_of(set_sequent([Box(p)], [Box(p)])) == (RuleId.INIT, (Box(p),))
     assert closure_of(set_sequent([p], [q])) is None
 
 
@@ -392,14 +386,6 @@ def test_budget_is_enforced_and_shared():
     used_once = shared.used
     decide(big, shared)
     assert shared.used == 2 * used_once
-
-
-def test_atomic_init_variant_still_proves_the_axioms():
-    for text in DERIVABLE:
-        s = parse_sequent(text)
-        res = prove(s, atomic_init=True)
-        assert res.accepted, text
-        assert check_derivation(res.derivation)
 
 
 def test_search_is_deterministic():
@@ -590,9 +576,9 @@ def test_a_first_premiss_proved_without_its_new_formula_settles_the_branch():
 
 def test_a_derivable_memo_entry_under_a_branching_premiss_blocks_the_use_check():
     # OrL on p | q branches p | q |- p; its first premiss is derivable, but
-    # only through the p it adds.  decide takes it from the memo, with no
-    # tree, so what it uses is unknown: counting that as nothing would
-    # accept the goal without searching the underivable second premiss.
+    # only through the p it adds.  decide never settles a search node from
+    # a derivable memo entry: it searches the premiss again, finds that its
+    # proof uses p, and so goes on to the underivable second premiss.
     goal = parse_sequent("p | q |- p")
     first = to_set_sequent(parse_sequent("p | q, p |- p"))
     memo: dict = {}
