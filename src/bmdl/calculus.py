@@ -1,4 +1,5 @@
-"""Backward rule applications of the sequent calculus, at the set level.
+"""Backward rule applications of the sequent calculus, over the subformula
+universe of one goal.
 
 Principal formulas are copied into the premisses, so static premisses are
 always componentwise supersets of their conclusion.  A static application is
@@ -11,35 +12,47 @@ Rule groups:
 
     zero premiss        Init, BottomL       (search.closure_of)
     one-premiss static  NegL, NegR, AndL, OrR, ImpR, T
-                                            (ONE_PREMISS_MOVES, a table per
+                                            (Universe.moves, a table per
                                              side; search.saturate)
-    two-premiss static  AndR, OrL, ImpL
-    transitional        D1, D2, Mon, Four   (antecedent restricted to its
+    two-premiss static  AndR, OrL, ImpL     (Universe.first_branching)
+    transitional        D1, D2, Mon, Four   (Universe.transitional;
+                                             antecedent restricted to its
                                              boxed part, boxes kept)
 
 The checker-only rules (Cut, WeakL/WeakR, ConL/ConR, Assumption) never
 appear in backward search; the kernel handles them.
+
+The universe.  The calculus is cut-free, so every formula of every premiss
+is a subformula of its conclusion, and every sequent met while deciding a
+goal is made of the goal's subformulas.  A Universe ranks that finite set
+once, in sort_key order, and a set sequent over it is a pair of ints, the
+antecedent and succedent masks: bit i stands for the formula of rank i.
+Rank order is sort_key order, so visiting a mask's bits from the lowest
+visits its formulas in the order every enumeration below is defined by.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from itertools import combinations
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .formula import (
     And,
+    Atom,
+    Bottom,
     Box,
     Formula,
     Imp,
     Neg,
     Obl,
     Or,
+    Sequent,
     SetSequent,
-    boxed_part,
+    filled,
     sorted_formulas,
 )
+from .parser import print_formula
 
 
 class RuleId(Enum):
@@ -77,137 +90,253 @@ CHECKER_ONLY = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class RuleApplication:
+class RuleApplication(NamedTuple):
+    """A backward rule application over a universe: the ranks of its
+    principals, and its premisses as (antecedent, succedent) masks."""
+
     rule: RuleId
-    principal: tuple[Formula, ...]
-    premisses: tuple[SetSequent, ...]
+    principal: tuple[int, ...]
+    premisses: tuple[tuple[int, int], ...]
 
 
-def _grown(s: SetSequent, ante=(), succ=()) -> SetSequent:
-    return SetSequent(
-        s.ante.union(ante) if ante else s.ante,
-        s.succ.union(succ) if succ else s.succ,
+def ranks(m: int) -> list[int]:
+    """The ranks of the bits of m, lowest first."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+class Universe:
+    """The subformula closure of a goal, ranked in sort_key order.
+
+    formulas[i] is the formula of rank i and rank its inverse.  first[i]
+    and second[i] are the bits of its arguments (a negation's or a box's
+    argument, an implication's left and right, an obligation's body and
+    condition), 0 where there is none.  bottom, atoms, boxes, ands, ors,
+    imps and obls are the masks of each class.  formulas[i] is the first
+    object of its class the walk of the goal met; canonical() gives them
+    made again where their arguments are not the formulas of their ranks.
+
+    moves holds the one-premiss static moves, the only definition of their
+    productivity: one table per side, antecedent first, giving for the rank
+    of a principal the rule and the masks it adds to the antecedent and to
+    the succedent, or None when no one-premiss rule takes the formula on
+    that side.  The move is productive when it adds a formula absent from
+    its side, so a move unproductive at a sequent stays unproductive at
+    every superset (see search.saturate).  movers holds each side's mask of
+    the formulas with an entry."""
+
+    __slots__ = (
+        "formulas",
+        "rank",
+        "first",
+        "second",
+        "bottom",
+        "atoms",
+        "boxes",
+        "ands",
+        "ors",
+        "imps",
+        "obls",
+        "moves",
+        "movers",
+        "_canonical",
     )
 
+    def __init__(self, goal: Union[Sequent, SetSequent]):
+        seen: dict[Formula, Formula] = {}
+        mixed = False
+        todo = [*goal.ante, *goal.succ]
+        while todo:
+            f = todo.pop()
+            n = len(seen)
+            kept = seen.setdefault(f, f)
+            if len(seen) == n:  # met before; as another object, an argument
+                # of some formula may not be the object of its rank
+                mixed = mixed or (kept is not f and type(f) not in (Atom, Bottom))
+                continue
+            t = type(f)
+            if t is Neg or t is Box:
+                todo.append(f.f)
+            elif t is Obl:
+                todo += (f.body, f.cond)
+            elif t is And or t is Or or t is Imp:
+                todo += (f.l, f.r)
+        self.formulas = formulas = tuple(sorted_formulas(seen))
+        n = len(formulas)
+        self.rank = rank = dict(zip(formulas, range(n)))
+        self.first = first = [0] * n
+        self.second = second = [0] * n
+        left: list = [None] * n
+        right: list = [None] * n
+        bottom = atoms = negs = ands = ors = imps = boxes = obls = 0
+        bit = 1
+        for i, f in enumerate(formulas):
+            t = type(f)
+            if t is Atom:
+                atoms |= bit
+            elif t is Neg:
+                negs |= bit
+                a = first[i] = 1 << rank[f.f]
+                left[i] = (RuleId.NEG_L, 0, a)
+                right[i] = (RuleId.NEG_R, a, 0)
+            elif t is Box:
+                boxes |= bit
+                a = first[i] = 1 << rank[f.f]
+                left[i] = (RuleId.T, a, 0)
+            elif t is Obl:
+                obls |= bit
+                first[i] = 1 << rank[f.body]
+                second[i] = 1 << rank[f.cond]
+            elif t is Bottom:
+                bottom = bit
+            else:
+                a = first[i] = 1 << rank[f.l]
+                b = second[i] = 1 << rank[f.r]
+                if t is And:
+                    ands |= bit
+                    left[i] = (RuleId.AND_L, a | b, 0)
+                elif t is Or:
+                    ors |= bit
+                    right[i] = (RuleId.OR_R, 0, a | b)
+                else:
+                    imps |= bit
+                    right[i] = (RuleId.IMP_R, a, b)
+            bit <<= 1
+        self.bottom, self.atoms, self.boxes, self.obls = bottom, atoms, boxes, obls
+        self.ands, self.ors, self.imps = ands, ors, imps
+        self.moves = (left, right)
+        self.movers = (negs | ands | boxes, negs | ors | imps)
+        self._canonical = None if mixed else formulas
 
-# The one-premiss static moves, the only definition of their productivity:
-# one table per side, antecedent first, from the constructor of a principal
-# f to a function of f and the two sides of the sequent.  It returns the
-# rule with the formulas the move adds to the antecedent and to the
-# succedent, each without repeats, or None when the move is unproductive,
-# that is when everything it would add is already there.  Each test only
-# asks whether some formula is absent, so a move unproductive at a sequent
-# stays unproductive at every superset (see search.saturate).
+    def mask(self, fs: Iterable[Formula]) -> int:
+        """The mask of the formulas fs; ValueError for one outside the
+        universe."""
+        rank = self.rank
+        m = 0
+        for f in fs:
+            i = rank.get(f)
+            if i is None:
+                raise ValueError(f"{print_formula(f)} is not a subformula of the universe's goal")
+            m |= 1 << i
+        return m
 
+    def encode(self, s: Union[Sequent, SetSequent]) -> tuple[int, int]:
+        return self.mask(s.ante), self.mask(s.succ)
 
-def _neg_l(f, ante, succ):
-    return None if f.f in succ else (RuleId.NEG_L, (), (f.f,))
+    def members(self, m: int) -> list[Formula]:
+        """The formulas of mask m, in rank order."""
+        fs = self.formulas
+        return [fs[i] for i in ranks(m)]
 
-
-def _and_l(f, ante, succ):
-    l, r = f.l, f.r
-    if l in ante and r in ante:
-        return None
-    return RuleId.AND_L, (l,) if l == r else (l, r), ()
-
-
-def _t(f, ante, succ):
-    return None if f.f in ante else (RuleId.T, (f.f,), ())
-
-
-def _neg_r(f, ante, succ):
-    return None if f.f in ante else (RuleId.NEG_R, (f.f,), ())
-
-
-def _or_r(f, ante, succ):
-    l, r = f.l, f.r
-    if l in succ and r in succ:
-        return None
-    return RuleId.OR_R, (), (l,) if l == r else (l, r)
-
-
-def _imp_r(f, ante, succ):
-    if f.l in ante and f.r in succ:
-        return None
-    return RuleId.IMP_R, (f.l,), (f.r,)
-
-
-ONE_PREMISS_MOVES = (
-    {Neg: _neg_l, And: _and_l, Box: _t},
-    {Neg: _neg_r, Or: _or_r, Imp: _imp_r},
-)
-
-
-def iter_two_premiss_static_applications(s: SetSequent) -> Iterator[RuleApplication]:
-    """The two-premiss static applications at s whose premisses are both
-    productive, in enumeration order: AndR by succedent formula, then OrL,
-    then ImpL by antecedent formula, each in sort_key order.  Each side is
-    filtered by constructor before it is sorted, and productivity is tested
-    by membership before the premisses are built."""
-    ante, succ = s.ante, s.succ
-    for f in sorted_formulas([f for f in succ if isinstance(f, And)]):
-        if f.l not in succ and f.r not in succ:
-            yield RuleApplication(
-                RuleId.AND_R, (f,), (_grown(s, succ=(f.l,)), _grown(s, succ=(f.r,)))
-            )
-    ors_imps = sorted_formulas([f for f in ante if isinstance(f, (Or, Imp))])
-    for f in ors_imps:
-        if isinstance(f, Or) and f.l not in ante and f.r not in ante:
-            yield RuleApplication(
-                RuleId.OR_L, (f,), (_grown(s, ante=(f.l,)), _grown(s, ante=(f.r,)))
-            )
-    for f in ors_imps:
-        if isinstance(f, Imp) and f.l not in succ and f.r not in ante:
-            yield RuleApplication(
-                RuleId.IMP_L, (f,), (_grown(s, succ=(f.l,)), _grown(s, ante=(f.r,)))
-            )
-
-
-def transitional_applications(s: SetSequent) -> list[RuleApplication]:
-    """D1, D2, Mon, Four instances, in that (heuristically cheap-first) order.
-
-    Premisses keep the boxed part of the antecedent; everything else is
-    dropped, so these premisses are never supersets of the conclusion and
-    need no productivity filter.
-    """
-    boxed = boxed_part(s.ante)
-    obls_ante = sorted_formulas([f for f in s.ante if isinstance(f, Obl)])
-    obls_succ = sorted_formulas([f for f in s.succ if isinstance(f, Obl)])
-    apps = []
-    for o in obls_ante:
-        apps.append(
-            RuleApplication(
-                RuleId.D1, (o,), (SetSequent(boxed | {o.body}, frozenset()),)
-            )
+    def decode(self, s: tuple[int, int]) -> SetSequent:
+        """The set sequent of the masks s, made of canonical formulas."""
+        fs = self.canonical()
+        return SetSequent(
+            frozenset([fs[i] for i in ranks(s[0])]),
+            frozenset([fs[i] for i in ranks(s[1])]),
         )
-    for o1, o2 in itertools.combinations(obls_ante, 2):
-        apps.append(
-            RuleApplication(
+
+    def canonical(self) -> tuple[Formula, ...]:
+        """The formulas by rank, each with arguments that are the formulas
+        of their own ranks, made once per universe.
+
+        A goal that repeats a compound subformula as two objects has ranked
+        formulas whose arguments are equal to, but not the same object as,
+        the formulas of their ranks.  A dict keyed by formulas, such as the
+        truth sets the audit keeps, compares such keys by walking down both,
+        at every lookup.  So where the walk met such a repeat, each compound
+        formula is made again, arguments first, from the canonical formulas
+        of its arguments: an equal formula, printed the same."""
+        if self._canonical is None:
+            formulas, first, second = self.formulas, self.first, self.second
+            made: list = [None] * len(formulas)
+            for i in range(len(formulas)):
+                stack = [i]
+                while stack:
+                    j = stack[-1]
+                    args = [b.bit_length() - 1 for b in (first[j], second[j]) if b]
+                    waiting = [k for k in args if made[k] is None]
+                    if waiting:
+                        stack += waiting
+                        continue
+                    stack.pop()
+                    if made[j] is None:
+                        f = formulas[j]
+                        made[j] = filled(type(f), *[made[k] for k in args]) if args else f
+            self._canonical = tuple(made)
+        return self._canonical
+
+    def first_branching(self, ante: int, succ: int) -> Optional[RuleApplication]:
+        """The first two-premiss static application at ante |- succ whose
+        premisses are both productive, or None.  The enumeration order is
+        AndR by succedent formula, then OrL, then ImpL by antecedent
+        formula, each in rank order; productivity is one test of the
+        argument bits."""
+        first, second = self.first, self.second
+        m = succ & self.ands
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            l, r = first[i], second[i]
+            if not succ & (l | r):
+                return RuleApplication(RuleId.AND_R, (i,), ((ante, succ | l), (ante, succ | r)))
+            m ^= low
+        m = ante & self.ors
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            l, r = first[i], second[i]
+            if not ante & (l | r):
+                return RuleApplication(RuleId.OR_L, (i,), ((ante | l, succ), (ante | r, succ)))
+            m ^= low
+        m = ante & self.imps
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            l, r = first[i], second[i]
+            if not (succ & l or ante & r):
+                return RuleApplication(RuleId.IMP_L, (i,), ((ante, succ | l), (ante | r, succ)))
+            m ^= low
+        return None
+
+    def transitional(self, ante: int, succ: int) -> Iterator[RuleApplication]:
+        """D1, D2, Mon, Four instances at ante |- succ, in that (heuristically
+        cheap-first) order, each rule's instances in rank order of their
+        principals.
+
+        Premisses keep the boxed part of the antecedent; everything else is
+        dropped, so these premisses are never supersets of the conclusion
+        and need no productivity filter."""
+        first, second = self.first, self.second
+        boxed = ante & self.boxes
+        left = ranks(ante & self.obls)
+        right = ranks(succ & self.obls)
+        for i in left:
+            yield RuleApplication(RuleId.D1, (i,), ((boxed | first[i], 0),))
+        for i, j in combinations(left, 2):
+            yield RuleApplication(
                 RuleId.D2,
-                (o1, o2),
+                (i, j),
                 (
-                    SetSequent(boxed | {o1.body, o2.body}, frozenset()),
-                    SetSequent(boxed | {o1.cond}, frozenset({o2.cond})),
-                    SetSequent(boxed | {o2.cond}, frozenset({o1.cond})),
+                    (boxed | first[i] | first[j], 0),
+                    (boxed | second[i], second[j]),
+                    (boxed | second[j], second[i]),
                 ),
             )
-        )
-    for o1 in obls_ante:
-        for o2 in obls_succ:
-            apps.append(
-                RuleApplication(
+        for i in left:
+            for j in right:
+                yield RuleApplication(
                     RuleId.MON,
-                    (o1, o2),
+                    (i, j),
                     (
-                        SetSequent(boxed | {o1.body}, frozenset({o2.body})),
-                        SetSequent(boxed | {o1.cond}, frozenset({o2.cond})),
-                        SetSequent(boxed | {o2.cond}, frozenset({o1.cond})),
+                        (boxed | first[i], first[j]),
+                        (boxed | second[i], second[j]),
+                        (boxed | second[j], second[i]),
                     ),
                 )
-            )
-    for f in sorted_formulas([f for f in s.succ if isinstance(f, Box)]):
-        apps.append(
-            RuleApplication(RuleId.FOUR, (f,), (SetSequent(boxed, frozenset({f.f})),))
-        )
-    return apps
+        for i in ranks(succ & self.boxes):
+            yield RuleApplication(RuleId.FOUR, (i,), ((boxed, first[i]),))

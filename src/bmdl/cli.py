@@ -454,7 +454,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as e:
         _note(f"bmdl: {e}")
         return _emit(args, EXIT_INCONCLUSIVE, {"inconclusive": True, "budget": e.limit})
-    except FileNotFoundError as e:
+    except OSError as e:  # a missing file, a directory, a device that fails to read
         _note(f"bmdl: {e}")
         return EXIT_USAGE
     except json.JSONDecodeError as e:

@@ -66,11 +66,16 @@ Reusing a containing world W for a premiss P is sound:
     world contains never resolves to an existing world's sequent: every
     new world is a new sequent, and no lookup by sequent is needed.
 
-Reuse costs no oracle call and no new world.  The lookup keeps posting
-lists from (side, formula) to the worlds carrying the formula on that
-side, in creation order, and scans only the shortest list among P's
-formulas: every world containing P is on each of those lists, so the first
-one found there is the earliest overall, whatever the set iteration order.
+Reuse costs no oracle call and no new world.  The lookup scans the worlds
+in creation order and stops at the first W with P.ante & ~W.ante == 0 and
+P.succ & ~W.succ == 0: two int operations per world, on the masks over the
+goal's universe that the builder keeps every world sequent as (see
+"Bitset sequents over the goal's universe" in the search module).  Each
+label is decoded to formulas once, after the construction, for the
+audit and the report.  It is decoded into the universe's canonical
+formulas, whose arguments are the formulas of their own ranks, so the
+audit's truth sets, keyed by formulas, find a repeated subformula as the
+same object.
 
 The valuation makes an atom true exactly at the worlds carrying it on the
 left, and the obligation map of a world takes one generator per
@@ -95,10 +100,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Union
 
-from .calculus import RuleApplication, iter_two_premiss_static_applications, transitional_applications
+from .calculus import RuleApplication, Universe, ranks
 from .formula import (
     And,
-    Atom,
     Box,
     Formula,
     Imp,
@@ -112,7 +116,7 @@ from .formula import (
     to_set_sequent,
 )
 from .parser import Printer, parse_sequent, print_sequent
-from .search import Budget, DEFAULT_BUDGET, SearchResult, decide, prove, saturate
+from .search import Budget, DEFAULT_BUDGET, Masks, Memo, SearchResult, decide, prove, saturate
 from .semantics import (
     Generator,
     MModel,
@@ -139,59 +143,60 @@ class CounterModelResult:
 
 
 class _Builder:
-    def __init__(self, budget: Budget, memo: dict[SetSequent, bool], conds: tuple[Formula, ...]):
+    """The construction over the universe of the memo's searches: every
+    world sequent is kept as its masks, and decoded only by build."""
+
+    def __init__(self, budget: Budget, memo: Memo, conds: int):
         self.budget = budget
         self.memo = memo
-        self.conds = conds
-        self.resolved: dict[str, SetSequent] = {}  # in creation order
+        self.u = memo.universe
+        self.conds = conds  # the mask of the conditions to place
+        self.resolved: dict[str, Masks] = {}  # in creation order
         self.edges: set[tuple[str, str]] = set()
-        # (side, formula) -> the worlds carrying formula on that side (0 the
-        # antecedent, 1 the succedent), in creation order
-        self.postings: dict[tuple[int, Formula], list[str]] = {}
 
-    def underivable(self, ss: SetSequent) -> bool:
+    def underivable(self, s: Masks) -> bool:
         """The oracle: underivability from the memo of exact verdicts,
         searching with decide only for sequents it does not hold; decide
         records its root verdict.  This is the one reader of the memo's
         derivable entries (see the search module)."""
-        known = self.memo.get(ss)
+        known = self.memo.get(s)
         if known is None:
-            known = decide(ss, self.budget, memo=self.memo)
+            known = decide(s, self.budget, memo=self.memo)
         return not known
 
-    def first_underivable(self, app: RuleApplication, at: SetSequent) -> SetSequent:
+    def first_underivable(self, app: RuleApplication, at: Masks) -> Masks:
         """The first underivable premiss of app at the underivable sequent
         at; the rule's soundness rules out that there is none."""
         prem = next((p for p in app.premisses if self.underivable(p)), None)
         if prem is None:
             raise CountermodelError(
                 f"every premiss of {app.rule.value} at "
-                f"{print_sequent(from_set_sequent(at))} is derivable, "
+                f"{print_sequent(from_set_sequent(self.u.decode(at)))} is derivable, "
                 "yet the sequent itself was not"
             )
         return prem
 
-    def resolve(self, ss: SetSequent) -> SetSequent:
-        cur = ss
+    def resolve(self, s: Masks) -> Masks:
+        u = self.u
+        cur = s
         base = None  # the last saturated sequent, contained in cur
         while True:
-            _, cur = saturate(cur, base)
+            _, cur = saturate(u, cur, base)
             base = cur
-            app = next(iter_two_premiss_static_applications(cur), None)
+            app = u.first_branching(*cur)
             if app is not None:
                 cur = self.first_underivable(app, cur)
                 continue
-            missing = next(
-                (c for c in self.conds if c not in cur.ante and c not in cur.succ),
-                None,
-            )
-            if missing is None:
+            ante, succ = cur
+            missing = self.conds & ~(ante | succ)
+            if not missing:
                 return cur
-            left = SetSequent(cur.ante | {missing}, cur.succ)
+            missing &= -missing  # the least unplaced condition
+            left = (ante | missing, succ)
             if self.underivable(left):
                 cur = left
             else:
-                right = SetSequent(cur.ante, cur.succ | {missing})
+                right = (ante, succ | missing)
                 if not self.underivable(right):
                     raise CountermodelError(
                         "condition placement failed: both polarities of a "
@@ -199,26 +204,20 @@ class _Builder:
                     )
                 cur = right
 
-    def container(self, p: SetSequent) -> Optional[str]:
+    def container(self, p: Masks) -> Optional[str]:
         """The earliest world whose resolved sequent contains the transitional
-        premiss p componentwise, or None.  Every such world is on the posting
-        list of each formula of p (p has at least its active formula), so
-        scanning the shortest list finds the earliest."""
-        shortest = min(
-            [self.postings.get((0, f), ()) for f in p.ante]
-            + [self.postings.get((1, f), ()) for f in p.succ],
-            key=len,
-        )
-        return next((w for w in shortest if p <= self.resolved[w]), None)
+        premiss p componentwise, or None: a scan in creation order."""
+        ante, succ = p
+        for w, (w_ante, w_succ) in self.resolved.items():
+            if not (ante & ~w_ante or succ & ~w_succ):
+                return w
+        return None
 
-    def explore(self, ss: SetSequent) -> str:
-        resolved = self.resolve(ss)
+    def explore(self, s: Masks) -> str:
+        resolved = self.resolve(s)
         wid = f"h{len(self.resolved)}"
         self.resolved[wid] = resolved
-        for side, fs in enumerate((resolved.ante, resolved.succ)):
-            for f in fs:
-                self.postings.setdefault((side, f), []).append(wid)
-        for app in transitional_applications(resolved):
+        for app in self.u.transitional(*resolved):
             witness = next(
                 (w for w in map(self.container, app.premisses) if w is not None), None
             )
@@ -228,68 +227,70 @@ class _Builder:
         return wid
 
     def finish(self) -> MModel:
+        u = self.u
         worlds = tuple(self.resolved)
         acc = rt_closure(worlds, frozenset(self.edges))
         onward: dict[str, set[str]] = {w: set() for w in worlds}
-        for u, v in acc:
-            onward[u].add(v)
+        for v, w in acc:
+            onward[v].add(w)
         succ = {w: frozenset(vs) for w, vs in onward.items()}
-        occurs_left: dict[Formula, frozenset[str]] = {}
+        occurs_left: dict[int, frozenset[str]] = {}
 
-        def left_of(f: Formula) -> frozenset[str]:
-            got = occurs_left.get(f)
+        def left_of(bit: int) -> frozenset[str]:
+            got = occurs_left.get(bit)
             if got is None:
-                got = occurs_left[f] = frozenset(self.postings.get((0, f), ()))
+                got = occurs_left[bit] = frozenset(
+                    w for w, (ante, _) in self.resolved.items() if ante & bit
+                )
             return got
 
-        val = {
-            w: frozenset(
-                f.name for f in self.resolved[w].ante if isinstance(f, Atom)
-            )
-            for w in worlds
-        }
+        val = {}
         eta: dict[str, tuple[Generator, ...]] = {}
-        for w in worlds:
+        for w, (ante, _) in self.resolved.items():
+            val[w] = frozenset(f.name for f in u.members(ante & u.atoms))
             gens = []
-            for f in sorted_formulas(self.resolved[w].ante):
-                if isinstance(f, Obl):
-                    g = Generator(left_of(f.body) & succ[w], left_of(f.cond) & succ[w])
-                    if g not in gens:
-                        gens.append(g)
+            for i in ranks(ante & u.obls):
+                g = Generator(left_of(u.first[i]) & succ[w], left_of(u.second[i]) & succ[w])
+                if g not in gens:
+                    gens.append(g)
             eta[w] = tuple(gens)
         return MModel(worlds, acc, eta, val)
 
 
-def left_obligation_conds(ss: SetSequent) -> tuple[Formula, ...]:
-    """The conditions of the obligations that can occur on the left of some
-    world sequent built from ss, sorted: one walk over (formula, side)
-    pairs from ss, 0 the antecedent and 1 the succedent (see the module
-    docstring for why the walk covers every world sequent)."""
-    todo = [(f, 0) for f in ss.ante] + [(f, 1) for f in ss.succ]
-    seen = set(todo)
-    conds = set()
+def left_obligation_conds(u: Universe, s: Masks) -> int:
+    """The mask of the conditions of the obligations that can occur on the
+    left of some world sequent built from s: one walk over (formula, side)
+    pairs from s, 0 the antecedent and 1 the succedent, each reached pair
+    kept as a bit of its side's mask (see the module docstring for why the
+    walk covers every world sequent)."""
+    formulas, first, second = u.formulas, u.first, u.second
+    reached = list(s)
+    todo = [(1 << i, side) for side in (0, 1) for i in ranks(s[side])]
+    conds = 0
     while todo:
-        f, side = todo.pop()
-        t = type(f)
+        bit, side = todo.pop()
+        i = bit.bit_length() - 1
+        t = type(formulas[i])
+        a, b = first[i], second[i]
         if t is Neg:
-            nxt = ((f.f, 1 - side),)
+            nxt = ((a, 1 - side),)
         elif t is Imp:
-            nxt = ((f.l, 1 - side), (f.r, side))
+            nxt = ((a, 1 - side), (b, side))
         elif t is And or t is Or:
-            nxt = ((f.l, side), (f.r, side))
+            nxt = ((a, side), (b, side))
         elif t is Box:
-            nxt = ((f.f, side),)
+            nxt = ((a, side),)
         elif t is Obl:
             if side == 0:
-                conds.add(f.cond)
-            nxt = ((f.body, 0), (f.body, 1), (f.cond, 0), (f.cond, 1))
+                conds |= b
+            nxt = ((a, 0), (a, 1), (b, 0), (b, 1))
         else:
             continue
-        for pair in nxt:
-            if pair not in seen:
-                seen.add(pair)
-                todo.append(pair)
-    return tuple(sorted_formulas(conds))
+        for bit, side in nxt:
+            if not reached[side] & bit:
+                reached[side] |= bit
+                todo.append((bit, side))
+    return conds
 
 
 def truth_lemma_audit(
@@ -319,7 +320,7 @@ def build(
     goal: Union[Sequent, SetSequent],
     budget: Union[int, Budget] = DEFAULT_BUDGET,
     *,
-    memo: Optional[dict[SetSequent, bool]] = None,
+    memo: Optional[Memo] = None,
 ) -> CounterModelResult:
     """Build and certify a countermodel for an underivable sequent.
 
@@ -330,11 +331,16 @@ def build(
     certification fails."""
     ms = goal if isinstance(goal, Sequent) else from_set_sequent(goal)
     ss = to_set_sequent(ms) if isinstance(goal, Sequent) else goal
-    builder = _Builder(Budget.ensure(budget), {} if memo is None else memo, left_obligation_conds(ss))
-    if not builder.underivable(ss):
+    if memo is None:
+        memo = Memo(Universe(ss))
+    u = memo.universe
+    start = u.encode(ss)
+    builder = _Builder(Budget.ensure(budget), memo, left_obligation_conds(u, start))
+    if not builder.underivable(start):
         raise ValueError("the sequent is derivable; no countermodel exists")
-    root = builder.explore(ss)
+    root = builder.explore(start)
     model = builder.finish()
+    labels = {w: u.decode(s) for w, s in builder.resolved.items()}
 
     frame_bad = validate_frame(model)
     if frame_bad:
@@ -342,7 +348,7 @@ def build(
             "frame validation failed: " + "; ".join(str(v) for v in frame_bad)
         )
     truth_sets: dict = {}  # of this model, shared by the audit and the root check
-    audit_bad = truth_lemma_audit(model, builder.resolved, truth_sets)
+    audit_bad = truth_lemma_audit(model, labels, truth_sets)
     if audit_bad:
         raise CountermodelError("truth audit failed: " + "; ".join(audit_bad))
     if not falsifies(model, root, ms, truth_sets):
@@ -351,7 +357,7 @@ def build(
         sequent=ms,
         model=model,
         root=root,
-        resolved=dict(builder.resolved),
+        resolved=labels,
         certified=True,
     )
 
@@ -374,7 +380,7 @@ def certify(goal: Sequent, budget: Union[int, Budget] = DEFAULT_BUDGET) -> Certi
     search.steps_used is the budget spent when the search ended; the
     construction spends from the same budget."""
     b = Budget.ensure(budget)
-    memo: dict[SetSequent, bool] = {}
+    memo = Memo(Universe(goal))
     res = prove(goal, b, memo=memo)
     if res.accepted:
         return Certificate(res, None)

@@ -256,8 +256,3 @@ def sequent_subformulas(s: Sequent | SetSequent) -> frozenset[Formula]:
         out |= subformulas(f)
     return out
 
-
-def boxed_part(fs: Iterable[Formula]) -> frozenset[Formula]:
-    """The boxed formulas of fs, boxes kept."""
-    return frozenset(f for f in fs if isinstance(f, Box))
-

@@ -60,21 +60,21 @@ premiss of it is underivable, which the rule's own soundness rules out.
 Saturation by an ordered agenda.  saturate makes, at each step, the first
 productive one-premiss move in the fixed order: antecedent before
 succedent, each side by sort_key.  The productivity test of every move
-(calculus.ONE_PREMISS_MOVES) only asks whether some formula it would add is
+(calculus.Universe.moves) only asks whether some formula it would add is
 absent from its side: NegL g not in succ; AndL l or r not in ante; T g not
 in ante; NegR g not in ante; OrR l or r not in succ; ImpR l not in ante or
 r not in succ.  Saturation only adds formulas, so the tests are
 antimonotone: a move unproductive at a sequent is unproductive at every
 superset, and a principal whose move was made is unproductive from then
 on, everything it adds being present.  saturate therefore keeps an agenda,
-one heap per side ordered by sort_key with the antecedent heap drained
-first, holding each formula that has a one-premiss rule on its side from
-the moment it appears there.  Popping the least entry either finds it
-unproductive, and it can be dropped for good, or finds the least productive
-move: every formula that sorts before it and is still productive would
-still be in the agenda.  So the moves are exactly those of a scan that
-restarts from the top after every move, in the same order, while each
-formula is examined once (semi-naive evaluation, in the sense of Bancilhon,
+one mask per side whose lowest bit is the least formula by sort_key, the
+antecedent's drained first, holding each formula that has a one-premiss
+rule on its side from the moment it appears there.  Taking the lowest bit
+either finds its move unproductive, and it can be dropped for good, or
+finds the least productive move: every formula that sorts before it and is
+still productive would still be in the agenda.  So the moves are exactly
+those of a scan that restarts from the top after every move, in the same
+order, while each formula is examined once (semi-naive evaluation, in the sense of Bancilhon,
 "Naive evaluation of recursively defined relations", 1986).  By the same
 antimonotonicity, when s contains a saturated sequent base, no formula of
 base has a productive move at s, and the agenda may be seeded with the
@@ -87,9 +87,40 @@ closed sequent derives needs no more formulas.  The builder saturates
 underivable sequents only, which never close, so its worlds are saturated
 in full.
 
+Bitset sequents over the goal's universe.  Every search and world sequent
+is a pair of ints over the goal's calculus.Universe, its subformula
+closure ranked in sort_key order: bit i of a side stands for the formula
+of rank i.  The closure holds everything these modules ever put in a
+sequent, by the subformula property of the cut-free calculus.  A static
+premiss adds arguments of its principal.  A transitional premiss keeps
+boxed antecedent formulas and adds arguments of its principal
+obligations or box.  A placed condition is the argument of an
+obligation.  Saturation, closure and the enumerators add nothing else.
+So every premiss, every world sequent and every memo key is a subformula
+set of the goal.  Only a sequent handed in from outside, the goal or one a
+caller pairs with another goal's memo, can hold a formula outside the
+universe, and encoding it raises ValueError.
+
+Rank order is sort_key order, and the universe is ranked by one sort of
+the closure, so a universe depends on the closure alone, never on the
+order in which the walk or a set met its formulas.  Each enumeration was
+defined by a sort_key order over a filtered side: the agenda by side then
+sort_key, Init's principal as the least shared formula, AndR, OrL, ImpL,
+D1, D2, Mon and Four each by their principals in sort_key order, and the
+conditions to place in sort_key order.  Masking a side by a class and
+taking its bits from the lowest visits exactly those formulas in exactly
+that order.  So each move, application and premiss comes in the order it
+did over formula sets, the budget spends the same steps, the memo records
+the same sequents, and every derivation and countermodel is the same.
+Formulas are read back only where a certificate is made: assembly maps
+the ranks of principals to formulas, and countermodel.build decodes each
+world's label once, into the universe's canonical formulas (see
+Universe.canonical).
+
 The memo of exact verdicts.  The searches made for one certificate (the
 top-level search and every oracle search of the countermodel built after
-it) share a dict from set sequents to verdicts, in the manner of global
+it) share a Memo, a dict from the masks of set sequents over one universe
+to verdicts, in the manner of global
 caching (Gore & Nguyen, "EXPTIME tableaux with global caching for
 description logics").  The history makes a call's failure depend on more
 than its goal, so only failures known to be exact are recorded.  An
@@ -134,8 +165,8 @@ certify or build call (or one search when none is given); nothing is cached
 across calls.
 
 Relevance and the use-check.  Every accepted node carries its uses: the
-(side, formula) pairs of its start sequent that its proof reads, as a
-SetSequent, sided because a formula read on the left is not the one a move
+(side, formula) pairs of its start sequent that its proof reads, as a pair
+of masks, sided because a formula read on the left is not the one a move
 added on the right.  They are computed bottom-up when a node is accepted,
 so failed nodes pay nothing.  A closing rule uses its principal on each
 side it reads.  A branching rule uses its principal, and each premiss
@@ -187,31 +218,18 @@ above them reads, and no weakening or contraction is ever inserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from typing import NamedTuple, Optional, Union
 
-from .calculus import (
-    ONE_PREMISS_MOVES,
-    TRANSITIONAL,
-    RuleApplication,
-    RuleId,
-    iter_two_premiss_static_applications,
-    transitional_applications,
-)
-from .formula import (
-    BOT,
-    Bottom,
-    Box,
-    Formula,
-    Sequent,
-    SetSequent,
-    sort_key,
-    sorted_formulas,
-    to_set_sequent,
-)
+from .calculus import TRANSITIONAL, RuleApplication, RuleId, Universe
+# sorted_formulas is not called here, but stays bound: perfbench/tracing.py
+# wraps search.sorted_formulas
+from .formula import Sequent, SetSequent, sorted_formulas  # noqa: F401
 from .kernel import Derivation, premisses_for
 
 DEFAULT_BUDGET = 1_000_000
+
+# A set sequent over a universe: its (antecedent, succedent) masks.
+Masks = tuple[int, int]
 
 
 class BudgetExceeded(RuntimeError):
@@ -240,113 +258,114 @@ class Budget:
         return b if isinstance(b, Budget) else cls(b)
 
 
+class Memo(dict):
+    """Exact derivability verdicts, keyed by the masks of set sequents over
+    its universe, that the searches of one certificate share (see "The memo
+    of exact verdicts" above)."""
+
+    __slots__ = ("universe",)
+
+    def __init__(self, universe: Universe):
+        super().__init__()
+        self.universe = universe
+
+
 class SatStep(NamedTuple):
-    """One saturation move: the rule, its principal, and the formulas it
-    added to the antecedent and to the succedent, those it would add that
-    were not there yet."""
+    """One saturation move: the rule, the rank of its principal, and the
+    masks of the formulas it added to the antecedent and to the succedent,
+    those it would add that were not there yet."""
 
     rule: RuleId
-    principal: tuple[Formula, ...]
-    new_ante: tuple[Formula, ...]
-    new_succ: tuple[Formula, ...]
-
-
-def _shares(new_ante, new_succ, ante: frozenset, succ: frozenset) -> bool:
-    """Whether a formula just added to one side of the sequent ante |- succ
-    is on the other side too, so that Init closes it."""
-    return not (succ.isdisjoint(new_ante) and ante.isdisjoint(new_succ))
+    principal: int
+    new_ante: int
+    new_succ: int
 
 
 def saturate(
-    s: SetSequent, base: Optional[SetSequent] = None
-) -> tuple[tuple[SatStep, ...], SetSequent]:
+    u: Universe, s: Masks, base: Optional[Masks] = None
+) -> tuple[tuple[SatStep, ...], Masks]:
     """Close s under the one-premiss static rules, recording the moves,
     until the sequent closes.
 
     Each move is the first productive one-premiss move in the fixed order,
-    antecedent before succedent and each side in sort_key order, taken from
+    antecedent before succedent and each side in rank order, taken from
     an ordered agenda (see "Saturation by an ordered agenda" above): every
     formula with a one-premiss rule on its side enters the agenda once, when
-    it first appears there, and leaves it for good when it is popped, either
-    unproductive or spent by its own move.  The agenda is ordered by side,
-    then sort_key: one heap of (sort_key, formula) entries per side, the
-    antecedent's drained first.  Saturation stops after the first move that
-    closes the sequent, by BottomL or Init, and makes none when s is
-    closed.  base, when given, must be a saturated sequent contained in s
-    that is not closed; then only the formulas of s outside base enter the
-    agenda and are checked for closing it.  Each formula of
-    the finite subformula universe enters each side's heap at most once, so
-    saturation ends.
+    it first appears there, and leaves it for good when it is taken, either
+    unproductive or spent by its own move.  The agenda is one mask per
+    side, whose lowest bit is taken next, the antecedent's drained first.
+    Saturation stops after the first move that closes the sequent, by
+    BottomL or Init, and makes none when s is closed.  base, when given,
+    must be a saturated sequent contained in s that is not closed; then
+    only the formulas of s outside base enter the agenda and are checked
+    for closing it.  Each formula of the universe enters each side's agenda
+    at most once, so saturation ends.
     """
-    ante, succ = s.ante, s.succ
+    ante, succ = s
     if base is None:
         fresh_ante, fresh_succ = ante, succ
-        closed = BOT in ante or _shares(ante, (), ante, succ)
+        closed = ante & (u.bottom | succ)
     else:
-        fresh_ante, fresh_succ = ante - base.ante, succ - base.succ
-        closed = BOT in fresh_ante or _shares(fresh_ante, fresh_succ, ante, succ)
+        fresh_ante, fresh_succ = ante & ~base[0], succ & ~base[1]
+        closed = fresh_ante & (u.bottom | succ) or fresh_succ & ante
     if closed:
         return (), s
-    moves_ante, moves_succ = ONE_PREMISS_MOVES
-    at_ante = [(sort_key(f), f) for f in fresh_ante if type(f) in moves_ante]
-    at_succ = [(sort_key(f), f) for f in fresh_succ if type(f) in moves_succ]
-    heapify(at_ante)
-    heapify(at_succ)
+    moves_ante, moves_succ = u.moves
+    movers_ante, movers_succ = u.movers
+    bottom = u.bottom
+    at_ante = fresh_ante & movers_ante
+    at_succ = fresh_succ & movers_succ
     steps: list[SatStep] = []
     while at_ante or at_succ:
         if at_ante:
-            f = heappop(at_ante)[1]
-            move = moves_ante[type(f)](f, ante, succ)
+            low = at_ante & -at_ante
+            at_ante ^= low
+            i = low.bit_length() - 1
+            rule, add_ante, add_succ = moves_ante[i]
         else:
-            f = heappop(at_succ)[1]
-            move = moves_succ[type(f)](f, ante, succ)
-        if move is None:
+            low = at_succ & -at_succ
+            at_succ ^= low
+            i = low.bit_length() - 1
+            rule, add_ante, add_succ = moves_succ[i]
+        new_ante = add_ante & ~ante
+        new_succ = add_succ & ~succ
+        if not (new_ante or new_succ):
             continue  # unproductive here, so at every later, larger sequent
-        rule, add_ante, add_succ = move
-        new_ante = new_succ = ()
-        if add_ante:
-            new_ante = tuple([g for g in add_ante if g not in ante])
-            if new_ante:
-                ante = ante.union(new_ante)
-                for g in new_ante:
-                    if type(g) in moves_ante:
-                        heappush(at_ante, (sort_key(g), g))
-        if add_succ:
-            new_succ = tuple([g for g in add_succ if g not in succ])
-            if new_succ:
-                succ = succ.union(new_succ)
-                for g in new_succ:
-                    if type(g) in moves_succ:
-                        heappush(at_succ, (sort_key(g), g))
-        steps.append(SatStep(rule, (f,), new_ante, new_succ))
-        if Bottom in map(type, new_ante) or _shares(new_ante, new_succ, ante, succ):
+        ante |= new_ante
+        succ |= new_succ
+        at_ante |= new_ante & movers_ante
+        at_succ |= new_succ & movers_succ
+        steps.append(SatStep(rule, i, new_ante, new_succ))
+        if new_ante & (bottom | succ) or new_succ & ante:
             break
     if not steps:
         return (), s
-    return tuple(steps), SetSequent(ante, succ)
+    return tuple(steps), (ante, succ)
 
 
-def closure_of(s: SetSequent) -> Optional[tuple[RuleId, tuple[Formula, ...]]]:
-    """The zero-premiss rule closing s, if any, with its principal."""
-    if BOT in s.ante:
+def closure_of(u: Universe, s: Masks) -> Optional[tuple[RuleId, tuple[int, ...]]]:
+    """The zero-premiss rule closing s, if any, with the ranks of its
+    principal: Init on the least formula on both sides."""
+    ante, succ = s
+    if ante & u.bottom:
         return (RuleId.BOTTOM_L, ())
-    shared = s.ante & s.succ
+    shared = ante & succ
     if shared:
-        return (RuleId.INIT, (sorted_formulas(shared)[0],))
+        return (RuleId.INIT, ((shared & -shared).bit_length() - 1,))
     return None
 
 
 class ProofNode(NamedTuple):
     """Accepted search node.  steps are the saturation moves its derivation
     replays, the used ones alone, and at most one of closure and
-    application is set; uses are the formulas of the node's start that its
-    proof uses (see "Relevance and the use-check" above)."""
+    application is set; uses are the masks of the formulas of the node's
+    start that its proof uses (see "Relevance and the use-check" above)."""
 
     steps: tuple[SatStep, ...]
-    closure: Optional[tuple[RuleId, tuple[Formula, ...]]]
+    closure: Optional[tuple[RuleId, tuple[int, ...]]]
     application: Optional[RuleApplication]
     children: tuple["ProofNode", ...]
-    uses: SetSequent
+    uses: Masks
 
 
 # How many leading principals of each rule sit in the antecedent; the rest
@@ -368,47 +387,49 @@ _LEFT_PRINCIPALS = {
 }
 
 
-def _relevant(
-    steps: tuple[SatStep, ...], used: SetSequent
-) -> tuple[tuple[SatStep, ...], SetSequent]:
+def _relevant(steps: tuple[SatStep, ...], used: Masks) -> tuple[tuple[SatStep, ...], Masks]:
     """The moves of steps that add a formula used after them, and what the
     start of steps must hold: used walked back through the kept moves."""
     if not steps:
         return (), used
-    ante, succ = set(used.ante), set(used.succ)
+    ante, succ = used
     kept = []
     for step in reversed(steps):
-        if ante.isdisjoint(step.new_ante) and succ.isdisjoint(step.new_succ):
+        rule, principal, new_ante, new_succ = step
+        if not (ante & new_ante or succ & new_succ):
             continue
         kept.append(step)
-        ante.difference_update(step.new_ante)
-        succ.difference_update(step.new_succ)
-        (ante if _LEFT_PRINCIPALS[step.rule] else succ).add(step.principal[0])
+        ante &= ~new_ante
+        succ &= ~new_succ
+        if _LEFT_PRINCIPALS[rule]:
+            ante |= 1 << principal
+        else:
+            succ |= 1 << principal
     kept.reverse()
-    return tuple(kept), SetSequent(frozenset(ante), frozenset(succ))
+    return tuple(kept), (ante, succ)
 
 
-def _rule_uses(
-    app: RuleApplication, sat: SetSequent, kids: tuple[ProofNode, ...]
-) -> SetSequent:
+def _rule_uses(u: Universe, app: RuleApplication, sat: Masks, kids: tuple[ProofNode, ...]) -> Masks:
     """What an application at sat uses, given its premisses' proofs: its
     principals, and what those proofs use of sat; of a transitional
     premiss, only the boxed antecedent formulas are sat's."""
-    ante: set[Formula] = set()
-    succ: set[Formula] = set()
+    ante = succ = 0
     for kid in kids:
-        ante.update(kid.uses.ante)
-        succ.update(kid.uses.succ)
+        ante |= kid.uses[0]
+        succ |= kid.uses[1]
     if app.rule in TRANSITIONAL:
-        ante = {f for f in ante if type(f) is Box and f in sat.ante}
-        succ.clear()
+        ante &= u.boxes & sat[0]
+        succ = 0
     else:
-        ante.intersection_update(sat.ante)
-        succ.intersection_update(sat.succ)
+        ante &= sat[0]
+        succ &= sat[1]
     n = _LEFT_PRINCIPALS[app.rule]
-    ante.update(app.principal[:n])
-    succ.update(app.principal[n:])
-    return SetSequent(frozenset(ante), frozenset(succ))
+    for k, i in enumerate(app.principal):
+        if k < n:
+            ante |= 1 << i
+        else:
+            succ |= 1 << i
+    return ante, succ
 
 
 class _Search:
@@ -416,19 +437,18 @@ class _Search:
     Only its "underivable" entries cut the search short, so the tree it
     returns is the one a search without the memo would build."""
 
-    def __init__(self, budget: Budget, memo: Optional[dict[SetSequent, bool]]):
+    def __init__(self, budget: Budget, memo: Memo):
         self.budget = budget
-        self.memo = {} if memo is None else memo
+        self.memo = memo
+        self.u = memo.universe
         # least history index a loop-check refusal in the current subtree
         # pointed at; see "The memo of exact verdicts" above
         self.mark = _NO_REFUSAL
 
-    def run(self, goal: SetSequent) -> Optional[ProofNode]:
+    def run(self, goal: Masks) -> Optional[ProofNode]:
         return self._node((goal,), None)
 
-    def _node(
-        self, history: tuple[SetSequent, ...], base: Optional[SetSequent]
-    ) -> Optional[ProofNode]:
+    def _node(self, history: tuple[Masks, ...], base: Optional[Masks]) -> Optional[ProofNode]:
         """Search the last sequent of history; base is a saturated sequent
         it contains, if one is known (see saturate)."""
         start = history[-1]
@@ -444,32 +464,32 @@ class _Search:
             self.memo[start] = False
         return node
 
-    def _expand(
-        self, history: tuple[SetSequent, ...], base: Optional[SetSequent]
-    ) -> Optional[ProofNode]:
-        start = history[-1]
-        steps, sat = saturate(start, base)
+    def _expand(self, history: tuple[Masks, ...], base: Optional[Masks]) -> Optional[ProofNode]:
+        u = self.u
+        steps, sat = saturate(u, history[-1], base)
         self.budget.spend(1 + len(steps))
-        cl = closure_of(sat)
+        cl = closure_of(u, sat)
         if cl is not None:
             rule, principal = cl
-            used = _BOTTOM_USED if rule is RuleId.BOTTOM_L else SetSequent(
-                frozenset(principal), frozenset(principal)
-            )
+            if rule is RuleId.BOTTOM_L:
+                used = (u.bottom, 0)
+            else:
+                bit = 1 << principal[0]
+                used = (bit, bit)
             return self._accept(sat, steps, ProofNode((), cl, None, (), used))
         h = history[:-1] + (sat,)
-        branch = next(iter_two_premiss_static_applications(sat), None)
+        branch = u.first_branching(*sat)
         if branch is not None:
             return self._branch(h, steps, branch)
-        for app in transitional_applications(sat):
+        for app in u.transitional(*sat):
             kids = self._try(h, app)
             if kids is not None:
-                above = ProofNode((), None, app, kids, _rule_uses(app, sat, kids))
+                above = ProofNode((), None, app, kids, _rule_uses(u, app, sat, kids))
                 return self._accept(sat, steps, above)
         return None
 
     def _branch(
-        self, h: tuple[SetSequent, ...], steps: tuple[SatStep, ...], app: RuleApplication
+        self, h: tuple[Masks, ...], steps: tuple[SatStep, ...], app: RuleApplication
     ) -> Optional[ProofNode]:
         """Settle the node at the saturated h[-1] by the first branching
         application: branching static rules are invertible.  Premisses
@@ -477,29 +497,29 @@ class _Search:
         proof does not use what it added proves h[-1] itself, and the rest
         are never searched (the use-check)."""
         sat = h[-1]
+        sat_ante, sat_succ = sat
         kids = []
         for prem in app.premisses:
             self.budget.spend()
             kid = self._node(h + (prem,), sat)
             if kid is None:
                 return None
-            if kid.uses <= sat:
+            uses_ante, uses_succ = kid.uses
+            if not (uses_ante & ~sat_ante or uses_succ & ~sat_succ):
                 return self._accept(sat, steps, kid)
             kids.append(kid)
         kids = tuple(kids)
-        above = ProofNode((), None, app, kids, _rule_uses(app, sat, kids))
+        above = ProofNode((), None, app, kids, _rule_uses(self.u, app, sat, kids))
         return self._accept(sat, steps, above)
 
-    def _accept(self, sat: SetSequent, steps: tuple[SatStep, ...], above: ProofNode) -> ProofNode:
+    def _accept(self, sat: Masks, steps: tuple[SatStep, ...], above: ProofNode) -> ProofNode:
         """The accepted node that saturates by steps to sat and then goes on
         as the proof above, which uses above.uses of sat."""
         self.memo[sat] = True
         kept, uses = _relevant(steps, above.uses)
         return ProofNode(kept + above.steps, above.closure, above.application, above.children, uses)
 
-    def _try(
-        self, h: tuple[SetSequent, ...], app: RuleApplication
-    ) -> Optional[tuple[ProofNode, ...]]:
+    def _try(self, h: tuple[Masks, ...], app: RuleApplication) -> Optional[tuple[ProofNode, ...]]:
         """Evaluate a transitional application's premisses left to right,
         each loop checked; None as soon as one premiss loops or is
         rejected, the remaining ones unexplored."""
@@ -517,70 +537,80 @@ class _Search:
         return tuple(kids)
 
 
-def _deepest_container(h: tuple[SetSequent, ...], prem: SetSequent) -> Optional[int]:
-    """The greatest i with prem <= h[i], or None when the loop check lets
-    prem through."""
+def _deepest_container(h: tuple[Masks, ...], prem: Masks) -> Optional[int]:
+    """The greatest i with prem <= h[i] componentwise, or None when the loop
+    check lets prem through."""
+    ante, succ = prem
     for i in range(len(h) - 1, -1, -1):
-        if prem <= h[i]:
+        h_ante, h_succ = h[i]
+        if not (ante & ~h_ante or succ & ~h_succ):
             return i
     return None
 
 
 _NO_REFUSAL = float("inf")
-_BOTTOM_USED = SetSequent(frozenset({BOT}), frozenset())
 
 
 def proof_tree(
-    s: Union[Sequent, SetSequent],
+    s: Union[Sequent, SetSequent, Masks],
     budget: Union[int, Budget] = DEFAULT_BUDGET,
     *,
-    memo: Optional[dict[SetSequent, bool]] = None,
+    memo: Optional[Memo] = None,
 ) -> Optional[ProofNode]:
     """The accepted search tree of s, or None when s is underivable.
 
-    memo holds exact verdicts shared with the other searches of one
+    s is a sequent, or the masks of one over the universe of memo.  memo
+    holds exact verdicts shared with the other searches of one
     certificate; the search reads its "underivable" entries and records
-    what it settles.  Without one, the search keeps a memo of its own."""
-    goal = s if isinstance(s, SetSequent) else to_set_sequent(s)
+    what it settles.  Without one, the search keeps a memo of its own over
+    the universe of s."""
+    if memo is None:
+        memo = Memo(Universe(s))
+    goal = s if type(s) is tuple else memo.universe.encode(s)
     return _Search(Budget.ensure(budget), memo).run(goal)
 
 
 def decide(
-    s: Union[Sequent, SetSequent],
+    s: Union[Sequent, SetSequent, Masks],
     budget: Union[int, Budget] = DEFAULT_BUDGET,
     *,
-    memo: Optional[dict[SetSequent, bool]] = None,
+    memo: Optional[Memo] = None,
 ) -> bool:
     """Derivability verdict alone: whether proof_tree accepts s."""
     return proof_tree(s, budget, memo=memo) is not None
 
 
-def assemble_derivation(node: ProofNode, target: Sequent) -> Derivation:
-    """Turn an accepted search tree into a kernel derivation of target.
+def assemble_derivation(node: ProofNode, target: Sequent, u: Universe) -> Derivation:
+    """Turn an accepted search tree over the universe u into a kernel
+    derivation of target.
 
     Requires target, as a set, to contain node.uses and to lie within the
     node's start.  The used saturation moves, node.steps, are replayed as
     one-premiss inferences on the multiset sequent, then the node's closing
     rule or branching application is emitted with the exact premisses the
-    kernel schema computes at that multiset conclusion.
+    kernel schema computes at that multiset conclusion.  Principals are
+    read from the ranks as formulas, and nothing else is decoded.
     """
-    chain: list[tuple[Sequent, RuleId, tuple[Formula, ...]]] = []
+    formulas = u.formulas
+    chain: list[tuple[Sequent, RuleId, tuple]] = []
     cur = target
     for step in node.steps:
-        chain.append((cur, step.rule, step.principal))
-        cur = premisses_for(step.rule, step.principal, cur)[0]
+        principal = (formulas[step.principal],)
+        chain.append((cur, step.rule, principal))
+        cur = premisses_for(step.rule, principal, cur)[0]
     if node.closure is not None:
         rule, principal = node.closure
-        d = Derivation(cur, rule, principal)
+        d = Derivation(cur, rule, tuple([formulas[i] for i in principal]))
     else:
         app = node.application
         assert app is not None
-        prems = premisses_for(app.rule, app.principal, cur)
+        principal = tuple([formulas[i] for i in app.principal])
+        prems = premisses_for(app.rule, principal, cur)
         kids = tuple(
-            assemble_derivation(child, prem)
+            assemble_derivation(child, prem, u)
             for child, prem in zip(node.children, prems)
         )
-        d = Derivation(cur, app.rule, app.principal, kids)
+        d = Derivation(cur, app.rule, principal, kids)
     for conc, rule, principal in reversed(chain):
         d = Derivation(conc, rule, principal, (d,))
     return d
@@ -598,12 +628,14 @@ def prove(
     s: Sequent,
     budget: Union[int, Budget] = DEFAULT_BUDGET,
     *,
-    memo: Optional[dict[SetSequent, bool]] = None,
+    memo: Optional[Memo] = None,
 ) -> SearchResult:
     """Search for s and, on acceptance, assemble the checkable derivation.
     memo is as for proof_tree."""
     b = Budget.ensure(budget)
+    if memo is None:
+        memo = Memo(Universe(s))
     node = proof_tree(s, b, memo=memo)
     if node is None:
         return SearchResult(s, False, None, b.used)
-    return SearchResult(s, True, assemble_derivation(node, s), b.used)
+    return SearchResult(s, True, assemble_derivation(node, s, memo.universe), b.used)

@@ -1,10 +1,26 @@
+import itertools
+from dataclasses import dataclass
 from pathlib import Path
 
 import hypothesis.strategies as st
 from hypothesis import settings
 
-from bmdl.calculus import ONE_PREMISS_MOVES
-from bmdl.formula import And, Atom, BOT, Box, Imp, Neg, Obl, Or, Sequent
+from bmdl.calculus import RuleApplication, RuleId, Universe
+from bmdl.formula import (
+    And,
+    Atom,
+    BOT,
+    Box,
+    Formula,
+    Imp,
+    Neg,
+    Obl,
+    Or,
+    Sequent,
+    SetSequent,
+    sorted_formulas,
+)
+from bmdl.search import SatStep, saturate
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -43,12 +59,204 @@ formula_tuples = st.lists(formulas, max_size=3).map(tuple)
 sequents = st.builds(Sequent, formula_tuples, formula_tuples)
 
 
-ANTE, SUCC = 0, 1  # the sides, as ONE_PREMISS_MOVES indexes them
+ANTE, SUCC = 0, 1  # the sides, as Universe.moves indexes them
 
 
 def one_premiss_move(f, side, s):
-    """The move table's entry for principal f on the given side of the set
-    sequent s: None when no one-premiss rule takes f there or its move is
-    unproductive at s."""
-    move = ONE_PREMISS_MOVES[side].get(type(f))
-    return None if move is None else move(f, s.ante, s.succ)
+    """The universe's move table entry for principal f on the given side of
+    the set sequent s, as the rule and the formulas it adds to the
+    antecedent and to the succedent, each in sort_key order: None when no
+    one-premiss rule takes f there or its move is unproductive at s."""
+    u = Universe(SetSequent(s.ante | {f}, s.succ))
+    move = u.moves[side][u.rank[f]]
+    if move is None:
+        return None
+    rule, add_ante, add_succ = move
+    ante, succ = u.encode(s)
+    if not (add_ante & ~ante or add_succ & ~succ):
+        return None
+    return rule, tuple(u.members(add_ante)), tuple(u.members(add_succ))
+
+
+def decoded_steps(u, steps):
+    """Saturation moves over u as formulas: each principal in a 1-tuple,
+    and the added formulas in sort_key order."""
+    return tuple(
+        SatStep(
+            step.rule,
+            (u.formulas[step.principal],),
+            tuple(u.members(step.new_ante)),
+            tuple(u.members(step.new_succ)),
+        )
+        for step in steps
+    )
+
+
+def saturate_sets(s: SetSequent, base: SetSequent | None = None):
+    """search.saturate run on the masks of s over its own universe, its
+    moves and result decoded to formulas."""
+    u = Universe(s)
+    steps, sat = saturate(u, u.encode(s), None if base is None else u.encode(base))
+    return decoded_steps(u, steps), u.decode(sat)
+
+
+@dataclass(frozen=True)
+class FormulaApplication:
+    """A rule application with formulas for principals and set sequents
+    for premisses, as the references below enumerate them."""
+
+    rule: RuleId
+    principal: tuple[Formula, ...]
+    premisses: tuple[SetSequent, ...]
+
+
+def decoded(u: Universe, app: RuleApplication) -> FormulaApplication:
+    return FormulaApplication(
+        app.rule,
+        tuple(u.formulas[i] for i in app.principal),
+        tuple(u.decode(p) for p in app.premisses),
+    )
+
+
+# References: the formula-level enumerators that the universe's tables and
+# int masks replaced, kept to test them against.
+
+
+def _grown(s: SetSequent, ante=(), succ=()) -> SetSequent:
+    return SetSequent(
+        s.ante.union(ante) if ante else s.ante,
+        s.succ.union(succ) if succ else s.succ,
+    )
+
+
+def _neg_l(f, ante, succ):
+    return None if f.f in succ else (RuleId.NEG_L, (), (f.f,))
+
+
+def _and_l(f, ante, succ):
+    l, r = f.l, f.r
+    if l in ante and r in ante:
+        return None
+    return RuleId.AND_L, (l,) if l == r else (l, r), ()
+
+
+def _t(f, ante, succ):
+    return None if f.f in ante else (RuleId.T, (f.f,), ())
+
+
+def _neg_r(f, ante, succ):
+    return None if f.f in ante else (RuleId.NEG_R, (f.f,), ())
+
+
+def _or_r(f, ante, succ):
+    l, r = f.l, f.r
+    if l in succ and r in succ:
+        return None
+    return RuleId.OR_R, (), (l,) if l == r else (l, r)
+
+
+def _imp_r(f, ante, succ):
+    if f.l in ante and f.r in succ:
+        return None
+    return RuleId.IMP_R, (f.l,), (f.r,)
+
+
+# One table per side, antecedent first, from the constructor of a principal
+# f to a function of f and the two sides of the sequent: the rule with the
+# formulas the move adds to each side, or None when it adds nothing new.
+REFERENCE_MOVES = (
+    {Neg: _neg_l, And: _and_l, Box: _t},
+    {Neg: _neg_r, Or: _or_r, Imp: _imp_r},
+)
+
+
+def reference_moves(s: SetSequent) -> list[FormulaApplication]:
+    """The productive one-premiss applications at s by REFERENCE_MOVES,
+    antecedent before succedent, each side in sort_key order."""
+    apps = []
+    for side, fs in ((ANTE, s.ante), (SUCC, s.succ)):
+        for f in sorted_formulas(fs):
+            move = REFERENCE_MOVES[side].get(type(f))
+            found = None if move is None else move(f, s.ante, s.succ)
+            if found is not None:
+                rule, add_ante, add_succ = found
+                apps.append(FormulaApplication(rule, (f,), (_grown(s, add_ante, add_succ),)))
+    return apps
+
+
+def reference_two_premiss_applications(s: SetSequent) -> list[FormulaApplication]:
+    """The two-premiss static applications at s whose premisses are both
+    productive, in enumeration order: AndR by succedent formula, then OrL,
+    then ImpL by antecedent formula, each in sort_key order."""
+    ante, succ = s.ante, s.succ
+    apps = []
+    for f in sorted_formulas([f for f in succ if isinstance(f, And)]):
+        if f.l not in succ and f.r not in succ:
+            apps.append(
+                FormulaApplication(RuleId.AND_R, (f,), (_grown(s, succ=(f.l,)), _grown(s, succ=(f.r,))))
+            )
+    ors_imps = sorted_formulas([f for f in ante if isinstance(f, (Or, Imp))])
+    for f in ors_imps:
+        if isinstance(f, Or) and f.l not in ante and f.r not in ante:
+            apps.append(
+                FormulaApplication(RuleId.OR_L, (f,), (_grown(s, ante=(f.l,)), _grown(s, ante=(f.r,))))
+            )
+    for f in ors_imps:
+        if isinstance(f, Imp) and f.l not in succ and f.r not in ante:
+            apps.append(
+                FormulaApplication(RuleId.IMP_L, (f,), (_grown(s, succ=(f.l,)), _grown(s, ante=(f.r,))))
+            )
+    return apps
+
+
+def reference_transitional_applications(s: SetSequent) -> list[FormulaApplication]:
+    """D1, D2, Mon, Four instances, in that order, each by its principals
+    in sort_key order; premisses keep the boxed part of the antecedent."""
+    boxed = frozenset(f for f in s.ante if isinstance(f, Box))
+    obls_ante = sorted_formulas([f for f in s.ante if isinstance(f, Obl)])
+    obls_succ = sorted_formulas([f for f in s.succ if isinstance(f, Obl)])
+    apps = []
+    for o in obls_ante:
+        apps.append(FormulaApplication(RuleId.D1, (o,), (SetSequent(boxed | {o.body}, frozenset()),)))
+    for o1, o2 in itertools.combinations(obls_ante, 2):
+        apps.append(
+            FormulaApplication(
+                RuleId.D2,
+                (o1, o2),
+                (
+                    SetSequent(boxed | {o1.body, o2.body}, frozenset()),
+                    SetSequent(boxed | {o1.cond}, frozenset({o2.cond})),
+                    SetSequent(boxed | {o2.cond}, frozenset({o1.cond})),
+                ),
+            )
+        )
+    for o1 in obls_ante:
+        for o2 in obls_succ:
+            apps.append(
+                FormulaApplication(
+                    RuleId.MON,
+                    (o1, o2),
+                    (
+                        SetSequent(boxed | {o1.body}, frozenset({o2.body})),
+                        SetSequent(boxed | {o1.cond}, frozenset({o2.cond})),
+                        SetSequent(boxed | {o2.cond}, frozenset({o1.cond})),
+                    ),
+                )
+            )
+    for f in sorted_formulas([f for f in s.succ if isinstance(f, Box)]):
+        apps.append(FormulaApplication(RuleId.FOUR, (f,), (SetSequent(boxed, frozenset({f.f})),)))
+    return apps
+
+
+def two_premiss_apps(s: SetSequent) -> list[FormulaApplication]:
+    """The universe's first branching application at s, decoded, as a list
+    of none or one."""
+    u = Universe(s)
+    app = u.first_branching(*u.encode(s))
+    return [] if app is None else [decoded(u, app)]
+
+
+def transitional_apps(s: SetSequent) -> list[FormulaApplication]:
+    """The universe's transitional applications at s, decoded."""
+    u = Universe(s)
+    return [decoded(u, app) for app in u.transitional(*u.encode(s))]

@@ -10,21 +10,34 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from bmdl import countermodel
+from bmdl.calculus import Universe
 from bmdl.consistency import reduction_sequent
 from bmdl.countermodel import build, certify, result_to_json
 from bmdl.formula import to_set_sequent
 from bmdl.gen import random_assumptions, random_sequent
 from bmdl.parser import parse_sequent
-from bmdl.search import Budget, BudgetExceeded, decide, proof_tree, prove
+from bmdl.search import Budget, BudgetExceeded, Memo, decide, proof_tree, prove
 
 BUDGET = 200_000
 
 
-class _NoMemo(dict):
+class _NoMemo(Memo):
     """A memo that forgets every write, so a search given it uses none."""
 
     def __setitem__(self, key, value):
         pass
+
+
+def _memo_free(ss) -> bool:
+    """The verdict of a search of the set sequent ss with no memo at all,
+    over the universe of ss alone."""
+    return decide(ss, BUDGET, memo=_NoMemo(Universe(ss)))
+
+
+def _decoded(memo: Memo) -> dict:
+    """The memo's entries, their mask keys decoded to set sequents through
+    its universe."""
+    return {memo.universe.decode(key): verdict for key, verdict in memo.items()}
 
 
 def _certify_keeping_memo(goal):
@@ -60,9 +73,10 @@ def _nested_s43(n):
 
 def _assert_memo_exact(goal, cert, memo):
     """Check every entry of the memo certify filled against a memo-free search."""
-    assert memo[to_set_sequent(goal)] == cert.search.accepted
-    for ss, verdict in memo.items():
-        assert decide(ss, BUDGET, memo=_NoMemo()) == verdict, ss
+    entries = _decoded(memo)
+    assert entries[to_set_sequent(goal)] == cert.search.accepted
+    for ss, verdict in entries.items():
+        assert _memo_free(ss) == verdict, ss
 
 
 @given(seed=st.integers(0, 2**32), kind=st.sampled_from(("sequent", "assumptions", "deep")))
@@ -107,13 +121,14 @@ def test_a_failure_behind_a_loop_check_refusal_is_not_recorded():
     # failed premiss is derivable all the same.
     goal = parse_sequent("[]p, []q, O(~[][](p & q) / s) |- [](p & q)")
     refused = to_set_sequent(parse_sequent("~[][](p & q), []p, []q |-"))
-    memo: dict = {}
+    memo = Memo(Universe(goal))
     assert proof_tree(goal, memo=memo) is not None
-    assert decide(refused, memo=_NoMemo())
-    assert memo.get(refused) is not False
+    assert _memo_free(refused)
+    entries = _decoded(memo)
+    assert entries.get(refused) is not False
     # the well-placed root and its accepted nodes are recorded
-    assert memo[to_set_sequent(goal)] is True
-    assert all(decide(ss, memo=_NoMemo()) == v for ss, v in memo.items())
+    assert entries[to_set_sequent(goal)] is True
+    assert all(_memo_free(ss) == v for ss, v in entries.items())
 
 
 def test_a_failure_whose_refusals_point_inside_its_own_suffix_is_recorded():
@@ -122,13 +137,13 @@ def test_a_failure_whose_refusals_point_inside_its_own_suffix_is_recorded():
     # saturation.  Cut down to the node itself, the history makes the same
     # refusal, so the failure is exact although a refusal caused it and the
     # call is not well placed.
-    memo: dict = {}
+    memo = Memo(Universe(_box_neg(3)))
     assert proof_tree(_box_neg(3), memo=memo) is None
-    assert memo[to_set_sequent(parse_sequent("[]~[]~p |- ~p"))] is False
-    memo = {}
+    assert _decoded(memo)[to_set_sequent(parse_sequent("[]~[]~p |- ~p"))] is False
+    memo = Memo(Universe(_box_neg(8)))
     assert proof_tree(_box_neg(8), memo=memo) is None
     assert len(memo) > 1  # more than the root
-    assert all(decide(ss, memo=_NoMemo()) == v for ss, v in memo.items())
+    assert all(_memo_free(ss) == v for ss, v in _decoded(memo).items())
 
 
 # Steps a certificate of each hard family spends and worlds its countermodel
@@ -169,7 +184,7 @@ def test_the_oracle_does_not_decide_the_refuted_goal_again(monkeypatch):
     asked = []
 
     def spy(s, *args, **kwargs):
-        asked.append(s)
+        asked.append(kwargs["memo"].universe.decode(s))
         return decide(s, *args, **kwargs)
 
     monkeypatch.setattr(countermodel, "decide", spy)

@@ -307,6 +307,12 @@ def test_missing_files_exit_2(capsys):
     assert main(["check-proof", "no-such.json"]) == 2
 
 
+@pytest.mark.parametrize("verb", ["check-model", "check-proof"])
+def test_a_directory_for_a_report_file_exits_2(verb, tmp_path, capsys):
+    assert main([verb, str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("bmdl: ")
+
+
 def test_budget_exhaustion_exits_3(capsys):
     code = main(["prove", "--budget", "4", "|- ([](p -> q) & O(p / r)) -> O(q / r)"])
     captured = capsys.readouterr()

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bmdl import countermodel
-from bmdl.calculus import transitional_applications
+from bmdl.calculus import Universe
 from bmdl.consistency import reduction_sequent
 from bmdl.countermodel import (
     CountermodelError,
@@ -110,7 +110,7 @@ def test_a_doctored_root_is_refused(monkeypatch):
 
     def doctored(self):
         m = finish(self)
-        self.resolved["h0"] = SetSequent(frozenset(), frozenset())
+        self.resolved["h0"] = (0, 0)  # the masks of the empty sequent
         return MModel(m.worlds, m.acc, m.eta, {w: frozenset() for w in m.worlds})
 
     monkeypatch.setattr(countermodel._Builder, "finish", doctored)
@@ -129,10 +129,12 @@ def test_every_transitional_application_has_a_witness_among_the_successors(seed,
         res = build(goal, Budget(200_000))
     except (BudgetExceeded, ValueError):  # ValueError: the goal is derivable
         assume(False)
+    u = Universe(goal)
     for w, ss in res.resolved.items():
         onward = [res.resolved[v] for v in sorted(res.model.successors(w))]
-        for app in transitional_applications(ss):
-            assert any(p <= v for p in app.premisses for v in onward), (w, app.rule)
+        for app in u.transitional(*u.encode(ss)):
+            premisses = [u.decode(p) for p in app.premisses]
+            assert any(p <= v for p in premisses for v in onward), (w, app.rule)
 
 
 def test_a_premiss_contained_in_an_existing_world_adds_no_world(monkeypatch):
@@ -141,7 +143,7 @@ def test_a_premiss_contained_in_an_existing_world_adds_no_world(monkeypatch):
     asked = []
 
     def spy(s, *args, **kwargs):
-        asked.append(s)
+        asked.append(kwargs["memo"].universe.decode(s))
         return decide(s, *args, **kwargs)
 
     monkeypatch.setattr(countermodel, "decide", spy)
@@ -192,16 +194,18 @@ def test_a_negated_obligation_is_on_the_left_and_places_its_condition():
 
 
 def test_left_obligation_conds_follow_polarity():
-    conds = left_obligation_conds(
-        to_set_sequent(parse_sequent("O(a / b) -> c, ~O(d / e) |- []O(f / g), O(h / O(i / j)) | k"))
-    )
+    def conds(text):
+        ss = to_set_sequent(parse_sequent(text))
+        u = Universe(ss)
+        return tuple(u.members(left_obligation_conds(u, u.encode(ss))))
+
     # O(a / b) is on the right, ~O(d / e) puts O(d / e) on the right, []O(f / g)
     # keeps it on the right; O(i / j), the condition of an obligation, goes
     # to both sides
     want = parse_sequent("j |-").ante
-    assert conds == want
-    assert left_obligation_conds(to_set_sequent(parse_sequent("O(a / b) -> c |-"))) == ()
-    assert left_obligation_conds(to_set_sequent(parse_sequent("|- O(a / b) -> c"))) == parse_sequent("b |-").ante
+    assert conds("O(a / b) -> c, ~O(d / e) |- []O(f / g), O(h / O(i / j)) | k") == want
+    assert conds("O(a / b) -> c |-") == ()
+    assert conds("|- O(a / b) -> c") == parse_sequent("b |-").ante
 
 
 @settings(max_examples=200)

@@ -13,7 +13,6 @@ from bmdl.formula import (
     Or,
     Sequent,
     TOP,
-    boxed_part,
     from_set_sequent,
     sequent_subformulas,
     set_sequent,
@@ -110,11 +109,6 @@ def test_deep_formulas_hash_sort_and_fill_without_recursion():
 def test_sort_key_is_stable_under_resorting(f):
     subs = sorted_formulas(subformulas(f))
     assert sorted_formulas(reversed(subs)) == subs
-
-
-def test_boxed_part_keeps_the_box():
-    fs = [Box(p), q, Box(And(p, q)), Obl(p, q)]
-    assert boxed_part(fs) == {Box(p), Box(And(p, q))}
 
 
 def test_set_sequent_containment():

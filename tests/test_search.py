@@ -5,15 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from bmdl import search
-from bmdl.calculus import (
-    ONE_PREMISS_MOVES,
-    TRANSITIONAL,
-    RuleApplication,
-    RuleId,
-    iter_two_premiss_static_applications,
-    transitional_applications,
-)
+from bmdl.calculus import TRANSITIONAL, RuleId, Universe
 from bmdl.consistency import reduction_sequent
 from bmdl.formula import (
     And,
@@ -38,14 +30,25 @@ from bmdl.parser import parse_sequent
 from bmdl.search import (
     Budget,
     BudgetExceeded,
+    Memo,
     SatStep,
     closure_of,
     decide,
+    proof_tree,
     prove,
     saturate,
 )
 
-from conftest import ANTE, SUCC, one_premiss_move, sequents
+from conftest import (
+    ANTE,
+    SUCC,
+    FormulaApplication,
+    one_premiss_move,
+    reference_transitional_applications,
+    reference_two_premiss_applications,
+    saturate_sets,
+    sequents,
+)
 
 p, q = Atom("p"), Atom("q")
 
@@ -120,7 +123,7 @@ def test_duplicates_in_the_goal_do_not_change_the_verdict():
     assert check_derivation(res.derivation)
 
 
-def reference_one_premiss_applications(s: SetSequent) -> list[RuleApplication]:
+def reference_one_premiss_applications(s: SetSequent) -> list[FormulaApplication]:
     """Every productive one-premiss static application at s, antecedent
     before succedent, each side in sort_key order, with each rule's
     productivity test spelled out: the enumeration that saturation by
@@ -135,25 +138,25 @@ def reference_one_premiss_applications(s: SetSequent) -> list[RuleApplication]:
         match f:
             case Neg(g):
                 if g not in succ:
-                    apps.append(RuleApplication(RuleId.NEG_L, (f,), (grown(succ=(g,)),)))
+                    apps.append(FormulaApplication(RuleId.NEG_L, (f,), (grown(succ=(g,)),)))
             case And(l, r):
                 if l not in ante or r not in ante:
-                    apps.append(RuleApplication(RuleId.AND_L, (f,), (grown(ante=(l, r)),)))
+                    apps.append(FormulaApplication(RuleId.AND_L, (f,), (grown(ante=(l, r)),)))
             case Box(g):
                 if g not in ante:
-                    apps.append(RuleApplication(RuleId.T, (f,), (grown(ante=(g,)),)))
+                    apps.append(FormulaApplication(RuleId.T, (f,), (grown(ante=(g,)),)))
     for f in sorted_formulas(succ):
         match f:
             case Neg(g):
                 if g not in ante:
-                    apps.append(RuleApplication(RuleId.NEG_R, (f,), (grown(ante=(g,)),)))
+                    apps.append(FormulaApplication(RuleId.NEG_R, (f,), (grown(ante=(g,)),)))
             case Or(l, r):
                 if l not in succ or r not in succ:
-                    apps.append(RuleApplication(RuleId.OR_R, (f,), (grown(succ=(l, r)),)))
+                    apps.append(FormulaApplication(RuleId.OR_R, (f,), (grown(succ=(l, r)),)))
             case Imp(l, r):
                 if l not in ante or r not in succ:
                     apps.append(
-                        RuleApplication(RuleId.IMP_R, (f,), (grown(ante=(l,), succ=(r,)),))
+                        FormulaApplication(RuleId.IMP_R, (f,), (grown(ante=(l,), succ=(r,)),))
                     )
     return apps
 
@@ -161,19 +164,18 @@ def reference_one_premiss_applications(s: SetSequent) -> list[RuleApplication]:
 def _restart_scan(s: SetSequent):
     """The moves of saturation by restarting the scan after every move, each
     the first entry of reference_one_premiss_applications, as (step, the
-    sequent after it); the formulas a move adds are listed in the order of
-    the principal's arguments."""
+    sequent after it); the formulas a move adds are listed in sort_key
+    order, as saturate_sets decodes them."""
     while True:
         apps = reference_one_premiss_applications(s)
         if not apps:
             return
-        (f,), prem = apps[0].principal, apps[0].premisses[0]
-        parts = tuple(dict.fromkeys(getattr(f, name) for name in f.__dataclass_fields__))
+        principal, prem = apps[0].principal, apps[0].premisses[0]
         step = SatStep(
             apps[0].rule,
-            (f,),
-            tuple(g for g in parts if g in prem.ante and g not in s.ante),
-            tuple(g for g in parts if g in prem.succ and g not in s.succ),
+            principal,
+            tuple(sorted_formulas(prem.ante - s.ante)),
+            tuple(sorted_formulas(prem.succ - s.succ)),
         )
         yield step, prem
         s = prem
@@ -187,14 +189,35 @@ def full_saturation(s: SetSequent) -> tuple[tuple[SatStep, ...], SetSequent]:
     return tuple(steps), s
 
 
+def reference_closure(s: SetSequent):
+    """The zero-premiss rule closing s, if any, with its principal: Init on
+    the least shared formula in sort_key order."""
+    if BOT in s.ante:
+        return (RuleId.BOTTOM_L, ())
+    shared = s.ante & s.succ
+    return (RuleId.INIT, (sorted_formulas(shared)[0],)) if shared else None
+
+
+def closed(s: SetSequent) -> bool:
+    return reference_closure(s) is not None
+
+
+def closure_sets(s: SetSequent):
+    """closure_of run on the masks of s over its own universe, its
+    principal decoded."""
+    u = Universe(s)
+    found = closure_of(u, u.encode(s))
+    return None if found is None else (found[0], tuple(u.formulas[i] for i in found[1]))
+
+
 def reference_saturate(s: SetSequent) -> tuple[tuple[SatStep, ...], SetSequent]:
     """The restart scan, stopped at the first closed sequent: none of its
     moves when s is closed already."""
     steps = []
-    if closure_of(s) is None:
+    if not closed(s):
         for step, s in _restart_scan(s):
             steps.append(step)
-            if closure_of(s) is not None:
+            if closed(s):
                 break
     return tuple(steps), s
 
@@ -228,9 +251,9 @@ def sequents_with_extras(draw):
 
 def test_saturation_reaches_a_fixpoint():
     s = set_sequent([Neg(Neg(p)), Box(And(p, q))], [Or(Atom("r"), Atom("s"))])
-    steps, sat = saturate(s)
+    steps, sat = saturate_sets(s)
     assert reference_one_premiss_applications(sat) == []
-    assert closure_of(sat) is None
+    assert not closed(sat)
     assert s <= sat
     # replaying the recorded additions lands on the same sequent
     cur = s
@@ -242,25 +265,25 @@ def test_saturation_reaches_a_fixpoint():
 def test_saturation_stops_at_the_first_closing_move():
     r = Atom("r")
     s = set_sequent([And(p, q), Neg(r)], [Or(p, Atom("s")), Imp(q, Atom("t"))])
-    steps, sat = saturate(s)
+    steps, sat = saturate_sets(s)
     # OrR puts p on the right, where AndL put it on the left: ImpR, next in
     # the agenda, is never made
     assert [step.rule for step in steps] == [RuleId.NEG_L, RuleId.AND_L, RuleId.OR_R]
-    assert closure_of(sat) == (RuleId.INIT, (p,))
+    assert closure_sets(sat) == (RuleId.INIT, (p,))
     assert full_saturation(s)[0][:3] == steps
     assert [step.rule for step in full_saturation(s)[0][3:]] == [RuleId.IMP_R]
-    assert saturate(sat) == ((), sat)  # a closed start makes no move
+    assert saturate_sets(sat) == ((), sat)  # a closed start makes no move
     # a shared formula closes whatever its shape
     boxed = set_sequent([Box(p), Box(Box(p))], [Box(p)])
-    assert saturate(boxed)[0] == ()
+    assert saturate_sets(boxed)[0] == ()
 
 
 @given(sequents)
 def test_saturation_takes_the_first_enumerated_move(seq):
     cur = to_set_sequent(seq)
-    steps, sat = saturate(cur)
+    steps, sat = saturate_sets(cur)
     for i, step in enumerate(steps):
-        assert closure_of(cur) is None
+        assert not closed(cur)
         first = reference_one_premiss_applications(cur)[0]
         cur = _grown(cur, step)
         assert (step.rule, step.principal, cur) == (
@@ -269,26 +292,26 @@ def test_saturation_takes_the_first_enumerated_move(seq):
             first.premisses[0],
         )
     assert cur == sat
-    assert closure_of(sat) is not None or not reference_one_premiss_applications(sat)
+    assert closed(sat) or not reference_one_premiss_applications(sat)
 
 
 @given(sequents)
 def test_agenda_saturation_equals_the_restart_scan(seq):
     s = to_set_sequent(seq)
-    assert saturate(s) == reference_saturate(s)
+    assert saturate_sets(s) == reference_saturate(s)
 
 
 def test_agenda_saturation_equals_the_restart_scan_on_generated_sequents():
     for s in generated_sequents(2718, 300):
-        assert saturate(s) == reference_saturate(s)
+        assert saturate_sets(s) == reference_saturate(s)
 
 
 def _seeded_agrees(s, extra_ante, extra_succ):
     base = full_saturation(s)[1]
-    if closure_of(base) is not None:
+    if closed(base):
         return  # a base must not be closed
     wider = SetSequent(base.ante | extra_ante, base.succ | extra_succ)
-    assert saturate(wider, base) == saturate(wider) == reference_saturate(wider)
+    assert saturate_sets(wider, base) == saturate_sets(wider) == reference_saturate(wider)
 
 
 @given(sequents_with_extras())
@@ -327,54 +350,54 @@ def test_move_table_gives_the_reference_applications(seq):
             if move is not None:
                 rule, add_ante, add_succ = move
                 prem = SetSequent(s.ante.union(add_ante), s.succ.union(add_succ))
-                from_table.append(RuleApplication(rule, (f,), (prem,)))
+                from_table.append(FormulaApplication(rule, (f,), (prem,)))
     assert from_table == reference_one_premiss_applications(s)
+
+
+class _CountingTable(list):
+    """A move table that counts, in seen, each (side, formula) it is read at."""
+
+    def __init__(self, u, side, seen):
+        super().__init__(u.moves[side])
+        self.u, self.side, self.seen = u, side, seen
+
+    def __getitem__(self, i):
+        self.seen[self.side, self.u.formulas[i]] += 1
+        return super().__getitem__(i)
 
 
 @given(sequents_with_extras())
 def test_saturation_examines_each_formula_once(drawn):
     s, extra_ante, extra_succ = drawn
-    seen = Counter()
-
-    def counting(side, move):
-        def examine(f, ante, succ):
-            seen[side, f] += 1
-            return move(f, ante, succ)
-
-        return examine
-
-    counted = tuple(
-        {cls: counting(side, move) for cls, move in moves.items()}
-        for side, moves in enumerate(ONE_PREMISS_MOVES)
-    )
     base = full_saturation(s)[1]
-    if closure_of(base) is not None:
+    if closed(base):
         return  # a base must not be closed
     wider = SetSequent(base.ante | extra_ante, base.succ | extra_succ)
-    saved = search.ONE_PREMISS_MOVES
-    search.ONE_PREMISS_MOVES = counted
-    try:
-        _, sat = saturate(wider, base)
-    finally:
-        search.ONE_PREMISS_MOVES = saved
+    u = Universe(wider)
+    seen = Counter()
+    u.moves = (_CountingTable(u, ANTE, seen), _CountingTable(u, SUCC, seen))
+    _, sat = saturate(u, u.encode(wider), u.encode(base))
+    sat = u.decode(sat)
     assert all(n == 1 for n in seen.values())
     fresh = (sat.ante - base.ante, sat.succ - base.succ)
     agenda = {
         (side, f)
         for side in (ANTE, SUCC)
         for f in fresh[side]
-        if type(f) in ONE_PREMISS_MOVES[side]
+        if u.movers[side] >> u.rank[f] & 1
     }
     # a closing move leaves the rest of the agenda unexamined
-    assert set(seen) == agenda if closure_of(sat) is None else set(seen) <= agenda
+    assert set(seen) == agenda if not closed(sat) else set(seen) <= agenda
 
 
 def test_closure_detection():
-    assert closure_of(set_sequent([BOT], [])) == (RuleId.BOTTOM_L, ())
-    rule, principal = closure_of(set_sequent([p, q], [q]))
+    assert closure_sets(set_sequent([BOT], [])) == (RuleId.BOTTOM_L, ())
+    rule, principal = closure_sets(set_sequent([p, q], [q]))
     assert rule == RuleId.INIT and principal == (q,)
-    assert closure_of(set_sequent([Box(p)], [Box(p)])) == (RuleId.INIT, (Box(p),))
-    assert closure_of(set_sequent([p], [q])) is None
+    assert closure_sets(set_sequent([Box(p)], [Box(p)])) == (RuleId.INIT, (Box(p),))
+    assert closure_sets(set_sequent([p], [q])) is None
+    # Init takes the least shared formula
+    assert closure_sets(set_sequent([q, Box(p), p], [Box(p), p])) == (RuleId.INIT, (p,))
 
 
 def test_budget_is_enforced_and_shared():
@@ -470,12 +493,12 @@ class ReferenceSearch:
     def _expand(self, history):
         steps, sat = full_saturation(history[-1])
         self.budget.spend(1 + len(steps))
-        closure = closure_of(sat)
+        closure = reference_closure(sat)
         if closure is not None:
             return steps, sat, closure, None, ()
         h = history[:-1] + (sat,)
-        branch = next(iter_two_premiss_static_applications(sat), None)
-        for app in (branch,) if branch is not None else transitional_applications(sat):
+        branching = reference_two_premiss_applications(sat)[:1]
+        for app in branching or reference_transitional_applications(sat):
             kids = []
             for prem in app.premisses:
                 self.budget.spend()
@@ -569,9 +592,9 @@ def test_a_first_premiss_proved_without_its_new_formula_settles_the_branch():
     ref = ReferenceSearch(1000)
     assert ref.prove(goal).rule == RuleId.OR_L
     assert (res.steps_used, ref.budget.used) == (6, 11)
-    tree = search.proof_tree(goal)
+    tree = proof_tree(goal)
     assert tree.application.rule == RuleId.FOUR and len(tree.children) == 1
-    assert tree.uses == to_set_sequent(parse_sequent("|- [](r -> r)"))
+    assert Universe(goal).decode(tree.uses) == to_set_sequent(parse_sequent("|- [](r -> r)"))
 
 
 def test_a_derivable_memo_entry_under_a_branching_premiss_blocks_the_use_check():
@@ -581,8 +604,8 @@ def test_a_derivable_memo_entry_under_a_branching_premiss_blocks_the_use_check()
     # proof uses p, and so goes on to the underivable second premiss.
     goal = parse_sequent("p | q |- p")
     first = to_set_sequent(parse_sequent("p | q, p |- p"))
-    memo: dict = {}
+    memo = Memo(Universe(goal))
     assert decide(first, memo=memo)
-    assert memo[first] is True
+    assert memo[memo.universe.encode(first)] is True
     assert not decide(goal, memo=memo)
-    assert not decide(goal, memo={})
+    assert not decide(goal)
