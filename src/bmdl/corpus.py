@@ -17,7 +17,10 @@ report is compared with the expectation.  Four kinds are understood:
   model           a model .json, or a countermodel report, run through
                   check-model; expected key "valid", optional "facts"
                   listing objects with "world" and "formula" strings and
-                  an optional boolean "holds" to evaluate.
+                  an optional boolean "holds" to evaluate.  A report is
+                  valid when its frame is and its claim checks: every
+                  label holds at its world and the goal fails at the
+                  root, as check-model requires of it.
   derivation      a derivation .json run through check-proof; expected key
                   "checks", optional "assumptions" with sequent strings the
                   checker may use.
@@ -34,7 +37,7 @@ from pathlib import Path
 from typing import Union
 
 from .cli import DEFAULT_CORPUS, check_model, check_proof, decide_consistency, decide_goal
-from .countermodel import model_of_json
+from .countermodel import claim_of_json, model_of_json
 from .kernel import DerivationError, derivation_from_json
 from .parser import ParseError, parse_formula, parse_problem, parse_sequent, read_sequent_file
 from .search import Budget, BudgetExceeded, DEFAULT_BUDGET
@@ -165,13 +168,20 @@ def _replay(path: Path, entry: CorpusEntry, budget: Budget) -> tuple[bool, str]:
     expect = entry.expect
     if entry.kind == "model":
         facts = expect.get("facts", [])
+        data = json.loads(path.read_text())
+        model = model_of_json(data)
         _, report = check_model(
-            model_of_json(json.loads(path.read_text())),
+            model,
             [(fact["world"], parse_formula(fact["formula"])) for fact in facts],
+            claim=claim_of_json(data, model),
         )
+        # a report's claim must check as well, as check-model requires
+        faults = report["violations"] + report.get("audit", [])
+        if not report.get("goal_fails_at_root", True):
+            faults.append("the goal holds at the root world")
         want = expect.get("valid", True)
-        if report["valid"] != want:
-            return False, f"expected valid={want}, got {'; '.join(report['violations']) or 'valid'}"
+        if (not faults) != want:
+            return False, f"expected valid={want}, got {'; '.join(faults) or 'valid'}"
         for fact, got in zip(facts, report.get("facts", [])):
             if got["holds"] != fact.get("holds", True):
                 return False, f"fact at {fact['world']} evaluates to {got['holds']}"

@@ -309,8 +309,13 @@ def truth_lemma_audit(
         cache = {}
     for w in model.worlds:
         s = resolved[w]
-        bad.extend((w, "left", "false", f) for f in sorted_formulas(s.ante) if not holds(model, w, f, cache))
-        bad.extend((w, "right", "true", f) for f in sorted_formulas(s.succ) if holds(model, w, f, cache))
+        false_left = [f for f in s.ante if not holds(model, w, f, cache)]
+        true_right = [f for f in s.succ if holds(model, w, f, cache)]
+        # sorted only when printed, so the messages keep their order
+        if false_left:
+            bad.extend((w, "left", "false", f) for f in sorted_formulas(false_left))
+        if true_right:
+            bad.extend((w, "right", "true", f) for f in sorted_formulas(true_right))
     if bad and show is None:
         show = Printer()
     return [f"{w}: {side} formula {show.formula(f)} is {value} in the model" for w, side, value, f in bad]

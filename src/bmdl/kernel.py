@@ -7,15 +7,24 @@ of the conclusion antecedent plus exactly the schema's active formulas.  No
 slack; weakening or contraction has to appear as an explicit WeakL/WeakR or
 ConL/ConR node.  Assumption leaves are accepted only when their sequent is
 (multiset-)equal to one of the supplied assumption sequents.
+
+Tuple equality comes before multiset counts.  Equal tuples are equal
+multisets, so a premiss, an Assumption leaf or a Cut conclusion is first
+compared as the tuples it is, and Counters are built only when that test
+fails; the verdict and the message are those of the multiset comparison
+either way.  A Cut's expected conclusion is built by removing the first
+copy of the cut formula from the left premiss's succedent and from the
+right premiss's antecedent, which is the order discharge emits, so its
+Cut/Four/Assumption scaffolding checks without a Counter.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
-from .calculus import CHECKER_ONLY, RuleId
+from .calculus import RuleId
 from .formula import (
     And,
     BOT,
@@ -67,7 +76,7 @@ def premisses_for(rule: RuleId, principal: tuple[Formula, ...], c: Sequent) -> t
     A, S = c.ante, c.succ
 
     def need(f: Formula, side: tuple[Formula, ...], where: str, count: int = 1):
-        if side.count(f) < count:
+        if (f not in side) if count == 1 else side.count(f) < count:
             raise ValueError(f"principal {print_formula(f)} not in {where}")
 
     match rule:
@@ -174,6 +183,19 @@ def _same(a: Sequent, b: Sequent) -> bool:
     return a == b or _mseq(a) == _mseq(b)
 
 
+# The rules without schema premisses, each with its number of premisses.
+_STRUCTURAL_ARITY = {
+    RuleId.INIT: 0,
+    RuleId.BOTTOM_L: 0,
+    RuleId.ASSUMPTION: 0,
+    RuleId.WEAK_L: 1,
+    RuleId.WEAK_R: 1,
+    RuleId.CON_L: 1,
+    RuleId.CON_R: 1,
+    RuleId.CUT: 2,
+}
+
+
 def check_derivation(d: Derivation, assumptions: Iterable[Sequent] = ()) -> bool:
     """Check every node; returns True or raises DerivationError at the first
     offending node."""
@@ -183,102 +205,117 @@ def check_derivation(d: Derivation, assumptions: Iterable[Sequent] = ()) -> bool
 
 
 def _check(d: Derivation, assumed: list[Sequent], path: tuple[int, ...]) -> None:
-    A, S = d.conclusion.ante, d.conclusion.succ
+    _check_node(d, assumed, path)
+    for i, child in enumerate(d.children):
+        _check(child, assumed, path + (i,))
+
+
+def _check_node(d: Derivation, assumed: list[Sequent], path: tuple[int, ...]) -> None:
+    """Check the rule instance at d, the node at path, against the
+    conclusions of its children."""
     rule = d.rule
-
-    def fail(reason: str):
+    if rule in _STRUCTURAL_ARITY:
+        reason = _structural_fault(d, assumed)
+        if reason is not None:
+            raise DerivationError(path, reason)
+        return
+    try:
+        expected = premisses_for(rule, d.principal, d.conclusion)
+    except ValueError as e:
+        raise DerivationError(path, str(e))
+    reason = _arity_fault(d, len(expected))
+    if reason is not None:
         raise DerivationError(path, reason)
+    for i, (want, child) in enumerate(zip(expected, d.children)):
+        if not _same(child.conclusion, want):
+            raise DerivationError(
+                path + (i,),
+                f"premiss is {print_sequent(child.conclusion)}, "
+                f"schema requires {print_sequent(want)}",
+            )
 
-    def arity(n: int):
-        if len(d.children) != n:
-            fail(f"{rule.value} expects {n} premiss(es), got {len(d.children)}")
 
-    match rule:
+def _arity_fault(d: Derivation, n: int) -> Optional[str]:
+    if len(d.children) != n:
+        return f"{d.rule.value} expects {n} premiss(es), got {len(d.children)}"
+    return None
+
+
+def _structural_fault(d: Derivation, assumed: list[Sequent]) -> Optional[str]:
+    """What is wrong with the instance at d of a rule without schema
+    premisses (Init, BottomL, and the checker-only Assumption, weakening,
+    contraction and Cut), or None."""
+    A, S = d.conclusion.ante, d.conclusion.succ
+    reason = _arity_fault(d, _STRUCTURAL_ARITY[d.rule])
+    if reason is not None:
+        return reason
+    match d.rule:
         case RuleId.INIT:
-            arity(0)
             shared = set(A) & set(S)
             if not shared:
-                fail("Init needs a formula on both sides")
+                return "Init needs a formula on both sides"
             if d.principal and d.principal[0] not in shared:
-                fail("Init principal is not shared")
+                return "Init principal is not shared"
         case RuleId.BOTTOM_L:
-            arity(0)
             if BOT not in A:
-                fail("BottomL needs false in the antecedent")
+                return "BottomL needs false in the antecedent"
         case RuleId.ASSUMPTION:
-            arity(0)
-            if not any(_same(d.conclusion, a) for a in assumed):
-                fail(f"sequent {print_sequent(d.conclusion)} is not an assumption")
+            c = d.conclusion
+            if c not in assumed:
+                counts = _mseq(c)
+                if not any(_mseq(a) == counts for a in assumed):
+                    return f"sequent {print_sequent(c)} is not an assumption"
         case RuleId.WEAK_L:
-            arity(1)
             ca, cs = _mseq(d.children[0].conclusion)
             ta, ts = _mseq(d.conclusion)
             if cs != ts:
-                fail("WeakL must keep the succedent")
+                return "WeakL must keep the succedent"
             if ca - ta:
-                fail("WeakL premiss antecedent is not contained in the conclusion")
+                return "WeakL premiss antecedent is not contained in the conclusion"
         case RuleId.WEAK_R:
-            arity(1)
             ca, cs = _mseq(d.children[0].conclusion)
             ta, ts = _mseq(d.conclusion)
             if ca != ta:
-                fail("WeakR must keep the antecedent")
+                return "WeakR must keep the antecedent"
             if cs - ts:
-                fail("WeakR premiss succedent is not contained in the conclusion")
+                return "WeakR premiss succedent is not contained in the conclusion"
         case RuleId.CON_L:
-            arity(1)
             if len(d.principal) != 1:
-                fail("ConL needs its contracted formula as principal")
+                return "ConL needs its contracted formula as principal"
             p = d.principal[0]
             if Counter(A)[p] < 1:
-                fail("ConL principal not in the antecedent")
+                return "ConL principal not in the antecedent"
             ca, cs = _mseq(d.children[0].conclusion)
             if cs != Counter(S) or ca != Counter(A) + Counter((p,)):
-                fail("ConL premiss must carry exactly one extra copy")
+                return "ConL premiss must carry exactly one extra copy"
         case RuleId.CON_R:
-            arity(1)
             if len(d.principal) != 1:
-                fail("ConR needs its contracted formula as principal")
+                return "ConR needs its contracted formula as principal"
             p = d.principal[0]
             if Counter(S)[p] < 1:
-                fail("ConR principal not in the succedent")
+                return "ConR principal not in the succedent"
             ca, cs = _mseq(d.children[0].conclusion)
             if ca != Counter(A) or cs != Counter(S) + Counter((p,)):
-                fail("ConR premiss must carry exactly one extra copy")
+                return "ConR premiss must carry exactly one extra copy"
         case RuleId.CUT:
-            arity(2)
             if len(d.principal) != 1:
-                fail("Cut needs its cut formula as principal")
+                return "Cut needs its cut formula as principal"
             p = d.principal[0]
             l, r = d.children[0].conclusion, d.children[1].conclusion
-            la, ls = _mseq(l)
-            ra, rs = _mseq(r)
-            if ls[p] < 1:
-                fail("cut formula missing from the left premiss succedent")
-            if ra[p] < 1:
-                fail("cut formula missing from the right premiss antecedent")
-            want_a = la + (ra - Counter((p,)))
-            want_s = (ls - Counter((p,))) + rs
-            if Counter(A) != want_a or Counter(S) != want_s:
-                fail("Cut conclusion does not split into its premisses")
-        case _ if rule not in CHECKER_ONLY:
-            try:
-                expected = premisses_for(rule, d.principal, d.conclusion)
-            except ValueError as e:
-                fail(str(e))
-            arity(len(expected))
-            for i, (want, child) in enumerate(zip(expected, d.children)):
-                if not _same(child.conclusion, want):
-                    raise DerivationError(
-                        path + (i,),
-                        f"premiss is {print_sequent(child.conclusion)}, "
-                        f"schema requires {print_sequent(want)}",
-                    )
-        case _:
-            fail(f"rule {rule.value} cannot appear here")
+            if p not in l.succ:
+                return "cut formula missing from the left premiss succedent"
+            if p not in r.ante:
+                return "cut formula missing from the right premiss antecedent"
+            want = Sequent(l.ante + _without(r.ante, p), _without(l.succ, p) + r.succ)
+            if not _same(d.conclusion, want):
+                return "Cut conclusion does not split into its premisses"
+    return None
 
-    for i, child in enumerate(d.children):
-        _check(child, assumed, path + (i,))
+
+def _without(fs: tuple[Formula, ...], f: Formula) -> tuple[Formula, ...]:
+    """fs with its first copy of f removed; f must occur in fs."""
+    i = fs.index(f)
+    return fs[:i] + fs[i + 1:]
 
 
 # ---------------------------------------------------------------------------

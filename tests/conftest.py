@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from bmdl.formula import (
     And,
     Atom,
     BOT,
+    Bottom,
     Box,
     Formula,
     Imp,
@@ -20,7 +22,10 @@ from bmdl.formula import (
     SetSequent,
     sorted_formulas,
 )
+from bmdl.kernel import Derivation, DerivationError, _check_node
+from bmdl.parser import print_sequent
 from bmdl.search import SatStep, saturate
+from bmdl.semantics import FrameViolation, MModel
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -260,3 +265,142 @@ def transitional_apps(s: SetSequent) -> list[FormulaApplication]:
     """The universe's transitional applications at s, decoded."""
     u = Universe(s)
     return [decoded(u, app) for app in u.transitional(*u.encode(s))]
+
+
+# References: the model checks and the kernel's Assumption and Cut checks as
+# they were before models were checked over world bitmasks and the kernel
+# compared tuples before multisets, kept to test the faster ones against.
+
+
+def reference_validate_frame(m: MModel) -> list[FrameViolation]:
+    """validate_frame over sets of world names, sorting as it goes."""
+    bad: list[FrameViolation] = []
+    ws = set(m.worlds)
+    if not ws:
+        bad.append(FrameViolation("worlds", "a model needs at least one world"))
+        return bad
+    if len(ws) != len(m.worlds):
+        bad.append(FrameViolation("worlds", "duplicate world names"))
+    pairs = sorted(m.acc)
+    for u, v in pairs:
+        if u not in ws or v not in ws:
+            bad.append(FrameViolation("reference", f"accessibility pair ({u}, {v}) mentions an unknown world"))
+    for w in sorted(set(m.eta) | set(m.val)):
+        if w not in ws:
+            bad.append(FrameViolation("reference", f"entry for unknown world {w}"))
+    if bad:
+        return bad
+
+    for w in m.worlds:
+        if (w, w) not in m.acc:
+            bad.append(FrameViolation("reflexivity", f"missing ({w}, {w})"))
+    onward = {w: sorted(m.successors(w)) for w in ws}
+    for u, v in pairs:
+        for x in onward[v]:
+            if (u, x) not in m.acc:
+                bad.append(FrameViolation("transitivity", f"({u}, {v}) and ({v}, {x}) but not ({u}, {x})"))
+
+    for w in m.worlds:
+        gens = m.eta.get(w, ())
+        reach = m.successors(w)
+        for g in gens:
+            if not g.base <= ws or not g.cond <= ws:
+                bad.append(FrameViolation("reference", f"generator at {w} mentions unknown worlds"))
+            elif not g.base <= reach or not g.cond <= reach:
+                bad.append(FrameViolation("generator-range", f"generator at {w} reaches outside R[{w}]"))
+            if not g.base:
+                bad.append(FrameViolation("empty-base", f"generator at {w} has an empty base"))
+        for i, g1 in enumerate(gens):
+            for g2 in gens[i + 1:]:
+                if g1.cond == g2.cond and not (g1.base & g2.base):
+                    bad.append(
+                        FrameViolation("conflict", f"generators at {w} share a cond set but have disjoint bases")
+                    )
+    return bad
+
+
+def reference_truth_set(m: MModel, f: Formula) -> frozenset[str]:
+    """truth_set by a closure over sets of world names."""
+    cache: dict = {}
+    all_worlds = frozenset(m.worlds)
+
+    def ev(f: Formula) -> frozenset[str]:
+        got = cache.get(f)
+        if got is not None:
+            return got
+        match f:
+            case Bottom():
+                v = frozenset()
+            case Atom(name):
+                v = frozenset(w for w in m.worlds if name in m.val.get(w, frozenset()))
+            case Neg(g):
+                v = all_worlds - ev(g)
+            case And(l, r):
+                v = ev(l) & ev(r)
+            case Or(l, r):
+                v = ev(l) | ev(r)
+            case Imp(l, r):
+                v = (all_worlds - ev(l)) | ev(r)
+            case Box(g):
+                tg = ev(g)
+                v = frozenset(w for w in m.worlds if m.successors(w) <= tg)
+            case Obl(body, cond):
+                tb, tc = ev(body), ev(cond)
+                v = frozenset(
+                    w
+                    for w in m.worlds
+                    if any(
+                        g.base <= (tb & m.successors(w)) and g.cond == (tc & m.successors(w))
+                        for g in m.eta.get(w, ())
+                    )
+                )
+        cache[f] = v
+        return v
+
+    return ev(f)
+
+
+def _reference_fault(d: Derivation, assumed: list[Sequent]):
+    """The Counter-first Assumption and Cut checks: the reason d fails, or None."""
+    if d.rule is RuleId.ASSUMPTION:
+        if d.children:
+            return f"Assumption expects 0 premiss(es), got {len(d.children)}"
+        if not any(Counter(d.conclusion.ante) == Counter(a.ante) and Counter(d.conclusion.succ) == Counter(a.succ)
+                   for a in assumed):
+            return f"sequent {print_sequent(d.conclusion)} is not an assumption"
+        return None
+    if len(d.children) != 2:
+        return f"Cut expects 2 premiss(es), got {len(d.children)}"
+    if len(d.principal) != 1:
+        return "Cut needs its cut formula as principal"
+    p = d.principal[0]
+    l, r = d.children[0].conclusion, d.children[1].conclusion
+    la, ls, ra, rs = Counter(l.ante), Counter(l.succ), Counter(r.ante), Counter(r.succ)
+    if ls[p] < 1:
+        return "cut formula missing from the left premiss succedent"
+    if ra[p] < 1:
+        return "cut formula missing from the right premiss antecedent"
+    want_a = la + (ra - Counter((p,)))
+    want_s = (ls - Counter((p,))) + rs
+    if Counter(d.conclusion.ante) != want_a or Counter(d.conclusion.succ) != want_s:
+        return "Cut conclusion does not split into its premisses"
+    return None
+
+
+def reference_check_derivation(d: Derivation, assumptions=()) -> bool:
+    """check_derivation with the Counter-first Assumption and Cut checks;
+    every other node goes through the kernel's own node check."""
+    assumed = list(assumptions)
+
+    def walk(d: Derivation, path: tuple[int, ...]) -> None:
+        if d.rule in (RuleId.ASSUMPTION, RuleId.CUT):
+            reason = _reference_fault(d, assumed)
+            if reason is not None:
+                raise DerivationError(path, reason)
+        else:
+            _check_node(d, assumed, path)
+        for i, child in enumerate(d.children):
+            walk(child, path + (i,))
+
+    walk(d, ())
+    return True

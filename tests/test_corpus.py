@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bmdl.cli import decide_goal, main
 from bmdl.corpus import (
     CorpusEntry,
     load_manifest,
@@ -10,7 +11,7 @@ from bmdl.corpus import (
     run_entry,
 )
 from bmdl.formula import Atom, Sequent
-from bmdl.parser import ParseError
+from bmdl.parser import ParseError, parse_sequent
 
 from conftest import CORPUS
 
@@ -109,3 +110,40 @@ def test_an_expectation_key_that_contradicts_the_mode_fails(tmp_path, problem, e
     result = _replay_problem(tmp_path, problem, expect)
     assert not result.ok
     assert all(word in result.detail for word in named)
+
+
+def _countermodel_report() -> dict:
+    code, report = decide_goal((), parse_sequent("[]p |- p & q"), 100_000, affirm_derivable=False)
+    assert code == 0
+    return report
+
+
+def _replay_model(tmp_path, report: dict, expect: dict):
+    (tmp_path / "rep.json").write_text(json.dumps(report))
+    entry = {"file": "rep.json", "kind": "model", "expect": expect}
+    (tmp_path / "manifest.json").write_text(json.dumps({"entries": [entry]}))
+    (result,) = run_corpus(tmp_path, budget=100_000).results
+    return result
+
+
+def test_a_report_replays_with_the_audit_that_check_model_runs(tmp_path, capsys):
+    report = _countermodel_report()
+    result = _replay_model(tmp_path, report, {"valid": True})
+    assert result.ok and result.detail == "model checked"
+
+    report["countermodel"]["labels"]["h0"] = "[]p, p |- p & q, p"
+    result = _replay_model(tmp_path, report, {"valid": True})
+    assert not result.ok
+    assert result.detail == "expected valid=True, got h0: right formula p is true in the model"
+    assert main(["check-model", str(tmp_path / "rep.json")]) == 1
+    assert "h0: right formula p is true in the model" in capsys.readouterr().out
+    assert main(["corpus", str(tmp_path)]) == 1
+    assert _replay_model(tmp_path, report, {"valid": False}).ok
+
+
+def test_a_report_whose_goal_holds_at_the_root_replays_invalid(tmp_path):
+    report = _countermodel_report()
+    report["countermodel"]["goal"] = "[]p |- p"
+    report["countermodel"]["labels"]["h0"] = "[]p |- p"
+    result = _replay_model(tmp_path, report, {"valid": True})
+    assert not result.ok and "the goal holds at the root world" in result.detail

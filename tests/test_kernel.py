@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 
 from bmdl.calculus import RuleId
+from bmdl.consistency import assumption_sequents, discharge, reduction_sequent
 from bmdl.formula import And, Atom, BOT, Box, Neg, Obl, Sequent
 from bmdl.kernel import (
     Derivation,
@@ -18,7 +19,7 @@ from bmdl.kernel import (
 from bmdl.parser import parse_sequent
 from bmdl.search import prove
 
-from conftest import formulas, sequents
+from conftest import formula_tuples, formulas, reference_check_derivation, sequents
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -219,3 +220,129 @@ def test_same_is_multiset_equality(pair):
     by_counts = (Counter(a.ante), Counter(a.succ)) == (Counter(b.ante), Counter(b.succ))
     assert _same(a, b) == _same(b, a) == by_counts
     assert _same(a, a)
+
+
+def _refusal(check, d, assumed):
+    """None when check accepts d, else the path and reason it refuses with."""
+    try:
+        check(d, assumed)
+    except DerivationError as e:
+        return e.path, e.reason
+    return None
+
+
+def _nodes_with_paths(d, path=()):
+    yield path, d
+    for i, child in enumerate(d.children):
+        yield from _nodes_with_paths(child, path + (i,))
+
+
+def _replaced(d, path, conclusion):
+    if not path:
+        return Derivation(conclusion, d.rule, d.principal, d.children)
+    kids = list(d.children)
+    kids[path[0]] = _replaced(kids[path[0]], path[1:], conclusion)
+    return Derivation(d.conclusion, d.rule, d.principal, tuple(kids))
+
+
+@st.composite
+def mutated_witnesses(draw):
+    """A discharge witness over an Init leaf, with one Cut or Assumption
+    conclusion reordered, given a repeated formula or missing one, and the
+    assumption sequents it may use."""
+    assumptions = tuple(draw(st.lists(formulas, min_size=1, max_size=3)))
+    extra = draw(formula_tuples)
+    goal = Sequent(extra + (p,), (p,) + draw(formula_tuples))
+    reduction = Derivation(reduction_sequent(assumptions, goal), RuleId.INIT, (p,))
+    witness = discharge(reduction, assumptions, goal)
+    targets = [(path, n) for path, n in _nodes_with_paths(witness) if n.rule in (RuleId.CUT, RuleId.ASSUMPTION)]
+    path, node = draw(st.sampled_from(targets))
+    sides = [list(node.conclusion.ante), list(node.conclusion.succ)]
+    side = draw(st.sampled_from([i for i in (0, 1) if sides[i]]))
+    edit = draw(st.sampled_from(["reorder", "repeat", "drop"]))
+    if edit == "reorder":
+        sides[side] = list(draw(st.permutations(sides[side])))
+    elif edit == "repeat":
+        sides[side].insert(draw(st.integers(0, len(sides[side]))), draw(st.sampled_from(sides[side])))
+    else:
+        sides[side].pop(draw(st.integers(0, len(sides[side]) - 1)))
+    mutated = _replaced(witness, path, Sequent(tuple(sides[0]), tuple(sides[1])))
+    return mutated, assumption_sequents(assumptions)
+
+
+@given(mutated_witnesses())
+def test_mutated_discharge_witnesses_match_the_counter_reference(drawn):
+    """The kernel, tuple equality first, accepts or refuses a mutated
+    witness exactly as the Counter-first reference does, at the same node
+    with the same message."""
+    d, assumed = drawn
+    assert _refusal(check_derivation, d, assumed) == _refusal(reference_check_derivation, d, assumed)
+
+
+def test_unmutated_discharge_witnesses_check():
+    assumptions = (p, Box(q), Obl(p, q), p)
+    goal = Sequent((r, p), (p,))
+    witness = discharge(Derivation(reduction_sequent(assumptions, goal), RuleId.INIT, (p,)), assumptions, goal)
+    assert check_derivation(witness, assumption_sequents(assumptions))
+    assert reference_check_derivation(witness, assumption_sequents(assumptions))
+
+
+def _cut(conclusion, left=Sequent((r,), (r, p)), right=Sequent((p, p, q), (q,))):
+    return Derivation(
+        conclusion,
+        RuleId.CUT,
+        (p,),
+        (Derivation(left, RuleId.INIT), Derivation(right, RuleId.INIT)),
+    )
+
+
+def test_a_cut_conclusion_in_another_order_is_accepted():
+    # expected: r, p, q |- r, q; the ones below differ only in order
+    assert check_derivation(_cut(Sequent((r, p, q), (r, q))))
+    assert check_derivation(_cut(Sequent((q, r, p), (q, r))))
+
+
+@pytest.mark.parametrize(
+    "conclusion",
+    [
+        Sequent((r, p, q, p), (r, q)),
+        Sequent((r, q), (r, q)),
+        Sequent((r, p, q), (r, q, q)),
+        Sequent((r, p, q), (r,)),
+    ],
+    ids=["one-copy-too-many-left", "one-copy-too-few-left", "one-copy-too-many-right", "one-copy-too-few-right"],
+)
+def test_a_cut_conclusion_off_by_one_copy_is_refused(conclusion):
+    with pytest.raises(DerivationError, match="^root: Cut conclusion does not split into its premisses$"):
+        check_derivation(_cut(conclusion))
+
+
+def test_each_missing_cut_formula_has_its_own_message():
+    with pytest.raises(DerivationError, match="^root: cut formula missing from the left premiss succedent$"):
+        check_derivation(_cut(Sequent((r, p, q), (r, q)), left=Sequent((r,), (r,))))
+    with pytest.raises(DerivationError, match="^root: cut formula missing from the right premiss antecedent$"):
+        check_derivation(_cut(Sequent((r, p, q), (r, q)), right=Sequent((q,), (q,))))
+
+
+def test_an_assumption_leaf_equal_only_as_a_multiset_is_accepted():
+    leaf = Derivation(Sequent((q, p, q), (r, p)), RuleId.ASSUMPTION)
+    assumed = [Sequent((p,), ()), Sequent((q, q, p), (p, r))]
+    assert leaf.conclusion not in assumed
+    assert check_derivation(leaf, assumed)
+    with pytest.raises(DerivationError, match="is not an assumption$"):
+        check_derivation(leaf, [Sequent((q, p), (r, p))])
+
+
+def test_d2_with_one_obligation_as_both_principals_needs_two_copies():
+    o = Obl(p, q)
+    prem = (
+        Derivation(Sequent((p, p), ()), RuleId.BOTTOM_L),
+        Derivation(Sequent((q,), (q,)), RuleId.INIT),
+        Derivation(Sequent((q,), (q,)), RuleId.INIT),
+    )
+    one = Derivation(Sequent((o, r), ()), RuleId.D2, (o, o), prem)
+    with pytest.raises(DerivationError, match=r"^root: principal O\(p / q\) not in antecedent$"):
+        check_derivation(one)
+    two = Derivation(Sequent((o, r, o), ()), RuleId.D2, (o, o), prem)
+    with pytest.raises(DerivationError, match="^node 0: BottomL needs false"):
+        check_derivation(two)

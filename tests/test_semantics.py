@@ -20,7 +20,7 @@ from bmdl.semantics import (
     validate_frame,
 )
 
-from conftest import CORPUS, formulas
+from conftest import CORPUS, formulas, reference_truth_set, reference_validate_frame
 
 p, q = Atom("p"), Atom("q")
 
@@ -311,3 +311,87 @@ def test_corpus_model_facts():
     # the rite at w8 harms, refusing it at w1 does not
     assert holds(m, "w8", parse_formula("sy & hrm"))
     assert holds(m, "w1", parse_formula("~sy & ~hrm"))
+
+
+def _model_with_faults(rng: random.Random) -> MModel:
+    """A model drawn to hit every frame check: sometimes a duplicate world
+    name, pairs knocked out of a closed relation or naming a world outside
+    the model, entries for unknown worlds, generators outside R[w], with
+    empty bases or with one cond set over disjoint bases."""
+    worlds = tuple(rng.sample("abcde", rng.randint(1, 5)))
+    if rng.random() < 0.05:
+        worlds += (rng.choice(worlds),)
+    unknown = ("x", "y")
+    pairs = frozenset((rng.choice(worlds), rng.choice(worlds)) for _ in range(rng.randint(0, 8)))
+    acc = rt_closure(worlds, pairs)
+    if rng.random() < 0.5:
+        acc = frozenset((u, v) for u, v in sorted(acc) if rng.random() < (0.95 if u == v else 0.7))
+    if rng.random() < 0.1:
+        acc |= {(rng.choice(worlds + unknown[:1]), rng.choice(worlds + unknown))}
+    eta, val = {}, {}
+    for w in worlds + unknown:
+        if w in unknown and rng.random() < 0.95:
+            continue
+        reach = sorted({v for u, v in acc if u == w})
+        pool = reach + ([rng.choice(worlds + unknown)] if rng.random() < 0.2 else [])
+        gens = []
+        for _ in range(rng.randint(0, 3)):
+            base = frozenset(rng.sample(pool, rng.randint(0 if rng.random() < 0.1 else min(1, len(pool)), len(pool))))
+            cond = frozenset(rng.sample(pool, rng.randint(0, len(pool))))
+            gens.append(Generator(base, cond))
+            if pool and rng.random() < 0.2:  # same cond, maybe a disjoint base
+                gens.append(Generator(frozenset(rng.sample(pool, 1)), cond))
+        eta[w] = tuple(gens)
+        val[w] = frozenset(a for a in "pqrs" if rng.random() < 0.5)
+    return MModel(worlds, acc, eta, val)
+
+
+@given(st.integers(0, 2**32), st.lists(formulas, min_size=1, max_size=4))
+def test_frame_messages_and_truth_sets_match_the_set_based_reference(seed, fs):
+    """validate_frame and truth_set over world bits give the messages, in
+    their order, and the truth sets of the set-based reference, on valid
+    and invalid models alike."""
+    rng = random.Random(seed)
+    for _ in range(5):
+        m = _model_with_faults(rng)
+        assert [str(v) for v in validate_frame(m)] == [str(v) for v in reference_validate_frame(m)]
+        cache: dict = {}
+        for f in fs:
+            want = reference_truth_set(m, f)
+            assert truth_set(m, f, cache) == truth_set(m, f) == want
+            assert all(holds(m, w, f, cache) == (w in want) for w in m.worlds)
+
+
+def test_the_fault_draws_reach_every_frame_check():
+    rng = random.Random(5)
+    kinds: dict = {}
+    for _ in range(400):
+        for v in validate_frame(_model_with_faults(rng)):
+            kinds[v.message.split(" ")[0] if v.kind == "reference" else v.kind] = True
+    assert set(kinds) >= {
+        "worlds",
+        "accessibility",
+        "entry",
+        "generator",
+        "reflexivity",
+        "transitivity",
+        "generator-range",
+        "empty-base",
+        "conflict",
+    }
+
+
+def test_unknown_names_evaluate_as_worlds_outside_the_model():
+    """A successor or a generator member outside the worlds is in no truth
+    set: a box over it fails, and so does an obligation whose generator
+    names it."""
+    m = MModel(
+        ("a",),
+        frozenset({("a", "a"), ("a", "x")}),
+        {"a": (Generator(frozenset({"a"}), frozenset({"a", "y"})),)},
+        {"a": frozenset({"p"}), "z": frozenset({"p"})},
+    )
+    assert truth_set(m, p) == {"a"}
+    assert truth_set(m, Box(p)) == frozenset()
+    assert truth_set(m, Obl(p, p)) == frozenset()
+    assert truth_set(m, Neg(Box(p))) == {"a"}
