@@ -14,7 +14,8 @@ an exit code and a report:
 The _cmd_* handlers only read their arguments, call the function and emit
 the report.  The corpus runner (bmdl.corpus) replays each manifest entry
 through the same function and compares the verdict in the report with the
-entry's expectation.
+entry's expectation.  It exits 1 when some entry failed on its verdict or a
+check, else 3 when some entry ran out of budget, else 0.
 
 Exit codes: 0 for an affirmative answer; 1 for a negative answer with its
 certificate in the report, and for nothing else; 2 for usage or input
@@ -359,10 +360,13 @@ def _cmd_corpus(args) -> int:
     from .corpus import run_corpus  # imported here: bmdl.corpus imports this module
 
     report = run_corpus(args.root, budget=_budget(args))
-    for r in report.results:
-        if not r.ok:
-            _note(f"bmdl: corpus entry {r.entry.file} failed: {r.detail}")
-    return _emit(args, EXIT_YES if report.all_ok else EXIT_NO, report.to_json())
+    failed = [r for r in report.results if not r.ok]
+    for r in failed:
+        _note(f"bmdl: corpus entry {r.entry.file} failed: {r.detail}")
+    code = EXIT_YES
+    if failed:  # a verdict or a check that failed outranks a budget that ran out
+        code = EXIT_INCONCLUSIVE if all(r.exhausted for r in failed) else EXIT_NO
+    return _emit(args, code, report.to_json())
 
 
 def _build_parser() -> argparse.ArgumentParser:

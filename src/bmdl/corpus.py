@@ -59,6 +59,7 @@ class EntryResult:
     entry: CorpusEntry
     ok: bool
     detail: str
+    exhausted: bool = False  # failed only for running out of budget
 
 
 @dataclass
@@ -73,10 +74,6 @@ class CorpusReport:
     @property
     def passed(self) -> int:
         return sum(1 for r in self.results if r.ok)
-
-    @property
-    def all_ok(self) -> bool:
-        return all(r.ok for r in self.results)
 
     def to_json(self) -> dict:
         return {
@@ -157,7 +154,7 @@ def run_entry(root: Path, entry: CorpusEntry, budget: Union[int, Budget]) -> Ent
             return EntryResult(entry, False, "file missing")
         return EntryResult(entry, *_replay(path, entry, Budget.ensure(budget)))
     except BudgetExceeded:
-        return EntryResult(entry, False, "budget exhausted")
+        return EntryResult(entry, False, "budget exhausted", exhausted=True)
     except (ParseError, ValueError, DerivationError, RuntimeError) as e:
         return EntryResult(entry, False, f"{type(e).__name__}: {e}")
 

@@ -16,6 +16,12 @@ why its entries are exact):
     left of some world sequent, placement of g on the left or on the
     right, whichever keeps the sequent underivable, the left tried first.
 
+The oracle's verdicts are exact whatever a search left provisional inside
+itself: each is a memo entry or the verdict of a root call.  Refinement
+follows the first two-premiss application alone, the one the search
+commits to, and raises when no premiss of it is underivable, which the
+rule's own soundness rules out.
+
 The last move makes the syntactic reading of a condition agree with its
 semantic truth set wherever certification reads it.  An obligation O(f/g)
 on the left of w is made true by the generator built from the occurrence

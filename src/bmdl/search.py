@@ -1,61 +1,84 @@
 """Backward proof search over set sequents.
 
-The search works on a history, a nonempty list of set sequents whose last
-entry is the current goal.  A goal is first saturated under the one-premiss
-static rules (replacing it in the history), then closed if it is initial.
-Otherwise, if a two-premiss static rule (AndR, OrL, ImpL) applies, the
-search commits to the first such application: the goal is accepted when
-both of its premisses are, or when one is by a proof that does not read
-what that premiss added (the use-check, below), and no other rule is
-tried.  Only a goal that no static rule changes is attacked with the
+The search keeps one stack, the saturated sequents of its open calls, the
+innermost last.  A call first saturates its start under the one-premiss
+static rules and pushes the result, sat, unless it is initial, when the
+call closes it.  Otherwise, if a two-premiss static rule (AndR, OrL, ImpL)
+applies, the search commits to the first such application: the call is
+accepted when both of its premisses are, or when one is by a proof that
+does not read what that premiss added (the use-check, below), and no other
+rule is tried.  Only a sat that no static rule changes is attacked with the
 transitional rules, each application in turn.  Transitional premisses are
-loop checked: a premiss is refused when it is componentwise contained in
-some sequent of the history, the current one included.  Static premisses
-need no check because the application filter keeps only strictly growing
-premisses.
+loop checked: a premiss is refused when it is componentwise contained in a
+sequent on the stack, sat included, and the check's witness is the deepest
+such stack index.  Static premisses need no check: each strictly contains
+the sat it comes from, and by induction no sat on the stack is contained in
+a sequent below it, so the check would never refuse one.  The loop check,
+and its use beside invertible rules applied without backtracking, follow
+Heuerding, Seyfried & Zimmermann (1996), on loop checks for backward proof
+search in modal logics.
 
-Why committing is complete.  Static premisses are supersets of their
-conclusion, and weakening is height-preserving admissible, so a static rule
-is invertible: if its conclusion has a derivation of height n, each premiss
-has one of height at most n.  Write ht(S) for the least height of a
-derivation of S, infinite when S is underivable.  Call a search call
-well placed when every sequent in its history has ht at least that of its
-goal; the root call, with a history of one, is well placed.  By induction
-over the finite tree of calls, a well-placed call on a derivable goal
-succeeds:
+One failure rule.  A failed call has shown its start underivable on an
+assumption: that the stack sequents its subtree's refusals were witnessed
+by, and the provisional failures its subtree reused, are underivable too.
+Its low is the least stack depth that assumption reaches, infinite when it
+reaches none: the least witness and reused depth beneath it, each call
+folding its own low into its caller's.  A failed call at depth d whose low
+is at least d is exact: its start and every provisional failure made
+beneath it go into the memo as underivable.  Otherwise the failure is
+provisional, start -> low in one dict, pending; while it is there, reaching
+that start again fails at once and folds its low into the caller's.  When a
+call pops, the provisional failures made beneath it are dropped if it
+succeeds, promoted to the memo if it fails exactly, and lowered to its own
+low if it fails provisionally.  This is the status propagation of sound
+global caching (Gore & Widmann, "Sound global state caching for ALC with
+inverse roles", 2009), over the loop check's containment.
 
-  * saturation only adds formulas, so ht(sat) <= ht(goal) and the history
-    with sat in place of the goal stays well placed;
-  * at a branching node both premisses of the first application have ht
-    at most ht(sat), so both child calls are well placed and, by
-    induction, succeed; so if either fails, the conclusion itself is
-    underivable and no other rule need be tried;
-  * at a node no static rule changes, a least-height derivation of sat
-    cannot end in a static rule, since each such application has a
-    premiss equal to sat, nor in a zero-premiss rule, since sat is not
-    initial; so it ends in a transitional application whose premisses P
-    have ht(P) < ht(sat).  The loop check never refuses such a P: P <= A
-    for A in the history would give ht(A) <= ht(P) < ht(sat) <= ht(A).
-    The child calls are well placed, succeed by induction, and the search
-    tries every transitional application, this one included.
+Why the rule is exact.  Derivability is the least fixpoint of the rules
+over set sequents.  Write ht(S) for the least height of a derivation of S,
+infinite when S is underivable, and S < T when ht(S) < ht(T), or the two
+are equal and S has more formulas than T: a well-founded order over the
+finite universe.  Weakening is height-preserving admissible, so S <= T
+componentwise gives ht(T) <= ht(S); saturation only adds formulas, so a
+call's sat is derivable exactly when its start is, and ht(sat) <=
+ht(start).  The argument has four steps.
 
-Conversely, when a well-placed call fails, its goal is underivable.  This
-is what committing uses: at a well-placed branching node, a committed
-premiss that fails under the history check has a well-placed call too, so
-it is underivable, and then so is the node's sequent, which it contains.  A
-call that is not well placed sits below a transitional premiss harder than
-one of its ancestors; its failure only abandons that one transitional
-application, never the one a least-height derivation uses.  So the verdict
-of the root call is exactly the derivability of the goal.  The history
-check, and its use beside invertible rules applied without backtracking,
-follow Heuerding, Seyfried & Zimmermann (1996), on loop checks for backward
-proof search in modal logics.
+  * The committed AND is sound by invertibility.  A static premiss P
+    strictly contains the sat it comes from, so if sat is derivable, P is
+    too, with P < sat.  So a branching call fails only where its sat is
+    underivable or a derivable premiss below it failed; the use-check only
+    accepts.
+  * The transitional OR is complete, by height, with containment refusals.
+    If sat is derivable and no static rule changes it, a least-height
+    derivation cannot end in a static rule, each of whose applications has
+    a premiss equal to sat, nor in a zero-premiss rule, sat not being
+    initial.  It ends in a transitional application, which the search
+    tries, whose premisses P have P < sat.  If such a P is refused against
+    a stack sequent T, then ht(T) <= ht(P) < ht(sat): T is derivable, with
+    T < sat.
+  * Reuse under the same stack assumption is sound.  By induction over the
+    calls in the order they end, with every memo entry exact: (a) if a
+    failed call's start is derivable, a derivable T < sat lies on the stack
+    at its low or deeper and below the call's own frame; (b) if a
+    provisional failure F is derivable, a derivable T < F lies on the stack
+    at its low or deeper, among F's open ancestors.  (a) follows from the
+    two steps above: following derivable failed premisses down the subtree
+    ends at a refusal against a stack sequent T, or at a reused F, whose
+    (b) gives T; and T < sat rules out the call's own frame.  (b) holds
+    when F is made, by (a), and stays true while those ancestors are open,
+    so F may be reused under them.  When one of them fails provisionally
+    and pops, (a) for it gives a derivable sequent lower still, at its low
+    or deeper, so lowering F to that low keeps (b).
+  * Promotion is sound.  A call at depth d whose low is at least d computed
+    its failure with its own frame assumed failed, and every assumption
+    made beneath it lies in its subtree: the call and the provisional
+    failures beneath it form a post-fixpoint of failure, each failing if
+    the others do.  Once it has popped, no stack depth is d or more, so (a)
+    and (b) find no T, and its start and all it promotes are underivable.
 
-countermodel._Builder.resolve relies on the same invariant.  Its oracle
-verdicts come from root calls or from the memo below, so they are exact; it
-refines an underivable world sequent along the first two-premiss
-application alone, the one the search commits to, and raises when no
-premiss of it is underivable, which the rule's own soundness rules out.
+The root call, at depth 0, always fails exactly.  So every memo entry is
+exact and the root verdict is the derivability of the goal, which is all
+the countermodel builder's oracle reads.
 
 Saturation by an ordered agenda.  saturate makes, at each step, the first
 productive one-premiss move in the fixed order: antecedent before
@@ -120,49 +143,24 @@ Universe.canonical).
 The memo of exact verdicts.  The searches made for one certificate (the
 top-level search and every oracle search of the countermodel built after
 it) share a Memo, a dict from the masks of set sequents over one universe
-to verdicts, in the manner of global
-caching (Gore & Nguyen, "EXPTIME tableaux with global caching for
-description logics").  The history makes a call's failure depend on more
-than its goal, so only failures known to be exact are recorded.  An
-accepted node records its start and its saturation as derivable: its tree
-is a derivation, whatever the history.  A failed node records its start as
-underivable by one rule, a low-water mark in the manner of the lowlink of
-Tarjan's strongly connected components.  Each loop-check refusal notes its
-witness, the deepest history index i with prem <= h[i].  A node's mark is
-the least witness of the refusals made inside its subtree, infinite when
-there are none.  A failed node at history index d is recorded when its mark
-is at least d.
-
-Why that failure is exact.  Cut the node's history down to its own suffix,
-the node alone.  Every refusal of its subtree has its witness at index d or
-deeper, so it still finds it; dropping history entries refuses nothing new;
-and the memo holds exact verdicts only, so its reads do not depend on the
-history.  So the cut call expands exactly as the node did, and fails too.
-But it is a root call, which is well placed, so its goal is underivable.
-The status propagation of sound global caching is the same idea (Gore &
-Widmann, "Sound global state caching for ALC with inverse roles", 2009).
-
-Two cases of the rule were once rules of their own.  A failure with no
-refusal inside its subtree has an infinite mark.  A well-placed call,
-reached from the root of its search through static premisses only, has a
-history that only grows, each entry a subset of the next: a static premiss
-contains the saturation it comes from.  So a refusal witnessed before index
-d is witnessed at d too, and the mark of such a call is at least d.
-
-A failure with a mark below its index is never recorded: a refusal against
-an ancestor may have caused it, and such a goal can be derivable
-(tests/test_certify.py holds one).  Reading the memo keeps the rule true,
-as an underivable entry fails a node without a refusal.
+to verdicts, in the manner of global caching (Gore & Nguyen, "EXPTIME
+tableaux with global caching for description logics").  An accepted call
+records its start and its sat as derivable: its tree is a derivation.  A
+failed call records its start as underivable when the failure rule finds
+it exact, and the provisional failures it promotes with it.  A failure left
+provisional stays in its search's pending dict, and may be derivable:
+tests/test_certify.py holds one, a premiss that fails only because its own
+Four premiss is refused against the goal, which then succeeds.
 
 One rule governs reading the memo: every search reads only its underivable
-entries.  A node they cut short would have failed anyway, the search being
-sound, so every tree and derivation is the one a search without the memo
-builds, and only steps are saved.  The derivable entries are read in one
-place alone, countermodel._Builder.underivable, and only for the sequent
-it asks about, before it searches; a search never settles a node from them,
-so every accepted node has a tree and known uses.  A memo lives for one
-certify or build call (or one search when none is given); nothing is cached
-across calls.
+entries.  A call they cut short would have failed anyway, the search never
+accepting an underivable sequent, so only steps are saved and no verdict
+changes.  The derivable entries are read in one place alone,
+countermodel._Builder.underivable, and only for the sequent it asks about,
+before it searches; a search never settles a node from them, so every
+accepted node has a tree and known uses.  A memo lives for one certify or
+build call (or one search when none is given); nothing is cached across
+calls, and the top-level search of a certificate starts from an empty one.
 
 Relevance and the use-check.  Every accepted node carries its uses: the
 (side, formula) pairs of its start sequent that its proof reads, as a pair
@@ -193,17 +191,9 @@ worked on held.  Hence:
     use-check of tableau provers (Horrocks & Patel-Schneider, "Optimizing
     description logic subsumption", 1999).
   * Completeness.  The use-check only turns into acceptance what would
-    otherwise be searched further; it never fails a node.  In the argument
-    above, a well-placed branching node on a derivable goal has a first
-    premiss that succeeds; either the use-check accepts the node, or the
-    second premiss is searched, is well placed and succeeds.  Early closure
-    only accepts sooner.  So a well-placed call on a derivable goal still
-    succeeds, and the root verdict is exact.
-  * The low-water mark.  Its argument needs the cut-down call to expand
-    exactly as the node did, and it still does: expansion is deterministic
-    given the refusals it meets and the memo, which holds exact verdicts
-    only.  The cut call meets the same refusals, so it accepts the same
-    subtrees with the same use sets and takes the same use-checks.
+    otherwise be searched further, and early closure only accepts sooner;
+    neither fails a call.  So the argument for the failure rule above
+    holds as it stands, and the root verdict is exact.
 
 Accepted goals come back as a tree of ProofNode records, which
 assemble_derivation turns into an exact multiset derivation for the kernel.
@@ -218,6 +208,8 @@ above them reads, and no weakening or contraction is ever inserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from math import inf
 from typing import NamedTuple, Optional, Union
 
 from .calculus import TRANSITIONAL, RuleApplication, RuleId, Universe
@@ -433,41 +425,54 @@ def _rule_uses(u: Universe, app: RuleApplication, sat: Masks, kids: tuple[ProofN
 
 
 class _Search:
-    """One search over a memo of exact verdicts shared with related searches.
-    Only its "underivable" entries cut the search short, so the tree it
-    returns is the one a search without the memo would build."""
+    """One search over a memo of exact verdicts shared with related searches,
+    failing by one rule (see "One failure rule" above)."""
 
     def __init__(self, budget: Budget, memo: Memo):
         self.budget = budget
         self.memo = memo
         self.u = memo.universe
-        # least history index a loop-check refusal in the current subtree
-        # pointed at; see "The memo of exact verdicts" above
-        self.mark = _NO_REFUSAL
+        self.stack: list[Masks] = []  # the saturated sequents of the open calls
+        self.low = inf  # least stack depth assumed failed beneath the current call
+        # provisional failures, start -> low, in the order they were made:
+        # those past len(pending) at a call's entry were made beneath it
+        self.pending: dict[Masks, int] = {}
 
     def run(self, goal: Masks) -> Optional[ProofNode]:
-        return self._node((goal,), None)
+        return self._node(goal, None)
 
-    def _node(self, history: tuple[Masks, ...], base: Optional[Masks]) -> Optional[ProofNode]:
-        """Search the last sequent of history; base is a saturated sequent
-        it contains, if one is known (see saturate)."""
-        start = history[-1]
-        if self.memo.get(start) is False:
+    def _node(self, start: Masks, base: Optional[Masks]) -> Optional[ProofNode]:
+        """Search start; base is a saturated sequent it contains, if one is
+        known (see saturate)."""
+        memo, pending = self.memo, self.pending
+        if memo.get(start) is False:
             return None
-        outer, self.mark = self.mark, _NO_REFUSAL
-        node = self._expand(history, base)
-        mark, self.mark = self.mark, min(outer, self.mark)
-        if node is not None:
-            self.memo[start] = True
-        elif mark >= len(history) - 1:
-            # exact only then; see "The memo of exact verdicts" above
-            self.memo[start] = False
+        if pending and start in pending:
+            self.low = min(self.low, pending[start])
+            return None
+        outer, self.low = self.low, inf
+        made = len(pending)
+        node = self._expand(start, base)
+        low, self.low = self.low, min(outer, self.low)
+        if node is None and low < len(self.stack):
+            for s in islice(pending, made, None):
+                pending[s] = low
+            pending[start] = low
+            return None
+        memo[start] = node is not None
+        while len(pending) > made:  # dropped under a success, else exact
+            s, _ = pending.popitem()
+            if node is None:
+                memo[s] = False
         return node
 
-    def _expand(self, history: tuple[Masks, ...], base: Optional[Masks]) -> Optional[ProofNode]:
-        u = self.u
-        steps, sat = saturate(u, history[-1], base)
-        self.budget.spend(1 + len(steps))
+    def _expand(self, start: Masks, base: Optional[Masks]) -> Optional[ProofNode]:
+        """Saturate start, then close it, or settle it by its committed
+        branching application, or else try its transitional applications in
+        turn, each premiss loop checked against the stack."""
+        u, budget, stack = self.u, self.budget, self.stack
+        steps, sat = saturate(u, start, base)
+        budget.spend(1 + len(steps))
         cl = closure_of(u, sat)
         if cl is not None:
             rule, principal = cl
@@ -477,40 +482,33 @@ class _Search:
                 bit = 1 << principal[0]
                 used = (bit, bit)
             return self._accept(sat, steps, ProofNode((), cl, None, (), used))
-        h = history[:-1] + (sat,)
         branch = u.first_branching(*sat)
-        if branch is not None:
-            return self._branch(h, steps, branch)
-        for app in u.transitional(*sat):
-            kids = self._try(h, app)
-            if kids is not None:
+        stack.append(sat)
+        above = None
+        for app in u.transitional(*sat) if branch is None else (branch,):
+            kids = []
+            for prem in app.premisses:
+                budget.spend()
+                if branch is None:
+                    witness = _deepest_container(stack, prem)
+                    if witness is not None:
+                        self.low = min(self.low, witness)
+                        break
+                kid = self._node(prem, None if branch is None else sat)
+                if kid is None:
+                    break
+                uses_ante, uses_succ = kid.uses
+                if branch is not None and not (uses_ante & ~sat[0] or uses_succ & ~sat[1]):
+                    above = kid  # the use-check: kid proves sat as it is
+                    break
+                kids.append(kid)
+            else:
+                kids = tuple(kids)
                 above = ProofNode((), None, app, kids, _rule_uses(u, app, sat, kids))
-                return self._accept(sat, steps, above)
-        return None
-
-    def _branch(
-        self, h: tuple[Masks, ...], steps: tuple[SatStep, ...], app: RuleApplication
-    ) -> Optional[ProofNode]:
-        """Settle the node at the saturated h[-1] by the first branching
-        application: branching static rules are invertible.  Premisses
-        contain h[-1] and start their saturation from it.  A premiss whose
-        proof does not use what it added proves h[-1] itself, and the rest
-        are never searched (the use-check)."""
-        sat = h[-1]
-        sat_ante, sat_succ = sat
-        kids = []
-        for prem in app.premisses:
-            self.budget.spend()
-            kid = self._node(h + (prem,), sat)
-            if kid is None:
-                return None
-            uses_ante, uses_succ = kid.uses
-            if not (uses_ante & ~sat_ante or uses_succ & ~sat_succ):
-                return self._accept(sat, steps, kid)
-            kids.append(kid)
-        kids = tuple(kids)
-        above = ProofNode((), None, app, kids, _rule_uses(self.u, app, sat, kids))
-        return self._accept(sat, steps, above)
+            if above is not None:
+                break
+        stack.pop()
+        return None if above is None else self._accept(sat, steps, above)
 
     def _accept(self, sat: Masks, steps: tuple[SatStep, ...], above: ProofNode) -> ProofNode:
         """The accepted node that saturates by steps to sat and then goes on
@@ -519,36 +517,16 @@ class _Search:
         kept, uses = _relevant(steps, above.uses)
         return ProofNode(kept + above.steps, above.closure, above.application, above.children, uses)
 
-    def _try(self, h: tuple[Masks, ...], app: RuleApplication) -> Optional[tuple[ProofNode, ...]]:
-        """Evaluate a transitional application's premisses left to right,
-        each loop checked; None as soon as one premiss loops or is
-        rejected, the remaining ones unexplored."""
-        kids = []
-        for prem in app.premisses:
-            self.budget.spend()
-            witness = _deepest_container(h, prem)
-            if witness is not None:
-                self.mark = min(self.mark, witness)
-                return None
-            kid = self._node(h + (prem,), None)
-            if kid is None:
-                return None
-            kids.append(kid)
-        return tuple(kids)
 
-
-def _deepest_container(h: tuple[Masks, ...], prem: Masks) -> Optional[int]:
-    """The greatest i with prem <= h[i] componentwise, or None when the loop
-    check lets prem through."""
+def _deepest_container(stack: list[Masks], prem: Masks) -> Optional[int]:
+    """The greatest i with prem <= stack[i] componentwise, or None when the
+    loop check lets prem through."""
     ante, succ = prem
-    for i in range(len(h) - 1, -1, -1):
-        h_ante, h_succ = h[i]
+    for i in range(len(stack) - 1, -1, -1):
+        h_ante, h_succ = stack[i]
         if not (ante & ~h_ante or succ & ~h_succ):
             return i
     return None
-
-
-_NO_REFUSAL = float("inf")
 
 
 def proof_tree(

@@ -71,12 +71,19 @@ def _nested_s43(n):
     return parse_sequent("|- " + a)
 
 
-def _assert_memo_exact(goal, cert, memo):
-    """Check every entry of the memo certify filled against a memo-free search."""
+def _fresh_root(ss) -> bool:
+    """The verdict of a fresh root call on the set sequent ss, with a memo of
+    its own: exact, and cheap where a memo-free search grows exponentially."""
+    return decide(ss, BUDGET)
+
+
+def _assert_memo_exact(goal, cert, memo, reference=_memo_free):
+    """Check every entry of the memo certify filled against the verdict of
+    reference, by default a memo-free search."""
     entries = _decoded(memo)
     assert entries[to_set_sequent(goal)] == cert.search.accepted
     for ss, verdict in entries.items():
-        assert _memo_free(ss) == verdict, ss
+        assert reference(ss) == verdict, ss
 
 
 @given(seed=st.integers(0, 2**32), kind=st.sampled_from(("sequent", "assumptions", "deep")))
@@ -97,28 +104,37 @@ def test_every_memo_entry_is_the_exact_verdict(seed, kind):
 
 
 # A consistency goal with a failure whose refusal sits two calls below it
-# and points above it: a mark not passed up from the calls below records it.
+# and points above it: a low not folded up from the calls below records it.
 _DEEP_REFUSAL = "[](r & s | O(q / q)), []~[][](false -> q), []q, [](O(r / r) -> s & p) |- false"
-
-
-@pytest.mark.parametrize(
-    "goal",
-    [_box_neg(n) for n in range(1, 9)]
-    + [_nested_s43(n) for n in range(1, 6)]
-    + [parse_sequent(_DEEP_REFUSAL)],
-    ids=[f"box-neg-{n}" for n in range(1, 9)]
-    + [f"nested-s43-{n}" for n in range(1, 6)]
-    + ["deep-refusal"],
+# A derivable consistency goal whose search records wrong failures when a
+# call's low is not folded into its caller's (3 of its 85 memo entries).
+_FOLDED_LOW = (
+    "[](O(q / false) -> r & p), [](O(q / q) | O(r / p)), [](q & (q | false)), "
+    "[]~O(p / []p), [][]O(r -> p / r), [](q -> [](p & q)) |- false"
 )
-def test_every_memo_entry_is_the_exact_verdict_on_loop_heavy_goals(goal):
-    _assert_memo_exact(goal, *_certify_keeping_memo(goal))
+
+
+# Up to these sizes a memo-free search checks every entry; beyond them it
+# grows exponentially, and a fresh root call checks them.
+@pytest.mark.parametrize(
+    "goal, reference",
+    [(_box_neg(n), _memo_free if n <= 8 else _fresh_root) for n in range(1, 21)]
+    + [(_nested_s43(n), _memo_free if n <= 5 else _fresh_root) for n in range(1, 8)]
+    + [(parse_sequent(_DEEP_REFUSAL), _memo_free), (parse_sequent(_FOLDED_LOW), _memo_free)],
+    ids=[f"box-neg-{n}" for n in range(1, 21)]
+    + [f"nested-s43-{n}" for n in range(1, 8)]
+    + ["deep-refusal", "folded-low"],
+)
+def test_every_memo_entry_is_the_exact_verdict_on_loop_heavy_goals(goal, reference):
+    _assert_memo_exact(goal, *_certify_keeping_memo(goal), reference)
 
 
 def test_a_failure_behind_a_loop_check_refusal_is_not_recorded():
     # The goal is derivable by Four on [](p & q).  The search tries D1 first;
     # its premiss fails only because that premiss's own Four premiss,
     # []p, []q |- [](p & q), is contained in the goal and refused.  The
-    # failed premiss is derivable all the same.
+    # failed premiss is derivable all the same: its failure is provisional,
+    # and dropped when the root succeeds.
     goal = parse_sequent("[]p, []q, O(~[][](p & q) / s) |- [](p & q)")
     refused = to_set_sequent(parse_sequent("~[][](p & q), []p, []q |-"))
     memo = Memo(Universe(goal))
@@ -126,17 +142,57 @@ def test_a_failure_behind_a_loop_check_refusal_is_not_recorded():
     assert _memo_free(refused)
     entries = _decoded(memo)
     assert entries.get(refused) is not False
-    # the well-placed root and its accepted nodes are recorded
+    # the root and its accepted nodes are recorded
     assert entries[to_set_sequent(goal)] is True
     assert all(_memo_free(ss) == v for ss, v in entries.items())
 
 
+def test_a_provisional_failure_is_dropped_when_its_frame_succeeds():
+    # The same D1 premiss fails provisionally beneath the first AndR
+    # premiss, against that premiss's frame, which then succeeds by Four.
+    # The second premiss, ... |- false, has only D1 and reaches the same
+    # premiss again: kept past its frame's success, the failure would fail
+    # the second premiss, and with it the derivable goal.
+    goal = parse_sequent("[]p, []q, O(~[][](p & q) / s) |- [](p & q) & false")
+    memo = Memo(Universe(goal))
+    assert proof_tree(goal, memo=memo) is not None
+    assert all(_memo_free(ss) == v for ss, v in _decoded(memo).items())
+
+
+def test_a_failure_read_again_after_its_frame_failed_is_read_at_the_frame_low():
+    # A sibling of a failed frame F re-reads a failure made beneath F, after
+    # F failed against an ancestor that later succeeds.  With T0 = m | (d ->
+    # d) and T1 = k | (d -> d), both derivable, the root |- a | []H | []T0
+    # tries Four on []H first, and |- H at depth 1 tries its boxes in rank
+    # order: F, then S, then T1.
+    #   * |- F at depth 2, F = b | [][]T0 | []G: its premiss |- []T0 is
+    #     refused against the root, and its premiss |- G at depth 3, with
+    #     G = g | [][][]T0, fails because G's own premiss |- [][]T0 is
+    #     refused against F.  So |- G fails against depth 2, and |- F
+    #     against depth 0; the failure of |- G is lowered to depth 0.
+    #   * |- S at depth 2, S = c | []G, reaches |- G.  It must read depth 0.
+    #     Read at depth 2, which is now S's own frame, it would make the
+    #     failure of |- S exact, and S is derivable through G.
+    #   * |- T1 closes, so H and the root succeed.
+    t0, t1 = "(m | (d -> d))", "(k | (d -> d))"
+    g = f"(g | [][][]{t0})"
+    f = f"(b | ([][]{t0} | []{g}))"
+    s = f"(c | []{g})"
+    h = f"(h | ([]{f} | ([]{s} | []{t1})))"
+    goal = parse_sequent(f"|- a | ([]{h} | []{t0})")
+    sibling = to_set_sequent(parse_sequent(f"|- {s}"))
+    cert, memo = _certify_keeping_memo(goal)
+    assert cert.search.accepted
+    assert _memo_free(sibling)
+    assert _decoded(memo).get(sibling) is not False
+    _assert_memo_exact(goal, cert, memo)
+
+
 def test_a_failure_whose_refusals_point_inside_its_own_suffix_is_recorded():
     # Below |- []~[]~[]~p, Four leads to []~[]~p |- ~p, whose only Four
-    # premiss is that sequent again: refused against the node's own
-    # saturation.  Cut down to the node itself, the history makes the same
-    # refusal, so the failure is exact although a refusal caused it and the
-    # call is not well placed.
+    # premiss is that sequent again: refused against the call's own
+    # saturation, the suffix of the stack from its own frame on.  Its low
+    # is its own depth, so the failure is exact although a refusal caused it.
     memo = Memo(Universe(_box_neg(3)))
     assert proof_tree(_box_neg(3), memo=memo) is None
     assert _decoded(memo)[to_set_sequent(parse_sequent("[]~[]~p |- ~p"))] is False
@@ -148,14 +204,17 @@ def test_a_failure_whose_refusals_point_inside_its_own_suffix_is_recorded():
 
 # Steps a certificate of each hard family spends and worlds its countermodel
 # has, measured at the bound's last change; a change may lower a bound,
-# never raise it.
+# never raise it.  box-neg-20 and nested-s43-10 are certified within the
+# default budget.
 @pytest.mark.parametrize(
     "goal, bound, worlds",
     [
-        (_box_neg(12), 3_450, 11),  # measured 3,114 steps, 11 worlds
-        (_nested_s43(7), 5_987, 100),  # measured 5,987 steps, 100 worlds
+        (_box_neg(12), 232, 11),  # measured 232 steps, 11 worlds
+        (_nested_s43(7), 5_544, 100),  # measured 5,544 steps, 100 worlds
+        (_box_neg(20), 1_042, 19),  # measured 1,042 steps, 19 worlds
+        (_nested_s43(10), 109_036, 430),  # measured 109,036 steps, 430 worlds
     ],
-    ids=["box-neg-12", "nested-s43-7"],
+    ids=["box-neg-12", "nested-s43-7", "box-neg-20", "nested-s43-10"],
 )
 def test_a_hard_family_is_certified_within_its_bound(goal, bound, worlds):
     b = Budget()

@@ -447,6 +447,33 @@ def test_corpus_verb(tmp_path, capsys):
     assert code == 1
 
 
+def test_a_corpus_that_only_ran_out_of_budget_exits_3(capsys):
+    # every entry that fails at this budget fails for want of steps, and
+    # none on a verdict or a check: that is no negative answer
+    code, data = run(capsys, "corpus", str(CORPUS), "--budget", "3")
+    assert code == 3
+    failed = [e for e in data["entries"] if not e["ok"]]
+    assert failed and all(e["detail"] == "budget exhausted" for e in failed)
+
+
+def test_a_corpus_failure_on_a_verdict_outranks_one_on_budget(tmp_path, capsys):
+    (tmp_path / "one.seq").write_text("|- p -> p\n")
+    (tmp_path / "hard.seq").write_text("|- " + "[]~" * 8 + "p\n")
+    entries = [
+        {"file": "hard.seq", "kind": "sequent", "expect": {"derivable": False}},
+        {"file": "one.seq", "kind": "sequent", "expect": {"derivable": True}},
+    ]
+    (tmp_path / "manifest.json").write_text(json.dumps({"entries": entries}))
+    code, data = run(capsys, "corpus", str(tmp_path), "--budget", "20")
+    assert code == 3
+    assert [e["ok"] for e in data["entries"]] == [False, True]
+    entries[1]["expect"]["derivable"] = False
+    (tmp_path / "manifest.json").write_text(json.dumps({"entries": entries}))
+    code, data = run(capsys, "corpus", str(tmp_path), "--budget", "20")
+    assert code == 1
+    assert [e["detail"] for e in data["entries"]][0] == "budget exhausted"
+
+
 @pytest.mark.parametrize(
     "raw",
     [

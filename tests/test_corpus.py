@@ -76,6 +76,11 @@ def test_budget_exhaustion_is_reported():
     )
     result = run_entry(CORPUS, entry, budget=3)
     assert not result.ok and "budget" in result.detail
+    assert result.exhausted
+    # a failure on the verdict is not one of budget
+    entry = CorpusEntry(file="axiom1.seq", kind="sequent", expect={"derivable": False})
+    result = run_entry(CORPUS, entry, budget=100_000)
+    assert not result.ok and not result.exhausted
 
 
 def _replay_problem(tmp_path, problem: str, expect: dict):

@@ -104,7 +104,7 @@ def test_accepted_searches_assemble_checkable_derivations(text):
 
 def test_loop_check_terminates_self_feeding_obligations():
     # the transitional premiss of the extracted obligation keeps
-    # reproducing the same goal, so only the history check can stop it
+    # reproducing the same goal, so only the loop check can stop it
     s = Sequent((Box(Obl(p, p)),), (BOT,))
     assert not decide(s)
     # contradictory bodies are fine when the conditions differ
@@ -460,12 +460,16 @@ def test_empty_sequent_is_rejected():
 
 
 class ReferenceSearch:
-    """The search before relevance, kept as a reference for tests only:
-    every node saturated in full (the restart scan), every premiss of the
-    first branching application searched, and every saturation move
-    replayed into the derivation, whose multiset conclusions have each
-    node's whole set sequent as support.  The memo and its low-water mark
-    are bmdl.search's, so it spends the steps that search once spent."""
+    """The search before relevance and before the failure rule, kept as a
+    reference for tests only: every node saturated in full (the restart
+    scan), every premiss of the first branching application searched, and
+    every saturation move replayed into the derivation, whose multiset
+    conclusions have each node's whole set sequent as support.  Its loop
+    check runs over a history tuple copied into every call, and its memo
+    records a failure only when no refusal beneath it pointed above its own
+    history index (a low-water mark); a failure that leaned on an ancestor is
+    searched again under each new history.  bmdl.search spends no more steps
+    than it does."""
 
     def __init__(self, budget: int):
         self.budget = Budget(budget)
