@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .calculus import RuleId
+from .calculus import ASSUMPTION, CUT, FOUR
 # build is not called here, but stays bound: perfbench/tracing.py wraps
 # consistency.build
 from .countermodel import CounterModelResult, build, certify  # noqa: F401
@@ -56,12 +56,12 @@ def discharge(
     rest = list(assumptions)
     while rest:
         a = rest.pop(0)
-        leaf = Derivation(Sequent((), (a,)), RuleId.ASSUMPTION)
-        boxed = Derivation(Sequent((), (Box(a),)), RuleId.FOUR, (Box(a),), (leaf,))
+        leaf = Derivation(Sequent((), (a,)), ASSUMPTION)
+        boxed = Derivation(Sequent((), (Box(a),)), FOUR, (Box(a),), (leaf,))
         conclusion = Sequent(
             tuple(Box(b) for b in rest) + goal.ante, goal.succ
         )
-        d = Derivation(conclusion, RuleId.CUT, (Box(a),), (boxed, d))
+        d = Derivation(conclusion, CUT, (Box(a),), (boxed, d))
     return d
 
 

@@ -5,33 +5,46 @@ obligation operator O(body/cond).  "true" is not a constructor; the parser
 desugars it to ~false.  Everything here is immutable and compared
 structurally.
 
-Every formula node caches two values: its sort key, a nested tuple
-(tag, children's keys or the atom's name) that fixes a total structural
-order, and its hash, the dataclass hash of its fields.  Both are filled
-together from the cached values of the node's children, and are reused
-from then on.  A builder that makes trees bottom-up (the parser) fills
-each node as it makes it, with filled(), at O(1) per node.  Any other
-node is filled lazily, on its first hash or sort key: the fill walks down
-with an explicit stack to the deepest uncached nodes and fills bottom-up,
-so it needs no recursion and works at any nesting depth.  The cache
-changes no result: equality is still structural, the order is the one the
-nested key tuples define, and the hash values are the ones the dataclass
-hash gives, so sets iterate as they would without the cache.
+Every formula node caches three values.  Two are filled together: its
+sort key, a nested tuple (tag, children's keys or the atom's name) that
+fixes a total structural order, and its hash, the dataclass hash of its
+fields.  Both are made from the cached values of the node's children and
+reused from then on.  A builder that makes trees bottom-up (the parser)
+fills each node as it makes it, with filled(), at O(1) per node.  Any
+other node is filled lazily, on its first hash or sort key: the fill
+walks down with an explicit stack to the deepest uncached nodes and fills
+bottom-up, so it needs no recursion and works at any nesting depth.  The
+cache changes no result: equality is still structural, the order is the
+one the nested key tuples define, and the hash values are the ones the
+dataclass hash gives, so sets iterate as they would without the cache.
+
+The third value is the node's ASCII text, which the printer makes
+(parser.Printer).  Filling a node sets its text slot to None, and the
+node's first ASCII print sets it to the text, made from the texts of its
+children; every later print, by any printer, reads it.  Text is never made
+when a node is filled: a chain of n conjuncts would then hold texts of
+about n squared characters in all, before anything refuses it.  A node
+that was never filled has no text slot set, and a printer used once
+renders it without setting any.
+
+Sequents are NamedTuples: cheap to build, compared as the tuples they are
+and hashed as the tuple of their two sides, as the frozen dataclasses they
+replace were, so sets of sequents iterate as they did.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 @dataclass(frozen=True)
 class Formula:
     """Base class for formula nodes; _k and _h hold the cached sort key and
-    hash once filled."""
+    hash once filled, and _t the ASCII text once printed (None before)."""
 
-    __slots__ = ("_k", "_h")
+    __slots__ = ("_k", "_h", "_t")
 
     def __hash__(self) -> int:
         try:
@@ -110,8 +123,10 @@ _SHAPE = {
 
 
 # The slots' own setters: they write the cache past the frozen __setattr__.
+# set_text is the printer's (parser.Printer).
 _set_key = Formula._k.__set__
 _set_hash = Formula._h.__set__
+set_text = Formula._t.__set__
 
 
 def _fill(f: Formula) -> None:
@@ -140,6 +155,7 @@ def _fill(f: Formula) -> None:
         # hash((field, ...)) as the dataclass hash has it, over cached child hashes
         _set_hash(g, hash(vals))
         _set_key(g, key)
+        set_text(g, None)
 
 
 _TAG = {cls: tag for cls, (tag, _) in _SHAPE.items()}
@@ -151,6 +167,7 @@ def filled(cls, *fields):
     what _fill would, for this one node."""
     node = cls(*fields)
     _set_hash(node, hash(fields))
+    set_text(node, None)
     if cls is Atom:
         _set_key(node, (1, *fields))
     elif len(fields) == 1:
@@ -209,16 +226,14 @@ def sorted_formulas(fs: Iterable[Formula]) -> list[Formula]:
     return out
 
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(NamedTuple):
     """Multiset sequent; both sides keep order and duplicates as written."""
 
     ante: tuple[Formula, ...]
     succ: tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
-class SetSequent:
+class SetSequent(NamedTuple):
     """Set-based sequent, the object proof search actually works on."""
 
     ante: frozenset[Formula]

@@ -16,15 +16,32 @@ either way.  A Cut's expected conclusion is built by removing the first
 copy of the cut formula from the left premiss's succedent and from the
 right premiss's antecedent, which is the order discharge emits, so its
 Cut/Four/Assumption scaffolding checks without a Counter.
+
+The checker still rebuilds every premiss from its rule's schema and
+compares it, at every node, but at tuple speed.  A Derivation, like a
+Sequent, is a NamedTuple: cheap to build and compared in C as the tuple
+it is.  A node's rule is told apart by its value string (_ONE_PRINCIPAL,
+_STRUCTURAL_ARITY) or by identity with the members calculus binds as
+module globals, never by looking a member up on RuleId or hashing one,
+each about ten times the cost of reading a global.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .calculus import RuleId
+from .calculus import (
+    ASSUMPTION,
+    BOTTOM_L,
+    CON_L,
+    CON_R,
+    CUT,
+    INIT,
+    WEAK_L,
+    WEAK_R,
+    RuleId,
+)
 from .formula import (
     And,
     BOT,
@@ -39,8 +56,7 @@ from .formula import (
 from .parser import Printer, parse_formula, parse_sequent, print_formula, print_sequent
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     conclusion: Sequent
     rule: RuleId
     principal: tuple[Formula, ...] = ()
@@ -67,110 +83,80 @@ def _boxed_tuple(fs: tuple[Formula, ...]) -> tuple[Formula, ...]:
     return tuple(f for f in fs if isinstance(f, Box))
 
 
+def _need(f: Formula, side: tuple[Formula, ...], where: str, count: int = 1) -> None:
+    if (f not in side) if count == 1 else side.count(f) < count:
+        raise ValueError(f"principal {print_formula(f)} not in {where}")
+
+
+# The logical rules with one principal, by the rule's value: the class the
+# principal must have and how a message names it, whether it sits in the
+# antecedent, and the rule's premisses at A |- S from principal p.
+_ONE_PRINCIPAL = {
+    "NegL": (Neg, "a negation", True, lambda p, A, S: (Sequent(A, S + (p.f,)),)),
+    "NegR": (Neg, "a negation", False, lambda p, A, S: (Sequent(A + (p.f,), S),)),
+    "AndL": (And, "a conjunction", True, lambda p, A, S: (Sequent(A + (p.l, p.r), S),)),
+    "AndR": (
+        And,
+        "a conjunction",
+        False,
+        lambda p, A, S: (Sequent(A, S + (p.l,)), Sequent(A, S + (p.r,))),
+    ),
+    "OrL": (
+        Or,
+        "a disjunction",
+        True,
+        lambda p, A, S: (Sequent(A + (p.l,), S), Sequent(A + (p.r,), S)),
+    ),
+    "OrR": (Or, "a disjunction", False, lambda p, A, S: (Sequent(A, S + (p.l, p.r)),)),
+    "ImpL": (
+        Imp,
+        "an implication",
+        True,
+        lambda p, A, S: (Sequent(A, S + (p.l,)), Sequent(A + (p.r,), S)),
+    ),
+    "ImpR": (Imp, "an implication", False, lambda p, A, S: (Sequent(A + (p.l,), S + (p.r,)),)),
+    "T": (Box, "boxed", True, lambda p, A, S: (Sequent(A + (p.f,), S),)),
+    "Four": (Box, "boxed", False, lambda p, A, S: (Sequent(_boxed_tuple(A), (p.f,)),)),
+    "D1": (Obl, "an obligation", True, lambda p, A, S: (Sequent(_boxed_tuple(A) + (p.body,), ()),)),
+}
+
+
 def premisses_for(rule: RuleId, principal: tuple[Formula, ...], c: Sequent) -> tuple[Sequent, ...]:
     """The exact premiss multisets of a rule instance at conclusion c.
 
     Only for the logical rules; raises DerivationError-free ValueError on a
     malformed instance (wrong principal shape or principal not present).
+    The rule is told by its value, so no RuleId attribute is looked up.
     """
-    A, S = c.ante, c.succ
-
-    def need(f: Formula, side: tuple[Formula, ...], where: str, count: int = 1):
-        if (f not in side) if count == 1 else side.count(f) < count:
-            raise ValueError(f"principal {print_formula(f)} not in {where}")
-
-    match rule:
-        case RuleId.NEG_L:
-            (p,) = principal
-            if not isinstance(p, Neg):
-                raise ValueError("NegL principal must be a negation")
-            need(p, A, "antecedent")
-            return (Sequent(A, S + (p.f,)),)
-        case RuleId.NEG_R:
-            (p,) = principal
-            if not isinstance(p, Neg):
-                raise ValueError("NegR principal must be a negation")
-            need(p, S, "succedent")
-            return (Sequent(A + (p.f,), S),)
-        case RuleId.AND_L:
-            (p,) = principal
-            if not isinstance(p, And):
-                raise ValueError("AndL principal must be a conjunction")
-            need(p, A, "antecedent")
-            return (Sequent(A + (p.l, p.r), S),)
-        case RuleId.AND_R:
-            (p,) = principal
-            if not isinstance(p, And):
-                raise ValueError("AndR principal must be a conjunction")
-            need(p, S, "succedent")
-            return (Sequent(A, S + (p.l,)), Sequent(A, S + (p.r,)))
-        case RuleId.OR_L:
-            (p,) = principal
-            if not isinstance(p, Or):
-                raise ValueError("OrL principal must be a disjunction")
-            need(p, A, "antecedent")
-            return (Sequent(A + (p.l,), S), Sequent(A + (p.r,), S))
-        case RuleId.OR_R:
-            (p,) = principal
-            if not isinstance(p, Or):
-                raise ValueError("OrR principal must be a disjunction")
-            need(p, S, "succedent")
-            return (Sequent(A, S + (p.l, p.r)),)
-        case RuleId.IMP_L:
-            (p,) = principal
-            if not isinstance(p, Imp):
-                raise ValueError("ImpL principal must be an implication")
-            need(p, A, "antecedent")
-            return (Sequent(A, S + (p.l,)), Sequent(A + (p.r,), S))
-        case RuleId.IMP_R:
-            (p,) = principal
-            if not isinstance(p, Imp):
-                raise ValueError("ImpR principal must be an implication")
-            need(p, S, "succedent")
-            return (Sequent(A + (p.l,), S + (p.r,)),)
-        case RuleId.T:
-            (p,) = principal
-            if not isinstance(p, Box):
-                raise ValueError("T principal must be boxed")
-            need(p, A, "antecedent")
-            return (Sequent(A + (p.f,), S),)
-        case RuleId.FOUR:
-            (p,) = principal
-            if not isinstance(p, Box):
-                raise ValueError("Four principal must be boxed")
-            need(p, S, "succedent")
-            return (Sequent(_boxed_tuple(A), (p.f,)),)
-        case RuleId.D1:
-            (p,) = principal
-            if not isinstance(p, Obl):
-                raise ValueError("D1 principal must be an obligation")
-            need(p, A, "antecedent")
-            return (Sequent(_boxed_tuple(A) + (p.body,), ()),)
-        case RuleId.D2:
-            p1, p2 = principal
-            if not (isinstance(p1, Obl) and isinstance(p2, Obl)):
-                raise ValueError("D2 principals must be obligations")
-            need(p1, A, "antecedent", count=2 if p1 == p2 else 1)
-            need(p2, A, "antecedent")
+    A, S = c
+    name = rule._value_
+    one = _ONE_PRINCIPAL.get(name)
+    if one is not None:
+        cls, what, left, premisses = one
+        (p,) = principal
+        if not isinstance(p, cls):
+            raise ValueError(f"{name} principal must be {what}")
+        if left:
+            _need(p, A, "antecedent")
+        else:
+            _need(p, S, "succedent")
+        return premisses(p, A, S)
+    if name == "D2" or name == "Mon":
+        p1, p2 = principal
+        if not (isinstance(p1, Obl) and isinstance(p2, Obl)):
+            raise ValueError(f"{name} principals must be obligations")
+        if name == "D2":
+            _need(p1, A, "antecedent", count=2 if p1 == p2 else 1)
+            _need(p2, A, "antecedent")
             boxed = _boxed_tuple(A)
-            return (
-                Sequent(boxed + (p1.body, p2.body), ()),
-                Sequent(boxed + (p1.cond,), (p2.cond,)),
-                Sequent(boxed + (p2.cond,), (p1.cond,)),
-            )
-        case RuleId.MON:
-            p1, p2 = principal
-            if not (isinstance(p1, Obl) and isinstance(p2, Obl)):
-                raise ValueError("Mon principals must be obligations")
-            need(p1, A, "antecedent")
-            need(p2, S, "succedent")
+            bodies = Sequent(boxed + (p1.body, p2.body), ())
+        else:
+            _need(p1, A, "antecedent")
+            _need(p2, S, "succedent")
             boxed = _boxed_tuple(A)
-            return (
-                Sequent(boxed + (p1.body,), (p2.body,)),
-                Sequent(boxed + (p1.cond,), (p2.cond,)),
-                Sequent(boxed + (p2.cond,), (p1.cond,)),
-            )
-    raise ValueError(f"{rule.value} has no schema premisses")
+            bodies = Sequent(boxed + (p1.body,), (p2.body,))
+        return bodies, Sequent(boxed + (p1.cond,), (p2.cond,)), Sequent(boxed + (p2.cond,), (p1.cond,))
+    raise ValueError(f"{name} has no schema premisses")
 
 
 def _mseq(s: Sequent) -> tuple[Counter, Counter]:
@@ -183,16 +169,17 @@ def _same(a: Sequent, b: Sequent) -> bool:
     return a == b or _mseq(a) == _mseq(b)
 
 
-# The rules without schema premisses, each with its number of premisses.
+# The rules without schema premisses, by value, each with its number of
+# premisses.
 _STRUCTURAL_ARITY = {
-    RuleId.INIT: 0,
-    RuleId.BOTTOM_L: 0,
-    RuleId.ASSUMPTION: 0,
-    RuleId.WEAK_L: 1,
-    RuleId.WEAK_R: 1,
-    RuleId.CON_L: 1,
-    RuleId.CON_R: 1,
-    RuleId.CUT: 2,
+    "Init": 0,
+    "BottomL": 0,
+    "Assumption": 0,
+    "WeakL": 1,
+    "WeakR": 1,
+    "ConL": 1,
+    "ConR": 1,
+    "Cut": 2,
 }
 
 
@@ -214,8 +201,9 @@ def _check_node(d: Derivation, assumed: list[Sequent], path: tuple[int, ...]) ->
     """Check the rule instance at d, the node at path, against the
     conclusions of its children."""
     rule = d.rule
-    if rule in _STRUCTURAL_ARITY:
-        reason = _structural_fault(d, assumed)
+    arity = _STRUCTURAL_ARITY.get(rule._value_)
+    if arity is not None:
+        reason = _structural_fault(d, assumed, arity)
         if reason is not None:
             raise DerivationError(path, reason)
         return
@@ -241,74 +229,74 @@ def _arity_fault(d: Derivation, n: int) -> Optional[str]:
     return None
 
 
-def _structural_fault(d: Derivation, assumed: list[Sequent]) -> Optional[str]:
+def _structural_fault(d: Derivation, assumed: list[Sequent], arity: int) -> Optional[str]:
     """What is wrong with the instance at d of a rule without schema
     premisses (Init, BottomL, and the checker-only Assumption, weakening,
-    contraction and Cut), or None."""
-    A, S = d.conclusion.ante, d.conclusion.succ
-    reason = _arity_fault(d, _STRUCTURAL_ARITY[d.rule])
+    contraction and Cut), whose number of premisses is arity, or None."""
+    A, S = d.conclusion
+    reason = _arity_fault(d, arity)
     if reason is not None:
         return reason
-    match d.rule:
-        case RuleId.INIT:
-            shared = set(A) & set(S)
-            if not shared:
-                return "Init needs a formula on both sides"
-            if d.principal and d.principal[0] not in shared:
-                return "Init principal is not shared"
-        case RuleId.BOTTOM_L:
-            if BOT not in A:
-                return "BottomL needs false in the antecedent"
-        case RuleId.ASSUMPTION:
-            c = d.conclusion
-            if c not in assumed:
-                counts = _mseq(c)
-                if not any(_mseq(a) == counts for a in assumed):
-                    return f"sequent {print_sequent(c)} is not an assumption"
-        case RuleId.WEAK_L:
-            ca, cs = _mseq(d.children[0].conclusion)
-            ta, ts = _mseq(d.conclusion)
-            if cs != ts:
-                return "WeakL must keep the succedent"
-            if ca - ta:
-                return "WeakL premiss antecedent is not contained in the conclusion"
-        case RuleId.WEAK_R:
-            ca, cs = _mseq(d.children[0].conclusion)
-            ta, ts = _mseq(d.conclusion)
-            if ca != ta:
-                return "WeakR must keep the antecedent"
-            if cs - ts:
-                return "WeakR premiss succedent is not contained in the conclusion"
-        case RuleId.CON_L:
-            if len(d.principal) != 1:
-                return "ConL needs its contracted formula as principal"
-            p = d.principal[0]
-            if Counter(A)[p] < 1:
-                return "ConL principal not in the antecedent"
-            ca, cs = _mseq(d.children[0].conclusion)
-            if cs != Counter(S) or ca != Counter(A) + Counter((p,)):
-                return "ConL premiss must carry exactly one extra copy"
-        case RuleId.CON_R:
-            if len(d.principal) != 1:
-                return "ConR needs its contracted formula as principal"
-            p = d.principal[0]
-            if Counter(S)[p] < 1:
-                return "ConR principal not in the succedent"
-            ca, cs = _mseq(d.children[0].conclusion)
-            if ca != Counter(A) or cs != Counter(S) + Counter((p,)):
-                return "ConR premiss must carry exactly one extra copy"
-        case RuleId.CUT:
-            if len(d.principal) != 1:
-                return "Cut needs its cut formula as principal"
-            p = d.principal[0]
-            l, r = d.children[0].conclusion, d.children[1].conclusion
-            if p not in l.succ:
-                return "cut formula missing from the left premiss succedent"
-            if p not in r.ante:
-                return "cut formula missing from the right premiss antecedent"
-            want = Sequent(l.ante + _without(r.ante, p), _without(l.succ, p) + r.succ)
-            if not _same(d.conclusion, want):
-                return "Cut conclusion does not split into its premisses"
+    rule = d.rule
+    if rule is INIT:
+        shared = set(A) & set(S)
+        if not shared:
+            return "Init needs a formula on both sides"
+        if d.principal and d.principal[0] not in shared:
+            return "Init principal is not shared"
+    elif rule is BOTTOM_L:
+        if BOT not in A:
+            return "BottomL needs false in the antecedent"
+    elif rule is ASSUMPTION:
+        c = d.conclusion
+        if c not in assumed:
+            counts = _mseq(c)
+            if not any(_mseq(a) == counts for a in assumed):
+                return f"sequent {print_sequent(c)} is not an assumption"
+    elif rule is WEAK_L:
+        ca, cs = _mseq(d.children[0].conclusion)
+        ta, ts = _mseq(d.conclusion)
+        if cs != ts:
+            return "WeakL must keep the succedent"
+        if ca - ta:
+            return "WeakL premiss antecedent is not contained in the conclusion"
+    elif rule is WEAK_R:
+        ca, cs = _mseq(d.children[0].conclusion)
+        ta, ts = _mseq(d.conclusion)
+        if ca != ta:
+            return "WeakR must keep the antecedent"
+        if cs - ts:
+            return "WeakR premiss succedent is not contained in the conclusion"
+    elif rule is CON_L:
+        if len(d.principal) != 1:
+            return "ConL needs its contracted formula as principal"
+        p = d.principal[0]
+        if Counter(A)[p] < 1:
+            return "ConL principal not in the antecedent"
+        ca, cs = _mseq(d.children[0].conclusion)
+        if cs != Counter(S) or ca != Counter(A) + Counter((p,)):
+            return "ConL premiss must carry exactly one extra copy"
+    elif rule is CON_R:
+        if len(d.principal) != 1:
+            return "ConR needs its contracted formula as principal"
+        p = d.principal[0]
+        if Counter(S)[p] < 1:
+            return "ConR principal not in the succedent"
+        ca, cs = _mseq(d.children[0].conclusion)
+        if ca != Counter(A) or cs != Counter(S) + Counter((p,)):
+            return "ConR premiss must carry exactly one extra copy"
+    elif rule is CUT:
+        if len(d.principal) != 1:
+            return "Cut needs its cut formula as principal"
+        p = d.principal[0]
+        l, r = d.children[0].conclusion, d.children[1].conclusion
+        if p not in l.succ:
+            return "cut formula missing from the left premiss succedent"
+        if p not in r.ante:
+            return "cut formula missing from the right premiss antecedent"
+        want = Sequent(l.ante + _without(r.ante, p), _without(l.succ, p) + r.succ)
+        if not _same(d.conclusion, want):
+            return "Cut conclusion does not split into its premisses"
     return None
 
 
@@ -326,16 +314,17 @@ def derivation_to_json(d: Derivation) -> dict:
     """The derivation as nested objects, built without recursion; each
     distinct formula is printed once."""
     show = Printer()
+    text, sequent = show.formula, show.sequent
     root: dict = {}
     todo = [(d, root)]
     while todo:
-        node, out = todo.pop()
-        kids: list[dict] = [{} for _ in node.children]
-        out["rule"] = node.rule.value
-        out["principal"] = [show.formula(f) for f in node.principal]
-        out["conclusion"] = show.sequent(node.conclusion)
+        (conclusion, rule, principal, children), out = todo.pop()
+        kids: list[dict] = [{} for _ in children]
+        out["rule"] = rule._value_
+        out["principal"] = [text(f) for f in principal]
+        out["conclusion"] = sequent(conclusion)
         out["children"] = kids
-        todo.extend(zip(node.children, kids))
+        todo.extend(zip(children, kids))
     return root
 
 

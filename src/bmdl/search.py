@@ -212,7 +212,7 @@ from itertools import islice
 from math import inf
 from typing import NamedTuple, Optional, Union
 
-from .calculus import TRANSITIONAL, RuleApplication, RuleId, Universe
+from .calculus import BOTTOM_L, INIT, RuleApplication, RuleId, Universe
 # sorted_formulas is not called here, but stays bound: perfbench/tracing.py
 # wraps search.sorted_formulas
 from .formula import Sequent, SetSequent, sorted_formulas  # noqa: F401
@@ -340,10 +340,10 @@ def closure_of(u: Universe, s: Masks) -> Optional[tuple[RuleId, tuple[int, ...]]
     principal: Init on the least formula on both sides."""
     ante, succ = s
     if ante & u.bottom:
-        return (RuleId.BOTTOM_L, ())
+        return (BOTTOM_L, ())
     shared = ante & succ
     if shared:
-        return (RuleId.INIT, ((shared & -shared).bit_length() - 1,))
+        return (INIT, ((shared & -shared).bit_length() - 1,))
     return None
 
 
@@ -361,21 +361,22 @@ class ProofNode(NamedTuple):
 
 
 # How many leading principals of each rule sit in the antecedent; the rest
-# sit in the succedent.
+# sit in the succedent.  Keyed by the rule's value, read as rule._value_: a
+# str key hashes in C, a RuleId in Python.
 _LEFT_PRINCIPALS = {
-    RuleId.NEG_L: 1,
-    RuleId.AND_L: 1,
-    RuleId.T: 1,
-    RuleId.NEG_R: 0,
-    RuleId.OR_R: 0,
-    RuleId.IMP_R: 0,
-    RuleId.AND_R: 0,
-    RuleId.OR_L: 1,
-    RuleId.IMP_L: 1,
-    RuleId.D1: 1,
-    RuleId.D2: 2,
-    RuleId.MON: 1,
-    RuleId.FOUR: 0,
+    "NegL": 1,
+    "AndL": 1,
+    "T": 1,
+    "NegR": 0,
+    "OrR": 0,
+    "ImpR": 0,
+    "AndR": 0,
+    "OrL": 1,
+    "ImpL": 1,
+    "D1": 1,
+    "D2": 2,
+    "Mon": 1,
+    "Four": 0,
 }
 
 
@@ -393,7 +394,7 @@ def _relevant(steps: tuple[SatStep, ...], used: Masks) -> tuple[tuple[SatStep, .
         kept.append(step)
         ante &= ~new_ante
         succ &= ~new_succ
-        if _LEFT_PRINCIPALS[rule]:
+        if _LEFT_PRINCIPALS[rule._value_]:
             ante |= 1 << principal
         else:
             succ |= 1 << principal
@@ -401,7 +402,9 @@ def _relevant(steps: tuple[SatStep, ...], used: Masks) -> tuple[tuple[SatStep, .
     return tuple(kept), (ante, succ)
 
 
-def _rule_uses(u: Universe, app: RuleApplication, sat: Masks, kids: tuple[ProofNode, ...]) -> Masks:
+def _rule_uses(
+    u: Universe, app: RuleApplication, transitional: bool, sat: Masks, kids: tuple[ProofNode, ...]
+) -> Masks:
     """What an application at sat uses, given its premisses' proofs: its
     principals, and what those proofs use of sat; of a transitional
     premiss, only the boxed antecedent formulas are sat's."""
@@ -409,13 +412,13 @@ def _rule_uses(u: Universe, app: RuleApplication, sat: Masks, kids: tuple[ProofN
     for kid in kids:
         ante |= kid.uses[0]
         succ |= kid.uses[1]
-    if app.rule in TRANSITIONAL:
+    if transitional:
         ante &= u.boxes & sat[0]
         succ = 0
     else:
         ante &= sat[0]
         succ &= sat[1]
-    n = _LEFT_PRINCIPALS[app.rule]
+    n = _LEFT_PRINCIPALS[app.rule._value_]
     for k, i in enumerate(app.principal):
         if k < n:
             ante |= 1 << i
@@ -476,7 +479,7 @@ class _Search:
         cl = closure_of(u, sat)
         if cl is not None:
             rule, principal = cl
-            if rule is RuleId.BOTTOM_L:
+            if rule is BOTTOM_L:
                 used = (u.bottom, 0)
             else:
                 bit = 1 << principal[0]
@@ -504,7 +507,7 @@ class _Search:
                 kids.append(kid)
             else:
                 kids = tuple(kids)
-                above = ProofNode((), None, app, kids, _rule_uses(u, app, sat, kids))
+                above = ProofNode((), None, app, kids, _rule_uses(u, app, branch is None, sat, kids))
             if above is not None:
                 break
         stack.pop()

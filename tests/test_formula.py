@@ -1,6 +1,9 @@
+from dataclasses import make_dataclass
+
 import hypothesis.strategies as st
 from hypothesis import given
 
+from bmdl.calculus import RuleId
 from bmdl.formula import (
     And,
     Atom,
@@ -12,6 +15,7 @@ from bmdl.formula import (
     Obl,
     Or,
     Sequent,
+    SetSequent,
     TOP,
     from_set_sequent,
     sequent_subformulas,
@@ -21,6 +25,7 @@ from bmdl.formula import (
     subformulas,
     to_set_sequent,
 )
+from bmdl.kernel import Derivation
 
 from conftest import formulas, sequents
 
@@ -130,3 +135,54 @@ def test_set_conversion_keeps_support(s):
 def test_sequent_subformulas_covers_both_sides():
     s = Sequent((Box(p),), (Imp(p, q),))
     assert sequent_subformulas(s) == {Box(p), p, Imp(p, q), q}
+
+
+# Sequent and SetSequent as the frozen dataclasses they were: the reference
+# for the hash, equality and repr of the tuple types that replace them.
+# Their hash fixes the iteration order of sets of sequents, which the
+# frozen gates rely on.
+_DataSequent = make_dataclass(
+    "Sequent", [("ante", tuple), ("succ", tuple)], frozen=True
+)
+_DataSetSequent = make_dataclass(
+    "SetSequent", [("ante", frozenset), ("succ", frozenset)], frozen=True
+)
+
+
+@given(st.lists(sequents, max_size=8))
+def test_sequents_hash_compare_and_print_as_the_dataclasses_did(ss):
+    for new_type, old_type, side in ((Sequent, _DataSequent, tuple), (SetSequent, _DataSetSequent, frozenset)):
+        new = [new_type(side(s.ante), side(s.succ)) for s in ss]
+        old = [old_type(side(s.ante), side(s.succ)) for s in ss]
+        for a, x in zip(new, old):
+            assert hash(a) == hash(x)
+            assert repr(a) == repr(x)
+            for b, y in zip(new, old):
+                assert (a == b) == (x == y)
+                assert (a != b) == (x != y)
+        # sets of sequents iterate in the same order, duplicates and all
+        assert [(a.ante, a.succ) for a in set(new)] == [(x.ante, x.succ) for x in set(old)]
+        assert [(a.ante, a.succ) for a in dict.fromkeys(new)] == [(x.ante, x.succ) for x in dict.fromkeys(old)]
+
+
+@given(sequents, sequents)
+def test_set_sequent_le_is_containment(s, t):
+    a, b = to_set_sequent(s), to_set_sequent(t)
+    assert (a <= b) == (a.ante <= b.ante and a.succ <= b.succ)
+    joined = SetSequent(a.ante | b.ante, a.succ | b.succ)
+    assert a <= joined and b <= joined
+    assert a <= a
+
+
+def test_set_sequent_le_is_not_the_tuple_order():
+    small, large = set_sequent([p], [q]), set_sequent([p, r], [q])
+    assert small <= large and not large <= small
+    assert not set_sequent([r], []) <= set_sequent([p], [q])
+
+
+def test_derivation_keeps_its_defaults():
+    c = Sequent((p,), (p,))
+    d = Derivation(c, RuleId.INIT)
+    assert (d.conclusion, d.rule, d.principal, d.children) == (c, RuleId.INIT, (), ())
+    assert d == Derivation(conclusion=c, rule=RuleId.INIT, principal=(), children=())
+    assert repr(d) == f"Derivation(conclusion={c!r}, rule={RuleId.INIT!r}, principal=(), children=())"

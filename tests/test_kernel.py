@@ -1,3 +1,5 @@
+import json
+import random
 from collections import Counter
 
 import hypothesis.strategies as st
@@ -5,8 +7,10 @@ import pytest
 from hypothesis import given
 
 from bmdl.calculus import RuleId
-from bmdl.consistency import assumption_sequents, discharge, reduction_sequent
-from bmdl.formula import And, Atom, BOT, Box, Neg, Obl, Sequent
+from bmdl import gen
+from bmdl.consistency import assumption_sequents, check_consistency, discharge, reduction_sequent
+from bmdl.corpus import read_sequent_file
+from bmdl.formula import And, Atom, BOT, Box, Imp, Neg, Obl, Or, Sequent, subformulas
 from bmdl.kernel import (
     Derivation,
     DerivationError,
@@ -16,10 +20,11 @@ from bmdl.kernel import (
     _same,
     premisses_for,
 )
-from bmdl.parser import parse_sequent
+from bmdl.parser import parse_problem, parse_sequent, print_formula, print_sequent
 from bmdl.search import prove
 
-from conftest import formula_tuples, formulas, reference_check_derivation, sequents
+from conftest import CORPUS, formula_tuples, formulas, reference_check_derivation, sequents
+from test_parser import reference_print, reference_print_sequent
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -346,3 +351,124 @@ def test_d2_with_one_obligation_as_both_principals_needs_two_copies():
     two = Derivation(Sequent((o, r, o), ()), RuleId.D2, (o, o), prem)
     with pytest.raises(DerivationError, match="^node 0: BottomL needs false"):
         check_derivation(two)
+
+
+def reference_derivation_to_json(d: Derivation) -> dict:
+    """derivation_to_json as it was before formula nodes kept their text and
+    derivations were tuples: nested objects built without recursion, each
+    rule named by its RuleId value, formulas printed by the reference
+    printer."""
+    root: dict = {}
+    todo = [(d, root)]
+    while todo:
+        node, out = todo.pop()
+        kids: list[dict] = [{} for _ in node.children]
+        out["rule"] = node.rule.value
+        out["principal"] = [reference_print(f) for f in node.principal]
+        out["conclusion"] = reference_print_sequent(node.conclusion)
+        out["children"] = kids
+        todo.extend(zip(node.children, kids))
+    return root
+
+
+def _as_json_bytes(tree: dict) -> bytes:
+    return json.dumps(tree, ensure_ascii=False).encode()
+
+
+def _assert_json_as_the_reference(d: Derivation) -> None:
+    """The derivation's JSON equals the reference's, byte for byte, on the
+    first print of its formulas and again once their texts are kept."""
+    want = _as_json_bytes(reference_derivation_to_json(d))
+    assert _as_json_bytes(derivation_to_json(d)) == want
+    assert _as_json_bytes(derivation_to_json(d)) == want
+
+
+def test_derivation_json_of_random_derivable_goals_is_the_reference_json():
+    """Goals read as the CLI reads them, the goal printed first as a report
+    prints it, then its derivation, with assumptions discharged or not."""
+    rng = random.Random(271828)
+    found = 0
+    while found < 40:
+        s = gen.random_sequent(rng, size=rng.randint(3, 8), width=rng.randint(2, 3))
+        goal = parse_sequent(print_sequent(s))
+        assert print_sequent(goal) == reference_print_sequent(goal)
+        res = prove(goal, 100_000)
+        if not res.accepted:
+            continue
+        found += 1
+        check_derivation(res.derivation)
+        _assert_json_as_the_reference(res.derivation)
+        if goal.ante:  # read the first antecedent formula as an assumption
+            assumptions, rest = goal.ante[:1], Sequent(goal.ante[1:], goal.succ)
+            reduced = prove(reduction_sequent(assumptions, rest), 100_000)
+            if reduced.accepted:
+                d = discharge(reduced.derivation, assumptions, rest)
+                check_derivation(d, assumption_sequents(assumptions))
+                _assert_json_as_the_reference(d)
+
+
+def _substituted(f, sub):
+    """f with each atom replaced by its substituent, built apart from the
+    parser."""
+    match f:
+        case Atom(name):
+            return sub.get(name, f)
+        case Neg(g) | Box(g):
+            return type(f)(_substituted(g, sub))
+        case And(l, r) | Or(l, r) | Imp(l, r) | Obl(l, r):
+            return type(f)(_substituted(l, sub), _substituted(r, sub))
+    return f
+
+
+def test_derivation_json_of_schema_instances_is_the_reference_json():
+    """Substitution instances of the corpus's axiom schemas, built outside
+    the parser, as the benchmark's schema-derivable pool draws them."""
+    schemas = [
+        read_sequent_file(CORPUS / e["file"])
+        for e in json.loads((CORPUS / "manifest.json").read_text())["entries"]
+        if e["kind"] == "sequent" and e.get("basis") == "axiom-schema"
+    ]
+    assert len(schemas) == 6
+    rng = random.Random(314159)
+    for i in range(36):
+        schema = schemas[i % len(schemas)]
+        names = sorted({g.name for f in schema.ante + schema.succ for g in subformulas(f) if isinstance(g, Atom)})
+        sub = {a: gen.random_formula(rng, rng.randint(1, 4)) for a in names}
+        goal = Sequent(
+            tuple(_substituted(f, sub) for f in schema.ante),
+            tuple(_substituted(f, sub) for f in schema.succ),
+        )
+        res = prove(goal, 100_000)
+        assert res.accepted
+        check_derivation(res.derivation)
+        _assert_json_as_the_reference(res.derivation)
+
+
+def test_derivation_json_of_discharged_consistency_witnesses_is_the_reference_json():
+    """Inconsistency witnesses, whose Cut and Four scaffolding holds boxed
+    assumptions that discharge builds and nothing has filled yet: from the
+    corpus and from random assumption sets."""
+    sets = [parse_problem((CORPUS / f).read_text()).assumptions for f in ("clash.mdl", "conflicting_obligations.mdl")]
+    rng = random.Random(161803)
+    while len(sets) < 30:
+        drawn = gen.random_assumptions(rng, rng.randint(1, 4), size=4, modal_depth=2)
+        if rng.random() < 0.5:  # read as the CLI reads a problem file
+            drawn = parse_problem("".join(f"assume {print_formula(a)}\n" for a in drawn)).assumptions
+        res = check_consistency(drawn, 100_000)
+        if not res.consistent:
+            sets.append(drawn)
+    for assumptions in sets:
+        res = check_consistency(assumptions, 100_000)
+        assert not res.consistent
+        check_derivation(res.witness, assumption_sequents(assumptions))
+        _assert_json_as_the_reference(res.witness)
+
+
+@pytest.mark.parametrize(
+    "name", ["example1_derivation.json", "cut_contraction_demo.json", "boxed_assumption.json", "bad_init.json"]
+)
+def test_derivation_json_of_corpus_derivations_is_the_reference_json(name):
+    """Hand-written derivations, with the checker-only rules, read back and
+    written again."""
+    d = derivation_from_json(json.loads((CORPUS / name).read_text()))
+    _assert_json_as_the_reference(d)

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from bmdl.calculus import Universe
 from bmdl.formula import (
     And,
     Atom,
@@ -19,6 +20,7 @@ from bmdl.formula import (
     Or,
     Sequent,
     TOP,
+    filled,
     sort_key,
     subformulas,
 )
@@ -468,3 +470,109 @@ def test_every_corpus_file_parses_as_the_references_read_it(path):
     for f in fs:
         _assert_filled_as_lazily(f)
         assert print_formula(f) == reference_print(f)
+
+
+# The ASCII text kept on formula nodes: made by the first print of a filled
+# node, read by every later print, never made while parsing or filling.
+
+
+def _arguments(f: Formula) -> tuple[Formula, ...]:
+    match f:
+        case Neg(g) | Box(g):
+            return (g,)
+        case And(l, r) | Or(l, r) | Imp(l, r) | Obl(l, r):
+            return (l, r)
+    return ()
+
+
+def _nodes(fs) -> list[Formula]:
+    """Every node object of the formulas fs, each once, without recursion."""
+    out, seen, todo = [], set(), list(fs)
+    while todo:
+        g = todo.pop()
+        if id(g) not in seen:
+            seen.add(id(g))
+            out.append(g)
+            todo.extend(_arguments(g))
+    return out
+
+
+def _print_each_as_the_reference(nodes, rng: random.Random) -> None:
+    """Print every node, in the order of nodes, each by a printer drawn from
+    two shared memo printers and the print-once functions, alone or as a
+    one-formula sequent, and compare with the reference."""
+    shared = [Printer(), Printer()]
+    for g in nodes:
+        want = reference_print(g)
+        how = rng.randrange(5)
+        if how < 2:
+            assert shared[how].formula(g) == want
+        elif how == 2:
+            assert print_formula(g) == want
+        elif how == 3:
+            assert shared[rng.randrange(2)].sequent(Sequent((g,), ())) == f"{want} |-"
+        else:
+            assert print_sequent(Sequent((), (g,))) == f"|- {want}"
+
+
+@given(st.lists(formulas, min_size=1, max_size=4), st.integers(0, 2**32))
+def test_kept_texts_of_parsed_nodes_print_as_the_reference_in_any_order(fs, seed):
+    """Parsed nodes, and filled nodes made over them that share them, print
+    as the reference prints them whatever order and printers they are
+    printed in, and each then keeps its own text."""
+    rng = random.Random(seed)
+    goal = parse_sequent(", ".join(reference_print(f) for f in fs) + " |- " + reference_print(fs[0]))
+    parsed = list(goal.ante + goal.succ)
+    made = [filled(rng.choice((And, Or, Imp, Obl)), rng.choice(parsed), rng.choice(parsed)) for _ in fs]
+    made += [filled(rng.choice((Neg, Box)), rng.choice(parsed + made)) for _ in fs]
+    nodes = _nodes(parsed + made)
+    for _ in range(2):
+        rng.shuffle(nodes)
+        _print_each_as_the_reference(nodes, rng)
+    assert all(g._t == reference_print(g) for g in nodes)
+
+
+@given(st.lists(formulas, min_size=1, max_size=4), st.integers(0, 2**32))
+def test_kept_texts_of_filled_and_canonical_formulas_print_as_the_reference(fs, seed):
+    """Built formulas once the lazy fill has filled them, and the formulas a
+    universe makes again (Universe.canonical) over nodes printed before,
+    print as the reference prints them."""
+    rng = random.Random(seed)
+    again = [_rebuilt(f) for f in fs]  # equal, other objects: canonical() remakes
+    u = Universe(Sequent(tuple(fs), tuple(again)))  # its walk hashes, so fills, every node
+    nodes = _nodes(fs + again)
+    rng.shuffle(nodes)
+    _print_each_as_the_reference(nodes, rng)
+    canonical = _nodes(u.canonical())
+    rng.shuffle(canonical)
+    _print_each_as_the_reference(canonical, rng)
+    assert all(g._t == reference_print(g) for g in nodes + canonical)
+
+
+@given(st.lists(formulas, min_size=1, max_size=4), st.integers(0, 2**32))
+def test_unicode_printing_reads_no_kept_ascii_text(fs, seed):
+    """Unicode is rendered as before, from Unicode texts only, whether the
+    nodes keep their ASCII texts already or not; ASCII is unchanged after."""
+    rng = random.Random(seed)
+    goal = parse_sequent(", ".join(reference_print(f) for f in fs) + " |-")
+    nodes = _nodes(goal.ante)
+    rng.shuffle(nodes)
+    show = Printer(unicode=True)
+    for g in nodes[: len(nodes) // 2]:
+        assert show.formula(g) == reference_print(g, unicode=True)
+    for g in nodes:
+        assert print_formula(g) == reference_print(g)
+    for g in nodes:
+        assert show.formula(g) == print_formula(g, unicode=True) == reference_print(g, unicode=True)
+    for s in (goal, Sequent((), goal.ante)):
+        assert show.sequent(s) == print_sequent(s, unicode=True) == reference_print_sequent(s, unicode=True)
+        assert print_sequent(s) == reference_print_sequent(s)
+
+
+def test_parsing_a_long_chain_makes_no_text():
+    """Parsing fills every node but makes no text: a chain of n conjuncts
+    would otherwise hold prefix texts of about n squared characters."""
+    f = parse_formula(" & ".join(f"p{i}" for i in range(3000)))
+    nodes = _nodes([f])
+    assert len(nodes) == 3000 + 2999
+    assert all(g._t is None for g in nodes)
