@@ -268,7 +268,10 @@ def left_obligation_conds(u: Universe, s: Masks) -> int:
     left of some world sequent built from s: one walk over (formula, side)
     pairs from s, 0 the antecedent and 1 the succedent, each reached pair
     kept as a bit of its side's mask (see the module docstring for why the
-    walk covers every world sequent)."""
+    walk covers every world sequent).  A universe without obligations has
+    no condition to place, and is answered without the walk."""
+    if not u.obls:
+        return 0
     formulas, first, second = u.formulas, u.first, u.second
     reached = list(s)
     todo = [(1 << i, side) for side in (0, 1) for i in ranks(s[side])]

@@ -163,8 +163,11 @@ _TAG = {cls: tag for cls, (tag, _) in _SHAPE.items()}
 
 def filled(cls, *fields):
     """cls(*fields) with its cache filled at once from the fields' caches:
-    the fields are filled formulas, or the name of an Atom.  It computes
-    what _fill would, for this one node."""
+    the fields are formulas, or the name of an Atom.  It computes what
+    _fill would, for this one node, at O(1) when the formula fields are
+    filled.  A field that was never filled is filled lazily first: the
+    node's hash is taken before any field's _k is read, and hashing the
+    field fills it."""
     node = cls(*fields)
     _set_hash(node, hash(fields))
     set_text(node, None)

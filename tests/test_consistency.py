@@ -1,18 +1,23 @@
 import random
 
+from bmdl import formula
+from bmdl.cli import decide_consistency, decide_goal
 from bmdl.consistency import (
+    FALSUM_SEQUENT,
     assumption_sequents,
     check_consistency,
     discharge,
     reduction_sequent,
 )
 from bmdl.calculus import RuleId
-from bmdl.formula import Atom, BOT, Box, Neg, Obl, Sequent
+from bmdl.formula import And, Atom, BOT, Box, Imp, Neg, Obl, Sequent
 from bmdl.gen import random_assumptions, random_sequent
 from bmdl.kernel import check_derivation
-from bmdl.parser import parse_formula, parse_sequent
+from bmdl.parser import parse_formula, parse_problem, parse_sequent, print_formula, print_sequent
 from bmdl.search import prove
 from bmdl.semantics import holds
+
+from conftest import CORPUS
 
 p, q = Atom("p"), Atom("q")
 
@@ -22,6 +27,97 @@ def test_reduction_boxes_the_assumptions():
     s = reduction_sequent([p, Neg(q)], goal)
     assert s == Sequent((Box(p), Box(Neg(q)), q), (p,))
     assert reduction_sequent([]) == Sequent((), (BOT,))
+
+
+def test_reduction_boxes_are_filled_nodes():
+    """Each box is filled when it is made, over assumptions built anywhere:
+    by the constructors, never filled, or by the parser."""
+    built = [Imp(p, Box(q)), Obl(And(p, q), Neg(p)), p]
+    parsed = [parse_formula(print_formula(a)) for a in built]
+    for assumptions in (built, parsed):
+        boxes = reduction_sequent(assumptions).ante
+        assert boxes == tuple(Box(a) for a in assumptions)
+        for box, a in zip(boxes, assumptions):
+            assert box.f is a
+            assert box._k == formula.sort_key(Box(a)) and box._h == hash(Box(a))
+            assert box._t is None
+
+
+def _cut_chain(witness, n):
+    """The n Cuts of a discharged witness, innermost (the first assumption's)
+    first, and the reduction derivation beneath them."""
+    cuts, d = [], witness
+    for _ in range(n):
+        assert d.rule is RuleId.CUT
+        cuts.append(d)
+        d = d.children[1]
+    return cuts[::-1], d
+
+
+def test_witness_holds_the_reduction_boxes():
+    """Every Cut principal, Four conclusion and Cut conclusion of a witness
+    holds the very box objects of the reduction it discharges."""
+    sets = [parse_problem((CORPUS / f).read_text()).assumptions for f in ("clash.mdl", "conflicting_obligations.mdl")]
+    sets.append((p, Neg(p), Box(q), p))
+    for assumptions in sets:
+        res = check_consistency(assumptions)
+        assert not res.consistent
+        n = len(assumptions)
+        cuts, reduction = _cut_chain(res.witness, n)
+        boxes = reduction.conclusion.ante[:n]
+        assert boxes == tuple(Box(a) for a in assumptions)
+        for i, cut in enumerate(cuts):
+            four = cut.children[0]
+            assert four.rule is RuleId.FOUR
+            assert cut.principal[0] is boxes[i]
+            assert four.conclusion.succ[0] is boxes[i] and four.principal[0] is boxes[i]
+            assert all(x is y for x, y in zip(cut.conclusion.ante, boxes[i + 1 :]))
+            assert len(cut.conclusion.ante) == n - i - 1
+
+
+def _count_fills(monkeypatch) -> list:
+    """Count the lazy fills (formula._fill) from now on."""
+    calls = []
+    lazy = formula._fill
+
+    def spy(f):
+        calls.append(f)
+        lazy(f)
+
+    monkeypatch.setattr(formula, "_fill", spy)
+    return calls
+
+
+def test_consistency_verdicts_fill_nothing_lazily(monkeypatch):
+    """Sets read as the CLI reads them: no node of the reduction, the search,
+    the witness or the report is filled lazily."""
+    sets = [parse_problem(path.read_text()).assumptions for path in sorted(CORPUS.glob("*.mdl"))]
+    rng = random.Random(5)
+    for _ in range(40):
+        drawn = random_assumptions(rng, rng.randint(1, 4), size=4, modal_depth=2)
+        sets.append(parse_problem("".join(f"assume {print_formula(a)}\n" for a in drawn)).assumptions)
+    calls = _count_fills(monkeypatch)
+    codes = {decide_consistency(assumptions, 100_000)[0] for assumptions in sets}
+    assert codes == {0, 1}
+    assert calls == []
+
+
+def test_goals_under_assumptions_fill_nothing_lazily(monkeypatch):
+    """prove and countermodel with --assume formulas, derivable or not."""
+    rng = random.Random(6)
+    cases = []
+    for _ in range(40):
+        drawn = random_assumptions(rng, rng.randint(1, 3), size=3, modal_depth=2)
+        assumptions = tuple(parse_formula(print_formula(a)) for a in drawn)
+        cases.append((assumptions, parse_sequent(print_sequent(random_sequent(rng, size=4)))))
+    calls = _count_fills(monkeypatch)
+    derivable = [
+        decide_goal(a, goal, 100_000, affirm_derivable=affirm)[1]["derivable"]
+        for a, goal in cases
+        for affirm in (True, False)
+    ]
+    assert True in derivable and False in derivable
+    assert calls == []
 
 
 def test_assumption_sequents_shape():

@@ -205,6 +205,7 @@ def test_left_obligation_conds_follow_polarity():
     want = parse_sequent("j |-").ante
     assert conds("O(a / b) -> c, ~O(d / e) |- []O(f / g), O(h / O(i / j)) | k") == want
     assert conds("O(a / b) -> c |-") == ()
+    assert conds("[]~a -> b, ~[]c |- d & []e") == ()  # no obligation at all
     assert conds("|- O(a / b) -> c") == parse_sequent("b |-").ante
 
 

@@ -17,6 +17,7 @@ from bmdl.formula import (
     Sequent,
     SetSequent,
     TOP,
+    filled,
     from_set_sequent,
     sequent_subformulas,
     set_sequent,
@@ -26,6 +27,7 @@ from bmdl.formula import (
     to_set_sequent,
 )
 from bmdl.kernel import Derivation
+from bmdl.parser import Printer
 
 from conftest import formulas, sequents
 
@@ -108,6 +110,19 @@ def test_deep_formulas_hash_sort_and_fill_without_recursion():
     assert deep in {deep, q}
     assert Neg(q) not in {deep}
     assert sorted_formulas([deep, deep.f, q]) == [q, deep.f, deep]
+
+
+@given(formulas)
+def test_filled_over_a_never_filled_formula_fills_as_the_lazy_fill(f):
+    """filled takes the node's hash before it reads a field's key, and the
+    hash fills the field: a box made by filled over a formula built
+    anywhere has the key, hash and text of a lazily filled box."""
+    a, lazy = rebuilt(f), Box(rebuilt(f))
+    assert not hasattr(a, "_k")
+    box = filled(Box, a)
+    assert box == lazy and box._t is None
+    assert (box._k, box._h) == (sort_key(lazy), hash(lazy)) == (reference_sort_key(lazy), hash(lazy))
+    assert Printer().formula(box) == Printer().formula(lazy) == box._t == lazy._t
 
 
 @given(formulas)

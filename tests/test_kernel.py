@@ -8,7 +8,7 @@ from hypothesis import given
 
 from bmdl.calculus import RuleId
 from bmdl import gen
-from bmdl.consistency import assumption_sequents, check_consistency, discharge, reduction_sequent
+from bmdl.consistency import FALSUM_SEQUENT, assumption_sequents, check_consistency, discharge, reduction_sequent
 from bmdl.corpus import read_sequent_file
 from bmdl.formula import And, Atom, BOT, Box, Imp, Neg, Obl, Or, Sequent, subformulas
 from bmdl.kernel import (
@@ -444,10 +444,9 @@ def test_derivation_json_of_schema_instances_is_the_reference_json():
         _assert_json_as_the_reference(res.derivation)
 
 
-def test_derivation_json_of_discharged_consistency_witnesses_is_the_reference_json():
-    """Inconsistency witnesses, whose Cut and Four scaffolding holds boxed
-    assumptions that discharge builds and nothing has filled yet: from the
-    corpus and from random assumption sets."""
+def _inconsistent_sets() -> list[tuple]:
+    """Inconsistent assumption sets from the corpus, and random ones, half
+    of them read as the CLI reads a problem file."""
     sets = [parse_problem((CORPUS / f).read_text()).assumptions for f in ("clash.mdl", "conflicting_obligations.mdl")]
     rng = random.Random(161803)
     while len(sets) < 30:
@@ -457,11 +456,57 @@ def test_derivation_json_of_discharged_consistency_witnesses_is_the_reference_js
         res = check_consistency(drawn, 100_000)
         if not res.consistent:
             sets.append(drawn)
-    for assumptions in sets:
+    return sets
+
+
+def test_derivation_json_of_discharged_consistency_witnesses_is_the_reference_json():
+    """Inconsistency witnesses, whose Cut and Four scaffolding holds the
+    reduction's own boxed assumptions, filled when reduction_sequent made
+    them: from the corpus and from random assumption sets."""
+    for assumptions in _inconsistent_sets():
         res = check_consistency(assumptions, 100_000)
         assert not res.consistent
         check_derivation(res.witness, assumption_sequents(assumptions))
         _assert_json_as_the_reference(res.witness)
+
+
+def _reference_discharge(reduction, assumptions, goal):
+    """discharge with every box a new node built by the plain constructor."""
+    d, rest = reduction, list(assumptions)
+    while rest:
+        a = rest.pop(0)
+        leaf = Derivation(Sequent((), (a,)), RuleId.ASSUMPTION)
+        boxed = Derivation(Sequent((), (Box(a),)), RuleId.FOUR, (Box(a),), (leaf,))
+        conclusion = Sequent(tuple(Box(b) for b in rest) + goal.ante, goal.succ)
+        d = Derivation(conclusion, RuleId.CUT, (Box(a),), (boxed, d))
+    return d
+
+
+@pytest.mark.parametrize("order", ["as reduced", "permuted"])
+def test_witnesses_over_reductions_with_plain_boxes_are_the_reference_witnesses(order):
+    """A reduction whose conclusion holds boxes that were never filled, as
+    a hand-built derivation or one read from JSON may: in the order of the
+    assumptions, the witness holds those nodes and its first print renders
+    them unfilled; in another order, discharge makes its own boxes.  Either
+    way the witness, its JSON and the kernel's verdict on it are those of
+    the reference discharge."""
+    for i, assumptions in enumerate(_inconsistent_sets()):
+        res = prove(reduction_sequent(assumptions), 100_000)
+        assert res.accepted
+        boxes = [Box(a) for a in assumptions]
+        if order == "permuted":
+            random.Random(i).shuffle(boxes)
+        reduction = res.derivation._replace(conclusion=Sequent(tuple(boxes), (BOT,)))
+        witness = discharge(reduction, assumptions, FALSUM_SEQUENT)
+        if order == "as reduced":
+            assert witness.principal[0] is boxes[-1]
+            assert not hasattr(witness.principal[0], "_k")
+        _assert_json_as_the_reference(witness)
+        want = _reference_discharge(reduction, assumptions, FALSUM_SEQUENT)
+        assert witness == want
+        assert _as_json_bytes(derivation_to_json(witness)) == _as_json_bytes(derivation_to_json(want))
+        assumed = assumption_sequents(assumptions)
+        assert _refusal(check_derivation, witness, assumed) == _refusal(reference_check_derivation, want, assumed)
 
 
 @pytest.mark.parametrize(
