@@ -121,7 +121,8 @@ def _load_goal(args) -> tuple[tuple[Formula, ...], Optional[Sequent]]:
     """Resolve a verb target into (assumptions, goal sequent).
 
     The target may be a problem file (.mdl or keyword-led), a sequent file,
-    or literal sequent text; --assume formulas are appended either way."""
+    or literal sequent text; --assume formulas are appended either way, and
+    duplicates merged (see _merged)."""
     extra = tuple(parse_formula(t) for t in args.assume or [])
     text = args.target
     path = Path(text)
@@ -129,9 +130,15 @@ def _load_goal(args) -> tuple[tuple[Formula, ...], Optional[Sequent]]:
         content = path.read_text()
         if path.suffix == ".mdl" or _looks_like_problem(content):
             prob = parse_problem(content)
-            return prob.assumptions + extra, prob.goal
-        return extra, read_sequent_file(path)
-    return extra, parse_sequent(text)
+            return _merged(prob.assumptions + extra), prob.goal
+        return _merged(extra), read_sequent_file(path)
+    return _merged(extra), parse_sequent(text)
+
+
+def _merged(assumptions: tuple[Formula, ...]) -> tuple[Formula, ...]:
+    """Each formula once, where it first occurs, as parse_problem merges
+    the assume lines of a file."""
+    return tuple(dict.fromkeys(assumptions))
 
 
 def _is_file(path: Path) -> bool:
@@ -163,9 +170,12 @@ def decide_goal(
 ) -> tuple[int, dict]:
     """prove (affirm_derivable) and countermodel: certify the goal with the
     assumptions boxed on its left.  The derivation is kernel checked, for
-    prove after discharging the assumptions; the countermodel comes
-    certified.  Yes (exit 0) when the verdict is the one the verb asks for."""
-    res, cm = certify(reduction_sequent(assumptions, goal), budget)
+    prove after discharging the assumptions its proof uses, the only ones
+    it cites; for countermodel it concludes the whole reduction sequent.
+    The countermodel comes certified.  Yes (exit 0) when the verdict is the
+    one the verb asks for."""
+    hypotheses = len(assumptions) if affirm_derivable else 0
+    res, cm = certify(reduction_sequent(assumptions, goal), budget, hypotheses=hypotheses)
     show = Printer(unicode)
     report = {
         "sequent": show.sequent(goal),
@@ -330,7 +340,7 @@ def _cmd_consistent(args) -> int:
             return EXIT_USAGE
         prob = parse_problem(path.read_text())
         assumptions = prob.assumptions + assumptions
-    return _emit(args, *decide_consistency(assumptions, Budget(_budget(args)), unicode=args.unicode))
+    return _emit(args, *decide_consistency(_merged(assumptions), Budget(_budget(args)), unicode=args.unicode))
 
 
 def _cmd_check_model(args) -> int:

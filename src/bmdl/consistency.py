@@ -7,10 +7,17 @@ not yield the empty-left sequent with false on the right) reduce to plain
 proof search.
 
 The reduction verdict can be discharged into a derivation that literally
-starts from the assumptions: each boxed assumption is cut away against a
-Four inference over an Assumption leaf.  The result is checkable by the
-kernel with the assumption sequents supplied, which ties the two readings
-of derivability together.
+starts from the assumptions: each boxed assumption it carries is cut away
+against a Four inference over an Assumption leaf.  The result is
+checkable by the kernel with the assumption sequents supplied, which ties
+the two readings of derivability together.
+
+Only the assumptions the proof uses are cited.  The search is told how
+many boxed assumptions lead the reduction (search.prove's hypotheses), and
+assembles its derivation over one copy of each box its proof reads, less
+those the goal's own antecedent holds.  discharge cuts exactly those, so
+an inconsistency witness shows which assumptions clash, and an assumption
+that takes no part gets no Cut, no Four and no Assumption leaf.
 
 Each boxed assumption is made once, as a filled node (formula.filled), by
 reduction_sequent.  The search and the countermodel work on those nodes,
@@ -22,6 +29,7 @@ kernel compares it to itself, and the printer keeps its text on it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -55,35 +63,45 @@ def discharge(
 ) -> Derivation:
     """Peel the boxed assumptions off a reduction derivation.
 
-    For each assumption a, in order, the current derivation (whose
-    conclusion still carries [] a on the left) is cut against Four applied
-    to the Assumption leaf |- a, removing one boxed copy.  The final
-    conclusion is the bare goal.
+    The boxes cut are exactly those the reduction's conclusion carries
+    ahead of the goal's antecedent: all the assumptions' boxes for a
+    derivation of reduction_sequent, the used ones alone for one that
+    search.prove assembled with hypotheses.  For each box [] a, in turn,
+    the current derivation (whose conclusion still carries [] a on the
+    left) is cut against Four applied to the Assumption leaf |- a,
+    removing it.  The final conclusion is the bare goal.
 
-    The boxes are the reduction conclusion's own objects when it starts
-    with [] a for each assumption in order, as reduction_sequent makes it;
-    otherwise each is made once, filled, and used wherever it occurs.
+    The boxes are the reduction conclusion's own objects when they box a
+    subsequence of the assumptions, in order, as reduction_sequent and
+    search.prove leave them; otherwise each is made once, filled, in the
+    assumptions' order, and used wherever it occurs.
     """
-    fixed = tuple(assumptions)
-    boxes = _boxes(reduction.conclusion.ante, fixed)
+    ante = reduction.conclusion.ante
+    boxes = _boxes(ante[: len(ante) - len(goal.ante)], tuple(assumptions))
     d = reduction
-    for i, (a, box) in enumerate(zip(fixed, boxes)):
-        leaf = Derivation(Sequent((), (a,)), ASSUMPTION)
+    for i, box in enumerate(boxes):
+        leaf = Derivation(Sequent((), (box.f,)), ASSUMPTION)
         boxed = Derivation(Sequent((), (box,)), FOUR, (box,), (leaf,))
         conclusion = Sequent(boxes[i + 1 :] + goal.ante, goal.succ)
         d = Derivation(conclusion, CUT, (box,), (boxed, d))
     return d
 
 
-def _boxes(ante: tuple[Formula, ...], assumptions: tuple[Formula, ...]) -> tuple[Formula, ...]:
-    """[] a for each assumption a, in order: the first formulas of ante
-    when they are those boxes, else new filled ones."""
-    lead = ante[: len(assumptions)]
-    if len(lead) == len(assumptions) and all(
-        type(b) is Box and b.f == a for b, a in zip(lead, assumptions)
-    ):
+def _boxes(lead: tuple[Formula, ...], assumptions: tuple[Formula, ...]) -> tuple[Box, ...]:
+    """The boxes to cut: lead itself when it boxes a subsequence of the
+    assumptions in order, else a new filled [] a for each assumption a
+    whose box lead holds, in the assumptions' order, each box of lead
+    matched once."""
+    rest = iter(assumptions)
+    if all(type(b) is Box and any(b.f == a for a in rest) for b in lead):
         return lead
-    return tuple(filled(Box, a) for a in assumptions)
+    held = Counter(b.f for b in lead if type(b) is Box)
+    boxes = []
+    for a in assumptions:
+        if held[a]:
+            held[a] -= 1
+            boxes.append(filled(Box, a))
+    return tuple(boxes)
 
 
 @dataclass(frozen=True)
@@ -101,12 +119,13 @@ def check_consistency(
 ) -> ConsistencyResult:
     """Decide outer consistency and produce the relevant certificate.
 
-    Inconsistent sets come with a derivation of |- false from Assumption
-    leaves; consistent ones with a certified countermodel of the reduction
-    sequent, whose root world satisfies every boxed assumption."""
+    Inconsistent sets come with a derivation of |- false from the
+    Assumption leaves of the assumptions its proof uses; consistent ones
+    with a certified countermodel of the reduction sequent, whose root
+    world satisfies every boxed assumption."""
     fixed = tuple(assumptions)
     b = Budget.ensure(budget)
-    res, cm = certify(reduction_sequent(fixed, FALSUM_SEQUENT), b)
+    res, cm = certify(reduction_sequent(fixed, FALSUM_SEQUENT), b, hypotheses=len(fixed))
     if res.accepted:
         witness = discharge(res.derivation, fixed, FALSUM_SEQUENT)
         return ConsistencyResult(fixed, False, witness, None, b.used)

@@ -385,17 +385,21 @@ class Certificate(NamedTuple):
     countermodel: Optional[CounterModelResult]
 
 
-def certify(goal: Sequent, budget: Union[int, Budget] = DEFAULT_BUDGET) -> Certificate:
+def certify(
+    goal: Sequent, budget: Union[int, Budget] = DEFAULT_BUDGET, *, hypotheses: int = 0
+) -> Certificate:
     """Prove goal, or else build and certify a countermodel to it.
 
     One search decides the goal.  When it fails, the countermodel is built
     on the memo of exact verdicts that search filled, so the goal is not
     decided again and the oracle starts from what the search settled.
     search.steps_used is the budget spent when the search ended; the
-    construction spends from the same budget."""
+    construction spends from the same budget.  hypotheses is as for
+    search.prove: a derivation keeps only the leading boxed assumptions
+    its proof uses; it changes neither the verdict nor the countermodel."""
     b = Budget.ensure(budget)
     memo = Memo(Universe(goal))
-    res = prove(goal, b, memo=memo)
+    res = prove(goal, b, memo=memo, hypotheses=hypotheses)
     if res.accepted:
         return Certificate(res, None)
     return Certificate(res, build(goal, b, memo=memo))

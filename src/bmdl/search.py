@@ -610,13 +610,41 @@ def prove(
     budget: Union[int, Budget] = DEFAULT_BUDGET,
     *,
     memo: Optional[Memo] = None,
+    hypotheses: int = 0,
 ) -> SearchResult:
     """Search for s and, on acceptance, assemble the checkable derivation.
-    memo is as for proof_tree."""
+    memo is as for proof_tree.
+
+    The first hypotheses antecedent formulas of s are boxed assumptions, as
+    consistency.reduction_sequent puts them.  The derivation keeps one copy
+    of each that the proof uses and that the rest of the antecedent does
+    not hold, in order, and drops the others: it concludes s less its
+    unused hypotheses, which consistency.discharge then cuts away.  The
+    result's sequent is s itself."""
     b = Budget.ensure(budget)
     if memo is None:
         memo = Memo(Universe(s))
     node = proof_tree(s, b, memo=memo)
     if node is None:
         return SearchResult(s, False, None, b.used)
-    return SearchResult(s, True, assemble_derivation(node, s, memo.universe), b.used)
+    u = memo.universe
+    target = _used_hypotheses(s, hypotheses, node.uses[0], u) if hypotheses else s
+    return SearchResult(s, True, assemble_derivation(node, target, u), b.used)
+
+
+def _used_hypotheses(s: Sequent, hypotheses: int, used: int, u: Universe) -> Sequent:
+    """s with only the first copy of each of its first hypotheses
+    antecedent formulas whose bit is in used and that the rest of the
+    antecedent does not hold.  It still holds every used formula, so the
+    proof replays there (see "Relevance and the use-check" above)."""
+    rank = u.rank
+    held = 0
+    for f in s.ante[hypotheses:]:
+        held |= 1 << rank[f]
+    kept = []
+    for f in s.ante[:hypotheses]:
+        bit = 1 << rank[f]
+        if used & bit and not held & bit:
+            kept.append(f)
+            held |= bit
+    return Sequent((*kept, *s.ante[hypotheses:]), s.succ)

@@ -194,6 +194,86 @@ def test_check_proof_rechecks_a_printed_report_whole(tmp_path, capsys, argv, lea
     assert data["assumptions"] == leaves
 
 
+def _assumption_leaves(node) -> list[str]:
+    return sorted(n["conclusion"] for n in _walk(node) if n["rule"] == "Assumption")
+
+
+@pytest.mark.parametrize(
+    "argv, cited",
+    [
+        (("prove", "--assume", "q", "p |- p"), []),
+        (("prove", "--assume", "q", "--assume", "p -> r", "p |- r"), ["|- p -> r"]),
+        (("consistent", str(CORPUS / "clash_bystander.mdl")), ["|- p", "|- ~p"]),
+        (("consistent", str(CORPUS / "clash.mdl"), "--assume", "q"), ["|- p", "|- ~p"]),
+    ],
+)
+def test_check_proof_rechecks_a_report_that_cites_part_of_its_assumptions(tmp_path, capsys, argv, cited):
+    """A prove derivation or a witness cites only the assumptions its proof
+    uses, while the report lists them all; check-proof accepts it."""
+    path, report = printed(tmp_path, capsys, *argv)
+    assert "q" in report["assumptions"]
+    assert _assumption_leaves(report.get("derivation") or report["witness"]) == cited
+    code, data = run(capsys, "check-proof", str(path))
+    assert code == 0, data
+    assert data["checks"] is True
+
+
+@pytest.mark.parametrize("leaf, exit_code", [("q", 0), ("r", 1)])
+def test_check_proof_refuses_an_assumption_leaf_outside_the_report_assumptions(tmp_path, capsys, leaf, exit_code):
+    """The derivation of p |- p under the assumption q gains a Cut of a
+    boxed Assumption leaf: one of the report's assumptions checks, any
+    other formula is refused."""
+    path, report = printed(tmp_path, capsys, "prove", "--assume", "q", "p |- p")
+    report["derivation"] = {
+        "rule": "Cut",
+        "principal": [f"[]{leaf}"],
+        "conclusion": "p |- p",
+        "children": [
+            {
+                "rule": "Four",
+                "principal": [f"[]{leaf}"],
+                "conclusion": f"|- []{leaf}",
+                "children": [{"rule": "Assumption", "principal": [], "conclusion": f"|- {leaf}", "children": []}],
+            },
+            {
+                "rule": "WeakL",
+                "principal": [f"[]{leaf}"],
+                "conclusion": f"[]{leaf}, p |- p",
+                "children": [report["derivation"]],
+            },
+        ],
+    }
+    path.write_text(json.dumps(report))
+    code, data = run(capsys, "check-proof", str(path))
+    assert code == exit_code, data
+    assert data["checks"] is (exit_code == 0)
+    if exit_code:
+        assert "not an assumption" in data["error"]
+
+
+def test_repeated_assumptions_are_merged_as_in_a_problem_file(tmp_path, capsys):
+    """--assume formulas that repeat an assumption are dropped, the first
+    occurrence kept, as parse_problem merges repeated assume lines."""
+    code, data = run(capsys, "consistent", str(CORPUS / "clash.mdl"), "--assume", "p")
+    assert code == 1 and data["assumptions"] == ["p", "~p"]
+    main(["consistent", str(CORPUS / "clash.mdl")])
+    plain = capsys.readouterr().out
+    main(["consistent", str(CORPUS / "clash.mdl"), "--assume", "p"])
+    assert capsys.readouterr().out == plain
+    code, data = run(capsys, "consistent", "--assume", "q", "--assume", "p", "--assume", "q")
+    assert code == 0 and data["assumptions"] == ["q", "p"]
+    problem = tmp_path / "twice.mdl"
+    problem.write_text("assume q\nassume p -> q\ngoal p |- q\n")
+    cases = [
+        (("prove", "--assume", "q", "--assume", "q", "p |- q"), ["q"]),
+        (("prove", str(problem), "--assume", "q"), ["q", "p -> q"]),
+    ]
+    for argv, assumptions in cases:
+        code, data = run(capsys, *argv)
+        assert code == 0 and data["assumptions"] == assumptions
+        assert _assumption_leaves(data["derivation"]) == ["|- q"]
+
+
 def test_check_proof_refuses_a_report_stripped_of_its_assumptions(tmp_path, capsys):
     path, report = printed(tmp_path, capsys, "prove", "--assume", "p -> q", "p |- q")
     report["assumptions"] = []

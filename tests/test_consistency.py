@@ -12,7 +12,7 @@ from bmdl.consistency import (
 from bmdl.calculus import RuleId
 from bmdl.formula import And, Atom, BOT, Box, Imp, Neg, Obl, Sequent
 from bmdl.gen import random_assumptions, random_sequent
-from bmdl.kernel import check_derivation
+from bmdl.kernel import check_derivation, derivation_from_json
 from bmdl.parser import parse_formula, parse_problem, parse_sequent, print_formula, print_sequent
 from bmdl.search import prove
 from bmdl.semantics import holds
@@ -44,8 +44,8 @@ def test_reduction_boxes_are_filled_nodes():
 
 
 def _cut_chain(witness, n):
-    """The n Cuts of a discharged witness, innermost (the first assumption's)
-    first, and the reduction derivation beneath them."""
+    """The n Cuts of a discharged witness, innermost (the first used
+    assumption's) first, and the reduction derivation beneath them."""
     cuts, d = [], witness
     for _ in range(n):
         assert d.rule is RuleId.CUT
@@ -55,17 +55,22 @@ def _cut_chain(witness, n):
 
 
 def test_witness_holds_the_reduction_boxes():
-    """Every Cut principal, Four conclusion and Cut conclusion of a witness
-    holds the very box objects of the reduction it discharges."""
-    sets = [parse_problem((CORPUS / f).read_text()).assumptions for f in ("clash.mdl", "conflicting_obligations.mdl")]
-    sets.append((p, Neg(p), Box(q), p))
-    for assumptions in sets:
+    """A witness cuts one box for each distinct assumption its proof uses,
+    in the assumptions' order, and no other; every Cut principal, Four
+    conclusion and Cut conclusion holds the very box objects of the
+    reduction it discharges."""
+    clash, obligations = (
+        parse_problem((CORPUS / f).read_text()).assumptions for f in ("clash.mdl", "conflicting_obligations.mdl")
+    )
+    cases = [(clash, clash), (obligations, obligations), ((p, Neg(p), Box(q), p), (p, Neg(p)))]
+    for assumptions, used in cases:
         res = check_consistency(assumptions)
         assert not res.consistent
-        n = len(assumptions)
+        n = len(used)
         cuts, reduction = _cut_chain(res.witness, n)
-        boxes = reduction.conclusion.ante[:n]
-        assert boxes == tuple(Box(a) for a in assumptions)
+        assert reduction.rule is not RuleId.CUT
+        boxes = reduction.conclusion.ante
+        assert boxes == tuple(Box(a) for a in used)
         for i, cut in enumerate(cuts):
             four = cut.children[0]
             assert four.rule is RuleId.FOUR
@@ -73,6 +78,91 @@ def test_witness_holds_the_reduction_boxes():
             assert four.conclusion.succ[0] is boxes[i] and four.principal[0] is boxes[i]
             assert all(x is y for x, y in zip(cut.conclusion.ante, boxes[i + 1 :]))
             assert len(cut.conclusion.ante) == n - i - 1
+
+
+def _assumption_leaves(d) -> list:
+    """The formula of each Assumption leaf of d, in tree order."""
+    leaves, todo = [], [d]
+    while todo:
+        node = todo.pop()
+        if node.rule is RuleId.ASSUMPTION:
+            leaves.append(node.conclusion.succ[0])
+        todo.extend(reversed(node.children))
+    return leaves
+
+
+def _cuts_of(d) -> list:
+    """The principal of each Cut of d."""
+    cuts, todo = [], [d]
+    while todo:
+        node = todo.pop()
+        if node.rule is RuleId.CUT:
+            cuts.append(node.principal[0])
+        todo.extend(node.children)
+    return cuts
+
+
+def test_an_unused_assumption_gets_no_cut():
+    """prove "p |- p" --assume q, and clash.mdl with q assumed besides:
+    q takes no part in the proof, so the certificate cites no q and cuts
+    no [] q, and it checks from the leaves it cites alone."""
+    code, report = decide_goal((q,), parse_sequent("p |- p"), 100_000)
+    assert code == 0 and report["assumptions"] == ["q"]
+    d = derivation_from_json(report["derivation"])
+    assert d.rule is RuleId.INIT and not _cuts_of(d) and not _assumption_leaves(d)
+    assert check_derivation(d)
+
+    assumptions = parse_problem((CORPUS / "clash.mdl").read_text()).assumptions + (q,)
+    res = check_consistency(assumptions)
+    assert not res.consistent
+    assert _cuts_of(res.witness) == [Box(Neg(p)), Box(p)]
+    assert sorted(map(print_formula, _assumption_leaves(res.witness))) == ["p", "~p"]
+    assert check_derivation(res.witness, assumption_sequents(assumptions[:2]))
+
+
+def test_a_used_box_the_goal_already_holds_gets_no_cut():
+    """The goal's antecedent holds [] p itself, so the assumption p, though
+    its box is used, is not cut: the derivation concludes the goal with no
+    Assumption leaf."""
+    goal = parse_sequent("[]p |- p")
+    res = prove(reduction_sequent((p,), goal), hypotheses=1)
+    assert res.accepted and res.sequent == reduction_sequent((p,), goal)
+    assert res.derivation.conclusion == goal
+    d = discharge(res.derivation, (p,), goal)
+    assert d == res.derivation
+    code, report = decide_goal((p, q), goal, 100_000)
+    assert code == 0
+    d = derivation_from_json(report["derivation"])
+    assert d.conclusion == goal and not _cuts_of(d) and not _assumption_leaves(d)
+    assert check_derivation(d)
+
+
+def test_cited_assumptions_are_the_used_ones():
+    """Random sets and assumption/goal pairs: the certificate's Assumption
+    leaves are the formulas of its Cuts, one per distinct used box, a
+    subset of the assumptions, and it checks from those leaves alone; the
+    reduction's full derivation cites them all."""
+    rng = random.Random(17)
+    seen = trimmed = 0
+    while seen < 30:
+        assumptions = tuple(random_assumptions(rng, rng.randint(1, 4), size=4, modal_depth=2))
+        goal = random_sequent(rng, size=3) if rng.random() < 0.5 else FALSUM_SEQUENT
+        full = prove(reduction_sequent(assumptions, goal), 100_000)
+        res = prove(reduction_sequent(assumptions, goal), 100_000, hypotheses=len(assumptions))
+        assert res.accepted == full.accepted and res.steps_used == full.steps_used
+        if not res.accepted:
+            continue
+        seen += 1
+        d = discharge(res.derivation, assumptions, goal)
+        cited = _assumption_leaves(d)
+        assert sorted(map(print_formula, cited)) == sorted(print_formula(b.f) for b in _cuts_of(d))
+        assert len(set(cited)) == len(cited) and set(cited) <= set(assumptions)
+        trimmed += len(cited) < len(set(assumptions))
+        assert not any(Box(a) in goal.ante for a in cited)
+        assert d.conclusion == goal
+        assert check_derivation(d, assumption_sequents(cited))
+        assert set(_assumption_leaves(discharge(full.derivation, assumptions, goal))) == set(assumptions)
+    assert trimmed  # some proofs leave an assumption unused
 
 
 def _count_fills(monkeypatch) -> list:
