@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .formula import (
     And,
@@ -48,7 +48,6 @@ from .formula import (
     Obl,
     Or,
     Sequent,
-    SetSequent,
     filled,
     sorted_formulas,
 )
@@ -151,7 +150,7 @@ class Universe:
         "_canonical",
     )
 
-    def __init__(self, goal: Union[Sequent, SetSequent]):
+    def __init__(self, goal: Sequent):
         seen: dict[Formula, Formula] = {}
         mixed = False
         todo = [*goal.ante, *goal.succ]
@@ -229,7 +228,7 @@ class Universe:
             m |= 1 << i
         return m
 
-    def encode(self, s: Union[Sequent, SetSequent]) -> tuple[int, int]:
+    def encode(self, s: Sequent) -> tuple[int, int]:
         return self.mask(s.ante), self.mask(s.succ)
 
     def members(self, m: int) -> list[Formula]:
@@ -237,13 +236,12 @@ class Universe:
         fs = self.formulas
         return [fs[i] for i in ranks(m)]
 
-    def decode(self, s: tuple[int, int]) -> SetSequent:
-        """The set sequent of the masks s, made of canonical formulas."""
+    def decode(self, s: tuple[int, int]) -> Sequent:
+        """The sequent the masks s stand for, made of canonical formulas:
+        each side duplicate-free and in rank order, which is sort_key
+        order."""
         fs = self.canonical()
-        return SetSequent(
-            frozenset([fs[i] for i in ranks(s[0])]),
-            frozenset([fs[i] for i in ranks(s[1])]),
-        )
+        return Sequent(tuple([fs[i] for i in ranks(s[0])]), tuple([fs[i] for i in ranks(s[1])]))
 
     def canonical(self) -> tuple[Formula, ...]:
         """The formulas by rank, each with arguments that are the formulas

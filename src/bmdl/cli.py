@@ -35,7 +35,6 @@ import json
 import os
 import sys
 from pathlib import Path
-from collections import Counter
 from typing import Iterable, Optional, Union
 
 from .consistency import (
@@ -61,6 +60,7 @@ from .kernel import (
     check_derivation,
     derivation_from_json,
     derivation_to_json,
+    same_sequent,
 )
 from .parser import (
     ParseError,
@@ -266,7 +266,7 @@ def check_proof(
         "conclusion": show.sequent(derivation.conclusion),
         "assumptions": [show.sequent(s) for s in assumed],
     }
-    if claim is not None and not _same_sequent(derivation.conclusion, claim):
+    if claim is not None and not same_sequent(derivation.conclusion, claim):
         report["checks"] = False
         report["error"] = f"the derivation concludes {report['conclusion']}, not {show.sequent(claim)}"
         return EXIT_NO, report
@@ -281,10 +281,6 @@ def check_proof(
         r.value: n for r, n in sorted(derivation.rules_used().items(), key=lambda kv: kv[0].value)
     }
     return EXIT_YES, report
-
-
-def _same_sequent(a: Sequent, b: Sequent) -> bool:
-    return Counter(a.ante) == Counter(b.ante) and Counter(a.succ) == Counter(b.succ)
 
 
 def _proof_claim_of_json(report: dict) -> tuple[Derivation, Sequent, tuple[Sequent, ...]]:
@@ -306,7 +302,7 @@ def _proof_claim_of_json(report: dict) -> tuple[Derivation, Sequent, tuple[Seque
         raise ValueError('malformed report: "sequent" must be a sequent')
     derivation, goal = derivation_from_json(report["derivation"]), parse_sequent(report["sequent"])
     reduction = reduction_sequent(assumptions, goal)
-    if assumptions and _same_sequent(derivation.conclusion, reduction):
+    if assumptions and same_sequent(derivation.conclusion, reduction):
         return derivation, reduction, ()
     return derivation, goal, leaves
 

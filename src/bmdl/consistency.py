@@ -29,7 +29,6 @@ kernel compares it to itself, and the printer keeps its text on it.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -39,6 +38,7 @@ from .calculus import ASSUMPTION, CUT, FOUR
 from .countermodel import CounterModelResult, build, certify  # noqa: F401
 from .formula import BOT, Box, Formula, Sequent, filled
 from .kernel import Derivation
+from .parser import print_formula
 from .search import Budget, DEFAULT_BUDGET
 
 FALSUM_SEQUENT = Sequent((), (BOT,))
@@ -64,44 +64,27 @@ def discharge(
     """Peel the boxed assumptions off a reduction derivation.
 
     The boxes cut are exactly those the reduction's conclusion carries
-    ahead of the goal's antecedent: all the assumptions' boxes for a
-    derivation of reduction_sequent, the used ones alone for one that
-    search.prove assembled with hypotheses.  For each box [] a, in turn,
-    the current derivation (whose conclusion still carries [] a on the
-    left) is cut against Four applied to the Assumption leaf |- a,
-    removing it.  The final conclusion is the bare goal.
-
-    The boxes are the reduction conclusion's own objects when they box a
-    subsequence of the assumptions, in order, as reduction_sequent and
-    search.prove leave them; otherwise each is made once, filled, in the
-    assumptions' order, and used wherever it occurs.
+    ahead of the goal's antecedent, as they stand and in their order: all
+    the assumptions' boxes for a derivation of reduction_sequent, the used
+    ones alone for one that search.prove assembled with hypotheses.  For
+    each box [] a, in turn, the current derivation (whose conclusion still
+    carries [] a on the left) is cut against Four applied to the
+    Assumption leaf |- a, removing it.  The final conclusion is the bare
+    goal.  A leading formula that is not [] a for an assumption a raises
+    ValueError.
     """
     ante = reduction.conclusion.ante
-    boxes = _boxes(ante[: len(ante) - len(goal.ante)], tuple(assumptions))
+    boxes = ante[: len(ante) - len(goal.ante)]
+    allowed = set(assumptions)
     d = reduction
     for i, box in enumerate(boxes):
+        if type(box) is not Box or box.f not in allowed:
+            raise ValueError(f"{print_formula(box)} leads the reduction but boxes no assumption")
         leaf = Derivation(Sequent((), (box.f,)), ASSUMPTION)
         boxed = Derivation(Sequent((), (box,)), FOUR, (box,), (leaf,))
         conclusion = Sequent(boxes[i + 1 :] + goal.ante, goal.succ)
         d = Derivation(conclusion, CUT, (box,), (boxed, d))
     return d
-
-
-def _boxes(lead: tuple[Formula, ...], assumptions: tuple[Formula, ...]) -> tuple[Box, ...]:
-    """The boxes to cut: lead itself when it boxes a subsequence of the
-    assumptions in order, else a new filled [] a for each assumption a
-    whose box lead holds, in the assumptions' order, each box of lead
-    matched once."""
-    rest = iter(assumptions)
-    if all(type(b) is Box and any(b.f == a for a in rest) for b in lead):
-        return lead
-    held = Counter(b.f for b in lead if type(b) is Box)
-    boxes = []
-    for a in assumptions:
-        if held[a]:
-            held[a] -= 1
-            boxes.append(filled(Box, a))
-    return tuple(boxes)
 
 
 @dataclass(frozen=True)

@@ -77,11 +77,12 @@ in creation order and stops at the first W with P.ante & ~W.ante == 0 and
 P.succ & ~W.succ == 0: two int operations per world, on the masks over the
 goal's universe that the builder keeps every world sequent as (see
 "Bitset sequents over the goal's universe" in the search module).  Each
-label is decoded to formulas once, after the construction, for the
-audit and the report.  It is decoded into the universe's canonical
-formulas, whose arguments are the formulas of their own ranks, so the
-audit's truth sets, keyed by formulas, find a repeated subformula as the
-same object.
+label is decoded once, after the construction, for the audit and the
+report: into a Sequent whose sides are duplicate-free and in rank order,
+which is sort_key order, so the report prints it as it stands.  It is made
+of the universe's canonical formulas, whose arguments are the formulas of
+their own ranks, so the audit's truth sets, keyed by formulas, find a
+repeated subformula as the same object.
 
 The valuation makes an atom true exactly at the worlds carrying it on the
 left, and the obligation map of a world takes one generator per
@@ -97,8 +98,8 @@ raises CountermodelError rather than returning a bad model.
 
 The report (result_to_json) carries the model, the goal, the root and the
 labels: each world's resolved sequent, the claim the audit checked.  From
-a report alone, claim_of_json reads the labels back, so that check-model
-can run all three checks again.
+a report alone, claim_of_json parses the labels back into the same
+Sequents, so that check-model can run all three checks again.
 """
 
 from __future__ import annotations
@@ -116,10 +117,7 @@ from .formula import (
     Obl,
     Or,
     Sequent,
-    SetSequent,
-    from_set_sequent,
     sorted_formulas,
-    to_set_sequent,
 )
 from .parser import Printer, parse_sequent, print_sequent
 from .search import Budget, DEFAULT_BUDGET, Masks, Memo, SearchResult, decide, prove, saturate
@@ -144,7 +142,7 @@ class CounterModelResult:
     sequent: Sequent
     model: MModel
     root: str
-    resolved: Mapping[str, SetSequent]
+    resolved: Mapping[str, Sequent]
     certified: bool
 
 
@@ -177,7 +175,7 @@ class _Builder:
         if prem is None:
             raise CountermodelError(
                 f"every premiss of {app.rule.value} at "
-                f"{print_sequent(from_set_sequent(self.u.decode(at)))} is derivable, "
+                f"{print_sequent(self.u.decode(at))} is derivable, "
                 "yet the sequent itself was not"
             )
         return prem
@@ -304,7 +302,7 @@ def left_obligation_conds(u: Universe, s: Masks) -> int:
 
 def truth_lemma_audit(
     model: MModel,
-    resolved: Mapping[str, SetSequent],
+    resolved: Mapping[str, Sequent],
     cache: Optional[dict] = None,
     show: Optional[Printer] = None,
 ) -> list[str]:
@@ -331,7 +329,7 @@ def truth_lemma_audit(
 
 
 def build(
-    goal: Union[Sequent, SetSequent],
+    goal: Sequent,
     budget: Union[int, Budget] = DEFAULT_BUDGET,
     *,
     memo: Optional[Memo] = None,
@@ -343,12 +341,10 @@ def build(
     fills it.  Raises ValueError when the goal is derivable, BudgetExceeded
     when the oracle runs out of steps, and CountermodelError when
     certification fails."""
-    ms = goal if isinstance(goal, Sequent) else from_set_sequent(goal)
-    ss = to_set_sequent(ms) if isinstance(goal, Sequent) else goal
     if memo is None:
-        memo = Memo(Universe(ss))
+        memo = Memo(Universe(goal))
     u = memo.universe
-    start = u.encode(ss)
+    start = u.encode(goal)
     builder = _Builder(Budget.ensure(budget), memo, left_obligation_conds(u, start))
     if not builder.underivable(start):
         raise ValueError("the sequent is derivable; no countermodel exists")
@@ -365,10 +361,10 @@ def build(
     audit_bad = truth_lemma_audit(model, labels, truth_sets)
     if audit_bad:
         raise CountermodelError("truth audit failed: " + "; ".join(audit_bad))
-    if not falsifies(model, root, ms, truth_sets):
+    if not falsifies(model, root, goal, truth_sets):
         raise CountermodelError("the goal sequent still holds at the root world")
     return CounterModelResult(
-        sequent=ms,
+        sequent=goal,
         model=model,
         root=root,
         resolved=labels,
@@ -412,7 +408,7 @@ def result_to_json(r: CounterModelResult) -> dict:
         "root": r.root,
         "certified": r.certified,
         "model": model_to_json(r.model),
-        "labels": {w: show.sequent(from_set_sequent(r.resolved[w])) for w in r.model.worlds},
+        "labels": {w: show.sequent(r.resolved[w]) for w in r.model.worlds},
     }
 
 
@@ -441,7 +437,7 @@ class Claim(NamedTuple):
 
     goal: Sequent
     root: str
-    labels: dict[str, SetSequent]
+    labels: dict[str, Sequent]
 
 
 def claim_of_json(data: dict, model: MModel) -> Optional[Claim]:
@@ -464,6 +460,4 @@ def claim_of_json(data: dict, model: MModel) -> Optional[Claim]:
         raise ValueError('malformed report: "goal" must be a sequent')
     if not (isinstance(root, str) and root in model.worlds):
         raise ValueError('malformed report: "root" must name a world of the model')
-    return Claim(
-        parse_sequent(goal), root, {w: to_set_sequent(parse_sequent(t)) for w, t in labels.items()}
-    )
+    return Claim(parse_sequent(goal), root, {w: parse_sequent(t) for w, t in labels.items()})

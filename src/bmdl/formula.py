@@ -27,9 +27,13 @@ about n squared characters in all, before anything refuses it.  A node
 that was never filled has no text slot set, and a printer used once
 renders it without setting any.
 
-Sequents are NamedTuples: cheap to build, compared as the tuples they are
-and hashed as the tuple of their two sides, as the frozen dataclasses they
-replace were, so sets of sequents iterate as they did.
+A sequent is a NamedTuple of two formula tuples, read as multisets: cheap
+to build, compared as the tuple it is and hashed as the tuple of its two
+sides.  It is the one sequent type outside the search.  Proof search and
+the countermodel builder hold the sets of formulas they meet as int masks
+over one goal's subformula universe (calculus.Universe), which decodes
+masks back into Sequents whose sides are duplicate-free and in sort_key
+order.
 """
 
 from __future__ import annotations
@@ -185,25 +189,6 @@ TOP = Neg(BOT)
 _fill(TOP)  # and BOT below it: the parser hands both out as they are
 
 
-def subformulas(f: Formula) -> frozenset[Formula]:
-    """f together with all its subformulas."""
-    out: set[Formula] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in out:
-            continue
-        out.add(g)
-        match g:
-            case Neg(h) | Box(h):
-                stack.append(h)
-            case And(l, r) | Or(l, r) | Imp(l, r):
-                stack.extend((l, r))
-            case Obl(b, c):
-                stack.extend((b, c))
-    return frozenset(out)
-
-
 def sort_key(f: Formula):
     """Total structural order on formulas, for deterministic iteration only:
     (0,) for falsum, (1, name) for an atom, and otherwise the constructor's
@@ -236,41 +221,5 @@ class Sequent(NamedTuple):
     succ: tuple[Formula, ...]
 
 
-class SetSequent(NamedTuple):
-    """Set-based sequent, the object proof search actually works on."""
-
-    ante: frozenset[Formula]
-    succ: frozenset[Formula]
-
-    def __le__(self, other: "SetSequent") -> bool:
-        """Componentwise containment (subsumption modulo weakening)."""
-        return self.ante <= other.ante and self.succ <= other.succ
-
-
 def sequent(ante: Iterable[Formula] = (), succ: Iterable[Formula] = ()) -> Sequent:
     return Sequent(tuple(ante), tuple(succ))
-
-
-def set_sequent(ante: Iterable[Formula] = (), succ: Iterable[Formula] = ()) -> SetSequent:
-    return SetSequent(frozenset(ante), frozenset(succ))
-
-
-def to_set_sequent(s: Sequent) -> SetSequent:
-    return SetSequent(frozenset(s.ante), frozenset(s.succ))
-
-
-def from_set_sequent(s: SetSequent) -> Sequent:
-    """The canonical duplicate-free multiset reading, sides sorted."""
-    return Sequent(tuple(sorted_formulas(s.ante)), tuple(sorted_formulas(s.succ)))
-
-
-def sequent_formulas(s: Sequent | SetSequent) -> frozenset[Formula]:
-    return frozenset(s.ante) | frozenset(s.succ)
-
-
-def sequent_subformulas(s: Sequent | SetSequent) -> frozenset[Formula]:
-    out: frozenset[Formula] = frozenset()
-    for f in sequent_formulas(s):
-        out |= subformulas(f)
-    return out
-

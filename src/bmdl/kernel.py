@@ -163,7 +163,7 @@ def _mseq(s: Sequent) -> tuple[Counter, Counter]:
     return Counter(s.ante), Counter(s.succ)
 
 
-def _same(a: Sequent, b: Sequent) -> bool:
+def same_sequent(a: Sequent, b: Sequent) -> bool:
     """Multiset equality of two sequents, side by side; equal tuples are
     equal multisets, so the count comparison runs only when they differ."""
     return a == b or _mseq(a) == _mseq(b)
@@ -215,7 +215,7 @@ def _check_node(d: Derivation, assumed: list[Sequent], path: tuple[int, ...]) ->
     if reason is not None:
         raise DerivationError(path, reason)
     for i, (want, child) in enumerate(zip(expected, d.children)):
-        if not _same(child.conclusion, want):
+        if not same_sequent(child.conclusion, want):
             raise DerivationError(
                 path + (i,),
                 f"premiss is {print_sequent(child.conclusion)}, "
@@ -295,7 +295,7 @@ def _structural_fault(d: Derivation, assumed: list[Sequent], arity: int) -> Opti
         if p not in r.ante:
             return "cut formula missing from the right premiss antecedent"
         want = Sequent(l.ante + _without(r.ante, p), _without(l.succ, p) + r.succ)
-        if not _same(d.conclusion, want):
+        if not same_sequent(d.conclusion, want):
             return "Cut conclusion does not split into its premisses"
     return None
 

@@ -488,6 +488,8 @@ def parse_problem(text: str) -> ProblemFile:
         head, *rest = line.split(None, 1)
         arg = rest[0] if rest else ""
         arg_col = col + len(line) - len(arg)
+        if (head == "mode" and mode is not None) or (head == "goal" and goal is not None):
+            raise ParseError(f"repeated {head!r} directive", lineno, col)
         if head == "mode":
             if arg not in MODES:
                 raise ParseError(f"unknown mode {arg!r}", lineno, arg_col, MODES)

@@ -215,7 +215,7 @@ from typing import NamedTuple, Optional, Union
 from .calculus import BOTTOM_L, INIT, RuleApplication, RuleId, Universe
 # sorted_formulas is not called here, but stays bound: perfbench/tracing.py
 # wraps search.sorted_formulas
-from .formula import Sequent, SetSequent, sorted_formulas  # noqa: F401
+from .formula import Sequent, sorted_formulas  # noqa: F401
 from .kernel import Derivation, premisses_for
 
 DEFAULT_BUDGET = 1_000_000
@@ -533,7 +533,7 @@ def _deepest_container(stack: list[Masks], prem: Masks) -> Optional[int]:
 
 
 def proof_tree(
-    s: Union[Sequent, SetSequent, Masks],
+    s: Union[Sequent, Masks],
     budget: Union[int, Budget] = DEFAULT_BUDGET,
     *,
     memo: Optional[Memo] = None,
@@ -552,7 +552,7 @@ def proof_tree(
 
 
 def decide(
-    s: Union[Sequent, SetSequent, Masks],
+    s: Union[Sequent, Masks],
     budget: Union[int, Budget] = DEFAULT_BUDGET,
     *,
     memo: Optional[Memo] = None,

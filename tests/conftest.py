@@ -2,6 +2,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, NamedTuple
 
 import hypothesis.strategies as st
 from hypothesis import settings
@@ -19,7 +20,6 @@ from bmdl.formula import (
     Obl,
     Or,
     Sequent,
-    SetSequent,
     sorted_formulas,
 )
 from bmdl.kernel import Derivation, DerivationError, _check_node
@@ -67,6 +67,33 @@ sequents = st.builds(Sequent, formula_tuples, formula_tuples)
 ANTE, SUCC = 0, 1  # the sides, as Universe.moves indexes them
 
 
+class SetSequent(NamedTuple):
+    """A sequent as two frozensets, the form the formula-level references
+    below work on.  Universe and its encode read any pair of formula
+    collections, so one can be handed to them as it is."""
+
+    ante: frozenset
+    succ: frozenset
+
+
+def set_sequent(ante: Iterable[Formula] = (), succ: Iterable[Formula] = ()) -> SetSequent:
+    return SetSequent(frozenset(ante), frozenset(succ))
+
+
+def to_set_sequent(s: Sequent) -> SetSequent:
+    return SetSequent(frozenset(s.ante), frozenset(s.succ))
+
+
+def contains(big: SetSequent, small: SetSequent) -> bool:
+    """Componentwise containment of small in big."""
+    return small.ante <= big.ante and small.succ <= big.succ
+
+
+def decode_sets(u: Universe, masks) -> SetSequent:
+    """The masks over u as a set sequent."""
+    return to_set_sequent(u.decode(masks))
+
+
 def one_premiss_move(f, side, s):
     """The universe's move table entry for principal f on the given side of
     the set sequent s, as the rule and the formulas it adds to the
@@ -102,7 +129,7 @@ def saturate_sets(s: SetSequent, base: SetSequent | None = None):
     moves and result decoded to formulas."""
     u = Universe(s)
     steps, sat = saturate(u, u.encode(s), None if base is None else u.encode(base))
-    return decoded_steps(u, steps), u.decode(sat)
+    return decoded_steps(u, steps), decode_sets(u, sat)
 
 
 @dataclass(frozen=True)
@@ -119,7 +146,7 @@ def decoded(u: Universe, app: RuleApplication) -> FormulaApplication:
     return FormulaApplication(
         app.rule,
         tuple(u.formulas[i] for i in app.principal),
-        tuple(u.decode(p) for p in app.premisses),
+        tuple(decode_sets(u, p) for p in app.premisses),
     )
 
 

@@ -13,10 +13,11 @@ from bmdl import countermodel
 from bmdl.calculus import Universe
 from bmdl.consistency import reduction_sequent
 from bmdl.countermodel import build, certify, result_to_json
-from bmdl.formula import to_set_sequent
 from bmdl.gen import random_assumptions, random_sequent
 from bmdl.parser import parse_sequent
 from bmdl.search import Budget, BudgetExceeded, Memo, decide, proof_tree, prove
+
+from conftest import decode_sets, to_set_sequent
 
 BUDGET = 200_000
 
@@ -37,7 +38,7 @@ def _memo_free(ss) -> bool:
 def _decoded(memo: Memo) -> dict:
     """The memo's entries, their mask keys decoded to set sequents through
     its universe."""
-    return {memo.universe.decode(key): verdict for key, verdict in memo.items()}
+    return {decode_sets(memo.universe, key): verdict for key, verdict in memo.items()}
 
 
 def _certify_keeping_memo(goal):
@@ -243,7 +244,7 @@ def test_the_oracle_does_not_decide_the_refuted_goal_again(monkeypatch):
     asked = []
 
     def spy(s, *args, **kwargs):
-        asked.append(kwargs["memo"].universe.decode(s))
+        asked.append(decode_sets(kwargs["memo"].universe, s))
         return decide(s, *args, **kwargs)
 
     monkeypatch.setattr(countermodel, "decide", spy)

@@ -53,6 +53,20 @@ def test_prove_reads_a_problem_file_with_a_tab_after_its_directive(tmp_path, cap
     assert code == 0 and data["sequent"] == "|- p -> p"
 
 
+@pytest.mark.parametrize("verb", ["prove", "countermodel", "consistent"])
+def test_a_problem_file_that_repeats_its_goal_exits_2(verb, tmp_path, capsys):
+    # the later goal does not silently replace the earlier one
+    f = tmp_path / "twice.mdl"
+    f.write_text("goal |- p\ngoal |- q\n")
+    assert main([verb, str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2:1: repeated 'goal' directive" in captured.err
+    f.write_text("mode prove\ngoal |- p -> p\nmode countermodel\n")
+    assert main([verb, str(f)]) == 2
+    assert "3:1: repeated 'mode' directive" in capsys.readouterr().err
+
+
 def _walk(node):
     yield node
     for child in node["children"]:

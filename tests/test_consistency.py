@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from bmdl import formula
 from bmdl.cli import decide_consistency, decide_goal
 from bmdl.consistency import (
@@ -262,6 +264,16 @@ def test_discharge_is_the_identity_without_assumptions():
     goal = parse_sequent("|- p -> p")
     res = prove(reduction_sequent((), goal))
     assert discharge(res.derivation, (), goal) == res.derivation
+
+
+def test_discharge_refuses_a_leading_formula_that_boxes_no_assumption():
+    goal = parse_sequent("|- p -> p")
+    res = prove(reduction_sequent((q,), goal))
+    assert res.accepted
+    for lead in ((Box(p),), (q,), (Box(q), Neg(q))):
+        reduction = res.derivation._replace(conclusion=Sequent(lead, goal.succ))
+        with pytest.raises(ValueError, match="boxes no assumption"):
+            discharge(reduction, (q,), goal)
 
 
 def test_random_accepted_reductions_discharge_cleanly():

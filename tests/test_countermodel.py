@@ -10,16 +10,19 @@ from bmdl.consistency import reduction_sequent
 from bmdl.countermodel import (
     CountermodelError,
     build,
+    claim_of_json,
     left_obligation_conds,
     model_of_json,
     result_to_json,
     truth_lemma_audit,
 )
-from bmdl.formula import Obl, SetSequent, from_set_sequent, to_set_sequent
+from bmdl.formula import Obl, Sequent
 from bmdl.gen import random_assumptions, random_sequent
 from bmdl.parser import parse_sequent, print_sequent
 from bmdl.search import Budget, BudgetExceeded, decide
 from bmdl.semantics import MModel, falsifies, model_from_json, validate_frame
+
+from conftest import contains, decode_sets, to_set_sequent
 
 UNDERIVABLE = [
     "|- false",
@@ -59,7 +62,7 @@ def test_root_world_extends_the_goal():
     s = parse_sequent("O(p / q) |- O(p / r)")
     res = build(s)
     root = res.resolved[res.root]
-    assert to_set_sequent(s) <= root
+    assert contains(to_set_sequent(root), to_set_sequent(s))
 
 
 def test_every_world_sequent_is_underivable():
@@ -97,7 +100,7 @@ def test_budget_exhaustion_propagates():
 def test_audit_flags_a_doctored_world_map():
     res = build(parse_sequent("p |- q"))
     wrong = {
-        w: SetSequent(ss.succ, ss.ante) for w, ss in res.resolved.items()
+        w: Sequent(ss.succ, ss.ante) for w, ss in res.resolved.items()
     }
     assert truth_lemma_audit(res.model, wrong)
 
@@ -131,10 +134,10 @@ def test_every_transitional_application_has_a_witness_among_the_successors(seed,
         assume(False)
     u = Universe(goal)
     for w, ss in res.resolved.items():
-        onward = [res.resolved[v] for v in sorted(res.model.successors(w))]
+        onward = [to_set_sequent(res.resolved[v]) for v in sorted(res.model.successors(w))]
         for app in u.transitional(*u.encode(ss)):
-            premisses = [u.decode(p) for p in app.premisses]
-            assert any(p <= v for p in premisses for v in onward), (w, app.rule)
+            premisses = [decode_sets(u, p) for p in app.premisses]
+            assert any(contains(v, p) for p in premisses for v in onward), (w, app.rule)
 
 
 def test_a_premiss_contained_in_an_existing_world_adds_no_world(monkeypatch):
@@ -143,7 +146,7 @@ def test_a_premiss_contained_in_an_existing_world_adds_no_world(monkeypatch):
     asked = []
 
     def spy(s, *args, **kwargs):
-        asked.append(kwargs["memo"].universe.decode(s))
+        asked.append(decode_sets(kwargs["memo"].universe, s))
         return decide(s, *args, **kwargs)
 
     monkeypatch.setattr(countermodel, "decide", spy)
@@ -157,12 +160,36 @@ def test_report_serialization():
     res = build(parse_sequent("|- O(p / q)"))
     data = result_to_json(res)
     assert data["certified"] is True
-    assert data["labels"] == {w: print_sequent(from_set_sequent(ss)) for w, ss in res.resolved.items()}
+    assert data["labels"] == {w: print_sequent(ss) for w, ss in res.resolved.items()}
     assert data["goal"] == "|- O(p / q)"
     m = model_of_json(data)
     assert m == res.model
     assert model_of_json(data["model"]) == res.model
     assert model_from_json(data["model"]) == res.model
+
+
+@given(seed=st.integers(0, 2**32), kind=st.sampled_from(("sequent", "assumptions")))
+def test_labels_read_back_from_a_report_are_the_resolved_sequents(seed, kind):
+    # each label is printed as decoded, its sides duplicate-free and in rank
+    # order, and claim_of_json parses it back to the same Sequent
+    rng = random.Random(seed)
+    if kind == "sequent":
+        goal = random_sequent(rng, size=rng.randint(3, 8), width=rng.choice((2, 3)))
+    else:
+        goal = reduction_sequent(random_assumptions(rng, rng.randint(1, 4), modal_depth=rng.randint(2, 3)))
+    try:
+        res = build(goal, Budget(200_000))
+    except (BudgetExceeded, ValueError):  # ValueError: the goal is derivable
+        assume(False)
+    assert res.certified
+    rank = Universe(goal).rank
+    for ss in res.resolved.values():
+        for side in ss:
+            ranks = [rank[f] for f in side]
+            assert ranks == sorted(set(ranks))
+    claim = claim_of_json(result_to_json(res), res.model)
+    assert claim.labels == res.resolved
+    assert (claim.goal, claim.root) == (goal, res.root)
 
 
 def test_world_names_follow_creation_order():
@@ -195,7 +222,7 @@ def test_a_negated_obligation_is_on_the_left_and_places_its_condition():
 
 def test_left_obligation_conds_follow_polarity():
     def conds(text):
-        ss = to_set_sequent(parse_sequent(text))
+        ss = parse_sequent(text)
         u = Universe(ss)
         return tuple(u.members(left_obligation_conds(u, u.encode(ss))))
 

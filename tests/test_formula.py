@@ -3,7 +3,7 @@ from dataclasses import make_dataclass
 import hypothesis.strategies as st
 from hypothesis import given
 
-from bmdl.calculus import RuleId
+from bmdl.calculus import RuleId, Universe
 from bmdl.formula import (
     And,
     Atom,
@@ -15,23 +15,17 @@ from bmdl.formula import (
     Obl,
     Or,
     Sequent,
-    SetSequent,
     TOP,
     filled,
-    from_set_sequent,
-    sequent_subformulas,
-    set_sequent,
     sort_key,
     sorted_formulas,
-    subformulas,
-    to_set_sequent,
 )
 from bmdl.kernel import Derivation
 from bmdl.parser import Printer
 
 from conftest import formulas, sequents
 
-p, q, r = Atom("p"), Atom("q"), Atom("r")
+p, q = Atom("p"), Atom("q")
 
 
 def test_formulas_are_values():
@@ -43,8 +37,8 @@ def test_formulas_are_values():
 
 def test_subformulas():
     f = Imp(Box(p), Obl(p, Neg(q)))
-    subs = subformulas(f)
-    assert subs == {f, Box(p), Obl(p, Neg(q)), p, Neg(q), q}
+    subs = Universe(Sequent((f,), ())).formulas
+    assert len(subs) == 6 and set(subs) == {f, Box(p), Obl(p, Neg(q)), p, Neg(q), q}
 
 
 @given(formulas, formulas)
@@ -127,72 +121,36 @@ def test_filled_over_a_never_filled_formula_fills_as_the_lazy_fill(f):
 
 @given(formulas)
 def test_sort_key_is_stable_under_resorting(f):
-    subs = sorted_formulas(subformulas(f))
+    subs = list(Universe(Sequent((f,), ())).formulas)
     assert sorted_formulas(reversed(subs)) == subs
-
-
-def test_set_sequent_containment():
-    small = set_sequent([p], [q])
-    big = set_sequent([p, r], [q, Box(p)])
-    assert small <= big
-    assert not big <= small
-    assert small <= small
-
-
-@given(sequents)
-def test_set_conversion_keeps_support(s):
-    back = from_set_sequent(to_set_sequent(s))
-    assert set(back.ante) == set(s.ante)
-    assert set(back.succ) == set(s.succ)
-    assert len(back.ante) == len(set(s.ante))
 
 
 def test_sequent_subformulas_covers_both_sides():
     s = Sequent((Box(p),), (Imp(p, q),))
-    assert sequent_subformulas(s) == {Box(p), p, Imp(p, q), q}
+    assert set(Universe(s).formulas) == {Box(p), p, Imp(p, q), q}
 
 
-# Sequent and SetSequent as the frozen dataclasses they were: the reference
-# for the hash, equality and repr of the tuple types that replace them.
-# Their hash fixes the iteration order of sets of sequents, which the
-# frozen gates rely on.
+# Sequent as the frozen dataclass it was: the reference for the hash,
+# equality and repr of the tuple type that replaces it.  Its hash fixes the
+# iteration order of sets of sequents, which the frozen gates rely on.
 _DataSequent = make_dataclass(
     "Sequent", [("ante", tuple), ("succ", tuple)], frozen=True
-)
-_DataSetSequent = make_dataclass(
-    "SetSequent", [("ante", frozenset), ("succ", frozenset)], frozen=True
 )
 
 
 @given(st.lists(sequents, max_size=8))
 def test_sequents_hash_compare_and_print_as_the_dataclasses_did(ss):
-    for new_type, old_type, side in ((Sequent, _DataSequent, tuple), (SetSequent, _DataSetSequent, frozenset)):
-        new = [new_type(side(s.ante), side(s.succ)) for s in ss]
-        old = [old_type(side(s.ante), side(s.succ)) for s in ss]
-        for a, x in zip(new, old):
-            assert hash(a) == hash(x)
-            assert repr(a) == repr(x)
-            for b, y in zip(new, old):
-                assert (a == b) == (x == y)
-                assert (a != b) == (x != y)
-        # sets of sequents iterate in the same order, duplicates and all
-        assert [(a.ante, a.succ) for a in set(new)] == [(x.ante, x.succ) for x in set(old)]
-        assert [(a.ante, a.succ) for a in dict.fromkeys(new)] == [(x.ante, x.succ) for x in dict.fromkeys(old)]
-
-
-@given(sequents, sequents)
-def test_set_sequent_le_is_containment(s, t):
-    a, b = to_set_sequent(s), to_set_sequent(t)
-    assert (a <= b) == (a.ante <= b.ante and a.succ <= b.succ)
-    joined = SetSequent(a.ante | b.ante, a.succ | b.succ)
-    assert a <= joined and b <= joined
-    assert a <= a
-
-
-def test_set_sequent_le_is_not_the_tuple_order():
-    small, large = set_sequent([p], [q]), set_sequent([p, r], [q])
-    assert small <= large and not large <= small
-    assert not set_sequent([r], []) <= set_sequent([p], [q])
+    new = [Sequent(s.ante, s.succ) for s in ss]
+    old = [_DataSequent(s.ante, s.succ) for s in ss]
+    for a, x in zip(new, old):
+        assert hash(a) == hash(x)
+        assert repr(a) == repr(x)
+        for b, y in zip(new, old):
+            assert (a == b) == (x == y)
+            assert (a != b) == (x != y)
+    # sets of sequents iterate in the same order, duplicates and all
+    assert [(a.ante, a.succ) for a in set(new)] == [(x.ante, x.succ) for x in set(old)]
+    assert [(a.ante, a.succ) for a in dict.fromkeys(new)] == [(x.ante, x.succ) for x in dict.fromkeys(old)]
 
 
 def test_derivation_keeps_its_defaults():

@@ -6,19 +6,19 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from bmdl.calculus import RuleId
+from bmdl.calculus import RuleId, Universe
 from bmdl import gen
 from bmdl.consistency import FALSUM_SEQUENT, assumption_sequents, check_consistency, discharge, reduction_sequent
 from bmdl.corpus import read_sequent_file
-from bmdl.formula import And, Atom, BOT, Box, Imp, Neg, Obl, Or, Sequent, subformulas
+from bmdl.formula import And, Atom, BOT, Box, Imp, Neg, Obl, Or, Sequent
 from bmdl.kernel import (
     Derivation,
     DerivationError,
     check_derivation,
     derivation_from_json,
     derivation_to_json,
-    _same,
     premisses_for,
+    same_sequent,
 )
 from bmdl.parser import parse_problem, parse_sequent, print_formula, print_sequent
 from bmdl.search import prove
@@ -223,8 +223,8 @@ def sequent_pairs(draw):
 def test_same_is_multiset_equality(pair):
     a, b = pair
     by_counts = (Counter(a.ante), Counter(a.succ)) == (Counter(b.ante), Counter(b.succ))
-    assert _same(a, b) == _same(b, a) == by_counts
-    assert _same(a, a)
+    assert same_sequent(a, b) == same_sequent(b, a) == by_counts
+    assert same_sequent(a, a)
 
 
 def _refusal(check, d, assumed):
@@ -432,7 +432,7 @@ def test_derivation_json_of_schema_instances_is_the_reference_json():
     rng = random.Random(314159)
     for i in range(36):
         schema = schemas[i % len(schemas)]
-        names = sorted({g.name for f in schema.ante + schema.succ for g in subformulas(f) if isinstance(g, Atom)})
+        names = sorted({g.name for g in Universe(schema).formulas if isinstance(g, Atom)})
         sub = {a: gen.random_formula(rng, rng.randint(1, 4)) for a in names}
         goal = Sequent(
             tuple(_substituted(f, sub) for f in schema.ante),
@@ -485,11 +485,11 @@ def _reference_discharge(reduction, assumptions, goal):
 @pytest.mark.parametrize("order", ["as reduced", "permuted"])
 def test_witnesses_over_reductions_with_plain_boxes_are_the_reference_witnesses(order):
     """A reduction whose conclusion holds boxes that were never filled, as
-    a hand-built derivation or one read from JSON may: in the order of the
-    assumptions, the witness holds those nodes and its first print renders
-    them unfilled; in another order, discharge makes its own boxes.  Either
-    way the witness, its JSON and the kernel's verdict on it are those of
-    the reference discharge."""
+    a hand-built derivation or one read from JSON may, in the order of the
+    assumptions or in another: the witness cuts those nodes as they stand,
+    in their order, and its first print renders them unfilled.  The
+    witness, its JSON and the kernel's verdict on it are those of the
+    reference discharge of the leading boxes' assumptions, in that order."""
     for i, assumptions in enumerate(_inconsistent_sets()):
         res = prove(reduction_sequent(assumptions), 100_000)
         assert res.accepted
@@ -498,11 +498,10 @@ def test_witnesses_over_reductions_with_plain_boxes_are_the_reference_witnesses(
             random.Random(i).shuffle(boxes)
         reduction = res.derivation._replace(conclusion=Sequent(tuple(boxes), (BOT,)))
         witness = discharge(reduction, assumptions, FALSUM_SEQUENT)
-        if order == "as reduced":
-            assert witness.principal[0] is boxes[-1]
-            assert not hasattr(witness.principal[0], "_k")
+        assert witness.principal[0] is boxes[-1]
+        assert not hasattr(witness.principal[0], "_k")
         _assert_json_as_the_reference(witness)
-        want = _reference_discharge(reduction, assumptions, FALSUM_SEQUENT)
+        want = _reference_discharge(reduction, [b.f for b in boxes], FALSUM_SEQUENT)
         assert witness == want
         assert _as_json_bytes(derivation_to_json(witness)) == _as_json_bytes(derivation_to_json(want))
         assumed = assumption_sequents(assumptions)

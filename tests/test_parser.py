@@ -22,7 +22,6 @@ from bmdl.formula import (
     TOP,
     filled,
     sort_key,
-    subformulas,
 )
 from bmdl.kernel import derivation_from_json
 from bmdl.parser import (
@@ -183,6 +182,11 @@ def test_trailing_input_is_rejected():
         ("assume\t\tp &", 1, 12),
         ("goal \t p, |- q", 1, 11),
         ("mode\tsideways", 1, 6),
+        # a repeated goal or mode directive, at the directive
+        ("goal |- p\ngoal |- q", 2, 1),
+        ("assume p\n  goal\t|- p  # first\n\ngoal |- p", 4, 1),
+        ("mode prove\nassume p\n   mode prove", 3, 4),
+        ("mode consistency\ngoal |- p\nmode\tcountermodel", 3, 1),
     ],
 )
 def test_problem_errors_carry_the_file_column(text, line, col):
@@ -381,7 +385,7 @@ def test_printer_matches_the_reference(f):
 def test_one_printer_reused_across_shared_subformulas(fs, seed):
     """One Printer per report: every formula and every subformula, in any
     order, prints as the reference prints it alone."""
-    todo = [g for f in fs for g in subformulas(f)] + fs
+    todo = [g for f in fs for g in Universe(Sequent((f,), ())).formulas] + fs
     random.Random(seed).shuffle(todo)
     for unicode in (False, True):
         show = Printer(unicode)
@@ -417,7 +421,7 @@ def _rebuilt(f: Formula) -> Formula:
 def _assert_filled_as_lazily(f: Formula) -> None:
     """Every node of a parsed formula has its cache filled already, with
     the values the lazy fill gives a copy built apart."""
-    for g in subformulas(f):
+    for g in Universe(Sequent((f,), ())).formulas:
         lazy = _rebuilt(g)
         assert g == lazy
         assert (g._k, g._h) == (sort_key(lazy), hash(lazy))
