@@ -64,10 +64,11 @@ from .kernel import (
 )
 from .parser import (
     ParseError,
-    Printer,
     parse_formula,
     parse_problem,
     parse_sequent,
+    print_formula,
+    print_sequent,
     read_sequent_file,
 )
 from .search import Budget, BudgetExceeded, DEFAULT_BUDGET
@@ -176,10 +177,9 @@ def decide_goal(
     one the verb asks for."""
     hypotheses = len(assumptions) if affirm_derivable else 0
     res, cm = certify(reduction_sequent(assumptions, goal), budget, hypotheses=hypotheses)
-    show = Printer(unicode)
     report = {
-        "sequent": show.sequent(goal),
-        "assumptions": [show.formula(a) for a in assumptions],
+        "sequent": print_sequent(goal, unicode),
+        "assumptions": [print_formula(a, unicode) for a in assumptions],
         "derivable": res.accepted,
         "steps": res.steps_used,
     }
@@ -204,9 +204,8 @@ def decide_consistency(
     kernel checked against the assumptions; a consistent set comes with a
     certified countermodel."""
     res = check_consistency(assumptions, budget)
-    show = Printer(unicode)
     report = {
-        "assumptions": [show.formula(a) for a in assumptions],
+        "assumptions": [print_formula(a, unicode) for a in assumptions],
         "consistent": res.consistent,
         "steps": res.steps_used,
     }
@@ -232,9 +231,8 @@ def check_model(
     any, checks."""
     violations = validate_frame(model)
     cache: dict = {}
-    show = Printer(unicode)
     evaluated = [
-        {"world": w, "formula": show.formula(f), "holds": holds(model, w, f, cache)} for w, f in facts
+        {"world": w, "formula": print_formula(f, unicode), "holds": holds(model, w, f, cache)} for w, f in facts
     ]
     report = {
         "valid": not violations,
@@ -245,7 +243,7 @@ def check_model(
         report["facts"] = evaluated
     ok = not violations and all(fact["holds"] for fact in evaluated)
     if claim is not None:
-        report["audit"] = truth_lemma_audit(model, claim.labels, cache, show)
+        report["audit"] = truth_lemma_audit(model, claim.labels, cache, unicode)
         report["goal_fails_at_root"] = falsifies(model, claim.root, claim.goal, cache)
         ok = ok and not report["audit"] and report["goal_fails_at_root"]
     return (EXIT_YES if ok else EXIT_NO), report
@@ -261,14 +259,13 @@ def check_proof(
     assumed sequents as Assumption leaves.  Given a report's claim, the
     derivation must also conclude it, up to the order of formulas.  Yes
     when it checks; no with the reason otherwise."""
-    show = Printer(unicode)
     report = {
-        "conclusion": show.sequent(derivation.conclusion),
-        "assumptions": [show.sequent(s) for s in assumed],
+        "conclusion": print_sequent(derivation.conclusion, unicode),
+        "assumptions": [print_sequent(s, unicode) for s in assumed],
     }
     if claim is not None and not same_sequent(derivation.conclusion, claim):
         report["checks"] = False
-        report["error"] = f"the derivation concludes {report['conclusion']}, not {show.sequent(claim)}"
+        report["error"] = f"the derivation concludes {report['conclusion']}, not {print_sequent(claim, unicode)}"
         return EXIT_NO, report
     try:
         check_derivation(derivation, assumed)

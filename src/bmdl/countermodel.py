@@ -119,7 +119,7 @@ from .formula import (
     Sequent,
     sorted_formulas,
 )
-from .parser import Printer, parse_sequent, print_sequent
+from .parser import parse_sequent, print_formula, print_sequent
 from .search import Budget, DEFAULT_BUDGET, Masks, Memo, SearchResult, decide, prove, saturate
 from .semantics import (
     Generator,
@@ -304,13 +304,13 @@ def truth_lemma_audit(
     model: MModel,
     resolved: Mapping[str, Sequent],
     cache: Optional[dict] = None,
-    show: Optional[Printer] = None,
+    unicode: bool = False,
 ) -> list[str]:
     """Check every formula occurrence of every world sequent against the
     model: left occurrences must be true there and right occurrences false.
-    Returns the violations as human-readable strings, formulas printed with
-    show (plain ASCII by default), empty on success.  cache memoises truth
-    sets of model, as for semantics.holds."""
+    Returns the violations as human-readable strings, formulas printed in
+    ASCII, or in Unicode with unicode, empty on success.  cache memoises
+    truth sets of model, as for semantics.holds."""
     bad: list[tuple[str, str, str, Formula]] = []
     if cache is None:
         cache = {}
@@ -323,9 +323,9 @@ def truth_lemma_audit(
             bad.extend((w, "left", "false", f) for f in sorted_formulas(false_left))
         if true_right:
             bad.extend((w, "right", "true", f) for f in sorted_formulas(true_right))
-    if bad and show is None:
-        show = Printer()
-    return [f"{w}: {side} formula {show.formula(f)} is {value} in the model" for w, side, value, f in bad]
+    return [
+        f"{w}: {side} formula {print_formula(f, unicode)} is {value} in the model" for w, side, value, f in bad
+    ]
 
 
 def build(
@@ -402,13 +402,12 @@ def certify(
 
 
 def result_to_json(r: CounterModelResult) -> dict:
-    show = Printer()
     return {
-        "goal": show.sequent(r.sequent),
+        "goal": print_sequent(r.sequent),
         "root": r.root,
         "certified": r.certified,
         "model": model_to_json(r.model),
-        "labels": {w: show.sequent(r.resolved[w]) for w in r.model.worlds},
+        "labels": {w: print_sequent(r.resolved[w]) for w in r.model.worlds},
     }
 
 

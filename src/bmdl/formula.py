@@ -19,12 +19,12 @@ one the nested key tuples define, and the hash values are the ones the
 dataclass hash gives, so sets iterate as they would without the cache.
 
 The third value is the node's ASCII text, which the printer makes
-(parser.Printer).  Filling a node sets its text slot to None, and the
-node's first ASCII print sets it to the text, made from the texts of its
-children; every later print, by any printer, reads it.  Text is never made
-when a node is filled: a chain of n conjuncts would then hold texts of
-about n squared characters in all, before anything refuses it.  A node
-that was never filled has no text slot set, and a printer used once
+(parser.print_formula and parser.print_sequent).  Filling a node sets its
+text slot to None, and the node's first ASCII print sets it to the text,
+made from the texts of its children; every later print reads it.  Text
+is never made when a node is filled: a chain of n conjuncts would then
+hold texts of about n squared characters in all, before anything refuses
+it.  A node that was never filled has no text slot set, and the printer
 renders it without setting any.
 
 A sequent is a NamedTuple of two formula tuples, read as multisets: cheap
@@ -127,7 +127,7 @@ _SHAPE = {
 
 
 # The slots' own setters: they write the cache past the frozen __setattr__.
-# set_text is the printer's (parser.Printer).
+# set_text is the printer's (parser.print_formula and print_sequent).
 _set_key = Formula._k.__set__
 _set_hash = Formula._h.__set__
 set_text = Formula._t.__set__

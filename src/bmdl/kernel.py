@@ -53,7 +53,7 @@ from .formula import (
     Or,
     Sequent,
 )
-from .parser import Printer, parse_formula, parse_sequent, print_formula, print_sequent
+from .parser import parse_formula, parse_sequent, print_formula, print_sequent
 
 
 class Derivation(NamedTuple):
@@ -313,16 +313,14 @@ def _without(fs: tuple[Formula, ...], f: Formula) -> tuple[Formula, ...]:
 def derivation_to_json(d: Derivation) -> dict:
     """The derivation as nested objects, built without recursion; each
     distinct formula is printed once."""
-    show = Printer()
-    text, sequent = show.formula, show.sequent
     root: dict = {}
     todo = [(d, root)]
     while todo:
         (conclusion, rule, principal, children), out = todo.pop()
         kids: list[dict] = [{} for _ in children]
         out["rule"] = rule._value_
-        out["principal"] = [text(f) for f in principal]
-        out["conclusion"] = sequent(conclusion)
+        out["principal"] = [print_formula(f) for f in principal]
+        out["conclusion"] = print_sequent(conclusion)
         out["children"] = kids
         todo.extend(zip(children, kids))
     return root

@@ -1,8 +1,9 @@
 """Concrete syntax: parser and printer for formulas, sequents, sequent files
 and problem files.
 
-Grammar (whitespace-insensitive; operators and keywords are ASCII, atoms
-need not be):
+Grammar (whitespace-insensitive; operators and keywords are ASCII, or the
+Unicode symbols the printer writes, read as the ASCII ones; atoms need not
+be ASCII):
 
     formula  :=  or_f ("->" formula)?            right associative
     or_f     :=  and_f ("|" and_f)*              left associative
@@ -14,6 +15,10 @@ need not be):
 
     sequent  :=  formulas? "|-" formulas?        comma-separated sides
     problem  :=  lines of "assume f" / "goal s" / "mode m" / "# comment"
+
+"¬", "□", "∧", "∨", "→", "⊥", "⊤" and "⊢" are read as "~", "[]", "&",
+"|", "->", "false", "true" and "|-", so what the printer writes in Unicode
+reads back to what it printed.
 
 "true" is sugar for ~false and is restored by the printer.  Formulas may
 nest at most MAX_NESTING levels deep, counting each "~" and "[]" and each
@@ -31,15 +36,17 @@ with its sort key and hash already filled (formula.filled), children
 first, so the formula layer never walks a parsed tree to fill them; atoms
 of one parse are shared.
 
-Writing goes through one rendering rule (_render): a node's text is made
-from its arguments' texts, whose precedence follows from their classes.
-ASCII text is made at print time, never while parsing, and kept on the
-node (formula.set_text): the first print of a parsed node, by any
-Printer, sets it, and every later print reads it, so the goal a report
-prints is rendered once however many times the report shows it.  Unicode
-text is kept in a dict per Printer.  print_formula and print_sequent are
-a Printer used once: it keeps the text of filled nodes, but renders a
-formula built outside the parser without filling it.
+Writing is two functions, print_formula and print_sequent, over one
+rendering rule (_render): a node's text is made from its arguments' texts,
+whose precedence follows from their classes.  ASCII text is made at print
+time, never while parsing, and kept on the node (formula.set_text): the
+first print of a filled node sets it, on the node and its arguments, and
+every later print reads it, so the goal a report prints is rendered once
+however many times the report shows it.  A node that was never filled, as
+in a formula built outside the parser, is rendered whole: it is not filled
+and no text is kept on it.  Unicode is rendered whole and keeps nothing;
+it prints only report headers, facts and audit messages, while every
+derivation and countermodel body is printed in ASCII.
 """
 
 from __future__ import annotations
@@ -47,7 +54,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from .formula import (
     BOT,
@@ -64,7 +70,6 @@ from .formula import (
     TOP,
     filled,
     set_text,
-    sort_key,
 )
 
 
@@ -102,6 +107,15 @@ _KINDS = {
     "O": "OBL",
     "false": "FALSE",
     "true": "TRUE",
+    # the symbols the printer writes with unicode=True
+    "¬": "NOT",
+    "□": "BOX",
+    "∧": "AND",
+    "∨": "OR",
+    "→": "ARROW",
+    "⊥": "FALSE",
+    "⊤": "TRUE",
+    "⊢": "TURNSTILE",
 }
 
 
@@ -274,17 +288,13 @@ _LEVEL = {Atom: 5, Bottom: 5, Obl: 5, Neg: 4, Box: 4, And: 3, Or: 2, Imp: 1}
 _BINARY = {And: ("and", 3, 4), Or: ("or", 2, 3), Imp: ("imp", 2, 1)}
 
 
-# Where a rendering finds the texts already made and keeps those it makes:
-# _ON_NODES, the nodes' own text slots (ASCII); a dict keyed by formulas
-# (Unicode); or None, which keeps nothing.
-_ON_NODES = object()
-
-
-def _render(f: Formula, sym: dict[str, str], kept) -> str:
+def _render(f: Formula, sym: dict[str, str], keep: bool) -> str:
     """The rendering rule: the text of f in the symbols sym, made from its
-    arguments' texts, which are looked up in kept or rendered first (one
-    Python frame per nesting level, as in the parser).  With _ON_NODES, f
-    and its arguments are filled nodes, whose arguments are filled too."""
+    arguments' texts (one Python frame per nesting level, as in the
+    parser).  With keep, f and its arguments are filled nodes, whose
+    arguments are filled too, and each argument's text is read from the
+    node, or made and kept on it; without, every argument is rendered anew
+    and nothing is kept."""
     t = type(f)
     if t is Atom:
         return f.name
@@ -302,17 +312,13 @@ def _render(f: Formula, sym: dict[str, str], kept) -> str:
         raise TypeError(f"not a formula: {f!r}")
     texts = []
     for a in args:
-        if kept is None:
-            text = _render(a, sym, None)
-        elif kept is _ON_NODES:
+        if keep:
             text = a._t
             if text is None:
-                text = _render(a, sym, kept)
+                text = _render(a, sym, True)
                 set_text(a, text)
         else:
-            text = kept.get(a)
-            if text is None:
-                text = kept[a] = _render(a, sym, kept)
+            text = _render(a, sym, False)
         texts.append(text)
     if t is Neg or t is Box:
         g, (text,) = f.f, texts
@@ -333,7 +339,7 @@ def _ascii(f: Formula) -> str:
     kept on it and on its arguments."""
     t = f._t
     if t is None:
-        t = _render(f, _ASCII, _ON_NODES)
+        t = _render(f, _ASCII, True)
         set_text(f, t)
     return t
 
@@ -342,96 +348,35 @@ def _ascii(f: Formula) -> str:
 _UNFILLED = object()
 
 
-def _ascii_kept(f: Formula) -> str:
-    """The ASCII text of f, kept on its nodes; a node never filled is filled
-    first, as hashing it into a memo would."""
-    t = getattr(f, "_t", _UNFILLED)
-    if t is _UNFILLED:
-        sort_key(f)  # fills f
-        t = None
-    return t or _ascii(f)
-
-
-def _ascii_once(f: Formula) -> str:
-    """The ASCII text of f for a printer used once: kept on a filled node,
-    while a node never filled is rendered whole and left unfilled."""
-    t = getattr(f, "_t", _UNFILLED)
-    if t is _UNFILLED:
-        return _plain_ascii(f)
-    return t or _ascii(f)
-
-
-def _plain_ascii(f: Formula) -> str:
-    return _render(f, _ASCII, None)
-
-
-def _plain_unicode(f: Formula) -> str:
-    return _render(f, _UNICODE, None)
-
-
-class Printer:
-    """Minimal-parenthesis rendering of the formulas and sequents of one
-    report; the ASCII form reparses to what was printed.
-
-    Each distinct subformula is rendered once, from its arguments' texts,
-    and looked up after that.  ASCII text is kept on the formula node
-    itself (formula.set_text), where every printer finds it; a node never
-    filled is filled first, as a memo keyed by formulas would fill it on
-    its first hash.  Unicode text is kept in this printer's memo, a dict
-    keyed by formulas.  What either holds depends only on the formulas'
-    structure, so the output does not follow the hash seed.  A printer
-    made with memo=False serves print_formula and print_sequent, which
-    print once: it still keeps the ASCII text of filled nodes, but a
-    formula never filled it renders as it is, filling nothing and keeping
-    no text, so a formula built outside the parser does not pay its lazy
-    fill.  When a sequent's first formula was never filled, as in a
-    sequent built outside the parser, it renders the whole sequent that
-    way, for the cost of one probe of one node.  It keeps no Unicode
-    memo."""
-
-    formula: Callable[[Formula], str]  # the text of a formula
-
-    def __init__(self, unicode: bool = False, memo: bool = True):
-        self.unicode = unicode
-        self.memo = memo
-        if not unicode:
-            self.formula = _ascii_kept if memo else _ascii_once
-        elif memo:
-            self.texts: dict[Formula, str] = {}
-            self.formula = self._unicode
-        else:
-            self.formula = _plain_unicode
-
-    def sequent(self, s: Sequent) -> str:
-        text = self.formula
-        if not self.unicode:
-            fs = s.ante or s.succ
-            if self.memo or (fs and getattr(fs[0], "_t", _UNFILLED) is not _UNFILLED):
-                try:  # the texts kept on the nodes, or made and kept now
-                    return _sequent_text(
-                        [f._t or _ascii(f) for f in s.ante], [f._t or _ascii(f) for f in s.succ], False
-                    )
-                except AttributeError:  # a node never filled
-                    pass
-            else:  # built outside the parser, as its first formula was
-                text = _plain_ascii
-        return _sequent_text([text(f) for f in s.ante], [text(f) for f in s.succ], self.unicode)
-
-    def _unicode(self, f: Formula) -> str:
-        texts = self.texts
-        text = texts.get(f)
-        if text is None:
-            text = texts[f] = _render(f, _UNICODE, texts)
-        return text
-
-
 def print_formula(f: Formula, unicode: bool = False) -> str:
-    """Minimal-parenthesis rendering; the ASCII form reparses to f."""
-    return Printer(unicode, memo=False).formula(f)
+    """Minimal-parenthesis rendering; the ASCII form reparses to f, and so
+    does the Unicode form.  The ASCII text of a filled node is kept on it;
+    a node never filled, and any Unicode text, is rendered whole, filling
+    nothing and keeping nothing."""
+    if unicode:
+        return _render(f, _UNICODE, False)
+    t = getattr(f, "_t", _UNFILLED)
+    if t is _UNFILLED:
+        return _render(f, _ASCII, False)
+    return t or _ascii(f)
 
 
 def print_sequent(s: Sequent, unicode: bool = False) -> str:
-    return Printer(unicode, memo=False).sequent(s)
+    """The sequent's formulas as print_formula prints them.  In ASCII, when
+    the first formula is filled, the sequent is joined straight from the
+    texts kept on its formulas, falling back to print_formula if a later
+    one was never filled; when it was never filled, as in a sequent built
+    outside the parser, the probe of that one node sends every formula to
+    print_formula without raising anything."""
+    fs = s.ante or s.succ
+    if not unicode and fs and getattr(fs[0], "_t", _UNFILLED) is not _UNFILLED:
+        try:  # the texts kept on the nodes, or made and kept now
+            return _sequent_text([f._t or _ascii(f) for f in s.ante], [f._t or _ascii(f) for f in s.succ], False)
+        except AttributeError:  # a later node never filled
+            pass
+    return _sequent_text(
+        [print_formula(f, unicode) for f in s.ante], [print_formula(f, unicode) for f in s.succ], unicode
+    )
 
 
 def _sequent_text(ante_texts: list[str], succ_texts: list[str], unicode: bool) -> str:

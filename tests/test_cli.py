@@ -125,6 +125,13 @@ def test_check_model_valid_with_facts(capsys):
     assert all(f["holds"] for f in data["facts"])
 
 
+def test_check_model_reads_facts_in_unicode_symbols(capsys):
+    ascii_facts = run(capsys, "check-model", str(CORPUS / "m0.json"), "--holds", "w1::O(~hrm / ~false)")
+    unicode_facts = run(capsys, "check-model", str(CORPUS / "m0.json"), "--holds", "w1::O(¬hrm / ⊤)")
+    assert unicode_facts == ascii_facts == (0, ascii_facts[1])
+    assert ascii_facts[1]["facts"][0]["formula"] == "O(~hrm / true)"
+
+
 def test_check_model_false_fact_flips_exit(capsys):
     code, data = run(capsys, "check-model", str(CORPUS / "m0.json"), "--holds", "w1::hrm")
     assert code == 1
@@ -206,6 +213,33 @@ def test_check_proof_rechecks_a_printed_report_whole(tmp_path, capsys, argv, lea
     assert code == 0, data
     assert data["checks"] is True
     assert data["assumptions"] == leaves
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("prove", "--assume", "[]r", "p, p -> q |- q"),
+        ("prove", "--assume", "[]r", "p |- q"),
+        ("countermodel", "--assume", "[]r", "p, p -> q |- q"),
+        ("countermodel", "--assume", "[]r", "p |- q"),
+        ("consistent", "--assume", "p", "--assume", "~p"),
+        ("consistent", "--assume", "[]r", "--assume", "p -> q"),
+    ],
+)
+def test_unicode_reports_check_again_as_the_ascii_reports_do(tmp_path, capsys, argv):
+    """A report printed with --unicode has its sequent and assumptions in
+    Unicode symbols, which the parser reads back: check-proof or
+    check-model reports on it exactly what it reports on the ASCII one."""
+    checked = []
+    for flags in ((), ("--unicode",)):
+        d = tmp_path / f"flags{len(flags)}"
+        d.mkdir()
+        path, report = printed(d, capsys, argv[0], *flags, *argv[1:])
+        assert any(ord(c) > 127 for a in report["assumptions"] for c in a) == bool(flags)
+        check = "check-model" if "countermodel" in report else "check-proof"
+        checked.append((check, *run(capsys, check, str(path))))
+    assert checked[0] == checked[1]
+    assert checked[0][1] == 0, checked[0]
 
 
 def _assumption_leaves(node) -> list[str]:

@@ -21,7 +21,7 @@ from bmdl.formula import (
     sorted_formulas,
 )
 from bmdl.kernel import Derivation
-from bmdl.parser import Printer
+from bmdl.parser import print_formula
 
 from conftest import formulas, sequents
 
@@ -116,7 +116,7 @@ def test_filled_over_a_never_filled_formula_fills_as_the_lazy_fill(f):
     box = filled(Box, a)
     assert box == lazy and box._t is None
     assert (box._k, box._h) == (sort_key(lazy), hash(lazy)) == (reference_sort_key(lazy), hash(lazy))
-    assert Printer().formula(box) == Printer().formula(lazy) == box._t == lazy._t
+    assert print_formula(box) == print_formula(lazy) == box._t == lazy._t
 
 
 @given(formulas)

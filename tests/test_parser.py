@@ -26,7 +26,6 @@ from bmdl.formula import (
 from bmdl.kernel import derivation_from_json
 from bmdl.parser import (
     ParseError,
-    Printer,
     _tokenize,
     parse_formula,
     parse_problem,
@@ -220,7 +219,9 @@ def test_sequent_file_errors_carry_the_file_column(tmp_path, text, line, col):
 
 # ---------------------------------------------------------------------------
 # references: the character-by-character tokenizer and the recursive printer
-# the one-scan tokenizer and the Printer replaced, kept to hold them to
+# that the one-scan tokenizer and print_formula/print_sequent replaced, kept
+# to hold them to; the reference reads the Unicode symbols the printer
+# writes as single-character tokens, as _tokenize does
 
 
 @dataclass(frozen=True)
@@ -231,7 +232,10 @@ class Token:
     col: int
 
 
-_SIMPLE = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", "/": "SLASH", "~": "NOT", "&": "AND"}
+_SIMPLE = {
+    "(": "LPAREN", ")": "RPAREN", ",": "COMMA", "/": "SLASH", "~": "NOT", "&": "AND",
+    "¬": "NOT", "□": "BOX", "∧": "AND", "∨": "OR", "→": "ARROW", "⊥": "FALSE", "⊤": "TRUE", "⊢": "TURNSTILE",
+}
 _KEYWORDS = {"false": "FALSE", "true": "TRUE"}
 
 
@@ -343,8 +347,8 @@ def _tokens_or_error(tokenize, text: str):
         return ("error", e.message, e.line, e.col, e.expected)
 
 
-# Pieces of text near the grammar: its tokens and their prefixes, words that
-# only start like keywords, letters the tokenizer must accept or refuse
+# Pieces of text near the grammar: its tokens (the Unicode symbols among
+# them) and their prefixes, words that only start like keywords, letters the tokenizer must accept or refuse
 # (non-ASCII lowercase, capitals, titlecase, digits that are not decimal,
 # decimal digits of other scripts), blanks and other characters.
 _PIECES = [
@@ -352,6 +356,7 @@ _PIECES = [
     "|", "|-", "|->", "-", "->", "[", "[]", "]", "false", "true", "falsey", "truex", "pfalse",
     "é", "ßx", "π", "Ä", "É", "A", "ǅ", "²", "٣", "0", "7", "@", "#", ":", ">",
     " ", "  ", "\t", "\n", "\r", "\r\n", "\x0b", "　",
+    "¬", "□", "∧", "∨", "→", "⊥", "⊤", "⊢", "⊥x", "p⊢q",
 ]
 texts = st.one_of(
     st.lists(st.sampled_from(_PIECES), max_size=30).map("".join),
@@ -381,27 +386,49 @@ def test_printer_matches_the_reference(f):
         assert print_formula(f, unicode) == reference_print(f, unicode)
 
 
+@given(formulas)
+def test_unicode_printing_reparses(f):
+    """The Unicode symbols the printer writes are read back as the ASCII
+    ones, so a report printed with --unicode can be checked again."""
+    assert parse_formula(print_formula(f, True)) == f
+
+
+@given(sequents)
+def test_unicode_sequent_printing_reparses(s):
+    assert parse_sequent(print_sequent(s, True)) == s
+
+
 @given(st.lists(formulas, max_size=6), st.integers(0, 2**32))
 def test_one_printer_reused_across_shared_subformulas(fs, seed):
-    """One Printer per report: every formula and every subformula, in any
-    order, prints as the reference prints it alone."""
+    """One printer for every report: the formulas of a report share
+    subformulas, and with them the texts kept on filled nodes; every
+    formula and every subformula, in any order, prints as the reference
+    prints it alone."""
     todo = [g for f in fs for g in Universe(Sequent((f,), ())).formulas] + fs
     random.Random(seed).shuffle(todo)
     for unicode in (False, True):
-        show = Printer(unicode)
         for g in todo:
-            assert show.formula(g) == reference_print(g, unicode)
+            assert print_formula(g, unicode) == reference_print(g, unicode)
         for s in (Sequent(tuple(fs[:2]), tuple(fs[2:])), Sequent((), tuple(fs))):
-            assert show.sequent(s) == print_sequent(s, unicode) == reference_print_sequent(s, unicode)
+            assert print_sequent(s, unicode) == reference_print_sequent(s, unicode)
 
 
 def test_printing_once_leaves_a_built_formula_unfilled():
-    """print_formula and print_sequent keep no memo, so they never hash a
-    formula built outside the parser and never pay its lazy fill."""
+    """print_formula and print_sequent never hash a formula built outside
+    the parser, so never pay its lazy fill, and keep no text on it; in a
+    sequent whose first formula is filled and a later one is not, the
+    filled one keeps its ASCII text and the built one stays unfilled."""
     f = Imp(Neg(Atom("p")), Obl(Box(Atom("q")), TOP))
+    built = (f, f.l, f.r, f.r.body)
     print_formula(f)
     print_sequent(Sequent((f,), (f,)), unicode=True)
-    assert not any(hasattr(g, "_k") for g in (f, f.l, f.r, f.r.body))
+    assert not any(hasattr(g, "_k") for g in built)
+    first = parse_formula("[]p & q")
+    for unicode in (False, True):
+        for s in (Sequent((first, f), ()), Sequent((first,), (f,)), Sequent((), (first, f))):
+            assert print_sequent(s, unicode) == reference_print_sequent(s, unicode)
+    assert not any(hasattr(g, "_k") or hasattr(g, "_t") for g in built)
+    assert first._t == "[]p & q"
 
 
 def _rebuilt(f: Formula) -> Formula:
@@ -502,19 +529,16 @@ def _nodes(fs) -> list[Formula]:
 
 
 def _print_each_as_the_reference(nodes, rng: random.Random) -> None:
-    """Print every node, in the order of nodes, each by a printer drawn from
-    two shared memo printers and the print-once functions, alone or as a
-    one-formula sequent, and compare with the reference."""
-    shared = [Printer(), Printer()]
+    """Print every node, in the order of nodes, alone or as a one-formula
+    sequent on either side, drawn at random, and compare with the
+    reference."""
     for g in nodes:
         want = reference_print(g)
-        how = rng.randrange(5)
-        if how < 2:
-            assert shared[how].formula(g) == want
-        elif how == 2:
+        how = rng.randrange(3)
+        if how == 0:
             assert print_formula(g) == want
-        elif how == 3:
-            assert shared[rng.randrange(2)].sequent(Sequent((g,), ())) == f"{want} |-"
+        elif how == 1:
+            assert print_sequent(Sequent((g,), ())) == f"{want} |-"
         else:
             assert print_sequent(Sequent((), (g,))) == f"|- {want}"
 
@@ -522,8 +546,8 @@ def _print_each_as_the_reference(nodes, rng: random.Random) -> None:
 @given(st.lists(formulas, min_size=1, max_size=4), st.integers(0, 2**32))
 def test_kept_texts_of_parsed_nodes_print_as_the_reference_in_any_order(fs, seed):
     """Parsed nodes, and filled nodes made over them that share them, print
-    as the reference prints them whatever order and printers they are
-    printed in, and each then keeps its own text."""
+    as the reference prints them whatever order and way they are printed
+    in, and each then keeps its own text."""
     rng = random.Random(seed)
     goal = parse_sequent(", ".join(reference_print(f) for f in fs) + " |- " + reference_print(fs[0]))
     parsed = list(goal.ante + goal.succ)
@@ -561,15 +585,14 @@ def test_unicode_printing_reads_no_kept_ascii_text(fs, seed):
     goal = parse_sequent(", ".join(reference_print(f) for f in fs) + " |-")
     nodes = _nodes(goal.ante)
     rng.shuffle(nodes)
-    show = Printer(unicode=True)
     for g in nodes[: len(nodes) // 2]:
-        assert show.formula(g) == reference_print(g, unicode=True)
+        assert print_formula(g, unicode=True) == reference_print(g, unicode=True)
     for g in nodes:
         assert print_formula(g) == reference_print(g)
     for g in nodes:
-        assert show.formula(g) == print_formula(g, unicode=True) == reference_print(g, unicode=True)
+        assert print_formula(g, unicode=True) == reference_print(g, unicode=True)
     for s in (goal, Sequent((), goal.ante)):
-        assert show.sequent(s) == print_sequent(s, unicode=True) == reference_print_sequent(s, unicode=True)
+        assert print_sequent(s, unicode=True) == reference_print_sequent(s, unicode=True)
         assert print_sequent(s) == reference_print_sequent(s)
 
 
