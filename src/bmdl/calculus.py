@@ -48,7 +48,6 @@ from .formula import (
     Obl,
     Or,
     Sequent,
-    filled,
     sorted_formulas,
 )
 from .parser import print_formula
@@ -269,7 +268,7 @@ class Universe:
                     stack.pop()
                     if made[j] is None:
                         f = formulas[j]
-                        made[j] = filled(type(f), *[made[k] for k in args]) if args else f
+                        made[j] = type(f)(*[made[k] for k in args]) if args else f
             self._canonical = tuple(made)
         return self._canonical
 

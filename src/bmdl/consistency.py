@@ -19,12 +19,12 @@ those the goal's own antecedent holds.  discharge cuts exactly those, so
 an inconsistency witness shows which assumptions clash, and an assumption
 that takes no part gets no Cut, no Four and no Assumption leaf.
 
-Each boxed assumption is made once, as a filled node (formula.filled), by
-reduction_sequent.  The search and the countermodel work on those nodes,
-and discharge reuses them, read off the reduction's conclusion, as the
-Cut principals and the Four and Cut conclusions of the witness.  So one
-object stands for each boxed assumption throughout a certificate: the
-kernel compares it to itself, and the printer keeps its text on it.
+Each boxed assumption is made once, as one Box node, by reduction_sequent.
+The search and the countermodel work on those nodes, and discharge reuses
+them, read off the reduction's conclusion, as the Cut principals and the
+Four and Cut conclusions of the witness.  So one object stands for each
+boxed assumption throughout a certificate: the kernel compares it to
+itself, and the printer keeps its text on it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .calculus import ASSUMPTION, CUT, FOUR
 # build is not called here, but stays bound: perfbench/tracing.py wraps
 # consistency.build
 from .countermodel import CounterModelResult, build, certify  # noqa: F401
-from .formula import BOT, Box, Formula, Sequent, filled
+from .formula import BOT, Box, Formula, Sequent
 from .kernel import Derivation
 from .parser import print_formula
 from .search import Budget, DEFAULT_BUDGET
@@ -45,11 +45,11 @@ FALSUM_SEQUENT = Sequent((), (BOT,))
 
 
 def reduction_sequent(assumptions: Iterable[Formula], goal: Optional[Sequent] = None) -> Sequent:
-    """The goal with the boxed assumptions added on the left, each box a
-    filled node."""
+    """The goal with the boxed assumptions added on the left, each box one
+    node made here."""
     if goal is None:
         goal = FALSUM_SEQUENT
-    boxed = tuple(filled(Box, a) for a in assumptions)
+    boxed = tuple(Box(a) for a in assumptions)
     return Sequent(boxed + goal.ante, goal.succ)
 
 

@@ -1,13 +1,21 @@
-"""Seeded random formulas and sequents, for benchmarks and stress tests."""
+"""Seeded random formulas and sequents, for benchmarks and stress tests.
+
+Every node is filled when it is made (formula.Formula), so the generator
+shares one Atom per name, as the parser shares the atoms of one parse,
+rather than make and fill a new one at every leaf.
+"""
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Sequence
 
 from .formula import And, Atom, BOT, Box, Formula, Imp, Neg, Obl, Or, Sequent
 
 DEFAULT_ATOMS: tuple[str, ...] = ("p", "q", "r", "s")
+
+_atom = functools.cache(Atom)
 
 
 def random_formula(
@@ -21,7 +29,7 @@ def random_formula(
     if size <= 1:
         if rng.random() < 0.08:
             return BOT
-        return Atom(rng.choice(atoms))
+        return _atom(rng.choice(atoms))
     kinds = ["neg", "and", "or", "imp", "and", "or", "imp"]
     if modal_depth > 0:
         kinds += ["box", "obl", "box", "obl"]

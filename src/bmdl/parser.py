@@ -32,21 +32,18 @@ candidate into a plain (kind, text, line, column) tuple or raises the
 ParseError of the first bad character.  Letters may be non-ASCII; "O",
 "true" and "false" are tokens only as whole words ("Ox" is "O" then "x",
 "falsey" an atom).  The recursive-descent parser then builds each node
-with its sort key and hash already filled (formula.filled), children
-first, so the formula layer never walks a parsed tree to fill them; atoms
-of one parse are shared.
+through its constructor, children first; atoms of one parse are shared.
 
 Writing is two functions, print_formula and print_sequent, over one
 rendering rule (_render): a node's text is made from its arguments' texts,
 whose precedence follows from their classes.  ASCII text is made at print
 time, never while parsing, and kept on the node (formula.set_text): the
-first print of a filled node sets it, on the node and its arguments, and
-every later print reads it, so the goal a report prints is rendered once
-however many times the report shows it.  A node that was never filled, as
-in a formula built outside the parser, is rendered whole: it is not filled
-and no text is kept on it.  Unicode is rendered whole and keeps nothing;
-it prints only report headers, facts and audit messages, while every
-derivation and countermodel body is printed in ASCII.
+first print of a node sets it, on the node and its arguments, and every
+later print reads it, so the goal a report prints is rendered once
+however many times the report shows it, whoever built the formula.
+Unicode is rendered whole and keeps nothing; it prints only report
+headers, facts and audit messages, while every derivation and
+countermodel body is printed in ASCII.
 """
 
 from __future__ import annotations
@@ -68,7 +65,6 @@ from .formula import (
     Or,
     Sequent,
     TOP,
-    filled,
     set_text,
 )
 
@@ -187,7 +183,7 @@ class _Parser:
         out = self.or_f()
         if self.tokens[self.pos][0] == "ARROW":
             self.pos += 1
-            out = filled(Imp, out, self.formula())
+            out = Imp(out, self.formula())
         self.depth -= 1
         return out
 
@@ -195,14 +191,14 @@ class _Parser:
         out = self.and_f()
         while self.tokens[self.pos][0] == "OR":
             self.pos += 1
-            out = filled(Or, out, self.and_f())
+            out = Or(out, self.and_f())
         return out
 
     def and_f(self) -> Formula:
         out = self.unary()
         while self.tokens[self.pos][0] == "AND":
             self.pos += 1
-            out = filled(And, out, self.unary())
+            out = And(out, self.unary())
         return out
 
     def unary(self) -> Formula:
@@ -213,13 +209,13 @@ class _Parser:
             name = tok[1]
             atom = self.atoms.get(name)
             if atom is None:
-                atom = self.atoms[name] = filled(Atom, name)
+                atom = self.atoms[name] = Atom(name)
             return atom
         if kind == "NOT" or kind == "BOX":
             self.deeper()
             f = self.unary()
             self.depth -= 1
-            return filled(Neg if kind == "NOT" else Box, f)
+            return (Neg if kind == "NOT" else Box)(f)
         if kind == "LPAREN":
             f = self.formula()
             self.expect("RPAREN", ")")
@@ -230,7 +226,7 @@ class _Parser:
             self.expect("SLASH", "/")
             cond = self.formula()
             self.expect("RPAREN", ")")
-            return filled(Obl, body, cond)
+            return Obl(body, cond)
         if kind == "FALSE":
             return BOT
         if kind == "TRUE":
@@ -291,10 +287,9 @@ _BINARY = {And: ("and", 3, 4), Or: ("or", 2, 3), Imp: ("imp", 2, 1)}
 def _render(f: Formula, sym: dict[str, str], keep: bool) -> str:
     """The rendering rule: the text of f in the symbols sym, made from its
     arguments' texts (one Python frame per nesting level, as in the
-    parser).  With keep, f and its arguments are filled nodes, whose
-    arguments are filled too, and each argument's text is read from the
-    node, or made and kept on it; without, every argument is rendered anew
-    and nothing is kept."""
+    parser).  With keep, each argument's text is read from the node, or
+    made and kept on it; without, every argument is rendered anew and
+    nothing is kept."""
     t = type(f)
     if t is Atom:
         return f.name
@@ -335,8 +330,8 @@ def _render(f: Formula, sym: dict[str, str], keep: bool) -> str:
 
 
 def _ascii(f: Formula) -> str:
-    """The ASCII text of f, a filled node: read from the node, or made and
-    kept on it and on its arguments."""
+    """The ASCII text of f: read from the node, or made and kept on it and
+    on its arguments."""
     t = f._t
     if t is None:
         t = _render(f, _ASCII, True)
@@ -344,39 +339,21 @@ def _ascii(f: Formula) -> str:
     return t
 
 
-# What a node never filled gives for its text slot.
-_UNFILLED = object()
-
-
 def print_formula(f: Formula, unicode: bool = False) -> str:
     """Minimal-parenthesis rendering; the ASCII form reparses to f, and so
-    does the Unicode form.  The ASCII text of a filled node is kept on it;
-    a node never filled, and any Unicode text, is rendered whole, filling
-    nothing and keeping nothing."""
+    does the Unicode form.  The ASCII text is kept on the node; Unicode
+    text is rendered whole and kept nowhere."""
     if unicode:
         return _render(f, _UNICODE, False)
-    t = getattr(f, "_t", _UNFILLED)
-    if t is _UNFILLED:
-        return _render(f, _ASCII, False)
-    return t or _ascii(f)
+    return f._t or _ascii(f)
 
 
 def print_sequent(s: Sequent, unicode: bool = False) -> str:
-    """The sequent's formulas as print_formula prints them.  In ASCII, when
-    the first formula is filled, the sequent is joined straight from the
-    texts kept on its formulas, falling back to print_formula if a later
-    one was never filled; when it was never filled, as in a sequent built
-    outside the parser, the probe of that one node sends every formula to
-    print_formula without raising anything."""
-    fs = s.ante or s.succ
-    if not unicode and fs and getattr(fs[0], "_t", _UNFILLED) is not _UNFILLED:
-        try:  # the texts kept on the nodes, or made and kept now
-            return _sequent_text([f._t or _ascii(f) for f in s.ante], [f._t or _ascii(f) for f in s.succ], False)
-        except AttributeError:  # a later node never filled
-            pass
-    return _sequent_text(
-        [print_formula(f, unicode) for f in s.ante], [print_formula(f, unicode) for f in s.succ], unicode
-    )
+    """The sequent's formulas as print_formula prints them; in ASCII, joined
+    straight from the texts kept on its formulas."""
+    if unicode:
+        return _sequent_text([print_formula(f, True) for f in s.ante], [print_formula(f, True) for f in s.succ], True)
+    return _sequent_text([f._t or _ascii(f) for f in s.ante], [f._t or _ascii(f) for f in s.succ], False)
 
 
 def _sequent_text(ante_texts: list[str], succ_texts: list[str], unicode: bool) -> str:

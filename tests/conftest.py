@@ -64,6 +64,33 @@ formula_tuples = st.lists(formulas, max_size=3).map(tuple)
 sequents = st.builds(Sequent, formula_tuples, formula_tuples)
 
 
+def reference_sort_key(f):
+    """The recursive sort key that the cached keys must reproduce."""
+    match f:
+        case Bottom():
+            return (0,)
+        case Atom(name):
+            return (1, name)
+        case Neg(g):
+            return (2, reference_sort_key(g))
+        case And(l, r):
+            return (3, reference_sort_key(l), reference_sort_key(r))
+        case Or(l, r):
+            return (4, reference_sort_key(l), reference_sort_key(r))
+        case Imp(l, r):
+            return (5, reference_sort_key(l), reference_sort_key(r))
+        case Box(g):
+            return (6, reference_sort_key(g))
+        case Obl(b, c):
+            return (7, reference_sort_key(b), reference_sort_key(c))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_hash(f):
+    """The dataclass hash of f: the hash of the tuple of its fields."""
+    return hash(tuple(getattr(f, name) for name in f.__match_args__))
+
+
 ANTE, SUCC = 0, 1  # the sides, as Universe.moves indexes them
 
 

@@ -537,6 +537,18 @@ def test_malformed_derivation_json_exits_2(tmp_path, capsys):
     assert '"conclusion"' in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("assumptions", ["p -> q", ["p -> q", 5], {"p -> q": True}], ids=["string", "number", "object"])
+def test_a_report_whose_assumptions_are_not_formula_strings_exits_2(tmp_path, capsys, assumptions):
+    path, report = printed(tmp_path, capsys, "prove", "--assume", "p -> q", "p |- q")
+    report["assumptions"] = assumptions
+    path.write_text(json.dumps(report))
+    assert main(["check-proof", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert 'malformed report: "assumptions" must be a list of formulas' in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_pretty_and_unicode_flags(capsys):
     code = main(["prove", "--pretty", "--unicode", "|- []p -> p"])
     out = capsys.readouterr().out

@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from bmdl import formula
-from bmdl.cli import decide_consistency, decide_goal
+from bmdl.cli import decide_goal
 from bmdl.consistency import (
     FALSUM_SEQUENT,
     assumption_sequents,
@@ -15,7 +14,7 @@ from bmdl.calculus import RuleId
 from bmdl.formula import And, Atom, BOT, Box, Imp, Neg, Obl, Sequent
 from bmdl.gen import random_assumptions, random_sequent
 from bmdl.kernel import check_derivation, derivation_from_json
-from bmdl.parser import parse_formula, parse_problem, parse_sequent, print_formula, print_sequent
+from bmdl.parser import parse_formula, parse_problem, parse_sequent, print_formula
 from bmdl.search import prove
 from bmdl.semantics import holds
 
@@ -32,8 +31,9 @@ def test_reduction_boxes_the_assumptions():
 
 
 def test_reduction_boxes_are_filled_nodes():
-    """Each box is filled when it is made, over assumptions built anywhere:
-    by the constructors, never filled, or by the parser."""
+    """Each box is made once over its assumption, built by the
+    constructors or by the parser, and holds no text before its first
+    print."""
     built = [Imp(p, Box(q)), Obl(And(p, q), Neg(p)), p]
     parsed = [parse_formula(print_formula(a)) for a in built]
     for assumptions in (built, parsed):
@@ -41,7 +41,7 @@ def test_reduction_boxes_are_filled_nodes():
         assert boxes == tuple(Box(a) for a in assumptions)
         for box, a in zip(boxes, assumptions):
             assert box.f is a
-            assert box._k == formula.sort_key(Box(a)) and box._h == hash(Box(a))
+            assert box._k == (6, a._k) and box._h == hash((a,))
             assert box._t is None
 
 
@@ -165,51 +165,6 @@ def test_cited_assumptions_are_the_used_ones():
         assert check_derivation(d, assumption_sequents(cited))
         assert set(_assumption_leaves(discharge(full.derivation, assumptions, goal))) == set(assumptions)
     assert trimmed  # some proofs leave an assumption unused
-
-
-def _count_fills(monkeypatch) -> list:
-    """Count the lazy fills (formula._fill) from now on."""
-    calls = []
-    lazy = formula._fill
-
-    def spy(f):
-        calls.append(f)
-        lazy(f)
-
-    monkeypatch.setattr(formula, "_fill", spy)
-    return calls
-
-
-def test_consistency_verdicts_fill_nothing_lazily(monkeypatch):
-    """Sets read as the CLI reads them: no node of the reduction, the search,
-    the witness or the report is filled lazily."""
-    sets = [parse_problem(path.read_text()).assumptions for path in sorted(CORPUS.glob("*.mdl"))]
-    rng = random.Random(5)
-    for _ in range(40):
-        drawn = random_assumptions(rng, rng.randint(1, 4), size=4, modal_depth=2)
-        sets.append(parse_problem("".join(f"assume {print_formula(a)}\n" for a in drawn)).assumptions)
-    calls = _count_fills(monkeypatch)
-    codes = {decide_consistency(assumptions, 100_000)[0] for assumptions in sets}
-    assert codes == {0, 1}
-    assert calls == []
-
-
-def test_goals_under_assumptions_fill_nothing_lazily(monkeypatch):
-    """prove and countermodel with --assume formulas, derivable or not."""
-    rng = random.Random(6)
-    cases = []
-    for _ in range(40):
-        drawn = random_assumptions(rng, rng.randint(1, 3), size=3, modal_depth=2)
-        assumptions = tuple(parse_formula(print_formula(a)) for a in drawn)
-        cases.append((assumptions, parse_sequent(print_sequent(random_sequent(rng, size=4)))))
-    calls = _count_fills(monkeypatch)
-    derivable = [
-        decide_goal(a, goal, 100_000, affirm_derivable=affirm)[1]["derivable"]
-        for a, goal in cases
-        for affirm in (True, False)
-    ]
-    assert True in derivable and False in derivable
-    assert calls == []
 
 
 def test_assumption_sequents_shape():

@@ -146,6 +146,16 @@ def test_a_report_replays_with_the_audit_that_check_model_runs(tmp_path, capsys)
     assert _replay_model(tmp_path, report, {"valid": False}).ok
 
 
+def test_a_fact_expectation_the_model_contradicts_fails(tmp_path):
+    report = _countermodel_report()
+    facts = [{"world": "h0", "formula": "p"}, {"world": "h0", "formula": "[]p", "holds": True}]
+    assert _replay_model(tmp_path, report, {"valid": True, "facts": facts}).ok
+    for fact, got in (({"world": "h0", "formula": "q"}, False), ({"world": "h0", "formula": "p", "holds": False}, True)):
+        result = _replay_model(tmp_path, report, {"valid": True, "facts": facts + [fact]})
+        assert not result.ok
+        assert result.detail == f"fact at h0 evaluates to {got}"
+
+
 def test_a_report_whose_goal_holds_at_the_root_replays_invalid(tmp_path):
     report = _countermodel_report()
     report["countermodel"]["goal"] = "[]p |- p"

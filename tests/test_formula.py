@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import make_dataclass
 
 import hypothesis.strategies as st
@@ -16,14 +18,13 @@ from bmdl.formula import (
     Or,
     Sequent,
     TOP,
-    filled,
     sort_key,
     sorted_formulas,
 )
 from bmdl.kernel import Derivation
-from bmdl.parser import print_formula
+from bmdl.parser import parse_formula, print_formula
 
-from conftest import formulas, sequents
+from conftest import formulas, reference_hash, reference_sort_key, sequents
 
 p, q = Atom("p"), Atom("q")
 
@@ -46,28 +47,6 @@ def test_sort_key_separates_formulas(f, g):
     assert (sort_key(f) == sort_key(g)) == (f == g)
 
 
-def reference_sort_key(f):
-    """The recursive sort key that the cached keys must reproduce."""
-    match f:
-        case Bottom():
-            return (0,)
-        case Atom(name):
-            return (1, name)
-        case Neg(g):
-            return (2, reference_sort_key(g))
-        case And(l, r):
-            return (3, reference_sort_key(l), reference_sort_key(r))
-        case Or(l, r):
-            return (4, reference_sort_key(l), reference_sort_key(r))
-        case Imp(l, r):
-            return (5, reference_sort_key(l), reference_sort_key(r))
-        case Box(g):
-            return (6, reference_sort_key(g))
-        case Obl(b, c):
-            return (7, reference_sort_key(b), reference_sort_key(c))
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def rebuilt(f):
     """A structurally equal copy of f that shares no node with it."""
     if isinstance(f, Atom):
@@ -81,7 +60,7 @@ def rebuilt(f):
 def test_cached_keys_give_the_reference_order(fs):
     assert [sort_key(f) for f in fs] == [reference_sort_key(f) for f in fs]
     assert sorted_formulas(fs) == sorted(fs, key=reference_sort_key)
-    # the same again on fresh nodes, whose caches start empty
+    # the same again on fresh nodes built apart
     fresh = [rebuilt(f) for f in fs]
     assert sorted_formulas(fresh) == sorted(fs, key=reference_sort_key)
 
@@ -107,16 +86,28 @@ def test_deep_formulas_hash_sort_and_fill_without_recursion():
 
 
 @given(formulas)
-def test_filled_over_a_never_filled_formula_fills_as_the_lazy_fill(f):
-    """filled takes the node's hash before it reads a field's key, and the
-    hash fills the field: a box made by filled over a formula built
-    anywhere has the key, hash and text of a lazily filled box."""
-    a, lazy = rebuilt(f), Box(rebuilt(f))
-    assert not hasattr(a, "_k")
-    box = filled(Box, a)
-    assert box == lazy and box._t is None
-    assert (box._k, box._h) == (sort_key(lazy), hash(lazy)) == (reference_sort_key(lazy), hash(lazy))
-    assert print_formula(box) == print_formula(lazy) == box._t == lazy._t
+def test_constructors_fill_each_node_as_the_reference(f):
+    """Every node is filled when it is made: its key is the reference key,
+    its hash the hash of its field tuple, as the dataclass hash has it, and
+    it holds no text until its first print."""
+    g = rebuilt(f)
+    for node in Universe(Sequent((g,), ())).formulas:
+        assert node._k == reference_sort_key(node)
+        assert node._h == reference_hash(node)
+        assert node._t is None
+    assert print_formula(g) == print_formula(f) == g._t
+
+
+@given(formulas)
+def test_copies_and_pickles_are_filled_as_the_original(f):
+    """copy, deepcopy and a pickle round trip remake a node through its
+    constructor: the same value, hash, key and printed text, parsed or
+    built."""
+    for g in (f, parse_formula(print_formula(f))):
+        text = print_formula(g)
+        for c in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert c == g and hash(c) == hash(g) and c._k == g._k
+            assert print_formula(c) == text
 
 
 @given(formulas)

@@ -157,6 +157,75 @@ def test_arity_is_checked():
     assert "0" in str(err.value)
 
 
+def _leaf(ante, succ):
+    return Derivation(Sequent(ante, succ), RuleId.INIT)
+
+
+# One malformed instance per refusal of the kernel's rule checks: the
+# instance and the reason it is refused with.
+_REFUSED = {
+    "init-principal-not-shared": (
+        Derivation(Sequent((p, q), (p,)), RuleId.INIT, (q,)),
+        "Init principal is not shared",
+    ),
+    "d2-principal-not-obligation": (
+        Derivation(Sequent((Obl(p, q), p), ()), RuleId.D2, (Obl(p, q), p)),
+        "D2 principals must be obligations",
+    ),
+    "mon-principal-not-obligation": (
+        Derivation(Sequent((Obl(p, q),), (p,)), RuleId.MON, (Obl(p, q), p)),
+        "Mon principals must be obligations",
+    ),
+    "weakl-drops-an-antecedent-formula": (
+        Derivation(Sequent((p,), (p,)), RuleId.WEAK_L, (), (_leaf((p, q), (p,)),)),
+        "WeakL premiss antecedent is not contained in the conclusion",
+    ),
+    "weakr-changes-the-antecedent": (
+        Derivation(Sequent((p, q), (p,)), RuleId.WEAK_R, (), (_leaf((p,), (p,)),)),
+        "WeakR must keep the antecedent",
+    ),
+    "weakr-drops-a-succedent-formula": (
+        Derivation(Sequent((p,), (p,)), RuleId.WEAK_R, (), (_leaf((p,), (p, q)),)),
+        "WeakR premiss succedent is not contained in the conclusion",
+    ),
+    "conl-without-principal": (
+        Derivation(Sequent((p,), (p,)), RuleId.CON_L, (), (_leaf((p, p), (p,)),)),
+        "ConL needs its contracted formula as principal",
+    ),
+    "conl-principal-not-in-antecedent": (
+        Derivation(Sequent((p,), (p,)), RuleId.CON_L, (q,), (_leaf((p, q, q), (p,)),)),
+        "ConL principal not in the antecedent",
+    ),
+    "conr-without-principal": (
+        Derivation(Sequent((p,), (p,)), RuleId.CON_R, (), (_leaf((p,), (p, p)),)),
+        "ConR needs its contracted formula as principal",
+    ),
+    "conr-principal-not-in-succedent": (
+        Derivation(Sequent((p,), (p,)), RuleId.CON_R, (q,), (_leaf((p,), (p, q, q)),)),
+        "ConR principal not in the succedent",
+    ),
+    "conr-without-the-extra-copy": (
+        Derivation(Sequent((p,), (p,)), RuleId.CON_R, (p,), (_leaf((p,), (p,)),)),
+        "ConR premiss must carry exactly one extra copy",
+    ),
+    "cut-without-principal": (
+        Derivation(Sequent((p,), (p,)), RuleId.CUT, (), (_leaf((p,), (p,)), _leaf((p,), (p,)))),
+        "Cut needs its cut formula as principal",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_REFUSED))
+def test_each_rule_check_refuses_with_its_reason_at_its_node(name):
+    """Each malformed instance is refused with its own reason, at the root
+    and again as the premiss of a sound weakening."""
+    bad, reason = _REFUSED[name]
+    assert _refusal(check_derivation, bad, ()) == ((), reason)
+    ante, succ = bad.conclusion
+    weakened = Derivation(Sequent(ante + (r,), succ), RuleId.WEAK_L, (), (bad,))
+    assert _refusal(check_derivation, weakened, ()) == ((0,), reason)
+
+
 def test_rules_used_counts_the_whole_tree():
     d = prove(parse_sequent("|- ~O(false / q)")).derivation
     used = d.rules_used()
@@ -461,8 +530,8 @@ def _inconsistent_sets() -> list[tuple]:
 
 def test_derivation_json_of_discharged_consistency_witnesses_is_the_reference_json():
     """Inconsistency witnesses, whose Cut and Four scaffolding holds the
-    reduction's own boxed assumptions, filled when reduction_sequent made
-    them: from the corpus and from random assumption sets."""
+    reduction's own boxed assumptions, as reduction_sequent made them: from
+    the corpus and from random assumption sets."""
     for assumptions in _inconsistent_sets():
         res = check_consistency(assumptions, 100_000)
         assert not res.consistent
@@ -471,7 +540,7 @@ def test_derivation_json_of_discharged_consistency_witnesses_is_the_reference_js
 
 
 def _reference_discharge(reduction, assumptions, goal):
-    """discharge with every box a new node built by the plain constructor."""
+    """discharge with every box a new node built by the constructor."""
     d, rest = reduction, list(assumptions)
     while rest:
         a = rest.pop(0)
@@ -484,11 +553,10 @@ def _reference_discharge(reduction, assumptions, goal):
 
 @pytest.mark.parametrize("order", ["as reduced", "permuted"])
 def test_witnesses_over_reductions_with_plain_boxes_are_the_reference_witnesses(order):
-    """A reduction whose conclusion holds boxes that were never filled, as
-    a hand-built derivation or one read from JSON may, in the order of the
-    assumptions or in another: the witness cuts those nodes as they stand,
-    in their order, and its first print renders them unfilled.  The
-    witness, its JSON and the kernel's verdict on it are those of the
+    """A reduction whose conclusion holds boxes other than the ones
+    reduction_sequent made, as a hand-built derivation or one read from
+    JSON may, in the order of the assumptions or in another: the witness
+    cuts those nodes as they stand, in their order.  The witness, its JSON and the kernel's verdict on it are those of the
     reference discharge of the leading boxes' assumptions, in that order."""
     for i, assumptions in enumerate(_inconsistent_sets()):
         res = prove(reduction_sequent(assumptions), 100_000)
@@ -499,7 +567,6 @@ def test_witnesses_over_reductions_with_plain_boxes_are_the_reference_witnesses(
         reduction = res.derivation._replace(conclusion=Sequent(tuple(boxes), (BOT,)))
         witness = discharge(reduction, assumptions, FALSUM_SEQUENT)
         assert witness.principal[0] is boxes[-1]
-        assert not hasattr(witness.principal[0], "_k")
         _assert_json_as_the_reference(witness)
         want = _reference_discharge(reduction, [b.f for b in boxes], FALSUM_SEQUENT)
         assert witness == want

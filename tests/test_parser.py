@@ -20,8 +20,6 @@ from bmdl.formula import (
     Or,
     Sequent,
     TOP,
-    filled,
-    sort_key,
 )
 from bmdl.kernel import derivation_from_json
 from bmdl.parser import (
@@ -35,7 +33,7 @@ from bmdl.parser import (
     read_sequent_file,
 )
 
-from conftest import CORPUS, formulas, sequents
+from conftest import CORPUS, formulas, reference_hash, reference_sort_key, sequents
 
 p, q, r, s = Atom("p"), Atom("q"), Atom("r"), Atom("s")
 
@@ -401,7 +399,7 @@ def test_unicode_sequent_printing_reparses(s):
 @given(st.lists(formulas, max_size=6), st.integers(0, 2**32))
 def test_one_printer_reused_across_shared_subformulas(fs, seed):
     """One printer for every report: the formulas of a report share
-    subformulas, and with them the texts kept on filled nodes; every
+    subformulas, and with them the texts kept on their nodes; every
     formula and every subformula, in any order, prints as the reference
     prints it alone."""
     todo = [g for f in fs for g in Universe(Sequent((f,), ())).formulas] + fs
@@ -413,27 +411,26 @@ def test_one_printer_reused_across_shared_subformulas(fs, seed):
             assert print_sequent(s, unicode) == reference_print_sequent(s, unicode)
 
 
-def test_printing_once_leaves_a_built_formula_unfilled():
-    """print_formula and print_sequent never hash a formula built outside
-    the parser, so never pay its lazy fill, and keep no text on it; in a
-    sequent whose first formula is filled and a later one is not, the
-    filled one keeps its ASCII text and the built one stays unfilled."""
+def test_built_and_parsed_formulas_print_alike():
+    """A formula built by the constructors prints as the reference prints
+    it, alone or in a sequent beside a parsed formula, in ASCII and in
+    Unicode; its first ASCII print keeps the text on it and its arguments,
+    as on the parsed one, and Unicode keeps nothing."""
     f = Imp(Neg(Atom("p")), Obl(Box(Atom("q")), TOP))
     built = (f, f.l, f.r, f.r.body)
-    print_formula(f)
-    print_sequent(Sequent((f,), (f,)), unicode=True)
-    assert not any(hasattr(g, "_k") for g in built)
+    assert print_formula(f, unicode=True) == reference_print(f, unicode=True)
+    assert print_sequent(Sequent((f,), (f,)), unicode=True) == reference_print_sequent(Sequent((f,), (f,)), True)
+    assert all(g._t is None for g in built)
     first = parse_formula("[]p & q")
     for unicode in (False, True):
         for s in (Sequent((first, f), ()), Sequent((first,), (f,)), Sequent((), (first, f))):
             assert print_sequent(s, unicode) == reference_print_sequent(s, unicode)
-    assert not any(hasattr(g, "_k") or hasattr(g, "_t") for g in built)
+    assert [g._t for g in built] == [reference_print(g) for g in built]
     assert first._t == "[]p & q"
 
 
 def _rebuilt(f: Formula) -> Formula:
-    """f rebuilt through the plain constructors, its cache left to the lazy
-    fill."""
+    """f rebuilt through the constructors: equal, and sharing no node."""
     match f:
         case Atom(name):
             return Atom(name)
@@ -445,18 +442,17 @@ def _rebuilt(f: Formula) -> Formula:
             return type(f)(_rebuilt(l), _rebuilt(r))
 
 
-def _assert_filled_as_lazily(f: Formula) -> None:
-    """Every node of a parsed formula has its cache filled already, with
-    the values the lazy fill gives a copy built apart."""
+def _assert_filled_as_the_reference(f: Formula) -> None:
+    """Every node of a parsed formula holds the reference sort key and the
+    dataclass hash of its fields."""
     for g in Universe(Sequent((f,), ())).formulas:
-        lazy = _rebuilt(g)
-        assert g == lazy
-        assert (g._k, g._h) == (sort_key(lazy), hash(lazy))
+        assert (g._k, g._h) == (reference_sort_key(g), reference_hash(g))
 
 
 @given(formulas)
 def test_parsed_nodes_are_filled_as_the_lazy_fill_fills_them(f):
-    _assert_filled_as_lazily(parse_formula(print_formula(f)))
+    """Each parsed node holds the reference key and hash."""
+    _assert_filled_as_the_reference(parse_formula(print_formula(f)))
 
 
 def _sides(s: Sequent) -> list[Formula]:
@@ -499,12 +495,12 @@ def test_every_corpus_file_parses_as_the_references_read_it(path):
         for line in text.splitlines():
             assert _tokens_or_error(_tokenize, line) == _tokens_or_error(reference_tokenize, line)
     for f in fs:
-        _assert_filled_as_lazily(f)
+        _assert_filled_as_the_reference(f)
         assert print_formula(f) == reference_print(f)
 
 
-# The ASCII text kept on formula nodes: made by the first print of a filled
-# node, read by every later print, never made while parsing or filling.
+# The ASCII text kept on formula nodes: made by the first print of a node,
+# read by every later print, never made while parsing or constructing.
 
 
 def _arguments(f: Formula) -> tuple[Formula, ...]:
@@ -545,14 +541,14 @@ def _print_each_as_the_reference(nodes, rng: random.Random) -> None:
 
 @given(st.lists(formulas, min_size=1, max_size=4), st.integers(0, 2**32))
 def test_kept_texts_of_parsed_nodes_print_as_the_reference_in_any_order(fs, seed):
-    """Parsed nodes, and filled nodes made over them that share them, print
+    """Parsed nodes, and nodes built over them that share them, print
     as the reference prints them whatever order and way they are printed
     in, and each then keeps its own text."""
     rng = random.Random(seed)
     goal = parse_sequent(", ".join(reference_print(f) for f in fs) + " |- " + reference_print(fs[0]))
     parsed = list(goal.ante + goal.succ)
-    made = [filled(rng.choice((And, Or, Imp, Obl)), rng.choice(parsed), rng.choice(parsed)) for _ in fs]
-    made += [filled(rng.choice((Neg, Box)), rng.choice(parsed + made)) for _ in fs]
+    made = [rng.choice((And, Or, Imp, Obl))(rng.choice(parsed), rng.choice(parsed)) for _ in fs]
+    made += [rng.choice((Neg, Box))(rng.choice(parsed + made)) for _ in fs]
     nodes = _nodes(parsed + made)
     for _ in range(2):
         rng.shuffle(nodes)
@@ -562,12 +558,11 @@ def test_kept_texts_of_parsed_nodes_print_as_the_reference_in_any_order(fs, seed
 
 @given(st.lists(formulas, min_size=1, max_size=4), st.integers(0, 2**32))
 def test_kept_texts_of_filled_and_canonical_formulas_print_as_the_reference(fs, seed):
-    """Built formulas once the lazy fill has filled them, and the formulas a
-    universe makes again (Universe.canonical) over nodes printed before,
+    """Built formulas, and the formulas a universe makes again (Universe.canonical) over nodes printed before,
     print as the reference prints them."""
     rng = random.Random(seed)
     again = [_rebuilt(f) for f in fs]  # equal, other objects: canonical() remakes
-    u = Universe(Sequent(tuple(fs), tuple(again)))  # its walk hashes, so fills, every node
+    u = Universe(Sequent(tuple(fs), tuple(again)))
     nodes = _nodes(fs + again)
     rng.shuffle(nodes)
     _print_each_as_the_reference(nodes, rng)
