@@ -30,7 +30,6 @@ positive integer.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -84,6 +83,8 @@ EXIT_INCONCLUSIVE = 3
 
 def _positive_budget(text: str) -> int:
     """A step budget read from text: a positive integer."""
+    import argparse  # here and in the parser alone: library callers never load it
+
     try:
         value = int(text)
         if value > 0:
@@ -101,6 +102,8 @@ def _budget(args) -> int:
     raw = os.environ.get("MDL_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
+    import argparse
+
     try:
         return _positive_budget(raw)
     except argparse.ArgumentTypeError as e:
@@ -373,6 +376,8 @@ def _cmd_corpus(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     top = argparse.ArgumentParser(
         prog="bmdl",
         description="Decide derivability, consistency and countermodels for a dyadic deontic logic over S4.",

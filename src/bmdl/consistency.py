@@ -29,8 +29,7 @@ itself, and the printer keeps its text on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .calculus import ASSUMPTION, CUT, FOUR
 # build is not called here, but stays bound: perfbench/tracing.py wraps
@@ -87,8 +86,7 @@ def discharge(
     return d
 
 
-@dataclass(frozen=True)
-class ConsistencyResult:
+class ConsistencyResult(NamedTuple):
     assumptions: tuple[Formula, ...]
     consistent: bool
     witness: Optional[Derivation]

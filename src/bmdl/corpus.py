@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Union
 
 from .cli import DEFAULT_CORPUS, check_model, check_proof, decide_consistency, decide_goal
 from .countermodel import claim_of_json, model_of_json
@@ -45,8 +45,7 @@ from .search import Budget, BudgetExceeded, DEFAULT_BUDGET
 KINDS = ("sequent", "assumption-set", "model", "derivation")
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     file: str
     kind: str
     expect: dict
@@ -54,8 +53,7 @@ class CorpusEntry:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class EntryResult:
+class EntryResult(NamedTuple):
     entry: CorpusEntry
     ok: bool
     detail: str

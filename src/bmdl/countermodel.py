@@ -104,7 +104,6 @@ Sequents, so that check-model can run all three checks again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Union
 
 from .calculus import RuleApplication, Universe, ranks
@@ -137,8 +136,7 @@ class CountermodelError(RuntimeError):
     """The construction could not be certified."""
 
 
-@dataclass(frozen=True)
-class CounterModelResult:
+class CounterModelResult(NamedTuple):
     sequent: Sequent
     model: MModel
     root: str
@@ -161,8 +159,8 @@ class _Builder:
     def underivable(self, s: Masks) -> bool:
         """The oracle: underivability from the memo of exact verdicts,
         searching with decide only for sequents it does not hold; decide
-        records its root verdict.  This is the one reader of the memo's
-        derivable entries (see the search module)."""
+        records its root verdict, and its search settles nodes from the
+        memo's verdicts and proofs (see the search module)."""
         known = self.memo.get(s)
         if known is None:
             known = decide(s, self.budget, memo=self.memo)

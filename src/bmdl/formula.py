@@ -5,6 +5,15 @@ obligation operator O(body/cond).  "true" is not a constructor; the parser
 desugars it to ~false.  Everything here is immutable and compared
 structurally.
 
+Node classes are frozen slotted dataclasses, one per shape: Atom, Bottom
+and Obl, and two shape bases, _Unary (field f) and _Binary (fields l and
+r).  Neg and Box subclass _Unary, and And, Or and Imp subclass _Binary,
+each adding no field and no slot, so that an import makes five
+dataclasses, not eight.  The subclasses inherit their shape's generated
+methods unchanged: equality holds only between nodes of one class
+(Neg(p) != Box(p)), repr names the subclass, and dataclasses.fields and
+__match_args__ read the shape's fields.
+
 Every formula node caches three values, set by its constructor
 (Formula.__post_init__, which each node class's dataclass __init__
 calls).  Two are filled when the node is made: its sort key, a nested
@@ -41,7 +50,6 @@ from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
 class Formula:
     """Base class for formula nodes; _k and _h hold the sort key and hash,
     and _t the ASCII text once printed (None before)."""
@@ -90,31 +98,38 @@ class Bottom(Formula):
 
 
 @_node
-class Neg(Formula):
+class _Unary(Formula):
+    """The shape of Neg and Box: one argument."""
+
     f: Formula
 
 
 @_node
-class And(Formula):
+class _Binary(Formula):
+    """The shape of And, Or and Imp: two arguments."""
+
     l: Formula
     r: Formula
 
 
-@_node
-class Or(Formula):
-    l: Formula
-    r: Formula
+class Neg(_Unary):
+    __slots__ = ()
 
 
-@_node
-class Imp(Formula):
-    l: Formula
-    r: Formula
+class Box(_Unary):
+    __slots__ = ()
 
 
-@_node
-class Box(Formula):
-    f: Formula
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Imp(_Binary):
+    __slots__ = ()
 
 
 @_node

@@ -49,8 +49,8 @@ countermodel body is printed in ASCII.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .formula import (
     BOT,
@@ -375,8 +375,7 @@ def _sequent_text(ante_texts: list[str], succ_texts: list[str], unicode: bool) -
 MODES = ("prove", "consistency", "countermodel")
 
 
-@dataclass(frozen=True)
-class ProblemFile:
+class ProblemFile(NamedTuple):
     """Parsed problem file: an assumption set, an optional goal, a mode."""
 
     assumptions: tuple[Formula, ...]

@@ -145,22 +145,32 @@ top-level search and every oracle search of the countermodel built after
 it) share a Memo, a dict from the masks of set sequents over one universe
 to verdicts, in the manner of global caching (Gore & Nguyen, "EXPTIME
 tableaux with global caching for description logics").  An accepted call
-records its start and its sat as derivable: its tree is a derivation.  A
-failed call records its start as underivable when the failure rule finds
-it exact, and the provisional failures it promotes with it.  A failure left
-provisional stays in its search's pending dict, and may be derivable:
-tests/test_certify.py holds one, a premiss that fails only because its own
-Four premiss is refused against the goal, which then succeeds.
+records its start and its sat as derivable, and keeps a proof of each in
+the memo's second table, proofs: the accepted node for its start, and for
+its sat the proof above its saturation moves.  When that proof is a
+branching premiss's, taken by the use-check, its uses lie within sat, so
+it replays at sat as it stands (see "Relevance and the use-check" below).
+The memo's values stay booleans, and a derivable entry always has its
+proof.  A failed call records its start as underivable when the failure
+rule finds it exact, and the provisional failures it promotes with it.  A
+failure left provisional stays in its search's pending dict, and may be
+derivable: tests/test_certify.py holds one, a premiss that fails only
+because its own Four premiss is refused against the goal, which then
+succeeds.
 
-One rule governs reading the memo: every search reads only its underivable
-entries.  A call they cut short would have failed anyway, the search never
-accepting an underivable sequent, so only steps are saved and no verdict
-changes.  The derivable entries are read in one place alone,
-countermodel._Builder.underivable, and only for the sequent it asks about,
-before it searches; a search never settles a node from them, so every
-accepted node has a tree and known uses.  A memo lives for one certify or
-build call (or one search when none is given); nothing is cached across
-calls, and the top-level search of a certificate starts from an empty one.
+A call reads the memo before it searches.  An underivable entry fails it
+at once: the search would have failed it anyway, never accepting an
+underivable sequent.  A derivable entry accepts it with the recorded
+proof, so every accepted node still has a tree and known uses.  A proof
+assumes no failure, so no low changes and the argument for the failure
+rule stands: reuse only accepts, as the use-check does.  Either way only
+steps are saved and the root verdict is unchanged, though a start that
+the current stack would have failed provisionally is now accepted.  The
+countermodel builder's oracle (countermodel._Builder.underivable) reads
+the verdict of the sequent it asks about before it searches.  A memo
+lives for one certify or build call (or one search when none is given);
+nothing is cached across calls, and the top-level search of a
+certificate starts from an empty one.
 
 Relevance and the use-check.  Every accepted node carries its uses: the
 (side, formula) pairs of its start sequent that its proof reads, as a pair
@@ -191,9 +201,10 @@ worked on held.  Hence:
     use-check of tableau provers (Horrocks & Patel-Schneider, "Optimizing
     description logic subsumption", 1999).
   * Completeness.  The use-check only turns into acceptance what would
-    otherwise be searched further, and early closure only accepts sooner;
-    neither fails a call.  So the argument for the failure rule above
-    holds as it stands, and the root verdict is exact.
+    otherwise be searched further, and early closure and a recorded proof
+    only accept sooner; none of them fails a call.  So the argument for
+    the failure rule above holds as it stands, and the root verdict is
+    exact.
 
 Accepted goals come back as a tree of ProofNode records, which
 assemble_derivation turns into an exact multiset derivation for the kernel.
@@ -207,7 +218,6 @@ above them reads, and no weakening or contraction is ever inserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from math import inf
 from typing import NamedTuple, Optional, Union
@@ -252,14 +262,16 @@ class Budget:
 
 class Memo(dict):
     """Exact derivability verdicts, keyed by the masks of set sequents over
-    its universe, that the searches of one certificate share (see "The memo
-    of exact verdicts" above)."""
+    its universe, that the searches of one certificate share, and in
+    proofs the accepted node of each derivable entry a search made (see
+    "The memo of exact verdicts" above)."""
 
-    __slots__ = ("universe",)
+    __slots__ = ("universe", "proofs")
 
     def __init__(self, universe: Universe):
         super().__init__()
         self.universe = universe
+        self.proofs: dict[Masks, ProofNode] = {}
 
 
 class SatStep(NamedTuple):
@@ -448,8 +460,9 @@ class _Search:
         """Search start; base is a saturated sequent it contains, if one is
         known (see saturate)."""
         memo, pending = self.memo, self.pending
-        if memo.get(start) is False:
-            return None
+        known = memo.get(start)
+        if known is not None:
+            return memo.proofs[start] if known else None
         if pending and start in pending:
             self.low = min(self.low, pending[start])
             return None
@@ -463,6 +476,8 @@ class _Search:
             pending[start] = low
             return None
         memo[start] = node is not None
+        if node is not None:
+            memo.proofs[start] = node
         while len(pending) > made:  # dropped under a success, else exact
             s, _ = pending.popitem()
             if node is None:
@@ -517,6 +532,7 @@ class _Search:
         """The accepted node that saturates by steps to sat and then goes on
         as the proof above, which uses above.uses of sat."""
         self.memo[sat] = True
+        self.memo.proofs[sat] = above
         kept, uses = _relevant(steps, above.uses)
         return ProofNode(kept + above.steps, above.closure, above.application, above.children, uses)
 
@@ -542,9 +558,9 @@ def proof_tree(
 
     s is a sequent, or the masks of one over the universe of memo.  memo
     holds exact verdicts shared with the other searches of one
-    certificate; the search reads its "underivable" entries and records
-    what it settles.  Without one, the search keeps a memo of its own over
-    the universe of s."""
+    certificate; the search settles a node from its verdict and proof
+    when it holds one, and records what it settles.  Without one, the
+    search keeps a memo of its own over the universe of s."""
     if memo is None:
         memo = Memo(Universe(s))
     goal = s if type(s) is tuple else memo.universe.encode(s)
@@ -597,8 +613,7 @@ def assemble_derivation(node: ProofNode, target: Sequent, u: Universe) -> Deriva
     return d
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     sequent: Sequent
     accepted: bool
     derivation: Optional[Derivation]

@@ -37,13 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .formula import And, Atom, Bottom, Box, Formula, Imp, Neg, Obl, Or, Sequent
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     base: frozenset[str]
     cond: frozenset[str]
 
@@ -120,8 +119,7 @@ class _WorldBits:
         return out
 
 
-@dataclass(frozen=True)
-class FrameViolation:
+class FrameViolation(NamedTuple):
     kind: str
     message: str
 

@@ -14,8 +14,9 @@ from bmdl.calculus import Universe
 from bmdl.consistency import reduction_sequent
 from bmdl.countermodel import build, certify, result_to_json
 from bmdl.gen import random_assumptions, random_sequent
+from bmdl.kernel import check_derivation
 from bmdl.parser import parse_sequent
-from bmdl.search import Budget, BudgetExceeded, Memo, decide, proof_tree, prove
+from bmdl.search import Budget, BudgetExceeded, Memo, assemble_derivation, decide, proof_tree, prove
 
 from conftest import decode_sets, to_set_sequent
 
@@ -80,11 +81,16 @@ def _fresh_root(ss) -> bool:
 
 def _assert_memo_exact(goal, cert, memo, reference=_memo_free):
     """Check every entry of the memo certify filled against the verdict of
-    reference, by default a memo-free search."""
+    reference, by default a memo-free search, and check that each derivable
+    entry keeps a proof that the kernel accepts at its sequent."""
     entries = _decoded(memo)
     assert entries[to_set_sequent(goal)] == cert.search.accepted
     for ss, verdict in entries.items():
         assert reference(ss) == verdict, ss
+    u = memo.universe
+    assert set(memo.proofs) == {key for key, verdict in memo.items() if verdict}
+    for key, node in memo.proofs.items():
+        check_derivation(assemble_derivation(node, u.decode(key), u))
 
 
 @given(seed=st.integers(0, 2**32), kind=st.sampled_from(("sequent", "assumptions", "deep")))
@@ -211,9 +217,9 @@ def test_a_failure_whose_refusals_point_inside_its_own_suffix_is_recorded():
     "goal, bound, worlds",
     [
         (_box_neg(12), 232, 11),  # measured 232 steps, 11 worlds
-        (_nested_s43(7), 5_544, 100),  # measured 5,544 steps, 100 worlds
+        (_nested_s43(7), 3_458, 100),  # measured 3,458 steps, 100 worlds
         (_box_neg(20), 1_042, 19),  # measured 1,042 steps, 19 worlds
-        (_nested_s43(10), 109_036, 430),  # measured 109,036 steps, 430 worlds
+        (_nested_s43(10), 38_406, 430),  # measured 38,406 steps, 430 worlds
     ],
     ids=["box-neg-12", "nested-s43-7", "box-neg-20", "nested-s43-10"],
 )
@@ -224,6 +230,66 @@ def test_a_hard_family_is_certified_within_its_bound(goal, bound, worlds):
     assert cert.countermodel is not None and cert.countermodel.certified
     assert b.used <= bound
     assert len(cert.countermodel.model.worlds) <= worlds
+
+
+# Random goals that exhausted the default budget while no search reused a
+# proof it had found, printed: goals 750 at size 40, and 1042 and 2293 at
+# size 80, counted from 0, of the sequence that
+# gen.random_sequent(random.Random(314159), size, width=3) draws.  Each is
+# (goal, derivable, bound), and each bound is twice the steps its
+# certificate measured when proofs were first reused: 14,790, 52,684 and
+# 2,806.
+_HARD_RANDOM = [
+    pytest.param(
+        "[](O(~(p | p) | (s | p | s) / p & []p) -> []false) & O([]O(s / s -> p) / q & false), O([](~((s "
+        "-> r) & p) | r & p) / q & true & ~p), [](O(s / ~p) | O(r -> q / q | r)) |- ~[]O(q | [](q -> s) / "
+        "O(r / r) -> []s), O([][]r -> O([]r -> false / r) / O(false / s)) | ([]~~O(s & O(r / q) / []((r "
+        "-> q) | ~q)) | q), O((q | false -> q) | p -> [](~r -> ~~[](r | q)) & (q -> r) / O([]s / p -> q) "
+        "| (O(q / q) | ([]r | O(r / [](r -> p)))))",
+        False,
+        29_580,
+        id="size-40-750",
+    ),
+    pytest.param(
+        "[]((p | s | (((q -> p | r) -> O(~[](s & ~(s -> s | (r -> p) | r & s)) / s)) | O(r / O(r & p | r "
+        "/ s -> s)))) & (((O(q / s) -> p | q) | ~q) & []([](r | q) & s & O(r / p)) & O(O(q / p | s) -> p "
+        "/ q | q))) | ~s & (s & (p | false)), []((false | []O(~q -> p / false & r)) & ((s -> r -> q) & "
+        "((q | (p | r)) & (O(q / false) | O(s / s) & [][]~((q | p) & p & (s -> q)))) -> O(p -> s / s & "
+        "r)) & O(O(false -> p / r) / s & []p & (q | r))) |- O((q | O(s / s) | (p -> false) -> q | p) -> "
+        "[](q & [](false & q)) -> ~~q / [](r & q)) | (false | q & r)",
+        False,
+        105_368,
+        id="size-80-1042",
+    ),
+    pytest.param(
+        "((s -> s) | r & r & s & ~~~[]r) & r, []~((O(s / q & s) | ((r -> s) | O(p / q | s)) | q) & (O(s "
+        "-> q / q | q) & (((s -> q) -> O(false / r)) | O(r / r))) | [](r -> s | r) | ([](r -> q -> s) | "
+        "[][](p -> r) -> O(q | [](s -> p) -> []~~(s -> p) / O(r / q) | O(p / p)))) |- []O(O(s & r / (p -> "
+        "r) -> p) / O(p -> s / (false -> q | r) & (q & p & p | p))) -> ((q -> q) -> O(s & r / q & r)) -> "
+        "~O(q | p -> O(s / q) / [][](r -> s)) -> O([]((s | q) & O(s / p)) / s & r | q | O(O(r | r / p) / "
+        "s)), [][]([](r | false -> s | (s | p | p & r)) -> O(p / r) | ([](s -> ~(r & q | (q -> q) & (q | "
+        "r)) -> p) | ([](p -> p) -> s & r -> r)) -> [](r | q | (p -> r) | ~r & (q & q -> true) | ~(r | q "
+        "-> p | (r -> false))) -> []p), O(~q -> [](([]false -> s) | []((false -> s) | (false | q))) / "
+        "[]((O(~s / r) | O(s / r)) & O(r & s / r & s | ~((q | q) & r))))",
+        True,
+        5_612,
+        id="size-80-2293",
+    ),
+]
+
+
+@pytest.mark.parametrize("goal, derivable, bound", _HARD_RANDOM)
+def test_a_hard_random_goal_is_certified_within_its_bound(goal, derivable, bound):
+    goal = parse_sequent(goal)
+    b = Budget()
+    cert = certify(goal, b)
+    assert cert.search.accepted == derivable
+    if derivable:
+        assert cert.search.derivation.conclusion == goal
+        check_derivation(cert.search.derivation)
+    else:
+        assert cert.countermodel is not None and cert.countermodel.certified
+    assert b.used <= bound
 
 
 def test_certify_gives_the_certificates_of_prove_and_build():

@@ -468,6 +468,15 @@ def test_bad_budget_env_var_is_a_usage_error():
     assert "Traceback" not in proc.stderr
 
 
+def test_library_imports_leave_argparse_out():
+    # only the command line parser needs argparse; -S keeps site hooks out
+    code = "import sys, bmdl, bmdl.cli, bmdl.corpus; print('argparse' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def _usage_error(capsys, *argv) -> str:
     """Run argv, which argparse must refuse: exit 2 and no traceback.
     Returns stderr."""

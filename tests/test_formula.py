@@ -1,8 +1,9 @@
 import copy
 import pickle
-from dataclasses import make_dataclass
+from dataclasses import FrozenInstanceError, fields, make_dataclass
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
 from bmdl.calculus import RuleId, Universe
@@ -34,6 +35,11 @@ def test_formulas_are_values():
     assert And(p, q) != And(q, p)
     assert len({Box(p), Box(p), Obl(p, q)}) == 2
     assert TOP == Neg(BOT)
+    # classes that share a shape base are still told apart
+    assert Neg(p) != Box(p) and len({Neg(p), Box(p)}) == 2
+    binary = [And(p, q), Or(p, q), Imp(p, q)]
+    assert [a == b for a in binary for b in binary] == [a is b for a in binary for b in binary]
+    assert len({*binary, And(p, q), Or(p, q), Imp(p, q)}) == 3
 
 
 def test_subformulas():
@@ -108,6 +114,44 @@ def test_copies_and_pickles_are_filled_as_the_original(f):
         for c in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
             assert c == g and hash(c) == hash(g) and c._k == g._k
             assert print_formula(c) == text
+
+
+# One node of each class, with the repr it had when each class was a
+# dataclass of its own; Neg and Box now share one shape base, and And, Or
+# and Imp another.
+_EACH_CLASS = [
+    (Atom("p"), "Atom(name='p')"),
+    (Bottom(), "Bottom()"),
+    (Neg(p), "Neg(f=Atom(name='p'))"),
+    (Box(p), "Box(f=Atom(name='p'))"),
+    (And(p, q), "And(l=Atom(name='p'), r=Atom(name='q'))"),
+    (Or(p, q), "Or(l=Atom(name='p'), r=Atom(name='q'))"),
+    (Imp(p, q), "Imp(l=Atom(name='p'), r=Atom(name='q'))"),
+    (Obl(p, q), "Obl(body=Atom(name='p'), cond=Atom(name='q'))"),
+]
+
+
+def _rebuilt_from_fields(f):
+    """f rebuilt bottom-up through dataclasses.fields, as the benchmark's
+    workloads substitute into formulas."""
+    if isinstance(f, str):
+        return f
+    return type(f)(*(_rebuilt_from_fields(getattr(f, x.name)) for x in fields(f)))
+
+
+@pytest.mark.parametrize("node, text", _EACH_CLASS, ids=[type(n).__name__ for n, _ in _EACH_CLASS])
+def test_every_node_class_rebuilds_prints_and_pickles_as_its_own_dataclass(node, text):
+    again = _rebuilt_from_fields(node)
+    assert type(again) is type(node) and again == node and hash(again) == hash(node)
+    assert again._k == node._k
+    assert tuple(x.name for x in fields(node)) == type(node).__match_args__
+    assert repr(node) == repr(again) == text
+    back = pickle.loads(pickle.dumps(node))
+    assert type(back) is type(node) and back == node and hash(back) == hash(node)
+    assert repr(back) == text
+    for x in fields(node):
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, x.name, p)
 
 
 @given(formulas)

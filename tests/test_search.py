@@ -604,13 +604,14 @@ def test_a_first_premiss_proved_without_its_new_formula_settles_the_branch():
 
 def test_a_derivable_memo_entry_under_a_branching_premiss_blocks_the_use_check():
     # OrL on p | q branches p | q |- p; its first premiss is derivable, but
-    # only through the p it adds.  decide never settles a search node from
-    # a derivable memo entry: it searches the premiss again, finds that its
-    # proof uses p, and so goes on to the underivable second premiss.
+    # only through the p it adds.  decide settles the premiss from the proof
+    # the memo keeps for it, whose uses hold p, and so goes on to the
+    # underivable second premiss.
     goal = parse_sequent("p | q |- p")
     first = parse_sequent("p | q, p |- p")
     memo = Memo(Universe(goal))
     assert decide(first, memo=memo)
     assert memo[memo.universe.encode(first)] is True
+    assert proof_tree(first, memo=memo) is memo.proofs[memo.universe.encode(first)]
     assert not decide(goal, memo=memo)
     assert not decide(goal)
