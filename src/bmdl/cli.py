@@ -14,8 +14,10 @@ an exit code and a report:
 The _cmd_* handlers only read their arguments, call the function and emit
 the report.  The corpus runner (bmdl.corpus) replays each manifest entry
 through the same function and compares the verdict in the report with the
-entry's expectation.  It exits 1 when some entry failed on its verdict or a
-check, else 3 when some entry ran out of budget, else 0.
+entry's expectation; both read a derivation file or proof report with
+proof_of_json, and a countermodel report with countermodel.claim_of_json.
+It exits 1 when some entry failed on its verdict or a check, else 3 when
+some entry ran out of budget, else 0.
 
 Exit codes: 0 for an affirmative answer; 1 for a negative answer with its
 certificate in the report, and for nothing else; 2 for usage or input
@@ -44,7 +46,7 @@ from .consistency import (
     reduction_sequent,
 )
 from .countermodel import (
-    Claim,
+    CounterModelResult,
     CountermodelError,
     certify,
     claim_of_json,
@@ -63,6 +65,7 @@ from .kernel import (
 )
 from .parser import (
     ParseError,
+    looks_like_problem,
     parse_formula,
     parse_problem,
     parse_sequent,
@@ -132,7 +135,7 @@ def _load_goal(args) -> tuple[tuple[Formula, ...], Optional[Sequent]]:
     path = Path(text)
     if _is_file(path):
         content = path.read_text()
-        if path.suffix == ".mdl" or _looks_like_problem(content):
+        if path.suffix == ".mdl" or looks_like_problem(content):
             prob = parse_problem(content)
             return _merged(prob.assumptions + extra), prob.goal
         return _merged(extra), read_sequent_file(path)
@@ -152,16 +155,6 @@ def _is_file(path: Path) -> bool:
         return path.is_file()
     except OSError:
         return False
-
-
-def _looks_like_problem(content: str) -> bool:
-    for raw in content.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head = line.split(None, 1)[0]
-        return head in ("assume", "goal", "mode")
-    return False
 
 
 def decide_goal(
@@ -224,14 +217,14 @@ def check_model(
     model: MModel,
     facts: Iterable[tuple[str, Formula]],
     unicode: bool = False,
-    claim: Optional[Claim] = None,
+    claim: Optional[CounterModelResult] = None,
 ) -> tuple[int, dict]:
     """check-model: validate the frame conditions and evaluate each
-    (world, formula) fact.  Given a countermodel report's claim, also audit
-    every world's label against the model and check that the report's goal
-    fails at its root: the checks that certified the model when it was
-    built.  Yes when the frame is valid, every fact holds and the claim, if
-    any, checks."""
+    (world, formula) fact.  Given the countermodel a report claims (see
+    claim_of_json), also audit every world's label against the model and
+    check that the claimed sequent fails at its root: the checks that
+    certified the model when it was built.  Yes when the frame is valid,
+    every fact holds and the claim, if any, checks."""
     violations = validate_frame(model)
     cache: dict = {}
     evaluated = [
@@ -246,8 +239,8 @@ def check_model(
         report["facts"] = evaluated
     ok = not violations and all(fact["holds"] for fact in evaluated)
     if claim is not None:
-        report["audit"] = truth_lemma_audit(model, claim.labels, cache, unicode)
-        report["goal_fails_at_root"] = falsifies(model, claim.root, claim.goal, cache)
+        report["audit"] = truth_lemma_audit(model, claim.resolved, cache, unicode)
+        report["goal_fails_at_root"] = falsifies(model, claim.root, claim.sequent, cache)
         ok = ok and not report["audit"] and report["goal_fails_at_root"]
     return (EXIT_YES if ok else EXIT_NO), report
 
@@ -283,24 +276,28 @@ def check_proof(
     return EXIT_YES, report
 
 
-def _proof_claim_of_json(report: dict) -> tuple[Derivation, Sequent, tuple[Sequent, ...]]:
-    """The derivation a prove, countermodel or consistent report carries,
-    the sequent it must conclude, and the Assumption leaves it may use, as
-    the verb checked it: a prove report's derivation concludes its sequent
-    from its assumptions; a countermodel report's concludes the reduction
-    sequent, the assumptions boxed on the left, from none; a consistent
-    report's witness concludes |- false from its assumptions.  A report of
-    the wrong shape raises ValueError."""
-    texts = report.get("assumptions", [])
+def proof_of_json(data: object) -> tuple[Derivation, Optional[Sequent], tuple[Sequent, ...]]:
+    """The derivation that a derivation file or a prove, countermodel or
+    consistent report holds, the sequent it must conclude, and the
+    Assumption leaves it may use, as the verb checked it.  A bare
+    derivation may conclude anything from no leaves (None, ()).  A prove
+    report's derivation concludes its sequent from its assumptions; a
+    countermodel report's concludes the reduction sequent, the assumptions
+    boxed on the left, from none; a consistent report's witness concludes
+    |- false from its assumptions.  A report of the wrong shape raises
+    ValueError, a malformed derivation DerivationError."""
+    if not (isinstance(data, dict) and ("derivation" in data or "witness" in data)):
+        return derivation_from_json(data), None, ()
+    texts = data.get("assumptions", [])
     if not (isinstance(texts, list) and all(isinstance(a, str) for a in texts)):
         raise ValueError('malformed report: "assumptions" must be a list of formulas')
     assumptions = tuple(parse_formula(a) for a in texts)
     leaves = assumption_sequents(assumptions)
-    if "derivation" not in report:
-        return derivation_from_json(report["witness"]), FALSUM_SEQUENT, leaves
-    if not isinstance(report.get("sequent"), str):
+    if "derivation" not in data:
+        return derivation_from_json(data["witness"]), FALSUM_SEQUENT, leaves
+    if not isinstance(data.get("sequent"), str):
         raise ValueError('malformed report: "sequent" must be a sequent')
-    derivation, goal = derivation_from_json(report["derivation"]), parse_sequent(report["sequent"])
+    derivation, goal = derivation_from_json(data["derivation"]), parse_sequent(data["sequent"])
     reduction = reduction_sequent(assumptions, goal)
     if assumptions and same_sequent(derivation.conclusion, reduction):
         return derivation, reduction, ()
@@ -356,9 +353,7 @@ def _cmd_check_model(args) -> int:
 def _cmd_check_proof(args) -> int:
     data = json.loads(Path(args.file).read_text())
     assumed = tuple(parse_sequent(t) for t in args.assume or [])
-    if not (isinstance(data, dict) and ("derivation" in data or "witness" in data)):
-        return _emit(args, *check_proof(derivation_from_json(data), assumed, unicode=args.unicode))
-    derivation, claim, leaves = _proof_claim_of_json(data)
+    derivation, claim, leaves = proof_of_json(data)
     return _emit(args, *check_proof(derivation, assumed + leaves, unicode=args.unicode, claim=claim))
 
 

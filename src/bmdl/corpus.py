@@ -21,9 +21,12 @@ report is compared with the expectation.  Four kinds are understood:
                   valid when its frame is and its claim checks: every
                   label holds at its world and the goal fails at the
                   root, as check-model requires of it.
-  derivation      a derivation .json run through check-proof; expected key
+  derivation      a derivation .json, or a prove, countermodel or
+                  consistent report, run through check-proof; expected key
                   "checks", optional "assumptions" with sequent strings the
-                  checker may use.
+                  checker may use.  A report's derivation must conclude
+                  what the report claims, from the leaves its assumptions
+                  allow, as check-proof requires of it.
 
 Entries also carry a free-form "basis" tag saying where the expectation
 comes from and an optional note; both are echoed in reports.
@@ -36,9 +39,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Union
 
-from .cli import DEFAULT_CORPUS, check_model, check_proof, decide_consistency, decide_goal
+from .cli import DEFAULT_CORPUS, check_model, check_proof, decide_consistency, decide_goal, proof_of_json
 from .countermodel import claim_of_json, model_of_json
-from .kernel import DerivationError, derivation_from_json
+from .kernel import DerivationError
 from .parser import ParseError, parse_formula, parse_problem, parse_sequent, read_sequent_file
 from .search import Budget, BudgetExceeded, DEFAULT_BUDGET
 
@@ -183,7 +186,8 @@ def _replay(path: Path, entry: CorpusEntry, budget: Budget) -> tuple[bool, str]:
         return True, "model checked"
     if entry.kind == "derivation":
         assumed = tuple(parse_sequent(t) for t in expect.get("assumptions", []))
-        _, report = check_proof(derivation_from_json(json.loads(path.read_text())), assumed)
+        derivation, claim, leaves = proof_of_json(json.loads(path.read_text()))
+        _, report = check_proof(derivation, assumed + leaves, claim=claim)
         detail = "derivation checked" if report["checks"] else report["error"]
         want = expect.get("checks", True)
         if report["checks"] != want:

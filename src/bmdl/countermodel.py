@@ -2,9 +2,9 @@
 
 Worlds are built from underivable set sequents, each first brought into a
 resolved form by three interleaved moves, every one of them checked against
-a search oracle that reads and fills a memo of exact verdicts (certify
-shares it with the search that refuted the goal; see the search module for
-why its entries are exact):
+a search oracle that reads and fills a memo of exact verdicts, each entry a
+proof or False (certify shares it with the search that refuted the goal;
+see the search module for why its entries are exact):
 
   * saturation under the one-premiss static rules (these are invertible,
     so underivability is preserved without an oracle call);
@@ -94,12 +94,14 @@ validated, every formula occurrence is audited against the truth
 conditions (left occurrences true, right occurrences false), and the goal
 must fail at the root world.  The audit and the root check share one memo
 of the model's truth sets; both run in full.  A certification failure
-raises CountermodelError rather than returning a bad model.
+raises CountermodelError rather than returning a bad model, so every
+CounterModelResult that build returns is certified.
 
 The report (result_to_json) carries the model, the goal, the root and the
 labels: each world's resolved sequent, the claim the audit checked.  From
-a report alone, claim_of_json parses the labels back into the same
-Sequents, so that check-model can run all three checks again.
+a report alone, claim_of_json reads back the CounterModelResult that build
+made, its labels parsed into the same Sequents, so that check-model can
+run all three checks again.
 """
 
 from __future__ import annotations
@@ -137,11 +139,14 @@ class CountermodelError(RuntimeError):
 
 
 class CounterModelResult(NamedTuple):
+    """A countermodel and its claim: sequent fails at the world root of
+    model, and each world's label in resolved holds there (left formulas
+    true, right formulas false)."""
+
     sequent: Sequent
     model: MModel
     root: str
     resolved: Mapping[str, Sequent]
-    certified: bool
 
 
 class _Builder:
@@ -157,10 +162,10 @@ class _Builder:
         self.edges: set[tuple[str, str]] = set()
 
     def underivable(self, s: Masks) -> bool:
-        """The oracle: underivability from the memo of exact verdicts,
-        searching with decide only for sequents it does not hold; decide
-        records its root verdict, and its search settles nodes from the
-        memo's verdicts and proofs (see the search module)."""
+        """The oracle: underivability from the memo's entry for s, a proof
+        or False, searching with decide only for sequents it does not hold;
+        decide records its root entry, and its search settles nodes from
+        the memo's entries (see the search module)."""
         known = self.memo.get(s)
         if known is None:
             known = decide(s, self.budget, memo=self.memo)
@@ -361,13 +366,7 @@ def build(
         raise CountermodelError("truth audit failed: " + "; ".join(audit_bad))
     if not falsifies(model, root, goal, truth_sets):
         raise CountermodelError("the goal sequent still holds at the root world")
-    return CounterModelResult(
-        sequent=goal,
-        model=model,
-        root=root,
-        resolved=labels,
-        certified=True,
-    )
+    return CounterModelResult(goal, model, root, labels)
 
 
 class Certificate(NamedTuple):
@@ -403,7 +402,7 @@ def result_to_json(r: CounterModelResult) -> dict:
     return {
         "goal": print_sequent(r.sequent),
         "root": r.root,
-        "certified": r.certified,
+        "certified": True,  # build raises rather than return an uncertified model
         "model": model_to_json(r.model),
         "labels": {w: print_sequent(r.resolved[w]) for w in r.model.worlds},
     }
@@ -427,22 +426,13 @@ def model_of_json(data: dict, close_rt: bool = False) -> MModel:
     return model_from_json(data, close_rt=close_rt)
 
 
-class Claim(NamedTuple):
-    """What a countermodel report claims of its model: the goal fails at
-    the root, and each world's label holds there (left formulas true, right
-    formulas false)."""
-
-    goal: Sequent
-    root: str
-    labels: dict[str, Sequent]
-
-
-def claim_of_json(data: dict, model: MModel) -> Optional[Claim]:
-    """The claim of a countermodel report, or of a CLI report that carries
-    one, about its model; None for data without labels, such as a bare
-    model file.  Labels that do not name exactly the model's worlds, or a
-    goal or root of the wrong shape, raise ValueError; a label or goal that
-    does not parse raises ParseError."""
+def claim_of_json(data: dict, model: MModel) -> Optional[CounterModelResult]:
+    """The countermodel that a countermodel report, or a CLI report that
+    carries one, claims of model, read back to the record build made; None
+    for data without labels, such as a bare model file.  Labels that do not
+    name exactly the model's worlds, or a goal or root of the wrong shape,
+    raise ValueError; a label or goal that does not parse raises
+    ParseError."""
     data = _countermodel_part(data)
     if not (isinstance(data, dict) and "labels" in data):
         return None
@@ -457,4 +447,4 @@ def claim_of_json(data: dict, model: MModel) -> Optional[Claim]:
         raise ValueError('malformed report: "goal" must be a sequent')
     if not (isinstance(root, str) and root in model.worlds):
         raise ValueError('malformed report: "root" must name a world of the model')
-    return Claim(parse_sequent(goal), root, {w: parse_sequent(t) for w, t in labels.items()})
+    return CounterModelResult(parse_sequent(goal), model, root, {w: parse_sequent(t) for w, t in labels.items()})

@@ -183,7 +183,3 @@ class Sequent(NamedTuple):
 
     ante: tuple[Formula, ...]
     succ: tuple[Formula, ...]
-
-
-def sequent(ante: Iterable[Formula] = (), succ: Iterable[Formula] = ()) -> Sequent:
-    return Sequent(tuple(ante), tuple(succ))

@@ -373,6 +373,7 @@ def _sequent_text(ante_texts: list[str], succ_texts: list[str], unicode: bool) -
 # problem files and sequent files
 
 MODES = ("prove", "consistency", "countermodel")
+DIRECTIVES = ("assume", "goal", "mode")
 
 
 class ProblemFile(NamedTuple):
@@ -392,6 +393,14 @@ def _content_lines(text: str):
         line = body.strip()
         if line:
             yield lineno, len(body) - len(body.lstrip()) + 1, line
+
+
+def looks_like_problem(text: str) -> bool:
+    """Whether the first line of text that holds something is a problem
+    file directive."""
+    for _, _, line in _content_lines(text):
+        return line.split(None, 1)[0] in DIRECTIVES
+    return False
 
 
 def _reanchored(e: ParseError, lineno: int, col: int) -> ParseError:
@@ -424,7 +433,7 @@ def parse_problem(text: str) -> ProblemFile:
             except ParseError as e:
                 raise _reanchored(e, lineno, arg_col) from None
         else:
-            raise ParseError(f"unknown directive {head!r}", lineno, col, ("assume", "goal", "mode"))
+            raise ParseError(f"unknown directive {head!r}", lineno, col, DIRECTIVES)
     if mode is None:
         mode = "consistency" if goal is None else "prove"
     return ProblemFile(tuple(assumptions), goal, mode)

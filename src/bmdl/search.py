@@ -142,32 +142,31 @@ Universe.canonical).
 
 The memo of exact verdicts.  The searches made for one certificate (the
 top-level search and every oracle search of the countermodel built after
-it) share a Memo, a dict from the masks of set sequents over one universe
-to verdicts, in the manner of global caching (Gore & Nguyen, "EXPTIME
-tableaux with global caching for description logics").  An accepted call
-records its start and its sat as derivable, and keeps a proof of each in
-the memo's second table, proofs: the accepted node for its start, and for
-its sat the proof above its saturation moves.  When that proof is a
-branching premiss's, taken by the use-check, its uses lie within sat, so
-it replays at sat as it stands (see "Relevance and the use-check" below).
-The memo's values stay booleans, and a derivable entry always has its
-proof.  A failed call records its start as underivable when the failure
-rule finds it exact, and the provisional failures it promotes with it.  A
-failure left provisional stays in its search's pending dict, and may be
-derivable: tests/test_certify.py holds one, a premiss that fails only
-because its own Four premiss is refused against the goal, which then
-succeeds.
+it) share a Memo, one dict from the masks of set sequents over one
+universe to settled nodes, in the manner of global caching (Gore &
+Nguyen, "EXPTIME tableaux with global caching for description logics").
+An entry is the proof of a derivable sequent, a ProofNode, or False for an
+underivable one: a derivable entry is its proof.  An accepted call records
+its start with the accepted node, and its sat with the proof above its
+saturation moves.  When that proof is a branching premiss's, taken by the
+use-check, its uses lie within sat, so it replays at sat as it stands (see
+"Relevance and the use-check" below).  A failed call records its start as
+underivable when the failure rule finds it exact, and the provisional
+failures it promotes with it.  A failure left provisional stays in its
+search's pending dict, and may be derivable: tests/test_certify.py holds
+one, a premiss that fails only because its own Four premiss is refused
+against the goal, which then succeeds.
 
 A call reads the memo before it searches.  An underivable entry fails it
 at once: the search would have failed it anyway, never accepting an
-underivable sequent.  A derivable entry accepts it with the recorded
-proof, so every accepted node still has a tree and known uses.  A proof
+underivable sequent.  A derivable entry accepts it with its proof, so
+every accepted node still has a tree and known uses.  A proof
 assumes no failure, so no low changes and the argument for the failure
 rule stands: reuse only accepts, as the use-check does.  Either way only
 steps are saved and the root verdict is unchanged, though a start that
 the current stack would have failed provisionally is now accepted.  The
 countermodel builder's oracle (countermodel._Builder.underivable) reads
-the verdict of the sequent it asks about before it searches.  A memo
+the entry of the sequent it asks about before it searches.  A memo
 lives for one certify or build call (or one search when none is given);
 nothing is cached across calls, and the top-level search of a
 certificate starts from an empty one.
@@ -262,16 +261,15 @@ class Budget:
 
 class Memo(dict):
     """Exact derivability verdicts, keyed by the masks of set sequents over
-    its universe, that the searches of one certificate share, and in
-    proofs the accepted node of each derivable entry a search made (see
-    "The memo of exact verdicts" above)."""
+    its universe, that the searches of one certificate share: the proof of
+    a derivable sequent, False for an underivable one (see "The memo of
+    exact verdicts" above)."""
 
-    __slots__ = ("universe", "proofs")
+    __slots__ = ("universe",)
 
     def __init__(self, universe: Universe):
         super().__init__()
         self.universe = universe
-        self.proofs: dict[Masks, ProofNode] = {}
 
 
 class SatStep(NamedTuple):
@@ -462,7 +460,7 @@ class _Search:
         memo, pending = self.memo, self.pending
         known = memo.get(start)
         if known is not None:
-            return memo.proofs[start] if known else None
+            return known or None
         if pending and start in pending:
             self.low = min(self.low, pending[start])
             return None
@@ -475,9 +473,7 @@ class _Search:
                 pending[s] = low
             pending[start] = low
             return None
-        memo[start] = node is not None
-        if node is not None:
-            memo.proofs[start] = node
+        memo[start] = node or False
         while len(pending) > made:  # dropped under a success, else exact
             s, _ = pending.popitem()
             if node is None:
@@ -531,8 +527,7 @@ class _Search:
     def _accept(self, sat: Masks, steps: tuple[SatStep, ...], above: ProofNode) -> ProofNode:
         """The accepted node that saturates by steps to sat and then goes on
         as the proof above, which uses above.uses of sat."""
-        self.memo[sat] = True
-        self.memo.proofs[sat] = above
+        self.memo[sat] = above
         kept, uses = _relevant(steps, above.uses)
         return ProofNode(kept + above.steps, above.closure, above.application, above.children, uses)
 
@@ -558,8 +553,8 @@ def proof_tree(
 
     s is a sequent, or the masks of one over the universe of memo.  memo
     holds exact verdicts shared with the other searches of one
-    certificate; the search settles a node from its verdict and proof
-    when it holds one, and records what it settles.  Without one, the
+    certificate; the search settles a node from its entry when it holds
+    one, and records what it settles.  Without one, the
     search keeps a memo of its own over the universe of s."""
     if memo is None:
         memo = Memo(Universe(s))

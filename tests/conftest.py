@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from hypothesis import settings
 
 from bmdl.calculus import RuleApplication, RuleId, Universe
+from bmdl.countermodel import CounterModelResult, truth_lemma_audit
 from bmdl.formula import (
     And,
     Atom,
@@ -25,7 +26,7 @@ from bmdl.formula import (
 from bmdl.kernel import Derivation, DerivationError, _check_node
 from bmdl.parser import print_sequent
 from bmdl.search import SatStep, saturate
-from bmdl.semantics import FrameViolation, MModel
+from bmdl.semantics import FrameViolation, MModel, falsifies, validate_frame
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -324,6 +325,17 @@ def transitional_apps(s: SetSequent) -> list[FormulaApplication]:
 # References: the model checks and the kernel's Assumption and Cut checks as
 # they were before models were checked over world bitmasks and the kernel
 # compared tuples before multisets, kept to test the faster ones against.
+
+
+def certifies(cm: CounterModelResult) -> bool:
+    """Whether cm passes the three checks build certified it by: the frame
+    conditions, the audit of every label, and its sequent failing at its
+    root."""
+    return (
+        not validate_frame(cm.model)
+        and not truth_lemma_audit(cm.model, cm.resolved)
+        and falsifies(cm.model, cm.root, cm.sequent)
+    )
 
 
 def reference_validate_frame(m: MModel) -> list[FrameViolation]:

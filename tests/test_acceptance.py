@@ -26,7 +26,7 @@ from bmdl.parser import parse_formula, parse_sequent
 from bmdl.search import Budget, BudgetExceeded, decide, prove
 from bmdl.semantics import falsifies, holds, model_from_json, truth_set, validate_frame
 
-from conftest import ACCEPTANCE_LINES, CORPUS
+from conftest import ACCEPTANCE_LINES, CORPUS, certifies
 
 FULL_BUDGET = 1_000_000
 
@@ -97,13 +97,9 @@ def test_criterion_2_falsum_is_rejected_with_a_model():
         s = parse_sequent("|- false")
         rejected = not decide(s, Budget(FULL_BUDGET))
         res = build(s, Budget(FULL_BUDGET))
-        c["ok"] = (
-            rejected
-            and res.certified
-            and validate_frame(res.model) == []
-            and falsifies(res.model, res.root, s)
-        )
-        c["detail"] = f"rejected={rejected}, certified={res.certified}, worlds={len(res.model.worlds)}"
+        certified = certifies(res)
+        c["ok"] = rejected and certified and res.sequent == s
+        c["detail"] = f"rejected={rejected}, certified={certified}, worlds={len(res.model.worlds)}"
 
 
 def test_criterion_3_syena_set_is_consistent_with_witness():
@@ -116,9 +112,9 @@ def test_criterion_3_syena_set_is_consistent_with_witness():
         checks = {
             "consistent": res.consistent,
             "in time": dt < 60.0,
-            "certified": cm is not None and cm.certified,
             "frame": cm is not None and validate_frame(cm.model) == [],
             "audit": cm is not None and truth_lemma_audit(cm.model, cm.resolved) == [],
+            "root": cm is not None and falsifies(cm.model, cm.root, cm.sequent),
             "conjunction": cm is not None
             and holds(cm.model, cm.root, parse_formula(SYENA_CONJUNCTION)),
         }
@@ -232,7 +228,7 @@ def _run_pipeline_suite() -> dict:
                 accepted += 1
             else:
                 cm = build(s, b)
-                if not (cm.certified and falsifies(cm.model, cm.root, s)):
+                if not (cm.sequent == s and certifies(cm)):
                     raise RuntimeError("uncertified countermodel")
                 rejected += 1
         except BudgetExceeded:

@@ -16,9 +16,9 @@ from bmdl.countermodel import build, certify, result_to_json
 from bmdl.gen import random_assumptions, random_sequent
 from bmdl.kernel import check_derivation
 from bmdl.parser import parse_sequent
-from bmdl.search import Budget, BudgetExceeded, Memo, assemble_derivation, decide, proof_tree, prove
+from bmdl.search import Budget, BudgetExceeded, Memo, ProofNode, assemble_derivation, decide, proof_tree, prove
 
-from conftest import decode_sets, to_set_sequent
+from conftest import certifies, decode_sets, to_set_sequent
 
 BUDGET = 200_000
 
@@ -37,9 +37,10 @@ def _memo_free(ss) -> bool:
 
 
 def _decoded(memo: Memo) -> dict:
-    """The memo's entries, their mask keys decoded to set sequents through
-    its universe."""
-    return {decode_sets(memo.universe, key): verdict for key, verdict in memo.items()}
+    """The memo's verdicts, their mask keys decoded to set sequents through
+    its universe: True for a derivable entry, its proof, and False for an
+    underivable one."""
+    return {decode_sets(memo.universe, key): entry is not False for key, entry in memo.items()}
 
 
 def _certify_keeping_memo(goal):
@@ -81,16 +82,17 @@ def _fresh_root(ss) -> bool:
 
 def _assert_memo_exact(goal, cert, memo, reference=_memo_free):
     """Check every entry of the memo certify filled against the verdict of
-    reference, by default a memo-free search, and check that each derivable
-    entry keeps a proof that the kernel accepts at its sequent."""
+    reference, by default a memo-free search, and check that each entry is
+    a proof that assembles and passes the kernel at its sequent, or False."""
     entries = _decoded(memo)
     assert entries[to_set_sequent(goal)] == cert.search.accepted
     for ss, verdict in entries.items():
         assert reference(ss) == verdict, ss
     u = memo.universe
-    assert set(memo.proofs) == {key for key, verdict in memo.items() if verdict}
-    for key, node in memo.proofs.items():
-        check_derivation(assemble_derivation(node, u.decode(key), u))
+    for key, entry in memo.items():
+        if entry is not False:
+            assert type(entry) is ProofNode, entry
+            check_derivation(assemble_derivation(entry, u.decode(key), u))
 
 
 @given(seed=st.integers(0, 2**32), kind=st.sampled_from(("sequent", "assumptions", "deep")))
@@ -227,7 +229,7 @@ def test_a_hard_family_is_certified_within_its_bound(goal, bound, worlds):
     b = Budget()
     cert = certify(goal, b)
     assert not cert.search.accepted
-    assert cert.countermodel is not None and cert.countermodel.certified
+    assert cert.countermodel is not None and certifies(cert.countermodel)
     assert b.used <= bound
     assert len(cert.countermodel.model.worlds) <= worlds
 
@@ -288,7 +290,7 @@ def test_a_hard_random_goal_is_certified_within_its_bound(goal, derivable, bound
         assert cert.search.derivation.conclusion == goal
         check_derivation(cert.search.derivation)
     else:
-        assert cert.countermodel is not None and cert.countermodel.certified
+        assert cert.countermodel is not None and certifies(cert.countermodel)
     assert b.used <= bound
 
 
@@ -320,7 +322,7 @@ def test_the_oracle_does_not_decide_the_refuted_goal_again(monkeypatch):
     assert asked[0] == root  # a build on its own decides the goal first
     asked.clear()
     cert = certify(goal)
-    assert cert.countermodel is not None and cert.countermodel.certified
+    assert cert.countermodel is not None and certifies(cert.countermodel)
     assert root not in asked
 
 

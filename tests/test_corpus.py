@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bmdl.cli import decide_goal, main
+from bmdl.cli import decide_consistency, decide_goal, main
 from bmdl.corpus import (
     CorpusEntry,
     load_manifest,
@@ -11,7 +11,7 @@ from bmdl.corpus import (
     run_entry,
 )
 from bmdl.formula import Atom, Sequent
-from bmdl.parser import ParseError, parse_sequent
+from bmdl.parser import ParseError, parse_formula, parse_sequent
 
 from conftest import CORPUS
 
@@ -162,3 +162,26 @@ def test_a_report_whose_goal_holds_at_the_root_replays_invalid(tmp_path):
     report["countermodel"]["labels"]["h0"] = "[]p |- p"
     result = _replay_model(tmp_path, report, {"valid": True})
     assert not result.ok and "the goal holds at the root world" in result.detail
+
+
+def test_derivation_entries_replay_the_reports_check_proof_accepts(tmp_path, capsys):
+    # one report of each verb that prints a derivation: prove and
+    # countermodel of a derivable goal under an assumption, and consistent
+    # on an inconsistent set; and a prove report whose sequent was edited
+    assumptions, goal = (parse_formula("[](p -> q)"),), parse_sequent("[]p |- []q")
+    reports = {
+        "prove.json": decide_goal(assumptions, goal, 100_000)[1],
+        "countermodel.json": decide_goal(assumptions, goal, 100_000, affirm_derivable=False)[1],
+        "consistent.json": decide_consistency((parse_formula("p"), parse_formula("~p")), 100_000)[1],
+    }
+    reports["edited.json"] = dict(reports["prove.json"], sequent="[]p |- q")
+    for name, report in reports.items():
+        (tmp_path / name).write_text(json.dumps(report))
+        assert main(["check-proof", str(tmp_path / name)]) == (1 if name == "edited.json" else 0)
+    capsys.readouterr()
+    entries = [{"file": name, "kind": "derivation", "expect": {"checks": name != "edited.json"}} for name in reports]
+    (tmp_path / "manifest.json").write_text(json.dumps({"entries": entries}))
+    results = run_corpus(tmp_path, budget=100_000).results
+    assert [(r.entry.file, r.ok) for r in results] == [(name, True) for name in reports]
+    assert [r.detail for r in results[:3]] == ["derivation checked"] * 3
+    assert results[3].detail.endswith(", not []p |- q")

@@ -16,13 +16,13 @@ from bmdl.countermodel import (
     result_to_json,
     truth_lemma_audit,
 )
-from bmdl.formula import Obl, Sequent
-from bmdl.gen import random_assumptions, random_sequent
+from bmdl.formula import And, Box, Obl, Or, Sequent
+from bmdl.gen import random_assumptions, random_formula, random_sequent
 from bmdl.parser import parse_sequent, print_sequent
 from bmdl.search import Budget, BudgetExceeded, decide
 from bmdl.semantics import MModel, falsifies, model_from_json, validate_frame
 
-from conftest import contains, decode_sets, to_set_sequent
+from conftest import certifies, contains, decode_sets, to_set_sequent
 
 UNDERIVABLE = [
     "|- false",
@@ -46,7 +46,6 @@ UNDERIVABLE = [
 def test_builds_are_certified(text):
     s = parse_sequent(text)
     res = build(s)
-    assert res.certified
     assert res.root in res.model.worlds
     assert validate_frame(res.model) == []
     assert truth_lemma_audit(res.model, res.resolved) == []
@@ -87,8 +86,7 @@ def test_seeded_batch_stays_sound():
         if decide(s):
             continue
         res = build(s)
-        assert res.certified
-        assert falsifies(res.model, res.root, s)
+        assert res.sequent == s and certifies(res)
         built += 1
 
 
@@ -168,28 +166,36 @@ def test_report_serialization():
     assert model_from_json(data["model"]) == res.model
 
 
-@given(seed=st.integers(0, 2**32), kind=st.sampled_from(("sequent", "assumptions")))
-def test_labels_read_back_from_a_report_are_the_resolved_sequents(seed, kind):
+def _shared_goal(rng):
+    """A goal in which one compound formula f occurs four times, and its
+    labels as often: f | g, []f |- f & h, O(f / g)."""
+    f = random_formula(rng, rng.randint(2, 4))
+    g, h = random_formula(rng, rng.randint(1, 3)), random_formula(rng, rng.randint(1, 3))
+    return Sequent((Or(f, g), Box(f)), (And(f, h), Obl(f, g)))
+
+
+@given(seed=st.integers(0, 2**32), kind=st.sampled_from(("sequent", "assumptions", "shared")))
+def test_a_report_reads_back_to_the_countermodel_build_made(seed, kind):
     # each label is printed as decoded, its sides duplicate-free and in rank
-    # order, and claim_of_json parses it back to the same Sequent
+    # order, and claim_of_json parses the report back to the same record:
+    # its sequent, model, root and labels
     rng = random.Random(seed)
     if kind == "sequent":
         goal = random_sequent(rng, size=rng.randint(3, 8), width=rng.choice((2, 3)))
-    else:
+    elif kind == "assumptions":
         goal = reduction_sequent(random_assumptions(rng, rng.randint(1, 4), modal_depth=rng.randint(2, 3)))
+    else:
+        goal = _shared_goal(rng)
     try:
         res = build(goal, Budget(200_000))
     except (BudgetExceeded, ValueError):  # ValueError: the goal is derivable
         assume(False)
-    assert res.certified
     rank = Universe(goal).rank
     for ss in res.resolved.values():
         for side in ss:
             ranks = [rank[f] for f in side]
             assert ranks == sorted(set(ranks))
-    claim = claim_of_json(result_to_json(res), res.model)
-    assert claim.labels == res.resolved
-    assert (claim.goal, claim.root) == (goal, res.root)
+    assert claim_of_json(result_to_json(res), res.model) == res
 
 
 def test_world_names_follow_creation_order():

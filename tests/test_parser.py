@@ -25,6 +25,7 @@ from bmdl.kernel import derivation_from_json
 from bmdl.parser import (
     ParseError,
     _tokenize,
+    looks_like_problem,
     parse_formula,
     parse_problem,
     parse_sequent,
@@ -190,6 +191,26 @@ def test_problem_errors_carry_the_file_column(text, line, col):
     with pytest.raises(ParseError) as err:
         parse_problem(text)
     assert (err.value.line, err.value.col) == (line, col)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("# note\n\n  assume p -> q\n", True),
+        ("goal\t|- p", True),
+        ("mode consistency  # trailing note\ngoal |- p", True),
+        ("p |- q\nassume p", False),
+        ("# assume p\n\t\n", False),
+        ("assumes p", False),
+        ("", False),
+    ],
+)
+def test_a_problem_file_is_told_by_the_head_of_its_first_line(text, want):
+    # the head is read as parse_problem reads a directive, comments and
+    # blank lines skipped and the head ending at the first blank
+    assert looks_like_problem(text) is want
+    if want:
+        parse_problem(text)
 
 
 def test_a_directive_followed_by_a_tab_is_read():
