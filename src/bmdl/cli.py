@@ -134,7 +134,7 @@ def _load_goal(args) -> tuple[tuple[Formula, ...], Optional[Sequent]]:
     text = args.target
     path = Path(text)
     if _is_file(path):
-        content = path.read_text()
+        content = path.read_text(encoding="utf-8-sig")
         if path.suffix == ".mdl" or looks_like_problem(content):
             prob = parse_problem(content)
             return _merged(prob.assumptions + extra), prob.goal
@@ -284,9 +284,12 @@ def proof_of_json(data: object) -> tuple[Derivation, Optional[Sequent], tuple[Se
     report's derivation concludes its sequent from its assumptions; a
     countermodel report's concludes the reduction sequent, the assumptions
     boxed on the left, from none; a consistent report's witness concludes
-    |- false from its assumptions.  A report of the wrong shape raises
-    ValueError, a malformed derivation DerivationError."""
+    |- false from its assumptions.  A report of the wrong shape, or one
+    that holds a countermodel and no proof, raises ValueError, a malformed
+    derivation DerivationError."""
     if not (isinstance(data, dict) and ("derivation" in data or "witness" in data)):
+        if isinstance(data, dict) and "countermodel" in data:
+            raise ValueError("the report holds a countermodel and no proof; check it with check-model")
         return derivation_from_json(data), None, ()
     texts = data.get("assumptions", [])
     if not (isinstance(texts, list) and all(isinstance(a, str) for a in texts)):
@@ -331,13 +334,13 @@ def _cmd_consistent(args) -> int:
         if not _is_file(path):
             _note(f"bmdl: no such file: {args.target}")
             return EXIT_USAGE
-        prob = parse_problem(path.read_text())
+        prob = parse_problem(path.read_text(encoding="utf-8-sig"))
         assumptions = prob.assumptions + assumptions
     return _emit(args, *decide_consistency(_merged(assumptions), Budget(_budget(args)), unicode=args.unicode))
 
 
 def _cmd_check_model(args) -> int:
-    data = json.loads(Path(args.file).read_text())
+    data = json.loads(Path(args.file).read_text(encoding="utf-8-sig"))
     model = model_of_json(data, close_rt=args.close_rt)
     claim = claim_of_json(data, model)
     facts = []
@@ -351,7 +354,7 @@ def _cmd_check_model(args) -> int:
 
 
 def _cmd_check_proof(args) -> int:
-    data = json.loads(Path(args.file).read_text())
+    data = json.loads(Path(args.file).read_text(encoding="utf-8-sig"))
     assumed = tuple(parse_sequent(t) for t in args.assume or [])
     derivation, claim, leaves = proof_of_json(data)
     return _emit(args, *check_proof(derivation, assumed + leaves, unicode=args.unicode, claim=claim))

@@ -99,7 +99,7 @@ def load_manifest(root: Union[str, Path]) -> list[CorpusEntry]:
     manifest = root / "manifest.json"
     if not manifest.is_file():
         raise FileNotFoundError(f"no manifest.json under {root}")
-    data = json.loads(manifest.read_text())
+    data = json.loads(manifest.read_text(encoding="utf-8-sig"))
     if not isinstance(data, dict) or not isinstance(data.get("entries", []), list):
         raise ValueError(f'{manifest}: want an object with an "entries" list')
     entries = []
@@ -166,7 +166,7 @@ def _replay(path: Path, entry: CorpusEntry, budget: Budget) -> tuple[bool, str]:
     expect = entry.expect
     if entry.kind == "model":
         facts = expect.get("facts", [])
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8-sig"))
         model = model_of_json(data)
         _, report = check_model(
             model,
@@ -186,7 +186,7 @@ def _replay(path: Path, entry: CorpusEntry, budget: Budget) -> tuple[bool, str]:
         return True, "model checked"
     if entry.kind == "derivation":
         assumed = tuple(parse_sequent(t) for t in expect.get("assumptions", []))
-        derivation, claim, leaves = proof_of_json(json.loads(path.read_text()))
+        derivation, claim, leaves = proof_of_json(json.loads(path.read_text(encoding="utf-8-sig")))
         _, report = check_proof(derivation, assumed + leaves, claim=claim)
         detail = "derivation checked" if report["checks"] else report["error"]
         want = expect.get("checks", True)
@@ -196,7 +196,7 @@ def _replay(path: Path, entry: CorpusEntry, budget: Budget) -> tuple[bool, str]:
     if entry.kind == "sequent":
         assumptions, goal, mode = (), read_sequent_file(path), "prove"
     else:
-        prob = parse_problem(path.read_text())
+        prob = parse_problem(path.read_text(encoding="utf-8-sig"))
         assumptions, goal, mode = prob.assumptions, prob.goal, prob.mode
     key, other = ("consistent", "derivable") if mode == "consistency" else ("derivable", "consistent")
     if other in expect:

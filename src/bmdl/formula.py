@@ -14,11 +14,15 @@ methods unchanged: equality holds only between nodes of one class
 (Neg(p) != Box(p)), repr names the subclass, and dataclasses.fields and
 __match_args__ read the shape's fields.
 
-Every formula node caches three values, set by its constructor
-(Formula.__post_init__, which each node class's dataclass __init__
-calls).  Two are filled when the node is made: its sort key, a nested
-tuple (tag, children's keys or the atom's name) that fixes a total
-structural order, and its hash, the dataclass hash of its fields.  Both
+Every formula node caches three values, set by its constructor.  The
+dataclass makes no __init__: each node class has its own, and the
+classes of one shape base get theirs from one factory that fixes the
+class's sort-key tag.  The constructor writes the node's fields and
+caches straight through the slots' own setters, past the frozen
+__setattr__, so that a node is made by one call.  Two caches are filled
+when the node is made: its sort key, a nested tuple (tag, children's keys
+or the atom's name) that fixes a total structural order, and its hash,
+the hash of the tuple of its fields, as the dataclass hash has it.  Both
 are made from the cached values of the node's children at O(1) per node,
 so a tree is filled bottom-up as it is built, at any nesting depth and
 without recursion.  The cache changes no result: equality is still
@@ -56,45 +60,45 @@ class Formula:
 
     __slots__ = ("_k", "_h", "_t")
 
-    def __post_init__(self) -> None:
-        # the slots' own setters write the cache past the frozen __setattr__
-        tag, fields = _SHAPE[type(self)]
-        vals = fields(self)
-        # hash((field, ...)) as the dataclass hash has it, over cached child hashes
-        _set_hash(self, hash(vals))
-        if tag < 2:  # falsum and atoms have no formula arguments
-            _set_key(self, (tag, *vals))
-        elif len(vals) == 1:
-            _set_key(self, (tag, vals[0]._k))
-        else:
-            _set_key(self, (tag, vals[0]._k, vals[1]._k))
-        set_text(self, None)
-
     def __hash__(self) -> int:
         return self._h
 
     def __reduce__(self):
         """Copies and pickles are made through the constructor, which fills
         them."""
-        return type(self), _SHAPE[type(self)][1](self)
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
 def _node(cls):
     """Make a formula node class: a frozen slotted dataclass with the cached
-    hash."""
-    cls = dataclass(frozen=True, slots=True)(cls)
+    hash and the class's own constructor."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
     cls.__hash__ = Formula.__hash__
     return cls
+
+
+# The constructors write through the slots' setters, bound below once the
+# classes exist.  Sort keys start with a tag per class: 0 falsum, 1 atom,
+# 2 Neg, 3 And, 4 Or, 5 Imp, 6 Box, 7 Obl.
 
 
 @_node
 class Atom(Formula):
     name: str
 
+    def __init__(self, name: str) -> None:
+        _set_name(self, name)
+        _set_hash(self, hash((name,)))
+        _set_key(self, (1, name))
+        set_text(self, None)
+
 
 @_node
 class Bottom(Formula):
-    pass
+    def __init__(self) -> None:
+        _set_hash(self, hash(()))
+        _set_key(self, (0,))
+        set_text(self, None)
 
 
 @_node
@@ -112,24 +116,54 @@ class _Binary(Formula):
     r: Formula
 
 
+def _unary_init(tag: int):
+    """The constructor of a _Unary class whose sort keys start with tag."""
+
+    def __init__(self, f: Formula) -> None:
+        _set_f(self, f)
+        _set_hash(self, hash((f,)))
+        _set_key(self, (tag, f._k))
+        set_text(self, None)
+
+    return __init__
+
+
+def _binary_init(tag: int):
+    """The constructor of a _Binary class whose sort keys start with tag."""
+
+    def __init__(self, l: Formula, r: Formula) -> None:
+        _set_l(self, l)
+        _set_r(self, r)
+        _set_hash(self, hash((l, r)))
+        _set_key(self, (tag, l._k, r._k))
+        set_text(self, None)
+
+    return __init__
+
+
 class Neg(_Unary):
     __slots__ = ()
+    __init__ = _unary_init(2)
 
 
 class Box(_Unary):
     __slots__ = ()
+    __init__ = _unary_init(6)
 
 
 class And(_Binary):
     __slots__ = ()
+    __init__ = _binary_init(3)
 
 
 class Or(_Binary):
     __slots__ = ()
+    __init__ = _binary_init(4)
 
 
 class Imp(_Binary):
     __slots__ = ()
+    __init__ = _binary_init(5)
 
 
 @_node
@@ -139,25 +173,24 @@ class Obl(Formula):
     body: Formula
     cond: Formula
 
-
-# Per node class: the tag that starts its sort key, and its field values in
-# field order, the tuple the dataclass hash is taken of.
-_SHAPE = {
-    Bottom: (0, lambda g: ()),
-    Atom: (1, lambda g: (g.name,)),
-    Neg: (2, lambda g: (g.f,)),
-    And: (3, attrgetter("l", "r")),
-    Or: (4, attrgetter("l", "r")),
-    Imp: (5, attrgetter("l", "r")),
-    Box: (6, lambda g: (g.f,)),
-    Obl: (7, attrgetter("body", "cond")),
-}
+    def __init__(self, body: Formula, cond: Formula) -> None:
+        _set_body(self, body)
+        _set_cond(self, cond)
+        _set_hash(self, hash((body, cond)))
+        _set_key(self, (7, body._k, cond._k))
+        set_text(self, None)
 
 
-# set_text is also the printer's (parser.print_formula and print_sequent).
 _set_key = Formula._k.__set__
 _set_hash = Formula._h.__set__
+# set_text is also the printer's (parser.print_formula and print_sequent).
 set_text = Formula._t.__set__
+_set_name = Atom.name.__set__
+_set_f = _Unary.f.__set__
+_set_l = _Binary.l.__set__
+_set_r = _Binary.r.__set__
+_set_body = Obl.body.__set__
+_set_cond = Obl.cond.__set__
 
 
 BOT = Bottom()
@@ -166,8 +199,8 @@ TOP = Neg(BOT)
 
 def sort_key(f: Formula):
     """Total structural order on formulas, for deterministic iteration only:
-    (0,) for falsum, (1, name) for an atom, and otherwise the constructor's
-    tag (_SHAPE) followed by the keys of its arguments."""
+    (0,) for falsum, (1, name) for an atom, and otherwise the class's tag
+    followed by the keys of its arguments."""
     return f._k
 
 

@@ -311,19 +311,29 @@ def _without(fs: tuple[Formula, ...], f: Formula) -> tuple[Formula, ...]:
 
 
 def derivation_to_json(d: Derivation) -> dict:
-    """The derivation as nested objects, built without recursion; each
-    distinct formula is printed once."""
-    root: dict = {}
-    todo = [(d, root)]
+    """The derivation as nested objects, in one loop without recursion.
+    Each node's object is made whole when the node comes off the stack, and
+    appended to its parent's "children"; the children go on the stack in
+    reverse, so they come off in order.  Formulas and sequents are printed
+    from the ASCII texts kept on their formulas, so each distinct formula
+    is rendered once."""
+    top: list[dict] = []
+    todo = [(d, top)]
+    pop, push = todo.pop, todo.append
     while todo:
-        (conclusion, rule, principal, children), out = todo.pop()
-        kids: list[dict] = [{} for _ in children]
-        out["rule"] = rule._value_
-        out["principal"] = [print_formula(f) for f in principal]
-        out["conclusion"] = print_sequent(conclusion)
-        out["children"] = kids
-        todo.extend(zip(children, kids))
-    return root
+        (conclusion, rule, principal, children), siblings = pop()
+        kids: list[dict] = []
+        # most nodes have one principal
+        if len(principal) == 1:
+            texts = [print_formula(principal[0])]
+        else:
+            texts = [print_formula(f) for f in principal]
+        siblings.append(
+            {"rule": rule._value_, "principal": texts, "conclusion": print_sequent(conclusion), "children": kids}
+        )
+        for child in reversed(children):
+            push((child, kids))
+    return top[0]
 
 
 def derivation_from_json(data: dict) -> Derivation:

@@ -27,12 +27,15 @@ formula started inside another (in parentheses, in "O( / )" or right of
 parser or in a later recursive pass over the formula.
 
 Reading is one scan: a compiled regex (_TOKEN) splits the text into
-blanks and candidate tokens in a single call, and _tokenize turns each
-candidate into a plain (kind, text, line, column) tuple or raises the
-ParseError of the first bad character.  Letters may be non-ASCII; "O",
-"true" and "false" are tokens only as whole words ("Ox" is "O" then "x",
-"falsey" an atom).  The recursive-descent parser then builds each node
-through its constructor, children first; atoms of one parse are shared.
+candidate tokens in a single findall, blanks and newlines skipped, and
+_tokenize maps the candidates to their kinds in one pass, or raises the
+ParseError of the first bad character.  Tokens carry no position: a
+token's line and column are made from its offset only when a ParseError
+is raised at it (_position).  Letters may be non-ASCII; "O", "true" and
+"false" are tokens only as whole words ("Ox" is "O" then "x", "falsey"
+an atom).  The recursive-descent parser reads kinds and words by index
+and builds each node through its constructor, children first; atoms of
+one parse are shared.
 
 Writing is two functions, print_formula and print_sequent, over one
 rendering rule (_render): a node's text is made from its arguments' texts,
@@ -49,6 +52,7 @@ countermodel body is printed in ASCII.
 from __future__ import annotations
 
 import re
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -82,12 +86,11 @@ class ParseError(ValueError):
         super().__init__(f"{line}:{col}: {message}{suffix}")
 
 
-# Blanks, then one candidate token: a word that starts with a word character
-# other than a decimal digit, "_" or an ASCII capital (_tokenize refuses a
-# start that is no lowercase letter), a two-character operator, or any
-# other single character, newline included.  Trailing blanks match nothing
-# and are left over.
-_TOKEN = re.compile(r"([ \t\r]*)([^\W\d_A-Z]\w*|\|-|->|\[\]|[^ \t\r])")
+# One candidate token: a word that starts with a word character other than
+# a decimal digit, "_" or an ASCII capital (_tokenize refuses a start that
+# is no lowercase letter), a two-character operator, or any other single
+# character but a blank or a newline, which match nothing and are skipped.
+_TOKEN = re.compile(r"[^\W\d_A-Z]\w*|\|-|->|\[\]|[^ \t\r\n]")
 
 _KINDS = {
     "(": "LPAREN",
@@ -113,30 +116,40 @@ _KINDS = {
     "⊤": "TRUE",
     "⊢": "TURNSTILE",
 }
+# Words that start with an ASCII lowercase letter are atoms, if no keyword.
+_ASCII_ATOM = dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "IDENT")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    """The tokens of text as (kind, text, line, column) tuples, ending in
-    an EOF token placed after the last character."""
-    tokens = []
-    append = tokens.append
-    line, col = 1, 1
-    for blanks, word in _TOKEN.findall(text):
-        col += len(blanks)
-        kind = _KINDS.get(word)
-        if kind is None:
-            c = word[0]
-            if c == "\n":
-                line += 1
-                col = 1
-                continue
-            if not (c.isalpha() and c.islower()):
-                raise _bad_character(c, line, col)
-            kind = "IDENT"
-        append((kind, word, line, col))
-        col += len(word)
-    append(("EOF", "", line, len(text) - text.rfind("\n")))
-    return tokens
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The kinds and the texts of the tokens of text, as two lists that end
+    in an EOF token.  A token's line and column are made only for an error
+    (_position)."""
+    words = _TOKEN.findall(text)
+    kind, ascii_atom = _KINDS.get, _ASCII_ATOM.get
+    kinds = [kind(w) or ascii_atom(w[0]) or _atom_kind(w) for w in words]
+    if None in kinds:
+        i = kinds.index(None)
+        raise _bad_character(words[i][0], *_position(text, i))
+    kinds.append("EOF")
+    words.append("")
+    return kinds, words
+
+
+def _atom_kind(word: str):
+    """The kind of a word that is no keyword and starts with no ASCII
+    lowercase letter: IDENT if it starts with a lowercase letter, else
+    None."""
+    c = word[0]
+    return "IDENT" if c.isalpha() and c.islower() else None
+
+
+def _position(text: str, i: int) -> tuple[int, int]:
+    """The line and column of the i-th token of text; the EOF token's are
+    those of the end of text."""
+    at = len(text)
+    for m in islice(_TOKEN.finditer(text), i, i + 1):
+        at = m.start()
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
 def _bad_character(c: str, line: int, col: int) -> ParseError:
@@ -147,41 +160,40 @@ def _bad_character(c: str, line: int, col: int) -> ParseError:
     return ParseError(f"unexpected character {c!r}", line, col)
 
 
-def _unexpected(tok: tuple, what: str) -> ParseError:
-    kind, text, line, col = tok
-    return ParseError(
-        f"unexpected {text!r}" if kind != "EOF" else "unexpected end of input", line, col, (what,)
-    )
-
-
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.kinds, self.words = _tokenize(text)
         self.pos = 0
         self.depth = 0
         self.atoms: dict[str, Atom] = {}
 
-    def peek(self) -> str:
-        """The kind of the next token."""
-        return self.tokens[self.pos][0]
+    def error(self, i: int, message: str, expected: tuple[str, ...] = ()) -> ParseError:
+        """The ParseError placed at the i-th token."""
+        return ParseError(message, *_position(self.text, i), expected)
+
+    def unexpected(self, i: int, what: str) -> ParseError:
+        message = f"unexpected {self.words[i]!r}" if self.kinds[i] != "EOF" else "unexpected end of input"
+        return self.error(i, message, (what,))
 
     def expect(self, kind: str, what: str) -> None:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise _unexpected(tok, what)
-        self.pos += 1
+        i = self.pos
+        if self.kinds[i] != kind:
+            raise self.unexpected(i, what)
+        self.pos = i + 1
 
-    def deeper(self) -> None:
-        """Enter one more nesting level; the caller leaves it again."""
-        if self.depth == MAX_NESTING:
-            _, _, line, col = self.tokens[self.pos]
-            raise ParseError(f"formula nested more than {MAX_NESTING} levels deep", line, col)
-        self.depth += 1
+    def too_deep(self) -> ParseError:
+        return self.error(self.pos, f"formula nested more than {MAX_NESTING} levels deep")
+
+    # Each formula and each "~" or "[]" enters one more nesting level, and
+    # leaves it again once parsed.
 
     def formula(self) -> Formula:
-        self.deeper()
+        if self.depth == MAX_NESTING:
+            raise self.too_deep()
+        self.depth += 1
         out = self.or_f()
-        if self.tokens[self.pos][0] == "ARROW":
+        if self.kinds[self.pos] == "ARROW":
             self.pos += 1
             out = Imp(out, self.formula())
         self.depth -= 1
@@ -189,30 +201,32 @@ class _Parser:
 
     def or_f(self) -> Formula:
         out = self.and_f()
-        while self.tokens[self.pos][0] == "OR":
+        while self.kinds[self.pos] == "OR":
             self.pos += 1
             out = Or(out, self.and_f())
         return out
 
     def and_f(self) -> Formula:
         out = self.unary()
-        while self.tokens[self.pos][0] == "AND":
+        while self.kinds[self.pos] == "AND":
             self.pos += 1
             out = And(out, self.unary())
         return out
 
     def unary(self) -> Formula:
-        tok = self.tokens[self.pos]
-        kind = tok[0]
-        self.pos += 1
+        i = self.pos
+        kind = self.kinds[i]
+        self.pos = i + 1
         if kind == "IDENT":
-            name = tok[1]
+            name = self.words[i]
             atom = self.atoms.get(name)
             if atom is None:
                 atom = self.atoms[name] = Atom(name)
             return atom
         if kind == "NOT" or kind == "BOX":
-            self.deeper()
+            if self.depth == MAX_NESTING:
+                raise self.too_deep()
+            self.depth += 1
             f = self.unary()
             self.depth -= 1
             return (Neg if kind == "NOT" else Box)(f)
@@ -231,13 +245,13 @@ class _Parser:
             return BOT
         if kind == "TRUE":
             return TOP
-        raise _unexpected(tok, "a formula")
+        raise self.unexpected(i, "a formula")
 
     def formula_list(self, stop: str) -> tuple[Formula, ...]:
-        if self.peek() == stop:
+        if self.kinds[self.pos] == stop:
             return ()
         out = [self.formula()]
-        while self.peek() == "COMMA":
+        while self.kinds[self.pos] == "COMMA":
             self.pos += 1
             out.append(self.formula())
         return tuple(out)
@@ -249,9 +263,9 @@ class _Parser:
         return Sequent(ante, succ)
 
     def end(self) -> None:
-        kind, text, line, col = self.tokens[self.pos]
-        if kind != "EOF":
-            raise ParseError(f"trailing input {text!r}", line, col, ("end of input",))
+        i = self.pos
+        if self.kinds[i] != "EOF":
+            raise self.error(i, f"trailing input {self.words[i]!r}", ("end of input",))
 
 
 def parse_formula(text: str) -> Formula:
@@ -441,7 +455,7 @@ def parse_problem(text: str) -> ProblemFile:
 
 def read_sequent_file(path: Path) -> Sequent:
     """First meaningful line of a .seq file, # comments and blanks skipped."""
-    for lineno, col, line in _content_lines(path.read_text()):
+    for lineno, col, line in _content_lines(path.read_text(encoding="utf-8-sig")):
         try:
             return parse_sequent(line)
         except ParseError as e:

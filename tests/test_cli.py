@@ -707,3 +707,83 @@ def test_a_certificate_that_fails_its_check_exits_2(monkeypatch, capsys):
     assert captured.out == ""
     assert "bmdl: frame validation failed: forced violation" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("countermodel", "|- p"), ("consistent", "--assume", "p")],
+    ids=["countermodel", "consistent"],
+)
+def test_check_proof_on_a_report_that_holds_a_countermodel_exits_2(tmp_path, capsys, argv):
+    path, report = printed(tmp_path, capsys, *argv)
+    assert "countermodel" in report and "derivation" not in report and "witness" not in report
+    assert main(["check-proof", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "bmdl: the report holds a countermodel and no proof; check it with check-model\n"
+
+
+# Each verb that reads a file, with the file it reads: (argv, file name, text).
+_READING_VERBS = [
+    (["prove", "{}"], "goal.seq", "# a sequent file\n¬p ⊢ ¬p\n"),
+    (["consistent", "{}"], "set.mdl", "assume p\nassume ¬□q  # Unicode symbols\n"),
+    (["check-model", "{}"], "m.json", None),
+    (["check-proof", "{}"], "d.json", None),
+    (["corpus", "{}"], "corpus", None),
+]
+
+
+def _reading_verb_input(tmp_path, capsys, name, text, bom=False):
+    """Write the file a reading verb reads, in UTF-8 with non-ASCII text,
+    and with a byte-order mark if bom: its path."""
+    mark = "﻿" if bom else ""
+    path = tmp_path / name
+    if name == "corpus":
+        path.mkdir()
+        (path / "goal.seq").write_text(mark + "¬p ⊢ ¬p\n", encoding="utf-8")
+        manifest = {"entries": [{"file": "goal.seq", "kind": "sequent", "expect": {"derivable": True}}]}
+        (path / "manifest.json").write_text(mark + json.dumps(manifest), encoding="utf-8")
+        return path
+    if text is None:
+        argv = ["countermodel", "q |- p"] if name == "m.json" else ["prove", "p |- q"]
+        main([argv[0], "--unicode", "--assume", "□(p → q)", argv[1]])
+        text = capsys.readouterr().out
+        assert any(ord(c) > 127 for c in text)
+    path.write_text(mark + text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("argv, name, text", _READING_VERBS, ids=[a[0] for a, _, _ in _READING_VERBS])
+def test_reading_verbs_read_utf8_whatever_the_locale(tmp_path, capsys, argv, name, text):
+    """Every file a verb reads is read as UTF-8, not in the locale's
+    encoding: no EncodingWarning under -X warn_default_encoding, and the
+    same exit code under a locale that is not UTF-8."""
+    path = _reading_verb_input(tmp_path, capsys, name, text)
+    args = [a.format(path) for a in argv]
+    expected = main(list(args))
+    capsys.readouterr()
+    assert expected == 0
+    flags = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    for locale in ("C.UTF-8", "C"):
+        # neither UTF-8 mode nor locale coercion may turn the C locale into UTF-8
+        env = dict(
+            os.environ, PYTHONPATH=str(REPO / "src"), LC_ALL=locale,
+            PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONIOENCODING="utf-8",
+        )
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "bmdl", *args], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (proc.returncode, proc.stderr) == (expected, ""), locale
+
+
+@pytest.mark.parametrize("argv, name, text", _READING_VERBS, ids=[a[0] for a, _, _ in _READING_VERBS])
+def test_a_file_with_a_byte_order_mark_reads_as_without_one(tmp_path, capsys, argv, name, text):
+    reports = []
+    for bom in (False, True):
+        d = tmp_path / f"bom{int(bom)}"
+        d.mkdir()
+        path = _reading_verb_input(d, capsys, name, text, bom=bom)
+        code = main([a.format(path) for a in argv])
+        reports.append((code, capsys.readouterr().out.replace(str(d), "DIR")))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 0

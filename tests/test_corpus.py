@@ -185,3 +185,22 @@ def test_derivation_entries_replay_the_reports_check_proof_accepts(tmp_path, cap
     assert [(r.entry.file, r.ok) for r in results] == [(name, True) for name in reports]
     assert [r.detail for r in results[:3]] == ["derivation checked"] * 3
     assert results[3].detail.endswith(", not []p |- q")
+
+
+def test_a_derivation_entry_that_points_at_a_countermodel_report_fails_with_the_reason(tmp_path):
+    # reports that hold a countermodel and no proof: countermodel of an
+    # underivable goal, and consistent on a consistent set
+    reports = {
+        "countermodel.json": decide_goal((), parse_sequent("|- p"), 100_000, affirm_derivable=False)[1],
+        "consistent.json": decide_consistency((parse_formula("p"),), 100_000)[1],
+    }
+    for name, report in reports.items():
+        assert "countermodel" in report
+        (tmp_path / name).write_text(json.dumps(report))
+    entries = [{"file": name, "kind": "derivation", "expect": {"checks": True}} for name in reports]
+    (tmp_path / "manifest.json").write_text(json.dumps({"entries": entries}))
+    results = run_corpus(tmp_path, budget=100_000).results
+    assert [(r.entry.file, r.ok, r.exhausted) for r in results] == [(name, False, False) for name in reports]
+    assert {r.detail for r in results} == {
+        "ValueError: the report holds a countermodel and no proof; check it with check-model"
+    }

@@ -24,6 +24,7 @@ from bmdl.formula import (
 from bmdl.kernel import derivation_from_json
 from bmdl.parser import (
     ParseError,
+    _position,
     _tokenize,
     looks_like_problem,
     parse_formula,
@@ -359,6 +360,13 @@ def reference_print_sequent(s: Sequent, unicode: bool = False) -> str:
     return " ".join(part for part in (ante, sep, succ) if part)
 
 
+def _placed_tokens(text: str) -> list[tuple[str, str, int, int]]:
+    """_tokenize's tokens of text as (kind, text, line, column), each placed
+    by _position, which places every ParseError."""
+    kinds, words = _tokenize(text)
+    return [(kind, word, *_position(text, i)) for i, (kind, word) in enumerate(zip(kinds, words))]
+
+
 def _tokens_or_error(tokenize, text: str):
     try:
         return [tuple(t) if isinstance(t, tuple) else (t.kind, t.text, t.line, t.col) for t in tokenize(text)]
@@ -383,9 +391,24 @@ texts = st.one_of(
 )
 
 
+# Parse errors past the tokenizer, each placed on the token it names (or
+# at the end of input), as the parser placed them when every token carried
+# its line and column: (function, text, message, line, column, expected).
+_PARSE_ERRORS = [
+    (parse_sequent, "p,\nq |-\n r & )", "unexpected ')'", 3, 6, ("a formula",)),
+    (parse_sequent, "\tp &\t\r~ |- q", "unexpected '|-'", 1, 9, ("a formula",)),
+    (parse_sequent, "é_1 ∧ ßy\n  ∨ ⊢", "unexpected '⊢'", 2, 5, ("a formula",)),
+    (parse_formula, "é_1 ∧ ü ü", "trailing input 'ü'", 1, 9, ("end of input",)),
+    (parse_formula, "p -> q )", "trailing input ')'", 1, 8, ("end of input",)),
+    (parse_sequent, "p &\n  ", "unexpected end of input", 2, 3, ("a formula",)),
+    (parse_sequent, "p |-\n" + "~" * 201 + "q", "formula nested more than 200 levels deep", 2, 201, ()),
+    (parse_formula, "\t" + "(" * 201 + "p" + ")" * 201, "formula nested more than 200 levels deep", 1, 202, ()),
+]
+
+
 @given(texts)
 def test_tokenizer_matches_the_reference(text):
-    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(reference_tokenize, text)
+    assert _tokens_or_error(_placed_tokens, text) == _tokens_or_error(reference_tokenize, text)
 
 
 @pytest.mark.parametrize(
@@ -393,10 +416,27 @@ def test_tokenizer_matches_the_reference(text):
     [
         "", "  ", "p\n", "a\n  \n", "Ox", "falsey", "true1", "é_1 & Äb", "p - q", "[p", "p²q", "٣", "p |->q",
         "ǅx", "ªb", "ᵃ", "ⅰ", "²", "_p", "\x0bp",
+        *(text for _, text, *_ in _PARSE_ERRORS),
     ],
 )
 def test_tokenizer_matches_the_reference_on_edge_cases(text):
-    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(reference_tokenize, text)
+    assert _tokens_or_error(_placed_tokens, text) == _tokens_or_error(reference_tokenize, text)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, line, col, expected",
+    _PARSE_ERRORS,
+    ids=["line-3", "tabs-and-cr", "non-ascii-atoms", "trailing-non-ascii", "trailing", "end-of-input",
+         "nesting-negations", "nesting-parentheses"],
+)
+def test_parse_errors_are_placed_on_the_token_they_name(parse, text, message, line, col, expected):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    e = err.value
+    assert (e.message, e.line, e.col, e.expected) == (message, line, col, expected)
+    assert str(e) == f"{line}:{col}: {message}" + (f" (expected {', '.join(expected)})" if expected else "")
+    # the place is one the reference tokenizer gives a token of the text
+    assert (line, col) in {(t.line, t.col) for t in reference_tokenize(text)}
 
 
 @given(formulas)
@@ -514,7 +554,7 @@ def test_every_corpus_file_parses_as_the_references_read_it(path):
     fs, texts = _corpus_formulas(path)
     for text in texts:
         for line in text.splitlines():
-            assert _tokens_or_error(_tokenize, line) == _tokens_or_error(reference_tokenize, line)
+            assert _tokens_or_error(_placed_tokens, line) == _tokens_or_error(reference_tokenize, line)
     for f in fs:
         _assert_filled_as_the_reference(f)
         assert print_formula(f) == reference_print(f)
