@@ -84,16 +84,21 @@ of the universe's canonical formulas, whose arguments are the formulas of
 their own ranks, so the audit's truth sets, keyed by formulas, find a
 repeated subformula as the same object.
 
-The valuation makes an atom true exactly at the worlds carrying it on the
-left, and the obligation map of a world takes one generator per
-obligation on its left, built from the occurrence sets of its body and
-condition among the world's successors.
+finish fills the model straight from the builder's masks: world i, the
+i-th world made, is bit i and is named h<i>.  Each world's edges to its
+witnesses are one mask, and rt_closure closes them into its successor
+mask.  An atom's truth mask is the set of worlds carrying it on the left,
+and each world gets one generator per obligation on its left, whose base
+and cond are the occurrence masks of the body and the condition among
+the world's successors.  No view of the construction is handed on: the
+frame check, the audit and the root check read the model's own masks,
+and names appear only when the model is written as JSON.
 
 build certifies the result before returning it: the frame conditions are
 validated, every formula occurrence is audited against the truth
 conditions (left occurrences true, right occurrences false), and the goal
 must fail at the root world.  The audit and the root check share one memo
-of the model's truth sets; both run in full.  A certification failure
+of the model's truth masks; both run in full.  A certification failure
 raises CountermodelError rather than returning a bad model, so every
 CounterModelResult that build returns is certified.
 
@@ -123,13 +128,12 @@ from .formula import (
 from .parser import parse_sequent, print_formula, print_sequent
 from .search import Budget, DEFAULT_BUDGET, Masks, Memo, SearchResult, decide, prove, saturate
 from .semantics import (
-    Generator,
     MModel,
     falsifies,
-    holds,
     model_from_json,
     model_to_json,
     rt_closure,
+    truth_mask,
     validate_frame,
 )
 
@@ -158,8 +162,8 @@ class _Builder:
         self.memo = memo
         self.u = memo.universe
         self.conds = conds  # the mask of the conditions to place
-        self.resolved: dict[str, Masks] = {}  # in creation order
-        self.edges: set[tuple[str, str]] = set()
+        self.resolved: list[Masks] = []  # world i's sequent, in creation order
+        self.edges: list[int] = []  # world i's witnesses, as a mask of worlds
 
     def underivable(self, s: Masks) -> bool:
         """The oracle: underivability from the memo's entry for s, a proof
@@ -211,57 +215,61 @@ class _Builder:
                     )
                 cur = right
 
-    def container(self, p: Masks) -> Optional[str]:
+    def container(self, p: Masks) -> Optional[int]:
         """The earliest world whose resolved sequent contains the transitional
         premiss p componentwise, or None: a scan in creation order."""
         ante, succ = p
-        for w, (w_ante, w_succ) in self.resolved.items():
+        for w, (w_ante, w_succ) in enumerate(self.resolved):
             if not (ante & ~w_ante or succ & ~w_succ):
                 return w
         return None
 
-    def explore(self, s: Masks) -> str:
+    def explore(self, s: Masks) -> int:
         resolved = self.resolve(s)
-        wid = f"h{len(self.resolved)}"
-        self.resolved[wid] = resolved
+        w = len(self.resolved)
+        self.resolved.append(resolved)
+        self.edges.append(0)
         for app in self.u.transitional(*resolved):
             witness = next(
-                (w for w in map(self.container, app.premisses) if w is not None), None
+                (v for v in map(self.container, app.premisses) if v is not None), None
             )
             if witness is None:
                 witness = self.explore(self.first_underivable(app, resolved))
-            self.edges.add((wid, witness))
-        return wid
+            self.edges[w] |= 1 << witness
+        return w
 
     def finish(self) -> MModel:
+        """The model over the worlds made, world i named h<i>: the edges
+        closed by rt_closure, and every mask read off the resolved masks."""
         u = self.u
-        worlds = tuple(self.resolved)
-        acc = rt_closure(worlds, frozenset(self.edges))
-        onward: dict[str, set[str]] = {w: set() for w in worlds}
-        for v, w in acc:
-            onward[v].add(w)
-        succ = {w: frozenset(vs) for w, vs in onward.items()}
-        occurs_left: dict[int, frozenset[str]] = {}
+        resolved = self.resolved
+        succ = rt_closure(self.edges, len(resolved))
+        occurs_left: dict[int, int] = {}
 
-        def left_of(bit: int) -> frozenset[str]:
+        def left_of(bit: int) -> int:
             got = occurs_left.get(bit)
             if got is None:
-                got = occurs_left[bit] = frozenset(
-                    w for w, (ante, _) in self.resolved.items() if ante & bit
-                )
+                got = 0
+                for w, (ante, _) in enumerate(resolved):
+                    if ante & bit:
+                        got |= 1 << w
+                occurs_left[bit] = got
             return got
 
-        val = {}
-        eta: dict[str, tuple[Generator, ...]] = {}
-        for w, (ante, _) in self.resolved.items():
-            val[w] = frozenset(f.name for f in u.members(ante & u.atoms))
-            gens = []
+        gens = []
+        for (ante, _), reach in zip(resolved, succ):
+            gs = []
             for i in ranks(ante & u.obls):
-                g = Generator(left_of(u.first[i]) & succ[w], left_of(u.second[i]) & succ[w])
-                if g not in gens:
-                    gens.append(g)
-            eta[w] = tuple(gens)
-        return MModel(worlds, acc, eta, val)
+                g = (left_of(u.first[i]) & reach, left_of(u.second[i]) & reach)
+                if g not in gs:
+                    gs.append(g)
+            gens.append(tuple(gs))
+        atoms = {}
+        for i in ranks(u.atoms):
+            true_at = left_of(1 << i)
+            if true_at:
+                atoms[u.formulas[i].name] = true_at
+        return MModel(tuple(f"h{w}" for w in range(len(resolved))), tuple(succ), tuple(gens), atoms)
 
 
 def left_obligation_conds(u: Universe, s: Masks) -> int:
@@ -313,14 +321,16 @@ def truth_lemma_audit(
     model: left occurrences must be true there and right occurrences false.
     Returns the violations as human-readable strings, formulas printed in
     ASCII, or in Unicode with unicode, empty on success.  cache memoises
-    truth sets of model, as for semantics.holds."""
+    truth masks of model, as for semantics.holds."""
     bad: list[tuple[str, str, str, Formula]] = []
     if cache is None:
         cache = {}
+    index = model.index
     for w in model.worlds:
         s = resolved[w]
-        false_left = [f for f in s.ante if not holds(model, w, f, cache)]
-        true_right = [f for f in s.succ if holds(model, w, f, cache)]
+        bit = 1 << index[w]
+        false_left = [f for f in s.ante if not truth_mask(model, f, cache) & bit]
+        true_right = [f for f in s.succ if truth_mask(model, f, cache) & bit]
         # sorted only when printed, so the messages keep their order
         if false_left:
             bad.extend((w, "left", "false", f) for f in sorted_formulas(false_left))
@@ -351,9 +361,10 @@ def build(
     builder = _Builder(Budget.ensure(budget), memo, left_obligation_conds(u, start))
     if not builder.underivable(start):
         raise ValueError("the sequent is derivable; no countermodel exists")
-    root = builder.explore(start)
+    root_bit = builder.explore(start)
     model = builder.finish()
-    labels = {w: u.decode(s) for w, s in builder.resolved.items()}
+    root = model.worlds[root_bit]
+    labels = dict(zip(model.worlds, map(u.decode, builder.resolved)))
 
     frame_bad = validate_frame(model)
     if frame_bad:

@@ -63,9 +63,13 @@ class Derivation(NamedTuple):
     children: tuple["Derivation", ...] = ()
 
     def rules_used(self) -> Counter:
-        out = Counter([self.rule])
-        for c in self.children:
-            out += c.rules_used()
+        """How often each rule occurs, counted over an explicit stack."""
+        out: Counter = Counter()
+        todo = [self]
+        while todo:
+            d = todo.pop()
+            out[d.rule] += 1
+            todo.extend(reversed(d.children))
         return out
 
 
@@ -185,16 +189,20 @@ _STRUCTURAL_ARITY = {
 
 def check_derivation(d: Derivation, assumptions: Iterable[Sequent] = ()) -> bool:
     """Check every node; returns True or raises DerivationError at the first
-    offending node."""
+    offending node in preorder, walked over an explicit stack, so a
+    derivation of any depth is checked."""
     assumed = list(assumptions)
-    _check(d, assumed, ())
+    todo: list[tuple[Derivation, tuple[int, ...]]] = [(d, ())]
+    pop, push = todo.pop, todo.append
+    while todo:
+        node, path = pop()
+        _check_node(node, assumed, path)
+        children = node.children
+        i = len(children)
+        while i:  # pushed last to first, so popped first to last
+            i -= 1
+            push((children[i], path + (i,)))
     return True
-
-
-def _check(d: Derivation, assumed: list[Sequent], path: tuple[int, ...]) -> None:
-    _check_node(d, assumed, path)
-    for i, child in enumerate(d.children):
-        _check(child, assumed, path + (i,))
 
 
 def _check_node(d: Derivation, assumed: list[Sequent], path: tuple[int, ...]) -> None:

@@ -14,20 +14,33 @@ An obligation O(f/g) holds at w when some generator (b, c) of w has
 b inside the truth set of f restricted to R[w] and c equal to the truth
 set of g restricted to R[w].
 
-World bits.  validate_frame and the truth evaluator run on one
-world-indexed view of a model, built on its first use and cached on the
-model (MModel._bits).  World worlds[i], at its first occurrence, is bit i;
-a truth set is an int mask over those bits, and so are each world's
-successors, each atom's valuation and each generator's base and cond.  A
-name outside the worlds that a successor set or a generator mentions gets
-a bit past them, in the order the view meets it, which is frozenset order
-and may change with the hash seed.  An invalid model therefore evaluates
-exactly as over sets of names: such a name is in no truth set, so a box
-whose world sees it fails, and a generator that names it makes no
-obligation true.  Nothing printed follows the bit order: validate_frame
-sorts the pairs and names of a violation only to print it.
+World bits.  A model is world-indexed: world worlds[i] is bit i, and a
+set of worlds is an int mask over those bits.  The model stores each
+world's successor mask (succ), each world's generators as (base, cond)
+mask pairs (gens) and each atom's truth mask (atoms).  The countermodel
+builder fills these masks, and validate_frame, the truth evaluator and
+the audit read them.  World names appear only at the boundary: in
+model_to_json and model_from_json, in model_of_names, which turns a
+model given by names into bits, and where a check takes or reports a
+world (holds, truth_set, the messages of validate_frame).  For those,
+each model keeps names, the name of each bit, and index, the bit of each
+world name.
 
-One evaluator (_truth) computes the masks.  The optional cache of holds,
+Stray names.  model_of_names (so model_from_json) gives every name
+outside the worlds that an acc pair, a generator or an eta or val key
+mentions a bit past them, in the order it meets them, and lists it in
+strays; succ holds one mask per bit, strays included, so a pair from a
+stray is kept, and stray_keys marks the strays that key an eta or val
+entry.  A repeated world name is one world, at its first occurrence, so
+the bits of the worlds are those of names[:len(gens)].  An invalid model
+therefore evaluates exactly as over sets of names: a stray is in no
+truth set, so a box whose world sees it fails, and a generator that
+names it makes no obligation true; the generators and atoms of an entry
+for a stray are not kept.  Nothing printed follows the bit order:
+validate_frame sorts the pairs and names of a violation only to print
+it.
+
+One evaluator (truth_mask) computes the masks.  The optional cache of holds,
 truth_set, sequent_holds and falsifies maps formulas to their masks in
 one model; callers share it across the checks of that model, and
 truth_set decodes a mask to the names of its worlds.
@@ -35,88 +48,61 @@ truth_set decodes a mask to the names of its worlds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping, NamedTuple, Optional
+from dataclasses import dataclass, replace
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
+from .calculus import ranks
 from .formula import And, Atom, Bottom, Box, Formula, Imp, Neg, Obl, Or, Sequent
-
-
-class Generator(NamedTuple):
-    base: frozenset[str]
-    cond: frozenset[str]
 
 
 @dataclass(frozen=True)
 class MModel:
+    """A finite model over world bits (see "World bits" in the module
+    docstring): succ per bit, gens per world, atoms keyed by atom name.
+    names and index, made with the model, read bits and names both ways."""
+
     worlds: tuple[str, ...]
-    acc: frozenset[tuple[str, str]]
-    eta: Mapping[str, tuple[Generator, ...]]
-    val: Mapping[str, frozenset[str]]
+    succ: tuple[int, ...]
+    gens: tuple[tuple[tuple[int, int], ...], ...]
+    atoms: Mapping[str, int]
+    strays: tuple[str, ...] = ()
+    stray_keys: int = 0
 
-    @cached_property
-    def _bits(self) -> "_WorldBits":
-        return _WorldBits(self)
+    def __post_init__(self) -> None:
+        # names: each bit's name, the worlds once each, then the strays;
+        # index: the bit of each world name, at its first occurrence
+        names = tuple(dict.fromkeys(self.worlds)) + self.strays
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "index", dict(zip(names, range(len(self.gens)))))
 
-    def successors(self, w: str) -> frozenset[str]:
-        view = self._bits
-        return frozenset(view.members(view.succ.get(w, 0)))
 
+def model_of_names(
+    worlds: Iterable[str],
+    acc: Iterable[tuple[str, str]],
+    eta: Mapping[str, Iterable[tuple[Iterable[str], Iterable[str]]]],
+    val: Mapping[str, Iterable[str]],
+) -> MModel:
+    """The model whose worlds, accessibility pairs, generators (base, cond)
+    per world and true atoms per world are given by name; names outside
+    the worlds become strays (see "Stray names" in the module docstring)."""
+    worlds = tuple(worlds)
+    index = {w: i for i, w in enumerate(dict.fromkeys(worlds))}
+    n = len(index)
 
-class _WorldBits:
-    """The world-indexed view of a model (see "World bits" in the module
-    docstring).  bit maps a name to its one-bit mask, the worlds first;
-    succ, gens and obligated are per world, in the order of the worlds."""
+    def mask(names: Iterable[str]) -> int:  # a new name gets the next bit
+        return sum({1 << index.setdefault(x, len(index)) for x in names})
 
-    __slots__ = ("bit", "names", "full", "succ", "atoms", "gens", "obligated")
-
-    def __init__(self, m: MModel):
-        names = self.names = list(dict.fromkeys(m.worlds))
-        bit = self.bit = {w: 1 << i for i, w in enumerate(names)}
-        self.full = (1 << len(names)) - 1
-
-        def bit_of(name: str) -> int:
-            b = bit.get(name)
-            if b is None:
-                b = bit[name] = 1 << len(names)
-                names.append(name)
-            return b
-
-        succ = self.succ = dict.fromkeys(bit, 0)
-        for u, v in m.acc:
-            if u in succ:
-                succ[u] |= bit.get(v) or bit_of(v)
-        atoms: dict[str, int] = {}
-        for w, true_atoms in m.val.items():
-            if w in succ:
-                b = bit[w]
-                for a in true_atoms:
-                    atoms[a] = atoms.get(a, 0) | b
-        self.atoms = atoms
-        gens = self.gens = {}
-        obligated = self.obligated = []
-        for w in succ:
-            gs = []
-            for g in m.eta.get(w, ()):
-                base = cond = 0
-                for x in g.base:
-                    base |= bit.get(x) or bit_of(x)
-                for x in g.cond:
-                    cond |= bit.get(x) or bit_of(x)
-                gs.append((base, cond))
-            gens[w] = gs
-            if gs:
-                obligated.append((bit[w], succ[w], gs))
-
-    def members(self, mask: int) -> list[str]:
-        """The names of the bits of mask, in bit order."""
-        out = []
-        names = self.names
-        while mask:
-            low = mask & -mask
-            out.append(names[low.bit_length() - 1])
-            mask ^= low
-        return out
+    pairs = [(mask((u,)), mask((v,))) for u, v in acc]
+    gens = tuple(tuple((mask(b), mask(c)) for b, c in eta.get(w, ())) for w in list(index)[:n])
+    stray_keys = mask((*eta, *val)) >> n << n
+    succ = [0] * len(index)
+    for u, v in pairs:
+        succ[u.bit_length() - 1] |= v
+    atoms: dict[str, int] = {}
+    for w, true_atoms in val.items():
+        for a in true_atoms if index[w] < n else ():
+            atoms[a] = atoms.get(a, 0) | 1 << index[w]
+    return MModel(worlds, tuple(succ), gens, atoms, tuple(index)[n:], stray_keys)
 
 
 class FrameViolation(NamedTuple):
@@ -132,40 +118,33 @@ def validate_frame(m: MModel) -> list[FrameViolation]:
     The checks run on the model's world bits; pairs and names are sorted
     only to print a violation."""
     bad: list[FrameViolation] = []
-    view = m._bits
-    ws = view.succ  # keyed by the worlds
-    if not ws:
+    n = len(m.gens)
+    if not n:
         bad.append(FrameViolation("worlds", "a model needs at least one world"))
         return bad
-    if len(ws) != len(m.worlds):
+    if n != len(m.worlds):
         bad.append(FrameViolation("worlds", "duplicate world names"))
-    strays = [(u, v) for u, v in m.acc if u not in ws or v not in ws]
-    for u, v in sorted(strays):
-        bad.append(FrameViolation("reference", f"accessibility pair ({u}, {v}) mentions an unknown world"))
-    strays = [w for w in m.eta if w not in ws] + [w for w in m.val if w not in ws]
-    for w in sorted(set(strays)):
-        bad.append(FrameViolation("reference", f"entry for unknown world {w}"))
+    succ, names = m.succ, m.names
+    if m.strays:
+        strays = [(names[u], names[v]) for u, s in enumerate(succ) for v in ranks(s) if u >= n or v >= n]
+        for u, v in sorted(strays):
+            bad.append(FrameViolation("reference", f"accessibility pair ({u}, {v}) mentions an unknown world"))
+        for w in sorted(names[i] for i in ranks(m.stray_keys)):
+            bad.append(FrameViolation("reference", f"entry for unknown world {w}"))
     if bad:
         return bad
 
-    bit, succ = view.bit, view.succ
-    for w in m.worlds:
-        if not succ[w] & bit[w]:
-            bad.append(FrameViolation("reflexivity", f"missing ({w}, {w})"))
-    # every pair (v, x) once per pair (u, v), in the order of sorted(m.acc)
-    gaps = []
-    for u, v in m.acc:
-        missing = succ[v] & ~succ[u]
-        if missing:
-            gaps.append((u, v, missing))
+    for i in range(n):
+        if not succ[i] >> i & 1:
+            bad.append(FrameViolation("reflexivity", f"missing ({names[i]}, {names[i]})"))
+    # every pair (v, x) once per pair (u, v), in the order of the sorted pairs
+    gaps = [(names[u], names[v], gap) for u, s in enumerate(succ) for v in ranks(s) if (gap := succ[v] & ~s)]
     for u, v, missing in sorted(gaps, key=lambda gap: gap[:2]):
-        for x in sorted(view.members(missing)):
+        for x in sorted(names[i] for i in ranks(missing)):
             bad.append(FrameViolation("transitivity", f"({u}, {v}) and ({v}, {x}) but not ({u}, {x})"))
 
-    full = view.full
-    for w in m.worlds:
-        gens = view.gens[w]
-        reach = succ[w]
+    full = (1 << n) - 1
+    for w, gens, reach in zip(names, m.gens, succ):
         for base, cond in gens:
             if (base | cond) & ~full:
                 bad.append(FrameViolation("reference", f"generator at {w} mentions unknown worlds"))
@@ -185,38 +164,40 @@ def validate_frame(m: MModel) -> list[FrameViolation]:
     return bad
 
 
-def _truth(view: _WorldBits, f: Formula, cache: dict) -> int:
-    """The mask of the worlds at which f holds; cache maps formulas to
-    their masks in the view's model, and is read first and filled."""
+def truth_mask(m: MModel, f: Formula, cache: dict) -> int:
+    """The mask of the worlds at which f holds: the one evaluator.  cache
+    maps formulas to their masks in m, and is read first and filled."""
     got = cache.get(f)
     if got is not None:
         return got
     t = type(f)
     if t is Atom:
-        v = view.atoms.get(f.name, 0)
+        v = m.atoms.get(f.name, 0)
     elif t is Neg:
-        v = view.full & ~_truth(view, f.f, cache)
+        v = (1 << len(m.gens)) - 1 & ~truth_mask(m, f.f, cache)
     elif t is And:
-        v = _truth(view, f.l, cache) & _truth(view, f.r, cache)
+        v = truth_mask(m, f.l, cache) & truth_mask(m, f.r, cache)
     elif t is Or:
-        v = _truth(view, f.l, cache) | _truth(view, f.r, cache)
+        v = truth_mask(m, f.l, cache) | truth_mask(m, f.r, cache)
     elif t is Imp:
-        v = view.full & ~_truth(view, f.l, cache) | _truth(view, f.r, cache)
+        v = (1 << len(m.gens)) - 1 & ~truth_mask(m, f.l, cache) | truth_mask(m, f.r, cache)
     elif t is Box:
-        tg = _truth(view, f.f, cache)
+        tg = truth_mask(m, f.f, cache)
         v = 0
-        for i, s in enumerate(view.succ.values()):
+        for i, s in enumerate(m.succ[: len(m.gens)]):
             if not s & ~tg:
                 v |= 1 << i
     elif t is Obl:
-        tb, tc = _truth(view, f.body, cache), _truth(view, f.cond, cache)
+        tb, tc = truth_mask(m, f.body, cache), truth_mask(m, f.cond, cache)
         v = 0
-        for b, s, gens in view.obligated:
-            tbs, tcs = tb & s, tc & s
-            for base, cond in gens:
-                if cond == tcs and not base & ~tbs:
-                    v |= b
-                    break
+        for i, gens in enumerate(m.gens):
+            if gens:
+                s = m.succ[i]
+                tbs, tcs = tb & s, tc & s
+                for base, cond in gens:
+                    if cond == tcs and not base & ~tbs:
+                        v |= 1 << i
+                        break
     elif t is Bottom:
         v = 0
     else:
@@ -228,15 +209,15 @@ def _truth(view: _WorldBits, f: Formula, cache: dict) -> int:
 def truth_set(m: MModel, f: Formula, cache: Optional[dict] = None) -> frozenset[str]:
     """Worlds of m at which f holds.  A cache passed in maps formulas to
     their truth masks in m; it is read first and filled as f is evaluated."""
-    view = m._bits
-    return frozenset(view.members(_truth(view, f, {} if cache is None else cache)))
+    names = m.names
+    return frozenset(names[i] for i in ranks(truth_mask(m, f, {} if cache is None else cache)))
 
 
 def holds(m: MModel, w: str, f: Formula, cache: Optional[dict] = None) -> bool:
-    view = m._bits
-    if w not in view.succ:
+    i = m.index.get(w)
+    if i is None:
         raise ValueError(f"unknown world {w}")
-    return bool(_truth(view, f, {} if cache is None else cache) & view.bit[w])
+    return bool(truth_mask(m, f, {} if cache is None else cache) >> i & 1)
 
 
 def sequent_holds(m: MModel, w: str, s: Sequent, cache: Optional[dict] = None) -> bool:
@@ -251,26 +232,29 @@ def falsifies(m: MModel, w: str, s: Sequent, cache: Optional[dict] = None) -> bo
     return not sequent_holds(m, w, s, cache)
 
 
-def rt_closure(
-    worlds: tuple[str, ...], pairs: frozenset[tuple[str, str]]
-) -> frozenset[tuple[str, str]]:
-    """Reflexive transitive closure over the given world set: the identity
-    on worlds, plus every pair joined by a nonempty path of pairs, found by
-    one walk from each source."""
-    onward: dict[str, set[str]] = {}
-    for u, v in pairs:
-        onward.setdefault(u, set()).add(v)
-    acc = {(w, w) for w in worlds}
-    for u, first in onward.items():
-        reached: set[str] = set()
-        todo = list(first)
-        while todo:
-            v = todo.pop()
-            if v not in reached:
-                reached.add(v)
-                todo.extend(onward.get(v, ()))
-        acc.update((u, v) for v in reached)
-    return frozenset(acc)
+def rt_closure(succ: Sequence[int], n: int) -> list[int]:
+    """The reflexive transitive closure of a relation given as one successor
+    mask per bit: bit u reaches v when a nonempty path of pairs joins them,
+    and each of the first n bits, the worlds, reaches itself.  Each pass
+    runs over the bits from the last to the first and joins to each bit's
+    reach the reach of its successors; passes repeat until one changes
+    nothing, which after a pass over pairs that all go to later bits is
+    the next one."""
+    onward = [ranks(s) for s in succ]
+    reach = list(succ)
+    changed = True
+    while changed:
+        changed = False
+        for u in range(len(reach) - 1, -1, -1):
+            r = old = reach[u]
+            for v in onward[u]:
+                r |= reach[v]
+            if r != old:
+                reach[u] = r
+                changed = True
+    for w in range(n):
+        reach[w] |= 1 << w
+    return reach
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +262,27 @@ def rt_closure(
 
 
 def model_to_json(m: MModel) -> dict:
+    """The model by names: worlds, sorted acc pairs, and the eta and val
+    entries of the worlds that have any, with every name list sorted."""
+    names, succ = m.names, m.succ
+    decoded: dict[int, list[str]] = {}  # each mask met, to its sorted names
+
+    def sorted_names(mask: int) -> list[str]:
+        got = decoded.get(mask)
+        if got is None:
+            got = decoded[mask] = sorted([names[v] for v in ranks(mask)])
+        return got
+
+    atoms = sorted(m.atoms.items())
     return {
         "worlds": list(m.worlds),
-        "acc": sorted([u, v] for u, v in m.acc),
+        "acc": [[names[u], v] for u in sorted(range(len(names)), key=names.__getitem__) for v in sorted_names(succ[u])],
         "eta": {
-            w: [{"base": sorted(g.base), "cond": sorted(g.cond)} for g in m.eta[w]]
-            for w in m.worlds
-            if m.eta.get(w)
+            names[w]: [{"base": sorted_names(base)[:], "cond": sorted_names(cond)[:]} for base, cond in gens]
+            for w, gens in enumerate(m.gens)
+            if gens
         },
-        "val": {w: sorted(m.val[w]) for w in m.worlds if m.val.get(w)},
+        "val": {w: true for i, w in enumerate(names[: len(m.gens)]) if (true := [a for a, t in atoms if t >> i & 1])},
     }
 
 
@@ -305,26 +301,24 @@ def _pair(data: object) -> tuple[str, str]:
 
 
 def model_from_json(data: dict, close_rt: bool = False) -> MModel:
-    """Rebuild a model from model_to_json output; data of another shape
-    raises ValueError."""
+    """Rebuild a model from model_to_json output, with acc closed by
+    rt_closure when close_rt is set; data of another shape raises
+    ValueError."""
     if not isinstance(data, dict):
         raise ValueError("malformed model data: a model must be a JSON object")
     worlds = data.get("worlds")
     if not (isinstance(worlds, list) and all(isinstance(w, str) for w in worlds)):
         raise ValueError('malformed model data: "worlds" must be a list of world names')
     try:
-        worlds = tuple(worlds)
-        acc = frozenset(_pair(p) for p in data.get("acc", []))
+        acc = [_pair(p) for p in data.get("acc", [])]
         eta = {
-            w: tuple(Generator(_names(g["base"], "base"), _names(g["cond"], "cond")) for g in gens)
+            w: [(_names(g["base"], "base"), _names(g["cond"], "cond")) for g in gens]
             for w, gens in data.get("eta", {}).items()
         }
         val = {w: _names(atoms, f"val of {w}") for w, atoms in data.get("val", {}).items()}
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ValueError(f"malformed model data: {e}") from None
+    m = model_of_names(worlds, acc, eta, val)
     if close_rt:
-        acc = rt_closure(worlds, acc)
-    for w in worlds:
-        eta.setdefault(w, ())
-        val.setdefault(w, frozenset())
-    return MModel(worlds, acc, eta, val)
+        m = replace(m, succ=tuple(rt_closure(m.succ, len(m.gens))))
+    return m

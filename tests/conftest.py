@@ -2,12 +2,12 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import hypothesis.strategies as st
 from hypothesis import settings
 
-from bmdl.calculus import RuleApplication, RuleId, Universe
+from bmdl.calculus import RuleApplication, RuleId, Universe, ranks
 from bmdl.countermodel import CounterModelResult, truth_lemma_audit
 from bmdl.formula import (
     And,
@@ -26,7 +26,7 @@ from bmdl.formula import (
 from bmdl.kernel import Derivation, DerivationError, _check_node
 from bmdl.parser import print_sequent
 from bmdl.search import SatStep, saturate
-from bmdl.semantics import FrameViolation, MModel, falsifies, validate_frame
+from bmdl.semantics import FrameViolation, MModel, falsifies, model_of_names, validate_frame
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -325,6 +325,46 @@ def transitional_apps(s: SetSequent) -> list[FormulaApplication]:
 # References: the model checks and the kernel's Assumption and Cut checks as
 # they were before models were checked over world bitmasks and the kernel
 # compared tuples before multisets, kept to test the faster ones against.
+# The model references read a NamedModel by its names alone.
+
+
+class NamedModel(NamedTuple):
+    """A model given by names: its worlds, its accessibility pairs, each
+    world's generators as (base, cond) pairs of name sets and each world's
+    true atoms.  model() is the world-indexed MModel it stands for."""
+
+    worlds: tuple[str, ...]
+    acc: frozenset[tuple[str, str]]
+    eta: Mapping[str, tuple[tuple[frozenset[str], frozenset[str]], ...]]
+    val: Mapping[str, frozenset[str]]
+
+    def successors(self, w: str) -> frozenset[str]:
+        return frozenset(v for u, v in self.acc if u == w)
+
+    def model(self) -> MModel:
+        return model_of_names(self.worlds, self.acc, self.eta, self.val)
+
+
+def reference_rt_closure(worlds: tuple[str, ...], pairs: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
+    """The reflexive transitive closure over names, as first written: the
+    identity on worlds and the pairs, with composed pairs added until none
+    is new."""
+    acc = {(w, w) for w in worlds} | set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for u, v in list(acc):
+            for v2, x in list(acc):
+                if v2 == v and (u, x) not in acc:
+                    acc.add((u, x))
+                    changed = True
+    return frozenset(acc)
+
+
+def successor_names(m: MModel, w: str) -> frozenset[str]:
+    """The names of the worlds that w sees in m."""
+    names = m.names
+    return frozenset(names[v] for v in ranks(m.succ[m.index[w]]))
 
 
 def certifies(cm: CounterModelResult) -> bool:
@@ -338,7 +378,7 @@ def certifies(cm: CounterModelResult) -> bool:
     )
 
 
-def reference_validate_frame(m: MModel) -> list[FrameViolation]:
+def reference_validate_frame(m: NamedModel) -> list[FrameViolation]:
     """validate_frame over sets of world names, sorting as it goes."""
     bad: list[FrameViolation] = []
     ws = set(m.worlds)
@@ -369,23 +409,23 @@ def reference_validate_frame(m: MModel) -> list[FrameViolation]:
     for w in m.worlds:
         gens = m.eta.get(w, ())
         reach = m.successors(w)
-        for g in gens:
-            if not g.base <= ws or not g.cond <= ws:
+        for base, cond in gens:
+            if not base <= ws or not cond <= ws:
                 bad.append(FrameViolation("reference", f"generator at {w} mentions unknown worlds"))
-            elif not g.base <= reach or not g.cond <= reach:
+            elif not base <= reach or not cond <= reach:
                 bad.append(FrameViolation("generator-range", f"generator at {w} reaches outside R[{w}]"))
-            if not g.base:
+            if not base:
                 bad.append(FrameViolation("empty-base", f"generator at {w} has an empty base"))
-        for i, g1 in enumerate(gens):
-            for g2 in gens[i + 1:]:
-                if g1.cond == g2.cond and not (g1.base & g2.base):
+        for i, (base1, cond1) in enumerate(gens):
+            for base2, cond2 in gens[i + 1:]:
+                if cond1 == cond2 and not (base1 & base2):
                     bad.append(
                         FrameViolation("conflict", f"generators at {w} share a cond set but have disjoint bases")
                     )
     return bad
 
 
-def reference_truth_set(m: MModel, f: Formula) -> frozenset[str]:
+def reference_truth_set(m: NamedModel, f: Formula) -> frozenset[str]:
     """truth_set by a closure over sets of world names."""
     cache: dict = {}
     all_worlds = frozenset(m.worlds)
@@ -416,8 +456,8 @@ def reference_truth_set(m: MModel, f: Formula) -> frozenset[str]:
                     w
                     for w in m.worlds
                     if any(
-                        g.base <= (tb & m.successors(w)) and g.cond == (tc & m.successors(w))
-                        for g in m.eta.get(w, ())
+                        base <= (tb & m.successors(w)) and cond == (tc & m.successors(w))
+                        for base, cond in m.eta.get(w, ())
                     )
                 )
         cache[f] = v

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -733,10 +735,10 @@ _READING_VERBS = [
 ]
 
 
-def _reading_verb_input(tmp_path, capsys, name, text, bom=False):
+def _reading_verb_input(tmp_path, name, text, bom=False):
     """Write the file a reading verb reads, in UTF-8 with non-ASCII text,
     and with a byte-order mark if bom: its path."""
-    mark = "﻿" if bom else ""
+    mark = "\ufeff" if bom else ""
     path = tmp_path / name
     if name == "corpus":
         path.mkdir()
@@ -746,24 +748,50 @@ def _reading_verb_input(tmp_path, capsys, name, text, bom=False):
         return path
     if text is None:
         argv = ["countermodel", "q |- p"] if name == "m.json" else ["prove", "p |- q"]
-        main([argv[0], "--unicode", "--assume", "□(p → q)", argv[1]])
-        text = capsys.readouterr().out
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            main([argv[0], "--unicode", "--assume", "□(p → q)", argv[1]])
+        text = out.getvalue()
         assert any(ord(c) > 127 for c in text)
     path.write_text(mark + text, encoding="utf-8")
     return path
 
 
-@pytest.mark.parametrize("argv, name, text", _READING_VERBS, ids=[a[0] for a, _, _ in _READING_VERBS])
-def test_reading_verbs_read_utf8_whatever_the_locale(tmp_path, capsys, argv, name, text):
-    """Every file a verb reads is read as UTF-8, not in the locale's
-    encoding: no EncodingWarning under -X warn_default_encoding, and the
-    same exit code under a locale that is not UTF-8."""
-    path = _reading_verb_input(tmp_path, capsys, name, text)
-    args = [a.format(path) for a in argv]
-    expected = main(list(args))
-    capsys.readouterr()
-    assert expected == 0
+# Run in a child interpreter: each argv of the JSON list in sys.argv[1] through
+# python -m bmdl, in turn, and print the exit code and stderr of each; an
+# exception that escapes is printed and exits 1, as it would on its own.
+_RUN_VERBS = """
+import contextlib, io, json, runpy, sys, traceback
+runs = []
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["bmdl", *argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            runpy.run_module("bmdl", run_name="__main__", alter_sys=True)
+            code = 0
+        except SystemExit as e:
+            code = e.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    runs.append((code, err.getvalue()))
+print(json.dumps(runs))
+"""
+
+
+@pytest.fixture(scope="module")
+def reading_verb_runs(tmp_path_factory):
+    """Each reading verb's exit code in this process, and its exit code and
+    stderr under each locale, where one child interpreter per locale runs
+    all the verbs."""
+    root = tmp_path_factory.mktemp("utf8")
+    argvs, expected = [], []
+    for argv, name, text in _READING_VERBS:
+        path = _reading_verb_input(root, name, text)
+        argvs.append([a.format(path) for a in argv])
+        with contextlib.redirect_stdout(io.StringIO()):
+            expected.append(main(list(argvs[-1])))
     flags = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    by_locale = {}
     for locale in ("C.UTF-8", "C"):
         # neither UTF-8 mode nor locale coercion may turn the C locale into UTF-8
         env = dict(
@@ -771,9 +799,26 @@ def test_reading_verbs_read_utf8_whatever_the_locale(tmp_path, capsys, argv, nam
             PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONIOENCODING="utf-8",
         )
         proc = subprocess.run(
-            [sys.executable, *flags, "-m", "bmdl", *args], env=env, capture_output=True, text=True, timeout=60
+            [sys.executable, *flags, "-c", _RUN_VERBS, json.dumps(argvs)],
+            env=env, capture_output=True, text=True, timeout=120,
         )
-        assert (proc.returncode, proc.stderr) == (expected, ""), locale
+        assert (proc.returncode, proc.stderr) == (0, ""), locale
+        by_locale[locale] = json.loads(proc.stdout)
+    return {
+        argv[0]: (code, {locale: tuple(runs[i]) for locale, runs in by_locale.items()})
+        for i, ((argv, _, _), code) in enumerate(zip(_READING_VERBS, expected))
+    }
+
+
+@pytest.mark.parametrize("argv, name, text", _READING_VERBS, ids=[a[0] for a, _, _ in _READING_VERBS])
+def test_reading_verbs_read_utf8_whatever_the_locale(reading_verb_runs, argv, name, text):
+    """Every file a verb reads is read as UTF-8, not in the locale's
+    encoding: no EncodingWarning under -X warn_default_encoding, and the
+    same exit code under a locale that is not UTF-8."""
+    expected, by_locale = reading_verb_runs[argv[0]]
+    assert expected == 0
+    for locale, run in by_locale.items():
+        assert run == (expected, ""), locale
 
 
 @pytest.mark.parametrize("argv, name, text", _READING_VERBS, ids=[a[0] for a, _, _ in _READING_VERBS])
@@ -782,7 +827,7 @@ def test_a_file_with_a_byte_order_mark_reads_as_without_one(tmp_path, capsys, ar
     for bom in (False, True):
         d = tmp_path / f"bom{int(bom)}"
         d.mkdir()
-        path = _reading_verb_input(d, capsys, name, text, bom=bom)
+        path = _reading_verb_input(d, name, text, bom=bom)
         code = main([a.format(path) for a in argv])
         reports.append((code, capsys.readouterr().out.replace(str(d), "DIR")))
     assert reports[0] == reports[1]

@@ -1,11 +1,14 @@
+import json
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bmdl import countermodel
-from bmdl.calculus import Universe
+from bmdl.calculus import Universe, ranks
 from bmdl.consistency import reduction_sequent
 from bmdl.countermodel import (
     CountermodelError,
@@ -16,13 +19,13 @@ from bmdl.countermodel import (
     result_to_json,
     truth_lemma_audit,
 )
-from bmdl.formula import And, Box, Obl, Or, Sequent
+from bmdl.formula import And, Atom, Box, Obl, Or, Sequent
 from bmdl.gen import random_assumptions, random_formula, random_sequent
 from bmdl.parser import parse_sequent, print_sequent
 from bmdl.search import Budget, BudgetExceeded, decide
-from bmdl.semantics import MModel, falsifies, model_from_json, validate_frame
+from bmdl.semantics import falsifies, model_from_json, model_to_json, validate_frame
 
-from conftest import certifies, contains, decode_sets, to_set_sequent
+from conftest import certifies, contains, decode_sets, successor_names, to_set_sequent
 
 UNDERIVABLE = [
     "|- false",
@@ -111,8 +114,8 @@ def test_a_doctored_root_is_refused(monkeypatch):
 
     def doctored(self):
         m = finish(self)
-        self.resolved["h0"] = (0, 0)  # the masks of the empty sequent
-        return MModel(m.worlds, m.acc, m.eta, {w: frozenset() for w in m.worlds})
+        self.resolved[0] = (0, 0)  # the masks of the empty sequent
+        return replace(m, atoms={})
 
     monkeypatch.setattr(countermodel._Builder, "finish", doctored)
     with pytest.raises(CountermodelError, match="still holds at the root"):
@@ -132,7 +135,7 @@ def test_every_transitional_application_has_a_witness_among_the_successors(seed,
         assume(False)
     u = Universe(goal)
     for w, ss in res.resolved.items():
-        onward = [to_set_sequent(res.resolved[v]) for v in sorted(res.model.successors(w))]
+        onward = [to_set_sequent(res.resolved[v]) for v in sorted(successor_names(res.model, w))]
         for app in u.transitional(*u.encode(ss)):
             premisses = [decode_sets(u, p) for p in app.premisses]
             assert any(contains(v, p) for p in premisses for v in onward), (w, app.rule)
@@ -150,7 +153,7 @@ def test_a_premiss_contained_in_an_existing_world_adds_no_world(monkeypatch):
     monkeypatch.setattr(countermodel, "decide", spy)
     res = build(parse_sequent("|- []p, p"))
     assert res.model.worlds == ("h0",)
-    assert res.model.acc == {("h0", "h0")}
+    assert res.model.succ == (1,)
     assert asked == [to_set_sequent(parse_sequent("|- []p, p"))]
 
 
@@ -257,5 +260,55 @@ def test_every_left_obligation_has_its_condition_placed_on_its_successors(seed):
     for u, ss in res.resolved.items():
         for o in ss.ante:
             if isinstance(o, Obl):
-                for v in res.model.successors(u):
+                for v in successor_names(res.model, u):
                     assert o.cond in res.resolved[v].ante or o.cond in res.resolved[v].succ, (u, v, o)
+
+
+FROZEN = json.loads((Path(__file__).resolve().parent / "data" / "frozen_countermodels.json").read_text())
+
+
+def test_every_frozen_countermodel_reads_back_from_its_json():
+    for text, _, _ in FROZEN["goals"]:
+        m = build(parse_sequent(text), Budget(FROZEN["budget"])).model
+        assert model_from_json(model_to_json(m)) == m, text
+
+
+def _frame_mutants(m):
+    """Mask-level breaks of a built model's frame, each (kind, mutant):
+    a reflexive bit cleared; a bit of R[u] dropped that R[v] holds for some
+    other v in R[u]; a generator added at w with its base on a world outside
+    R[w]."""
+    n = len(m.worlds)
+    succ = m.succ
+    for u in range(n):
+        yield "reflexivity", replace(m, succ=succ[:u] + (succ[u] & ~(1 << u),) + succ[u + 1:])
+        for v in ranks(succ[u] & ~(1 << u)):
+            for x in ranks(succ[v] & ~(1 << v | 1 << u)):
+                yield "transitivity", replace(m, succ=succ[:u] + (succ[u] & ~(1 << x),) + succ[u + 1:])
+        outside = (1 << n) - 1 & ~succ[u]
+        if outside:
+            gens = m.gens[u] + ((outside & -outside, 0),)
+            yield "generator-range", replace(m, gens=m.gens[:u] + (gens,) + m.gens[u + 1:])
+
+
+def _atom_flips(res):
+    """The model with one atom's bit flipped at a world whose label holds
+    that atom on either side."""
+    m = res.model
+    for i, w in enumerate(m.worlds):
+        label = res.resolved[w]
+        for a in {f.name for f in label.ante + label.succ if type(f) is Atom}:
+            yield replace(m, atoms={**m.atoms, a: m.atoms.get(a, 0) ^ 1 << i})
+
+
+def test_certification_catches_every_mask_level_break_of_a_built_model():
+    kinds = dict.fromkeys(("reflexivity", "transitivity", "generator-range", "atom"), 0)
+    for text in UNDERIVABLE + [text for text, _, _ in FROZEN["goals"][:300]]:
+        res = build(parse_sequent(text), Budget(FROZEN["budget"]))
+        for kind, mutant in _frame_mutants(res.model):
+            assert kind in {v.kind for v in validate_frame(mutant)}, (text, kind)
+            kinds[kind] += 1
+        for mutant in _atom_flips(res):
+            assert truth_lemma_audit(mutant, res.resolved), text
+            kinds["atom"] += 1
+    assert min(kinds.values()) >= 20, kinds

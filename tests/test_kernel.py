@@ -583,3 +583,41 @@ def test_derivation_json_of_corpus_derivations_is_the_reference_json(name):
     written again."""
     d = derivation_from_json(json.loads((CORPUS / name).read_text()))
     _assert_json_as_the_reference(d)
+
+
+def _deep_chain(depth: int, fault_at: int = -1) -> Derivation:
+    """A derivation of p |- p that is a path of depth nodes: an Init leaf,
+    then WeakL to p, p |- p and ConL back to p |- p, alternately.  The node
+    at depth fault_at, counted from the root, if any, is a WeakL node, and
+    it is planted as WeakR, which must keep the antecedent and does not."""
+    one, two = Sequent((p,), (p,)), Sequent((p, p), (p,))
+    d = Derivation(one, RuleId.INIT, (p,))
+    for at in range(depth - 2, -1, -1):
+        if d.conclusion == one:
+            d = Derivation(two, RuleId.WEAK_R if at == fault_at else RuleId.WEAK_L, (), (d,))
+        else:
+            assert at != fault_at
+            d = Derivation(one, RuleId.CON_L, (p,), (d,))
+    return d
+
+
+def test_a_derivation_deeper_than_the_recursion_limit_checks_and_reports_its_fault():
+    d = _deep_chain(5000)
+    assert check_derivation(d)
+    assert d.rules_used() == Counter({RuleId.INIT: 1, RuleId.WEAK_L: 2500, RuleId.CON_L: 2499})
+    with pytest.raises(DerivationError) as e:
+        check_derivation(_deep_chain(5000, fault_at=4000))
+    assert e.value.path == (0,) * 4000
+    assert e.value.reason == "WeakR must keep the antecedent"
+
+
+def test_rules_used_counts_in_preorder():
+    # the first occurrence of each rule, root first and children left to right
+    d = Derivation(
+        Sequent((), ()),
+        RuleId.CUT,
+        (p,),
+        (Derivation(Sequent((), ()), RuleId.WEAK_R, (), (Derivation(Sequent((), ()), RuleId.INIT),)),
+         Derivation(Sequent((), ()), RuleId.BOTTOM_L)),
+    )
+    assert list(d.rules_used()) == [RuleId.CUT, RuleId.WEAK_R, RuleId.INIT, RuleId.BOTTOM_L]

@@ -7,12 +7,12 @@ from hypothesis import given
 
 from bmdl.formula import And, Atom, BOT, Bottom, Box, Imp, Neg, Obl, Or, Sequent
 from bmdl.parser import parse_formula
+from bmdl.calculus import ranks
 from bmdl.semantics import (
-    Generator,
-    MModel,
     falsifies,
     holds,
     model_from_json,
+    model_of_names,
     model_to_json,
     rt_closure,
     sequent_holds,
@@ -20,20 +20,27 @@ from bmdl.semantics import (
     validate_frame,
 )
 
-from conftest import CORPUS, formulas, reference_truth_set, reference_validate_frame
+from conftest import (
+    CORPUS,
+    NamedModel,
+    formulas,
+    reference_rt_closure,
+    reference_truth_set,
+    reference_validate_frame,
+)
 
 p, q = Atom("p"), Atom("q")
 
 
 def _single(eta=(), val=frozenset()):
-    return MModel(("w",), frozenset({("w", "w")}), {"w": tuple(eta)}, {"w": val})
+    return model_of_names(("w",), {("w", "w")}, {"w": tuple(eta)}, {"w": val})
 
 
 def _chain():
     """Two worlds, the first sees the second, p only at the far one."""
-    return MModel(
+    return model_of_names(
         ("a", "b"),
-        frozenset({("a", "a"), ("a", "b"), ("b", "b")}),
+        {("a", "a"), ("a", "b"), ("b", "b")},
         {"a": (), "b": ()},
         {"a": frozenset(), "b": frozenset({"p"})},
     )
@@ -46,39 +53,34 @@ def test_validate_accepts_the_trivial_model():
 @pytest.mark.parametrize(
     "model,kind",
     [
-        (MModel((), frozenset(), {}, {}), "worlds"),
-        (MModel(("w", "w"), frozenset({("w", "w")}), {}, {}), "worlds"),
-        (MModel(("w",), frozenset({("w", "v")}), {}, {}), "reference"),
-        (MModel(("w",), frozenset(), {}, {}), "reflexivity"),
+        (model_of_names((), (), {}, {}), "worlds"),
+        (model_of_names(("w", "w"), {("w", "w")}, {}, {}), "worlds"),
+        (model_of_names(("w",), {("w", "v")}, {}, {}), "reference"),
+        (model_of_names(("w",), (), {}, {}), "reflexivity"),
         (
-            MModel(
+            model_of_names(
                 ("a", "b", "c"),
-                frozenset({("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c")}),
+                {("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c")},
                 {},
                 {},
             ),
             "transitivity",
         ),
-        (_single(eta=[Generator(frozenset(), frozenset())]), "empty-base"),
+        (_single(eta=[((), ())]), "empty-base"),
         (
-            MModel(
+            model_of_names(
                 ("a", "b"),
-                frozenset({("a", "a"), ("b", "b")}),
-                {"a": (Generator(frozenset({"b"}), frozenset({"a"})),)},
+                {("a", "a"), ("b", "b")},
+                {"a": (({"b"}, {"a"}),)},
                 {},
             ),
             "generator-range",
         ),
         (
-            MModel(
+            model_of_names(
                 ("a", "b"),
-                frozenset({("a", "a"), ("a", "b"), ("b", "b")}),
-                {
-                    "a": (
-                        Generator(frozenset({"a"}), frozenset({"a"})),
-                        Generator(frozenset({"b"}), frozenset({"a"})),
-                    )
-                },
+                {("a", "a"), ("a", "b"), ("b", "b")},
+                {"a": (({"a"}, {"a"}), ({"b"}, {"a"}))},
                 {},
             ),
             "conflict",
@@ -90,12 +92,12 @@ def test_validate_reports_each_violation_kind(model, kind):
     assert kind in kinds
 
 
-def _transitivity_by_double_loop(m: MModel) -> list[str]:
+def _transitivity_by_double_loop(acc: frozenset) -> list[str]:
     """The transitivity check as first written: every pair against every pair."""
     bad = []
-    for u, v in sorted(m.acc):
-        for v2, x in sorted(m.acc):
-            if v2 == v and (u, x) not in m.acc:
+    for u, v in sorted(acc):
+        for v2, x in sorted(acc):
+            if v2 == v and (u, x) not in acc:
                 bad.append(f"transitivity: ({u}, {v}) and ({v}, {x}) but not ({u}, {x})")
     return bad
 
@@ -108,12 +110,12 @@ def test_transitivity_violations_match_the_double_loop():
         pairs = frozenset(
             (u, v) for u in worlds for v in worlds if rng.random() < 0.3
         )
-        acc = rt_closure(worlds, pairs)
+        acc = reference_rt_closure(worlds, pairs)
         if rng.random() < 0.6:  # knock pairs out of the closed relation
             acc = frozenset(pair for pair in acc if rng.random() < 0.8)
-        m = MModel(worlds, acc, {}, {})
+        m = model_of_names(worlds, acc, {}, {})
         got = [str(v) for v in validate_frame(m) if v.kind == "transitivity"]
-        want = _transitivity_by_double_loop(m)
+        want = _transitivity_by_double_loop(acc)
         assert got == want
         broken += bool(want)
     assert broken > 50
@@ -140,11 +142,11 @@ def test_box_looks_at_all_successors():
 
 def test_obligation_needs_matching_cond_set():
     # generator cond is exactly the worlds satisfying q restricted to R[w]
-    m = MModel(
+    m = model_of_names(
         ("a", "b"),
-        frozenset({("a", "a"), ("a", "b"), ("b", "b")}),
-        {"a": (Generator(frozenset({"b"}), frozenset({"a", "b"})),), "b": ()},
-        {"a": frozenset({"q"}), "b": frozenset({"p", "q"})},
+        {("a", "a"), ("a", "b"), ("b", "b")},
+        {"a": (({"b"}, {"a", "b"}),), "b": ()},
+        {"a": {"q"}, "b": {"p", "q"}},
     )
     assert holds(m, "a", Obl(p, q))
     # with r nowhere true the cond set would have to be empty
@@ -155,11 +157,11 @@ def test_obligation_needs_matching_cond_set():
 
 
 def test_obligation_base_may_be_a_proper_subset():
-    m = MModel(
+    m = model_of_names(
         ("a", "b", "c"),
-        frozenset({(u, v) for u in "abc" for v in "abc"}),
-        {"a": (Generator(frozenset({"b"}), frozenset("abc")),), "b": (), "c": ()},
-        {"b": frozenset({"p"}), "c": frozenset({"p"})},
+        {(u, v) for u in "abc" for v in "abc"},
+        {"a": (({"b"}, set("abc")),), "b": (), "c": ()},
+        {"b": {"p"}, "c": {"p"}},
     )
     assert holds(m, "a", Obl(p, Neg(BOT)))
 
@@ -176,27 +178,27 @@ def test_holds_rejects_unknown_worlds():
         holds(_single(), "nowhere", p)
 
 
-def _random_model(rng: random.Random) -> MModel:
+def _random_model(rng: random.Random) -> NamedModel:
     """A preordered model of 1-5 worlds with random generators inside
     each R[w]; the frame conditions on generators are not enforced."""
     worlds = tuple(f"w{i}" for i in range(rng.randint(1, 5)))
     pairs = frozenset((rng.choice(worlds), rng.choice(worlds)) for _ in range(rng.randint(0, 6)))
-    acc = rt_closure(worlds, pairs)
+    acc = reference_rt_closure(worlds, pairs)
     eta, val = {}, {}
     for w in worlds:
         reach = sorted(v for u, v in acc if u == w)
         eta[w] = tuple(
-            Generator(
+            (
                 frozenset(rng.sample(reach, rng.randint(1, len(reach)))),
                 frozenset(rng.sample(reach, rng.randint(0, len(reach)))),
             )
             for _ in range(rng.randint(0, 2))
         )
         val[w] = frozenset(a for a in "pqrs" if rng.random() < 0.5)
-    return MModel(worlds, acc, eta, val)
+    return NamedModel(worlds, acc, eta, val)
 
 
-def _holds_at(m: MModel, w: str, f) -> bool:
+def _holds_at(m: NamedModel, w: str, f) -> bool:
     """The truth clauses read world by world, with no truth sets."""
     match f:
         case Bottom():
@@ -217,7 +219,7 @@ def _holds_at(m: MModel, w: str, f) -> bool:
             reach = m.successors(w)
             tb = {v for v in reach if _holds_at(m, v, body)}
             tc = {v for v in reach if _holds_at(m, v, cond)}
-            return any(g.base <= tb and g.cond == tc for g in m.eta[w])
+            return any(base <= tb and cond == tc for base, cond in m.eta[w])
 
 
 @given(st.lists(formulas, min_size=1, max_size=6), st.integers(0, 2**32))
@@ -226,36 +228,22 @@ def test_a_shared_cache_agrees_with_fresh_evaluation(fs, seed):
     give what a fresh cache and the world-by-world clauses give; an unknown
     world is refused even for a cached formula."""
     rng = random.Random(seed)
-    m = _random_model(rng)
+    named = _random_model(rng)
+    m = named.model()
     cache: dict = {}
     for f in fs + rng.sample(fs, len(fs)):
         worlds = truth_set(m, f, cache)
-        assert worlds == truth_set(m, f) == {w for w in m.worlds if _holds_at(m, w, f)}
+        assert worlds == truth_set(m, f) == {w for w in m.worlds if _holds_at(named, w, f)}
         assert all(holds(m, w, f, cache) == (w in worlds) for w in m.worlds)
         with pytest.raises(ValueError):
             holds(m, "nowhere", f, cache)
 
 
 def test_rt_closure():
-    worlds = ("a", "b", "c")
-    closed = rt_closure(worlds, frozenset({("a", "b"), ("b", "c")}))
-    assert ("a", "a") in closed
-    assert ("a", "c") in closed
-    assert ("c", "a") not in closed
-
-
-def _closure_by_fixpoint(worlds, pairs):
-    """rt_closure as first written: add composed pairs until none is new."""
-    acc = {(w, w) for w in worlds} | set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for u, v in list(acc):
-            for v2, x in list(acc):
-                if v2 == v and (u, x) not in acc:
-                    acc.add((u, x))
-                    changed = True
-    return frozenset(acc)
+    # a -> b -> c over bits 0, 1, 2
+    assert rt_closure([0b010, 0b100, 0], 3) == [0b111, 0b110, 0b100]
+    # a cycle back to an earlier bit, and a stray bit 2 that is not a world
+    assert rt_closure([0b010, 0b101, 0], 2) == [0b111, 0b111, 0]
 
 
 def test_rt_closure_matches_the_fixpoint():
@@ -266,15 +254,18 @@ def test_rt_closure_matches_the_fixpoint():
         pairs = frozenset(
             (u, v) for u in names for v in names if rng.random() < 0.2
         )
-        assert rt_closure(worlds, pairs) == _closure_by_fixpoint(worlds, pairs)
+        m = model_of_names(worlds, pairs, {}, {})
+        closed = rt_closure(m.succ, len(worlds))
+        got = {(m.names[u], m.names[v]) for u, s in enumerate(closed) for v in ranks(s)}
+        assert got == reference_rt_closure(worlds, pairs)
 
 
 def test_serialization_round_trip():
-    m = MModel(
+    m = model_of_names(
         ("a", "b"),
-        frozenset({("a", "a"), ("a", "b"), ("b", "b")}),
-        {"a": (Generator(frozenset({"b"}), frozenset({"a", "b"})),), "b": ()},
-        {"a": frozenset(), "b": frozenset({"p"})},
+        {("a", "a"), ("a", "b"), ("b", "b")},
+        {"a": (({"b"}, {"a", "b"}),), "b": ()},
+        {"a": (), "b": {"p"}},
     )
     assert model_from_json(model_to_json(m)) == m
 
@@ -314,7 +305,7 @@ def test_corpus_model_facts():
     assert holds(m, "w1", parse_formula("~sy & ~hrm"))
 
 
-def _model_with_faults(rng: random.Random) -> MModel:
+def _model_with_faults(rng: random.Random) -> NamedModel:
     """A model drawn to hit every frame check: sometimes a duplicate world
     name, pairs knocked out of a closed relation or naming a world outside
     the model, entries for unknown worlds, generators outside R[w], with
@@ -324,7 +315,7 @@ def _model_with_faults(rng: random.Random) -> MModel:
         worlds += (rng.choice(worlds),)
     unknown = ("x", "y")
     pairs = frozenset((rng.choice(worlds), rng.choice(worlds)) for _ in range(rng.randint(0, 8)))
-    acc = rt_closure(worlds, pairs)
+    acc = reference_rt_closure(worlds, pairs)
     if rng.random() < 0.5:
         acc = frozenset((u, v) for u, v in sorted(acc) if rng.random() < (0.95 if u == v else 0.7))
     if rng.random() < 0.1:
@@ -339,12 +330,12 @@ def _model_with_faults(rng: random.Random) -> MModel:
         for _ in range(rng.randint(0, 3)):
             base = frozenset(rng.sample(pool, rng.randint(0 if rng.random() < 0.1 else min(1, len(pool)), len(pool))))
             cond = frozenset(rng.sample(pool, rng.randint(0, len(pool))))
-            gens.append(Generator(base, cond))
+            gens.append((base, cond))
             if pool and rng.random() < 0.2:  # same cond, maybe a disjoint base
-                gens.append(Generator(frozenset(rng.sample(pool, 1)), cond))
+                gens.append((frozenset(rng.sample(pool, 1)), cond))
         eta[w] = tuple(gens)
         val[w] = frozenset(a for a in "pqrs" if rng.random() < 0.5)
-    return MModel(worlds, acc, eta, val)
+    return NamedModel(worlds, acc, eta, val)
 
 
 @given(st.integers(0, 2**32), st.lists(formulas, min_size=1, max_size=4))
@@ -354,11 +345,12 @@ def test_frame_messages_and_truth_sets_match_the_set_based_reference(seed, fs):
     and invalid models alike."""
     rng = random.Random(seed)
     for _ in range(5):
-        m = _model_with_faults(rng)
-        assert [str(v) for v in validate_frame(m)] == [str(v) for v in reference_validate_frame(m)]
+        named = _model_with_faults(rng)
+        m = named.model()
+        assert [str(v) for v in validate_frame(m)] == [str(v) for v in reference_validate_frame(named)]
         cache: dict = {}
         for f in fs:
-            want = reference_truth_set(m, f)
+            want = reference_truth_set(named, f)
             assert truth_set(m, f, cache) == truth_set(m, f) == want
             assert all(holds(m, w, f, cache) == (w in want) for w in m.worlds)
 
@@ -367,7 +359,7 @@ def test_the_fault_draws_reach_every_frame_check():
     rng = random.Random(5)
     kinds: dict = {}
     for _ in range(400):
-        for v in validate_frame(_model_with_faults(rng)):
+        for v in validate_frame(_model_with_faults(rng).model()):
             kinds[v.message.split(" ")[0] if v.kind == "reference" else v.kind] = True
     assert set(kinds) >= {
         "worlds",
@@ -386,13 +378,134 @@ def test_unknown_names_evaluate_as_worlds_outside_the_model():
     """A successor or a generator member outside the worlds is in no truth
     set: a box over it fails, and so does an obligation whose generator
     names it."""
-    m = MModel(
+    m = model_of_names(
         ("a",),
-        frozenset({("a", "a"), ("a", "x")}),
-        {"a": (Generator(frozenset({"a"}), frozenset({"a", "y"})),)},
-        {"a": frozenset({"p"}), "z": frozenset({"p"})},
+        {("a", "a"), ("a", "x")},
+        {"a": (({"a"}, {"a", "y"}),)},
+        {"a": {"p"}, "z": {"p"}},
     )
     assert truth_set(m, p) == {"a"}
     assert truth_set(m, Box(p)) == frozenset()
     assert truth_set(m, Obl(p, p)) == frozenset()
     assert truth_set(m, Neg(Box(p))) == {"a"}
+
+
+# malformed models by JSON, and the messages validate_frame gave them when
+# models were checked by names: the same violations, in the same order
+PINNED_FRAME_MESSAGES = [
+    (
+        "unknown world in acc",
+        {"worlds": ["a"], "acc": [["a", "a"], ["a", "x"]]},
+        [
+            "reference: accessibility pair (a, x) mentions an unknown world",
+        ],
+    ),
+    (
+        "unknown world in eta",
+        {"worlds": ["a"], "acc": [["a", "a"]], "eta": {"z": [{"base": ["a"], "cond": ["a"]}]}},
+        [
+            "reference: entry for unknown world z",
+        ],
+    ),
+    (
+        "unknown world in val",
+        {"worlds": ["a"], "acc": [["a", "a"]], "val": {"y": ["p"]}},
+        [
+            "reference: entry for unknown world y",
+        ],
+    ),
+    (
+        "unknown world in a generator",
+        {"worlds": ["a"], "acc": [["a", "a"]], "eta": {"a": [{"base": ["a", "x"], "cond": ["a"]}]}},
+        [
+            "reference: generator at a mentions unknown worlds",
+        ],
+    ),
+    (
+        "duplicate worlds",
+        {"worlds": ["a", "a"], "acc": [["a", "a"]]},
+        [
+            "worlds: duplicate world names",
+        ],
+    ),
+    (
+        "missing reflexive pair",
+        {"worlds": ["a", "b"], "acc": [["a", "a"], ["a", "b"]]},
+        [
+            "reflexivity: missing (b, b)",
+        ],
+    ),
+    (
+        "transitivity gap",
+        {"worlds": ["a", "b", "c"], "acc": [["a", "a"], ["b", "b"], ["c", "c"], ["a", "b"], ["b", "c"]]},
+        [
+            "transitivity: (a, b) and (b, c) but not (a, c)",
+        ],
+    ),
+    (
+        "empty base",
+        {"worlds": ["a"], "acc": [["a", "a"]], "eta": {"a": [{"base": [], "cond": ["a"]}]}},
+        [
+            "empty-base: generator at a has an empty base",
+        ],
+    ),
+    (
+        "conflicting generators",
+        {
+            "worlds": ["a", "b"],
+            "acc": [["a", "a"], ["a", "b"], ["b", "b"]],
+            "eta": {"a": [{"base": ["a"], "cond": ["a", "b"]}, {"base": ["b"], "cond": ["a", "b"]}]},
+        },
+        [
+            "conflict: generators at a share a cond set but have disjoint bases",
+        ],
+    ),
+    (
+        "every reference fault at once",
+        {
+            "worlds": ["b", "a", "b"],
+            "acc": [["x", "a"], ["a", "y"], ["a", "a"], ["y", "x"]],
+            "eta": {"z": [], "a": [{"base": ["q"], "cond": []}]},
+            "val": {"w": [], "z": ["p"]},
+        },
+        [
+            "worlds: duplicate world names",
+            "reference: accessibility pair (a, y) mentions an unknown world",
+            "reference: accessibility pair (x, a) mentions an unknown world",
+            "reference: accessibility pair (y, x) mentions an unknown world",
+            "reference: entry for unknown world w",
+            "reference: entry for unknown world z",
+        ],
+    ),
+    (
+        "every frame fault at once",
+        {
+            "worlds": ["c", "b", "a"],
+            "acc": [["a", "a"], ["c", "c"], ["a", "b"], ["b", "c"], ["c", "a"]],
+            "eta": {
+                "a": [{"base": [], "cond": ["a"]}, {"base": ["a", "c"], "cond": ["a"]}, {"base": ["b"], "cond": ["a"]}],
+                "c": [{"base": ["v"], "cond": ["c"]}, {"base": ["c"], "cond": []}, {"base": ["a"], "cond": []}],
+            },
+        },
+        [
+            "reflexivity: missing (b, b)",
+            "transitivity: (a, b) and (b, c) but not (a, c)",
+            "transitivity: (b, c) and (c, a) but not (b, a)",
+            "transitivity: (c, a) and (a, b) but not (c, b)",
+            "reference: generator at c mentions unknown worlds",
+            "conflict: generators at c share a cond set but have disjoint bases",
+            "empty-base: generator at a has an empty base",
+            "generator-range: generator at a reaches outside R[a]",
+            "conflict: generators at a share a cond set but have disjoint bases",
+            "conflict: generators at a share a cond set but have disjoint bases",
+            "conflict: generators at a share a cond set but have disjoint bases",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "case,data,messages", PINNED_FRAME_MESSAGES, ids=[case for case, *_ in PINNED_FRAME_MESSAGES]
+)
+def test_frame_messages_of_malformed_models_are_pinned(case, data, messages):
+    assert [str(v) for v in validate_frame(model_from_json(data))] == messages

@@ -3,7 +3,7 @@
 The search and the kernel share calculus.premisses_for, so a wrong rule
 schema would pass both.  These tests check the schemas, and the
 derivations the search emits, against random finite models that pass
-validate_frame: preorders closed by rt_closure, and generators with
+validate_frame: preorders closed under composition, and generators with
 non-empty bases inside R[w] that overlap whenever their cond sets agree.
 
   * Static rules are sound world by world: where every premiss holds at a
@@ -37,7 +37,9 @@ from bmdl.formula import BOT, TOP, And, Atom, Box, Imp, Neg, Obl, Or, Sequent
 from bmdl.gen import random_assumptions, random_formula, random_sequent
 from bmdl.kernel import Derivation, premisses_for
 from bmdl.search import BudgetExceeded, prove
-from bmdl.semantics import Generator, MModel, rt_closure, sequent_holds, truth_set, validate_frame
+from bmdl.semantics import sequent_holds, truth_set, validate_frame
+
+from conftest import NamedModel, reference_rt_closure
 
 ATOMS = ("p", "q", "r")
 LITERALS = tuple(Atom(a) for a in ATOMS) + tuple(Neg(Atom(a)) for a in ATOMS) + (BOT, TOP)
@@ -66,7 +68,7 @@ SHAPES = {
 MODAL = (RuleId.FOUR, RuleId.D1, RuleId.D2, RuleId.MON)
 
 
-def random_model(rng: random.Random, frame_conditions: bool = True) -> MModel:
+def random_model(rng: random.Random, frame_conditions: bool = True) -> NamedModel:
     """A model of 1-4 worlds on a random preorder, with 0-3 generators per
     world.  Conds and most bases are the truth sets of literals within
     R[w], so that obligations over literals often hold.  With
@@ -75,7 +77,7 @@ def random_model(rng: random.Random, frame_conditions: bool = True) -> MModel:
     be empty and bases may conflict."""
     worlds = tuple(f"w{i}" for i in range(rng.randint(1, 4)))
     pairs = frozenset((rng.choice(worlds), rng.choice(worlds)) for _ in range(rng.randint(0, 5)))
-    acc = rt_closure(worlds, pairs)
+    acc = reference_rt_closure(worlds, pairs)
     val = {w: frozenset(a for a in ATOMS if rng.random() < 0.5) for w in worlds}
     eta = {}
     for w in worlds:
@@ -85,20 +87,20 @@ def random_model(rng: random.Random, frame_conditions: bool = True) -> MModel:
             f = rng.choice(LITERALS)
             return frozenset(v for v in reach if holds_literal(f, val[v]))
 
-        gens: list[Generator] = []
+        gens: list[tuple[frozenset[str], frozenset[str]]] = []
         for _ in range(rng.randint(0, 3)):
             cond = literal_set()
             base = set(literal_set() if rng.random() < 0.5 else rng.sample(reach, rng.randint(0, len(reach))))
             if frame_conditions:
                 if not base:
                     base.add(rng.choice(reach))
-                for g in gens:
-                    if g.cond == cond and not base & g.base:
-                        base.add(min(g.base))
-            gens.append(Generator(frozenset(base), cond))
+                for other_base, other_cond in gens:
+                    if other_cond == cond and not base & other_base:
+                        base.add(min(other_base))
+            gens.append((frozenset(base), cond))
         eta[w] = tuple(gens)
-    m = MModel(worlds, acc, eta, val)
-    assert frame_conditions <= (validate_frame(m) == [])
+    m = NamedModel(worlds, acc, eta, val)
+    assert frame_conditions <= (validate_frame(m.model()) == [])
     return m
 
 
@@ -133,7 +135,7 @@ def random_instance(
     return conclusion, premisses_for(rule, principal, conclusion)
 
 
-def aimed_model(rng: random.Random, rule: RuleId) -> tuple[MModel, tuple[Obl, Obl]]:
+def aimed_model(rng: random.Random, rule: RuleId) -> tuple[NamedModel, tuple[Obl, Obl]]:
     """For D2 or Mon, a random frame-valid model and two principal
     obligations O(f1/g1), O(f2/g2) aimed at the condition premisses.  g1
     and g2 are distinct formulas whose truth sets on R[w], for a world w,
@@ -149,7 +151,8 @@ def aimed_model(rng: random.Random, rule: RuleId) -> tuple[MModel, tuple[Obl, Ob
     w = rng.choice([v for v in m.worlds if len(m.successors(v)) == widest])
     reach = m.successors(w)
     cache: dict = {}
-    on_reach = {f: truth_set(m, f, cache) & reach for f in PROPOSITIONS}
+    model = m.model()
+    on_reach = {f: truth_set(model, f, cache) & reach for f in PROPOSITIONS}
     g1 = rng.choice(PROPOSITIONS)
     g2 = rng.choice(
         [g for g in PROPOSITIONS if g != g1 and (on_reach[g] <= on_reach[g1] or on_reach[g1] <= on_reach[g])]
@@ -165,25 +168,26 @@ def aimed_model(rng: random.Random, rule: RuleId) -> tuple[MModel, tuple[Obl, Ob
     gens = list(m.eta[w])
     for f, g in ((f1, g1), (f2, g2))[: 2 if rule is RuleId.D2 else 1]:
         base = set(on_reach[f])
-        for other in gens:
-            if other.cond == on_reach[g] and not base & other.base:
-                base.add(min(other.base))
-        gens.append(Generator(frozenset(base), on_reach[g]))
-    aimed = MModel(m.worlds, m.acc, {**m.eta, w: tuple(gens)}, m.val)
-    assert validate_frame(aimed) == []
+        for other_base, other_cond in gens:
+            if other_cond == on_reach[g] and not base & other_base:
+                base.add(min(other_base))
+        gens.append((frozenset(base), on_reach[g]))
+    aimed = m._replace(eta={**m.eta, w: tuple(gens)})
+    assert validate_frame(aimed.model()) == []
     return aimed, (Obl(f1, g1), Obl(f2, g2))
 
 
-def unsound_at(m: MModel, rule: RuleId, conclusion: Sequent, premisses) -> list[str]:
+def unsound_at(named: NamedModel, rule: RuleId, conclusion: Sequent, premisses) -> list[str]:
     """The worlds where the instance breaks its soundness condition."""
     cache: dict = {}
+    m = named.model()
 
     def valid_on(ws, s):
         return all(sequent_holds(m, v, s, cache) for v in ws)
 
     bad = []
     for w in m.worlds:
-        ws = m.successors(w) if rule in MODAL else (w,)
+        ws = named.successors(w) if rule in MODAL else (w,)
         if all(valid_on(ws, prem) for prem in premisses) and not sequent_holds(m, w, conclusion, cache):
             bad.append(w)
     if rule in MODAL and all(valid_on(m.worlds, prem) for prem in premisses):
@@ -231,7 +235,7 @@ def test_the_soundness_check_refutes_unsound_schemas_and_frames():
         conclusion, (prem,) = random_instance(rng, RuleId.FOUR)
         wide = Sequent(conclusion.ante, prem.succ)
         four += bool(unsound_at(m, RuleId.FOUR, conclusion, (wide,)))
-        live += any(all(sequent_holds(m, v, prem) for v in m.successors(w)) for w in m.worlds)
+        live += any(all(sequent_holds(m.model(), v, prem) for v in m.successors(w)) for w in m.worlds)
         broken = random_model(rng, frame_conditions=False)
         d1 += bool(unsound_at(broken, RuleId.D1, *random_instance(rng, RuleId.D1)))
         d2 += bool(unsound_at(broken, RuleId.D2, *random_instance(rng, RuleId.D2)))
@@ -260,7 +264,7 @@ def test_every_node_of_an_emitted_derivation_holds_at_every_world(seed, kind):
         return
     if not res.accepted:
         return
-    models = [random_model(rng) for _ in range(4)]
+    models = [random_model(rng).model() for _ in range(4)]
     for node in _nodes(res.derivation):
         for m in models:
             cache: dict = {}
@@ -278,7 +282,7 @@ def test_emitted_derivations_are_checked_against_the_semantics_on_derivable_goal
         if not res.accepted:
             continue
         checked += 1
-        m = random_model(rng)
+        m = random_model(rng).model()
         cache: dict = {}
         for node in _nodes(res.derivation):
             assert all(sequent_holds(m, w, node.conclusion, cache) for w in m.worlds)
